@@ -24,6 +24,7 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions bo = benchOptions(argc, argv, 4);
+    BenchRecorder rec("fig2b", bo);
     benchBanner("Fig. 2(b): similarity CDF vs vector size", bo);
 
     const DatasetProfile dp = datasetProfile("VideoMME");
@@ -64,7 +65,6 @@ main(int argc, char **argv)
             }
         });
 
-    BenchRecorder rec("fig2b", bo);
     TextTable table({"VecSize", "P(<=0.5)", "P(<=0.6)", "P(<=0.7)",
                      "P(<=0.8)", "P(<=0.9)", "P(<=0.95)", "P(>0.9)"});
     for (size_t v = 0; v < vector_sizes.size(); ++v) {

@@ -20,6 +20,7 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions bo = benchOptions(argc, argv, 5);
+    BenchRecorder rec("fig9b", bo);
     benchBanner("Fig. 9(b): normalized energy with breakdown", bo);
 
     TextTable table({"Model", "Dataset", "Arch", "Core", "Buffer",
@@ -94,7 +95,6 @@ main(int argc, char **argv)
                 g_ours.mean() / g_ada.mean(),
                 g_ours.mean() / g_cmc.mean());
 
-    BenchRecorder rec("fig9b", bo);
     rec.metric("geomean_ours_vs_sa", g_ours.mean());
     rec.metric("geomean_adaptiv_vs_sa", g_ada.mean());
     rec.metric("geomean_cmc_vs_sa", g_cmc.mean());

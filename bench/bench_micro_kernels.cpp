@@ -76,22 +76,6 @@ BM_GemmFp16(benchmark::State &state)
 BENCHMARK(BM_GemmFp16)->Arg(64)->Arg(128);
 
 void
-BM_GemmTransB(benchmark::State &state)
-{
-    const int64_t n = state.range(0);
-    Rng rng(1);
-    const Tensor a = randomTensor(rng, n, n);
-    const Tensor b = randomTensor(rng, n, n); // (N x K) row-major
-    Tensor c;
-    for (auto _ : state) {
-        gemmTransB(a, b, c);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_GemmTransB)->Arg(64)->Arg(128);
-
-void
 BM_GemmInt8(benchmark::State &state)
 {
     const int64_t n = state.range(0);
@@ -353,8 +337,7 @@ BENCHMARK(BM_SimulateAccelFocus);
 // pool's workers execute, so the pool defaults to a single thread
 // here (the blocked GEMM would otherwise fan M blocks out and the
 // per-kernel numbers would depend on the host's core count).
-// --threads=N opts back in to a wider pool; the GEMM backend follows
-// FOCUS_GEMM_BACKEND as everywhere else.  The SFU math backend
+// --threads=N opts back in to a wider pool.  The SFU math backend
 // defaults to vector in benches (FOCUS_MATH_BACKEND overrides) — the
 // exact libm path is the ctest default and has its own *Exact rows.
 int
@@ -381,10 +364,8 @@ main(int argc, char **argv)
     if (std::getenv("FOCUS_MATH_BACKEND") == nullptr) {
         kernels::setMathBackend(kernels::MathBackend::Vector);
     }
-    std::printf("# pool threads: %d, gemm backend: %s, "
-                "math backend: %s\n",
+    std::printf("# pool threads: %d, math backend: %s\n",
                 ThreadPool::global().threads(),
-                kernels::backendName(kernels::activeBackend()),
                 kernels::mathBackendName(kernels::activeMathBackend()));
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) {

@@ -20,6 +20,7 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions bo = benchOptions(argc, argv, 6);
+    BenchRecorder rec("table3", bo);
     benchBanner("Table III: architecture configuration comparison",
                 bo);
 
@@ -41,7 +42,6 @@ main(int argc, char **argv)
     }
     const std::vector<ExperimentResult> res = grid.run();
 
-    BenchRecorder rec("table3", bo);
     const char *tags[] = {"sa", "adaptiv", "cmc", "focus"};
     TextTable table({"Architecture", "PE Array", "Buffer(KB)",
                      "DRAM(GB/s)", "Area(mm2)", "OnChipPower(mW)"});

@@ -254,10 +254,8 @@ class BenchRecorder
             f,
             "  \"config\": {\n"
             "    \"samples\": %d,\n    \"threads\": %d,\n"
-            "    \"gemm_backend\": \"%s\",\n"
             "    \"math_backend\": \"%s\"\n  },\n",
             samples_, ThreadPool::global().threads(),
-            kernels::backendName(kernels::activeBackend()),
             kernels::mathBackendName(kernels::activeMathBackend()));
         std::fprintf(f, "  \"wall_ms\": %.3f,\n", wall_ms);
         std::fprintf(f, "  \"metrics\": {");

@@ -4,13 +4,13 @@
 The bench binaries emit machine-readable snapshots (bench_util.h
 BenchRecorder) holding the headline metrics printed below the banner
 plus the wall clock.  Metrics are deterministic for a fixed
-configuration (samples, seed, GEMM and math backends), so they must
+configuration (samples, seed, math backend), so they must
 match the snapshot up to --metric-rtol (a small relative tolerance
 for libm variation across glibc builds when the exact math backend
 leans on the host libm).  Wall clock varies across machines, so it is
 only banded: the fresh value must lie within a factor of --wall-band
 of the snapshot in either direction — catching order-of-magnitude
-regressions (e.g. the functional cache silently disabled) without
+regressions (e.g. a hot loop silently de-vectorized) without
 flaking on hardware differences.
 
 Exit status: 0 on pass, 1 on any mismatch (with a report), 2 on
@@ -23,7 +23,7 @@ import sys
 
 # Configuration fields that change what the metrics *mean*; a snapshot
 # taken under a different one of these is not comparable.
-COMPARABLE_CONFIG = ("samples", "gemm_backend", "math_backend")
+COMPARABLE_CONFIG = ("samples", "math_backend")
 
 
 def load(path):

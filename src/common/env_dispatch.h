@@ -2,11 +2,13 @@
  * @file
  * Shared environment-variable backend dispatch.
  *
- * Every runtime backend knob in this repo follows the same contract
- * (`FOCUS_GEMM_BACKEND`, `FOCUS_MATH_BACKEND`, `FOCUS_PREFIX_CACHE`):
- * an unset or empty variable selects the default, a known name selects
- * that backend, and an unknown name panics loudly listing the valid
- * choices — a typo must never silently fall back to the default.
+ * Every runtime choice knob in this repo follows the same contract
+ * (`FOCUS_MATH_BACKEND`, `FOCUS_OBS`, `FOCUS_LOG`): an unset or empty
+ * variable selects the default, a known name selects that choice, and
+ * an unknown name panics loudly listing the valid choices — a typo
+ * must never silently fall back to the default.  The numeric
+ * `FOCUS_THREADS` (runtime/thread_pool.cc) keeps the same rule: unset
+ * or empty is the default, garbage is fatal.
  */
 
 #ifndef FOCUS_COMMON_ENV_DISPATCH_H

@@ -1,23 +1,21 @@
 /**
  * @file
- * IEEE-754 binary16 (half precision) and bfloat16 emulation.
+ * IEEE-754 binary16 (half precision) emulation.
  *
  * The functional model of the accelerator operates on FP16 activations
  * with FP32 accumulation, matching the paper's PE configuration
  * ("FP16 Mul FP32 Acc", Tbl. I).  This header provides a storage type
  * with round-to-nearest-even conversions and float-backed arithmetic,
- * plus the compressed-slab conversion tier used by the serving
- * prefix cache (serve/prefix_cache.h):
+ * plus the fp16 conversion path of the serving prefix cache
+ * (serve/prefix_cache.h):
  *
  *  - floatToHalfBits: the readable reference conversion (RNE).
  *  - floatToHalfBitsFast: a branch-light integer-only conversion,
  *    bit-exact to the reference for every input including NaN payload
- *    and subnormal rounding (tests/test_half_arena.cc proves it
- *    exhaustively over all binary16 patterns and the boundary bands).
- *  - floatToBf16Bits / bf16BitsToFloat: bfloat16 with RNE and quiet
- *    NaN handling.
- *  - floatToHalfN / halfToFloatN / floatToBf16N / bf16ToFloatN: batch
- *    converters over contiguous spans (the slab compression path).
+ *    and subnormal rounding (tests/test_half.cc proves it over all
+ *    binary16 patterns, the boundary bands and a strided full-range
+ *    sweep).
+ *  - floatToHalfN: batch conversion over a contiguous span.
  */
 
 #ifndef FOCUS_COMMON_HALF_H
@@ -256,69 +254,15 @@ floatToHalfBitsFast(float value)
 }
 
 /**
- * Convert a float to bfloat16 bits with round-to-nearest-even.
- * Overflow saturates to infinity; NaN keeps its truncated payload
- * with the quiet bit forced (a payload living entirely in the low 16
- * float bits would otherwise truncate to infinity).
+ * Batch float -> binary16 over a contiguous span through the fast
+ * scalar kernel; n == 0 is a no-op, so callers need no empty-span
+ * guards.
  */
-inline uint16_t
-floatToBf16Bits(float value)
-{
-    const uint32_t bits = detail::floatBits(value);
-    if ((bits & 0x7fffffffu) > 0x7f800000u) {
-        return static_cast<uint16_t>((bits >> 16) | 0x0040u);
-    }
-    const uint32_t lsb = (bits >> 16) & 1u;
-    return static_cast<uint16_t>((bits + 0x7fffu + lsb) >> 16);
-}
-
-/** Convert bfloat16 bits to float (exact: low mantissa zero-fill). */
-inline float
-bf16BitsToFloat(uint16_t b)
-{
-    return detail::bitsFloat(static_cast<uint32_t>(b) << 16);
-}
-
-/** Round-trip a float through bfloat16 precision. */
-inline float
-bf16Round(float f)
-{
-    return bf16BitsToFloat(floatToBf16Bits(f));
-}
-
-// ---- batch conversion (slab compression path) ----
-// Contiguous spans through the fast scalar kernels; n == 0 is a
-// no-op, so callers need no empty-span guards.
-
 inline void
 floatToHalfN(const float *src, uint16_t *dst, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i) {
         dst[i] = floatToHalfBitsFast(src[i]);
-    }
-}
-
-inline void
-halfToFloatN(const uint16_t *src, float *dst, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = halfBitsToFloat(src[i]);
-    }
-}
-
-inline void
-floatToBf16N(const float *src, uint16_t *dst, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = floatToBf16Bits(src[i]);
-    }
-}
-
-inline void
-bf16ToFloatN(const uint16_t *src, float *dst, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = bf16BitsToFloat(src[i]);
     }
 }
 

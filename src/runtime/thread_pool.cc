@@ -1,7 +1,11 @@
 #include "runtime/thread_pool.h"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <memory>
+#include <system_error>
 
 #include "common/logging.h"
 #include "obs/trace_span.h"
@@ -23,12 +27,29 @@ ThreadPool::ThreadPool(int threads)
     : threads_(threads > 0 ? threads : defaultThreads())
 {
     workers_.reserve(static_cast<size_t>(threads_ - 1));
-    for (int w = 1; w < threads_; ++w) {
-        workers_.emplace_back([this] { workerLoop(); });
+    try {
+        for (int w = 1; w < threads_; ++w) {
+            workers_.emplace_back([this] { workerLoop(); });
+        }
+    } catch (const std::system_error &e) {
+        // Join the workers already started before exiting, so no
+        // joinable std::thread is left behind to call terminate().
+        const size_t started = workers_.size();
+        stopWorkers();
+        fatal("ThreadPool: cannot start a %d-thread pool (started %zu "
+              "worker threads, then: %s); lower FOCUS_THREADS or "
+              "--threads",
+              threads_, started, e.what());
     }
 }
 
 ThreadPool::~ThreadPool()
+{
+    stopWorkers();
+}
+
+void
+ThreadPool::stopWorkers()
 {
     {
         std::lock_guard<std::mutex> lk(m_);
@@ -176,12 +197,18 @@ ThreadPool::inParallelRegion()
 int
 ThreadPool::defaultThreads()
 {
-    if (const char *env = std::getenv("FOCUS_THREADS")) {
-        const int v = std::atoi(env);
-        if (v >= 1) {
-            return v;
+    const char *env = std::getenv("FOCUS_THREADS");
+    if (env != nullptr && *env != '\0') {
+        // Digits only: a sign, a suffix ("4x") or an empty parse is a
+        // typo, and a typo must not silently become the core count.
+        char *end = nullptr;
+        errno = 0;
+        const long v = std::strtol(env, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(*env)) ||
+            *end != '\0' || errno == ERANGE || v < 1 || v > INT_MAX) {
+            fatal("FOCUS_THREADS='%s' is not a positive integer", env);
         }
-        warn("ignoring invalid FOCUS_THREADS=%s", env);
+        return static_cast<int>(v);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1u ? static_cast<int>(hw) : 1;

@@ -24,7 +24,8 @@
  * The process-wide pool (ThreadPool::global()) sizes itself from the
  * FOCUS_THREADS environment variable, falling back to the hardware
  * concurrency; setGlobalThreads() lets command-line flags override
- * both.
+ * both.  A malformed FOCUS_THREADS, or a width the host cannot spawn,
+ * is a fatal error naming the value.
  */
 
 #ifndef FOCUS_RUNTIME_THREAD_POOL_H
@@ -48,7 +49,8 @@ class ThreadPool
     /**
      * @p threads is the total worker count including the calling
      * thread (which participates in every parallelFor); 0 means
-     * defaultThreads().
+     * defaultThreads().  Exits via fatal() when the host refuses to
+     * spawn the workers.
      */
     explicit ThreadPool(int threads = 0);
     ~ThreadPool();
@@ -70,8 +72,10 @@ class ThreadPool
     static bool inParallelRegion();
 
     /**
-     * FOCUS_THREADS environment override if set to a positive
-     * integer, else std::thread::hardware_concurrency (minimum 1).
+     * The FOCUS_THREADS environment override when set (a positive
+     * decimal integer; anything else is fatal), else
+     * std::thread::hardware_concurrency (minimum 1).  Unset and empty
+     * are the same, as for every env knob (common/env_dispatch.h).
      */
     static int defaultThreads();
 
@@ -99,6 +103,8 @@ class ThreadPool
 
     void workerLoop();
     void runJob(Job &job);
+    /** Stop and join every started worker. */
+    void stopWorkers();
 
     int threads_ = 1;
     std::vector<std::thread> workers_;

@@ -295,45 +295,6 @@ ClusterSimulator::costSharded(const std::vector<size_t> &comp)
     return shard_cache_.emplace(comp, std::move(sc)).first->second;
 }
 
-namespace
-{
-
-/**
- * Append one executed cluster batch and stamp its members' outcomes;
- * @p members holds positions into @p sub.  @p service may exceed the
- * batch's own cost (continuous batching serializes the previous
- * batch's residual tail ahead of it).
- */
-double
-recordClusterBatch(const std::vector<ServeRequest> &sub,
-                   std::vector<RequestOutcome> &outcomes,
-                   std::vector<BatchRecord> &batches,
-                   const std::vector<size_t> &members, double ready,
-                   double start, double service,
-                   const RunMetrics &metrics)
-{
-    BatchRecord rec;
-    rec.ready_s = ready;
-    rec.start_s = start;
-    rec.service_s = service;
-    rec.metrics = metrics;
-    const int batch_id = static_cast<int>(batches.size());
-    for (const size_t i : members) {
-        rec.request_ids.push_back(sub[i].id);
-        RequestOutcome &o = outcomes[i];
-        o.id = sub[i].id;
-        o.class_id = sub[i].class_id;
-        o.batch_id = batch_id;
-        o.batch_size = static_cast<int>(members.size());
-        o.start_s = start;
-        o.finish_s = start + service;
-    }
-    batches.push_back(std::move(rec));
-    return start + service;
-}
-
-} // namespace
-
 void
 ClusterSimulator::replayAdvanced(
     const BatchScheduler &scheduler,
@@ -344,49 +305,22 @@ ClusterSimulator::replayAdvanced(
 {
     const size_t n = sub.size();
     const bool caching = cache != nullptr && cache->enabled();
-    const QueueConfig &queue = base_.queueConfig();
     outcomes.assign(n, RequestOutcome{});
     batches.clear();
     const std::vector<BatchKey> keys = base_.batchKeys(sub);
-    std::vector<size_t> req_combo(n);
     std::vector<size_t> req_code(n);
     for (size_t i = 0; i < n; ++i) {
         outcomes[i].arrival_s = sub[i].arrival_s;
-        req_combo[i] = base_.classCombo(sub[i].class_id);
-        req_code[i] = ServingSimulator::comboCode(req_combo[i], false);
+        req_code[i] = ServingSimulator::comboCode(
+            base_.classCombo(sub[i].class_id), false);
     }
 
-    // Cache resolution for one batch, in execution order: lookups
-    // first (same-key members of one batch share the miss), then one
-    // admit per distinct missed key — the exact protocol of the base
-    // replay, so a trivial split reproduces its hit stream.
+    // Cache resolution for one batch, in execution order — the base
+    // replay's protocol, so a trivial split reproduces its hit stream.
     const auto resolveCache = [&](const std::vector<size_t> &members) {
-        if (!caching) {
-            return;
-        }
-        std::vector<size_t> missed;
-        for (const size_t i : members) {
-            const RequestClass &cls =
-                queue.mix[static_cast<size_t>(sub[i].class_id)];
-            if (cache->lookup(prefixKey(sub[i], cls))) {
-                outcomes[i].prefix_hit = true;
-                req_code[i] =
-                    ServingSimulator::comboCode(req_combo[i], true);
-            } else {
-                missed.push_back(i);
-            }
-        }
-        std::vector<std::string> admitted;
-        for (const size_t i : missed) {
-            const RequestClass &cls =
-                queue.mix[static_cast<size_t>(sub[i].class_id)];
-            const std::string key = prefixKey(sub[i], cls);
-            if (std::find(admitted.begin(), admitted.end(), key) ==
-                admitted.end()) {
-                admitted.push_back(key);
-                cache->admit(key,
-                             base_.comboSlabSpec(req_combo[i], key));
-            }
+        if (caching) {
+            base_.resolvePrefixCache(*cache, sub, members, req_code,
+                                     outcomes);
         }
     };
 
@@ -409,7 +343,7 @@ ClusterSimulator::replayAdvanced(
             resolveCache(plan.members);
             const ShardCost &sc = costSharded(compOf(plan.members));
             const double start = std::max(free_t, plan.ready_s);
-            free_t = recordClusterBatch(
+            free_t = ServingSimulator::recordBatch(
                 sub, outcomes, batches, plan.members, plan.ready_s,
                 start, sc.service_s, sc.metrics);
             interconnect_bytes += sc.interconnect_bytes;
@@ -446,8 +380,8 @@ ClusterSimulator::replayAdvanced(
         }
         const double start = t;
         const double service = carry + sc.service_s;
-        recordClusterBatch(sub, outcomes, batches, picked, t, start,
-                           service, sc.metrics);
+        ServingSimulator::recordBatch(sub, outcomes, batches, picked,
+                                      t, start, service, sc.metrics);
         interconnect_bytes += sc.interconnect_bytes;
 
         release_t = start + carry + sc.knee_s;

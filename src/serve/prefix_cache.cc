@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/env_dispatch.h"
 #include "common/half.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -15,16 +14,12 @@ namespace focus
 namespace
 {
 
-const char *const kPrefixCacheModeNames[] = {"on", "off"};
+/** Admission-sketch width in bits and hash probes per test/set. */
+constexpr uint64_t kSketchBits = 4096;
+constexpr int kSketchHashes = 2;
 
-PrefixCacheMode &
-prefixCacheModeRef()
-{
-    static PrefixCacheMode mode = static_cast<PrefixCacheMode>(
-        envBackendChoice("FOCUS_PREFIX_CACHE", kPrefixCacheModeNames,
-                         2, 0));
-    return mode;
-}
+/** Budget charge granularity: one cache line per slab allocation. */
+constexpr int64_t kSlabAlign = 64;
 
 /** splitmix64 finalizer: derives independent probe hashes. */
 uint64_t
@@ -38,6 +33,47 @@ mix64(uint64_t x)
 
 /** Conversion scratch: slabs stream through in fixed-size passes. */
 constexpr std::size_t kConvertChunk = 4096;
+
+int64_t
+chargedBytes(const SlabSpec &spec)
+{
+    return (spec.bytes() + kSlabAlign - 1) / kSlabAlign * kSlabAlign;
+}
+
+/**
+ * Relative RMS fp16 round-trip error of the slab's payload: a
+ * deterministic synthetic stand-in with realistic magnitudes (the
+ * functional model's retained rows live at reduced scale), drawn from
+ * the key's seed and converted chunk by chunk.
+ */
+double
+slabRoundTripError(const SlabSpec &spec)
+{
+    Rng rng(spec.seed);
+    int64_t remaining = spec.rows * spec.cols;
+    float src[kConvertChunk];
+    uint16_t half[kConvertChunk];
+    double num = 0.0;
+    double den = 0.0;
+    while (remaining > 0) {
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<int64_t>(remaining,
+                              static_cast<int64_t>(kConvertChunk)));
+        for (std::size_t i = 0; i < n; ++i) {
+            src[i] = static_cast<float>(rng.gaussian());
+        }
+        floatToHalfN(src, half, n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double d = static_cast<double>(src[i]) -
+                static_cast<double>(halfBitsToFloat(half[i]));
+            num += d * d;
+            den += static_cast<double>(src[i]) *
+                static_cast<double>(src[i]);
+        }
+        remaining -= static_cast<int64_t>(n);
+    }
+    return den > 0.0 ? std::sqrt(num / den) : 0.0;
+}
 
 } // namespace
 
@@ -53,50 +89,22 @@ prefixKeyHash(const std::string &key)
     return h;
 }
 
-const char *
-prefixCacheModeName(PrefixCacheMode m)
-{
-    return kPrefixCacheModeNames[static_cast<int>(m)];
-}
-
-PrefixCacheMode
-activePrefixCacheMode()
-{
-    return prefixCacheModeRef();
-}
-
-void
-setPrefixCacheMode(PrefixCacheMode m)
-{
-    prefixCacheModeRef() = m;
-}
-
 PrefixCache::PrefixCache(const PrefixCacheConfig &config)
-    : config_(config), enabled_(config.enabled())
+    : config_(config)
 {
-    if (!enabled_) {
-        return;
+    if (enabled()) {
+        sketch_.assign(kSketchBits / 64, 0);
     }
-    if (config_.sketch_bits <= 0 || config_.sketch_hashes <= 0) {
-        panic("PrefixCache: sketch_bits and sketch_hashes must be "
-              "positive (got %d / %d)",
-              config_.sketch_bits, config_.sketch_hashes);
-    }
-    arena_ = std::make_unique<SlabArena>(config_.budget_bytes);
-    sketch_.assign(
-        (static_cast<size_t>(config_.sketch_bits) + 63) / 64, 0);
 }
-
-PrefixCache::~PrefixCache() = default;
 
 bool
 PrefixCache::sketchTestAndSet(const std::string &key)
 {
     const uint64_t base = prefixKeyHash(key);
     bool all_set = true;
-    for (int i = 0; i < config_.sketch_hashes; ++i) {
-        const uint64_t bit = mix64(base + static_cast<uint64_t>(i)) %
-            static_cast<uint64_t>(config_.sketch_bits);
+    for (int i = 0; i < kSketchHashes; ++i) {
+        const uint64_t bit =
+            mix64(base + static_cast<uint64_t>(i)) % kSketchBits;
         uint64_t &word = sketch_[bit >> 6];
         const uint64_t mask = 1ull << (bit & 63u);
         if ((word & mask) == 0) {
@@ -107,52 +115,6 @@ PrefixCache::sketchTestAndSet(const std::string &key)
     return all_set;
 }
 
-double
-PrefixCache::storePayload(void *dst, const SlabSpec &spec) const
-{
-    // Deterministic synthetic activation payload: the functional
-    // model's retained rows live at reduced scale, so the slab stores
-    // a seed-reproducible stand-in with realistic magnitudes, and the
-    // round-trip error below is the compression tier's true fp16/bf16
-    // relative RMS delta on that payload.
-    Rng rng(spec.seed);
-    uint16_t *out = static_cast<uint16_t *>(dst);
-    int64_t remaining = spec.rows * spec.cols;
-    float src[kConvertChunk];
-    double num = 0.0;
-    double den = 0.0;
-    while (remaining > 0) {
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<int64_t>(remaining,
-                              static_cast<int64_t>(kConvertChunk)));
-        for (std::size_t i = 0; i < n; ++i) {
-            src[i] = static_cast<float>(rng.gaussian());
-        }
-        if (config_.format == SlabFormat::Fp16) {
-            floatToHalfN(src, out, n);
-            for (std::size_t i = 0; i < n; ++i) {
-                const double d = static_cast<double>(src[i]) -
-                    static_cast<double>(halfBitsToFloat(out[i]));
-                num += d * d;
-                den += static_cast<double>(src[i]) *
-                    static_cast<double>(src[i]);
-            }
-        } else {
-            floatToBf16N(src, out, n);
-            for (std::size_t i = 0; i < n; ++i) {
-                const double d = static_cast<double>(src[i]) -
-                    static_cast<double>(bf16BitsToFloat(out[i]));
-                num += d * d;
-                den += static_cast<double>(src[i]) *
-                    static_cast<double>(src[i]);
-            }
-        }
-        out += n;
-        remaining -= static_cast<int64_t>(n);
-    }
-    return den > 0.0 ? std::sqrt(num / den) : 0.0;
-}
-
 void
 PrefixCache::evictOne()
 {
@@ -161,7 +123,7 @@ PrefixCache::evictOne()
     }
     const std::string key = lru_.back();
     const auto it = entries_.find(key);
-    arena_->free(it->second.data, it->second.spec.bytes());
+    charged_bytes_ -= chargedBytes(it->second.spec);
     stats_.bytes_resident -= it->second.spec.bytes();
     stats_.full_bytes_resident -= it->second.spec.full_bytes;
     entries_.erase(it);
@@ -177,7 +139,7 @@ PrefixCache::evictOne()
 bool
 PrefixCache::lookup(const std::string &key)
 {
-    if (!enabled_) {
+    if (!enabled()) {
         return false;
     }
     stats_.lookups += 1;
@@ -209,7 +171,7 @@ PrefixCache::lookup(const std::string &key)
 void
 PrefixCache::admit(const std::string &key, const SlabSpec &spec)
 {
-    if (!enabled_ || entries_.count(key) > 0) {
+    if (!enabled() || entries_.count(key) > 0) {
         return;
     }
     if (spec.rows <= 0 || spec.cols <= 0) {
@@ -222,26 +184,27 @@ PrefixCache::admit(const std::string &key, const SlabSpec &spec)
         stats_.rejected += 1;
         return;
     }
-    const int64_t bytes = spec.bytes();
-    void *p = arena_->alloc(bytes);
-    while (p == nullptr && !lru_.empty()) {
+    // Evict LRU-first until the slab fits.  A slab larger than the
+    // whole budget drains the cache before it is rejected — the
+    // historical order, which the serving tables are pinned to.
+    const int64_t charge = chargedBytes(spec);
+    while (charged_bytes_ + charge > config_.budget_bytes &&
+           !lru_.empty()) {
         evictOne();
-        p = arena_->alloc(bytes);
     }
-    if (p == nullptr) {
-        // Larger than the whole budget even with the cache empty.
+    if (charged_bytes_ + charge > config_.budget_bytes) {
         stats_.rejected += 1;
         return;
     }
-    const double err = storePayload(p, spec);
+    charged_bytes_ += charge;
     lru_.push_front(key);
-    entries_[key] = Entry{spec, p, lru_.begin()};
+    entries_[key] = Entry{spec, lru_.begin()};
     stats_.admissions += 1;
-    stats_.bytes_resident += bytes;
+    stats_.bytes_resident += spec.bytes();
     stats_.bytes_peak =
         std::max(stats_.bytes_peak, stats_.bytes_resident);
     stats_.full_bytes_resident += spec.full_bytes;
-    stats_.err_sum += err;
+    stats_.err_sum += slabRoundTripError(spec);
     stats_.err_slabs += 1;
     if (obs::countersEnabled()) {
         static obs::Counter &c = obs::MetricsRegistry::instance()

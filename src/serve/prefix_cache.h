@@ -16,23 +16,24 @@
  * Design:
  *
  *  - **Admission sketch.**  A tiny Bloom filter remembers keys that
- *    have missed before; a slab is stored only on its *second* miss.
+ *    have missed before; a slab is admitted only on its *second* miss.
  *    One-hit wonders (cold prefixes that never repeat) therefore
  *    cannot evict hot entries — the TinyLFU-style doorkeeper idiom.
  *  - **LRU within a byte budget.**  Eviction is least-recently-used,
- *    but the budget is *bytes resident in the slab arena*
- *    (common/arena.h), not an entry count: slabs from different
- *    (model, dataset, method) combos have different footprints, and
- *    the budget must mean real memory.
- *  - **Compressed slabs.**  Stored K/V payloads are fp16 (or bf16)
- *    via the batch converters in common/half.h; the round-trip
- *    accuracy delta of each stored slab is accounted in the stats so
- *    serving reports can bound the numerical cost of compression.
+ *    but the budget is bytes, not an entry count: slabs from
+ *    different (model, dataset, method) combos have different
+ *    footprints.  Each resident slab is charged its fp16 payload
+ *    rounded up to a 64-byte cache line, the granularity a real slab
+ *    allocator hands out.
+ *  - **fp16 slabs.**  A hit swaps in the prefix-cached trace, so no
+ *    payload is ever read back and none is kept.  Admission instead
+ *    measures the fp16 round-trip error of the slab's
+ *    seed-reproducible stand-in payload (common/half.h), so serving
+ *    reports can bound the numerical cost of compression.
  *
- * The cache is gated by `FOCUS_PREFIX_CACHE=on|off` under the shared
- * env-dispatch contract (default on, panic on unknown).  `off` — or a
- * zero byte budget — makes every lookup a non-counting miss, which
- * keeps serving output bit-identical to pre-cache builds.
+ * A zero byte budget (the default) disables the cache: every lookup
+ * is a non-counting miss, which keeps serving output bit-identical to
+ * a replay without a cache.
  *
  * Not thread-safe: the serving layer drives it from the serial replay
  * pre-pass (serve/serving_sim.cc), which is also what keeps hit/miss
@@ -44,80 +45,41 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
-
 namespace focus
 {
-
-/** Prefix-cache mode (see file comment). */
-enum class PrefixCacheMode
-{
-    On, ///< cache active wherever a config enables it (default)
-    Off ///< every lookup misses silently; bit-identical to pre-cache
-};
-
-/** Name for logging / bench banners ("on" | "off"). */
-const char *prefixCacheModeName(PrefixCacheMode m);
-
-/**
- * Currently active mode.  Initialized once from the
- * FOCUS_PREFIX_CACHE environment variable (default On; panics on an
- * unknown value).
- */
-PrefixCacheMode activePrefixCacheMode();
-
-/** Override the active mode (tests flip this to compare paths). */
-void setPrefixCacheMode(PrefixCacheMode m);
 
 /**
  * Stable 64-bit hash of a cache key (FNV-1a; never std::hash, whose
  * value is implementation-defined).  The admission sketch probes with
  * it, and the serving layer derives each slab's payload seed from it
- * so a key's stored bytes are reproducible across runs and replicas.
+ * so a key's payload is reproducible across runs and replicas.
  */
 uint64_t prefixKeyHash(const std::string &key);
 
-/** Storage format of cached slabs. */
-enum class SlabFormat
-{
-    Fp16, ///< IEEE-754 binary16 (default)
-    Bf16  ///< bfloat16
-};
-
-/** Cache sizing and admission parameters. */
+/** Cache sizing. */
 struct PrefixCacheConfig
 {
     /**
-     * Live-byte budget for stored slabs; 0 (the default) disables the
-     * cache entirely — a budget-0 run is bit-identical to
-     * FOCUS_PREFIX_CACHE=off.
+     * Byte budget for resident slabs; 0 (the default) disables the
+     * cache entirely — a budget-0 run is bit-identical to a replay
+     * without a cache.
      */
     int64_t budget_bytes = 0;
-    SlabFormat format = SlabFormat::Fp16;
-    /** Bloom-sketch width in bits. */
-    int sketch_bits = 4096;
-    /** Hash probes per sketch test/set. */
-    int sketch_hashes = 2;
 
-    /** True when both the config and the env mode enable caching. */
-    bool enabled() const
-    {
-        return budget_bytes > 0 &&
-            activePrefixCacheMode() == PrefixCacheMode::On;
-    }
+    /** True when the budget enables caching. */
+    bool enabled() const { return budget_bytes > 0; }
 };
 
 /**
- * Geometry of one retained-token slab.  `rows * cols` 16-bit values
- * are stored; `full_bytes` records the *full-scale* fp32 K/V
- * footprint the slab stands in for (the reduced-scale payload mirrors
- * it at a fixed ratio), so reports can quote paper-scale savings.
- * `seed` makes the synthetic payload deterministic per key.
+ * Geometry of one retained-token slab: `rows * cols` fp16 values.
+ * `full_bytes` records the *full-scale* fp32 K/V footprint the slab
+ * stands in for (the reduced-scale payload mirrors it at a fixed
+ * ratio), so reports can quote paper-scale savings.  `seed` makes the
+ * synthetic payload deterministic per key.
  */
 struct SlabSpec
 {
@@ -126,7 +88,7 @@ struct SlabSpec
     int64_t full_bytes = 0;
     uint64_t seed = 0;
 
-    /** Stored bytes: rows * cols 16-bit values. */
+    /** Payload bytes: rows * cols 16-bit values. */
     int64_t bytes() const { return rows * cols * 2; }
 };
 
@@ -136,18 +98,18 @@ struct PrefixCacheStats
     int64_t lookups = 0;
     int64_t hits = 0;
     int64_t misses = 0;
-    /** Slabs stored (second-miss admissions). */
+    /** Slabs admitted (second-miss admissions). */
     int64_t admissions = 0;
     /** Slabs evicted to make room. */
     int64_t evictions = 0;
     /** Misses the sketch absorbed, plus slabs too large to ever fit. */
     int64_t rejected = 0;
-    /** Live stored bytes / high-water mark. */
+    /** Payload bytes of the resident slabs / high-water mark. */
     int64_t bytes_resident = 0;
     int64_t bytes_peak = 0;
     /** Full-scale fp32 K/V bytes the resident slabs stand in for. */
     int64_t full_bytes_resident = 0;
-    /** Sum over stored slabs of relative RMS round-trip error. */
+    /** Sum over admitted slabs of relative RMS round-trip error. */
     double err_sum = 0.0;
     int64_t err_slabs = 0;
 
@@ -158,7 +120,7 @@ struct PrefixCacheStats
             : 0.0;
     }
 
-    /** Mean per-slab relative RMS fp16/bf16 round-trip error. */
+    /** Mean per-slab relative RMS fp16 round-trip error. */
     double meanRoundTripError() const
     {
         return err_slabs > 0 ? err_sum / static_cast<double>(err_slabs)
@@ -182,7 +144,6 @@ class PrefixCache
 
     PrefixCache(const PrefixCache &) = delete;
     PrefixCache &operator=(const PrefixCache &) = delete;
-    ~PrefixCache();
 
     /**
      * True when @p key holds a resident slab (counted as a hit and
@@ -193,16 +154,15 @@ class PrefixCache
 
     /**
      * Record a miss for @p key.  First miss only marks the admission
-     * sketch; the second stores the slab, evicting LRU entries until
-     * the arena accepts it.  A slab larger than the whole budget is
-     * rejected.  No-op when disabled or when @p key is resident.
+     * sketch; the second admits the slab, evicting LRU entries until
+     * its 64-byte-rounded size fits the budget.  A slab larger than
+     * the whole budget is rejected (after evicting everything).
+     * No-op when disabled or when @p key is resident.
      */
     void admit(const std::string &key, const SlabSpec &spec);
 
-    /** True when the config and env mode enable this instance. */
-    bool enabled() const { return enabled_; }
-
-    const PrefixCacheConfig &config() const { return config_; }
+    /** True when the config's budget enables this instance. */
+    bool enabled() const { return config_.enabled(); }
 
     PrefixCacheStats stats() const { return stats_; }
 
@@ -210,23 +170,19 @@ class PrefixCache
     struct Entry
     {
         SlabSpec spec;
-        void *data = nullptr;
         std::list<std::string>::iterator lru_it;
     };
 
     /** Bloom test-and-set: true when every probed bit was already set. */
     bool sketchTestAndSet(const std::string &key);
 
-    /** Evict the LRU entry (fatal when empty). */
+    /** Evict the LRU entry (panics when empty). */
     void evictOne();
 
-    /** Fill + compress the slab payload; returns relative RMS error. */
-    double storePayload(void *dst, const SlabSpec &spec) const;
-
     PrefixCacheConfig config_;
-    bool enabled_ = false;
     PrefixCacheStats stats_;
-    std::unique_ptr<SlabArena> arena_;
+    /** Budget charge of the resident slabs (64-byte rounded). */
+    int64_t charged_bytes_ = 0;
     std::vector<uint64_t> sketch_;
     /** MRU at front. */
     std::list<std::string> lru_;

@@ -196,7 +196,7 @@ ServingSimulator::comboTrace(size_t combo) const
 const WorkloadTrace &
 ServingSimulator::codeTrace(size_t code) const
 {
-    const size_t combo = code >> 1;
+    const size_t combo = codeCombo(code);
     if (combo >= combos_.size()) {
         panic("ServingSimulator::codeTrace: code %zu out of range",
               code);
@@ -224,7 +224,7 @@ ServingSimulator::comboSlabSpec(size_t combo,
     for (const LayerEvents &l : tr.layers) {
         visual += l.visual_in;
     }
-    // The stored payload is a fixed 1/4096 reduced-scale mirror of
+    // The slab payload is a fixed 1/4096 reduced-scale mirror of
     // the full retained K/V set: rows shrink 64x and the 2*hidden
     // K+V columns shrink 64x (to 16-bit values), while full_bytes
     // records the paper-scale fp16 K+V footprint the slab stands in
@@ -235,6 +235,64 @@ ServingSimulator::comboSlabSpec(size_t combo,
     spec.full_bytes = visual * tr.hidden * 4;
     spec.seed = prefixKeyHash(key);
     return spec;
+}
+
+void
+ServingSimulator::resolvePrefixCache(
+    PrefixCache &cache, const std::vector<ServeRequest> &stream,
+    const std::vector<size_t> &members, std::vector<size_t> &codes,
+    std::vector<RequestOutcome> &outcomes) const
+{
+    std::vector<size_t> missed;
+    for (const size_t i : members) {
+        const RequestClass &cls =
+            queue_.mix[static_cast<size_t>(stream[i].class_id)];
+        if (cache.lookup(prefixKey(stream[i], cls))) {
+            outcomes[i].prefix_hit = true;
+            codes[i] = comboCode(codeCombo(codes[i]), true);
+        } else {
+            missed.push_back(i);
+        }
+    }
+    std::vector<std::string> admitted;
+    for (const size_t i : missed) {
+        const RequestClass &cls =
+            queue_.mix[static_cast<size_t>(stream[i].class_id)];
+        const std::string key = prefixKey(stream[i], cls);
+        if (std::find(admitted.begin(), admitted.end(), key) ==
+            admitted.end()) {
+            admitted.push_back(key);
+            cache.admit(key, comboSlabSpec(codeCombo(codes[i]), key));
+        }
+    }
+}
+
+double
+ServingSimulator::recordBatch(const std::vector<ServeRequest> &stream,
+                              std::vector<RequestOutcome> &outcomes,
+                              std::vector<BatchRecord> &batches,
+                              const std::vector<size_t> &members,
+                              double ready, double start,
+                              double service, const RunMetrics &m)
+{
+    BatchRecord rec;
+    rec.ready_s = ready;
+    rec.start_s = start;
+    rec.service_s = service;
+    rec.metrics = m;
+    const int batch_id = static_cast<int>(batches.size());
+    for (const size_t i : members) {
+        rec.request_ids.push_back(stream[i].id);
+        RequestOutcome &o = outcomes[i];
+        o.id = stream[i].id;
+        o.class_id = stream[i].class_id;
+        o.batch_id = batch_id;
+        o.batch_size = static_cast<int>(members.size());
+        o.start_s = start;
+        o.finish_s = start + service;
+    }
+    batches.push_back(std::move(rec));
+    return start + service;
 }
 
 std::vector<BatchKey>
@@ -283,39 +341,6 @@ percentile(const std::vector<double> &sorted, double q)
     return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-/**
- * Append one executed batch and stamp its members' outcomes;
- * @p members holds positions into @p stream.  Returns the finish
- * time.  Shared by the open-loop replay and the closed-loop event
- * loop so both paths stay byte-for-byte the same bookkeeping.
- */
-double
-recordBatch(const std::vector<ServeRequest> &stream,
-            std::vector<RequestOutcome> &outcomes,
-            std::vector<BatchRecord> &batches,
-            const std::vector<size_t> &members, double ready,
-            double start, const RunMetrics &m)
-{
-    BatchRecord rec;
-    rec.ready_s = ready;
-    rec.start_s = start;
-    rec.service_s = m.seconds();
-    rec.metrics = m;
-    const int batch_id = static_cast<int>(batches.size());
-    for (const size_t i : members) {
-        rec.request_ids.push_back(stream[i].id);
-        RequestOutcome &o = outcomes[i];
-        o.id = stream[i].id;
-        o.class_id = stream[i].class_id;
-        o.batch_id = batch_id;
-        o.batch_size = static_cast<int>(members.size());
-        o.start_s = start;
-        o.finish_s = start + rec.service_s;
-    }
-    batches.push_back(std::move(rec));
-    return start + batches.back().service_s;
-}
-
 } // namespace
 
 void
@@ -335,12 +360,12 @@ ServingSimulator::replayOpenLoop(
     outcomes.assign(n, RequestOutcome{});
     batches.clear();
 
-    std::vector<size_t> req_combo(n);
+    std::vector<size_t> req_code(n);
     std::vector<BatchKey> keys(n);
     for (size_t i = 0; i < n; ++i) {
         const size_t combo =
             class_combo_[static_cast<size_t>(stream[i].class_id)];
-        req_combo[i] = combo;
+        req_code[i] = comboCode(combo, false);
         keys[i] = BatchKey{combos_[combo].model_id,
                            combos_[combo].trace.retainedRows()};
         outcomes[i].arrival_s = stream[i].arrival_s;
@@ -352,41 +377,13 @@ ServingSimulator::replayOpenLoop(
     const std::vector<PlannedBatch> plans =
         scheduler.planOpenLoop(stream, keys);
 
-    // Serial cache pre-pass in execution order: resolve each batch's
-    // members against the cache (all lookups first, so same-key
-    // members of one batch share the miss), then admit each distinct
-    // missed key once in first-occurrence order.  Serial by design —
+    // Serial cache pre-pass in execution order.  Serial by design —
     // the hit/miss stream (and the obs work counters behind it) must
     // be identical at every thread count.
-    std::vector<size_t> req_code(n);
-    for (size_t i = 0; i < n; ++i) {
-        req_code[i] = comboCode(req_combo[i], false);
-    }
     if (caching) {
         for (const PlannedBatch &plan : plans) {
-            std::vector<size_t> missed;
-            for (const size_t i : plan.members) {
-                const RequestClass &cls = queue_.mix[static_cast<
-                    size_t>(stream[i].class_id)];
-                if (cache->lookup(prefixKey(stream[i], cls))) {
-                    outcomes[i].prefix_hit = true;
-                    req_code[i] = comboCode(req_combo[i], true);
-                } else {
-                    missed.push_back(i);
-                }
-            }
-            std::vector<std::string> admitted;
-            for (const size_t i : missed) {
-                const RequestClass &cls = queue_.mix[static_cast<
-                    size_t>(stream[i].class_id)];
-                const std::string key = prefixKey(stream[i], cls);
-                if (std::find(admitted.begin(), admitted.end(),
-                              key) == admitted.end()) {
-                    admitted.push_back(key);
-                    cache->admit(key,
-                                 comboSlabSpec(req_combo[i], key));
-                }
-            }
+            resolvePrefixCache(*cache, stream, plan.members, req_code,
+                               outcomes);
         }
     }
 
@@ -428,7 +425,7 @@ ServingSimulator::replayOpenLoop(
         const double start = std::max(free_t, plans[b].ready_s);
         free_t = recordBatch(stream, outcomes, batches,
                              plans[b].members, plans[b].ready_s,
-                             start, m);
+                             start, m.seconds(), m);
     }
 }
 
@@ -456,12 +453,12 @@ ServingSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
         replayOpenLoop(scheduler, stream, pool, outcomes, batches,
                        &cache);
     } else {
-        std::vector<size_t> req_combo(n);
+        std::vector<size_t> req_code(n);
         std::vector<BatchKey> keys(n);
         for (size_t i = 0; i < n; ++i) {
             const size_t combo =
                 class_combo_[static_cast<size_t>(stream[i].class_id)];
-            req_combo[i] = combo;
+            req_code[i] = comboCode(combo, false);
             keys[i] = BatchKey{combos_[combo].model_id,
                                combos_[combo].trace.retainedRows()};
         }
@@ -505,42 +502,23 @@ ServingSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
             const std::vector<size_t> picked =
                 scheduler.pickPending(pending, keys);
             // Closed loop is already a serial event loop, so the
-            // cache resolves at pick time: lookups for the whole
-            // batch first, then one admit per distinct missed key.
+            // cache resolves at pick time.
+            if (caching) {
+                resolvePrefixCache(cache, stream, picked, req_code,
+                                   outcomes);
+            }
             std::vector<size_t> comp;
             comp.reserve(picked.size());
-            std::vector<size_t> missed;
             for (const size_t i : picked) {
-                bool hit = false;
-                if (caching) {
-                    const RequestClass &cls = queue_.mix[static_cast<
-                        size_t>(stream[i].class_id)];
-                    hit = cache.lookup(prefixKey(stream[i], cls));
-                    if (hit) {
-                        outcomes[i].prefix_hit = true;
-                    } else {
-                        missed.push_back(i);
-                    }
-                }
-                comp.push_back(comboCode(req_combo[i], hit));
-            }
-            std::vector<std::string> admitted;
-            for (const size_t i : missed) {
-                const RequestClass &cls = queue_.mix[static_cast<
-                    size_t>(stream[i].class_id)];
-                const std::string key = prefixKey(stream[i], cls);
-                if (std::find(admitted.begin(), admitted.end(),
-                              key) == admitted.end()) {
-                    admitted.push_back(key);
-                    cache.admit(key, comboSlabSpec(req_combo[i], key));
-                }
+                comp.push_back(req_code[i]);
             }
             const RunMetrics &m = costComposition(comp);
             for (const size_t i : picked) {
                 outcomes[i].arrival_s = arr[i];
             }
-            const double finish = recordBatch(
-                stream, outcomes, batches, picked, start, start, m);
+            const double finish =
+                recordBatch(stream, outcomes, batches, picked, start,
+                            start, m.seconds(), m);
             free_t = finish;
 
             for (const size_t i : picked) {

@@ -132,10 +132,7 @@ struct ServingReport
      */
     double slo_attainment = 0.0;
     int shed = 0;
-    /**
-     * Activity of the run's prefix cache (all-zero when disabled —
-     * FOCUS_PREFIX_CACHE=off or a zero budget).
-     */
+    /** Activity of the run's prefix cache (all-zero at zero budget). */
     PrefixCacheStats prefix_cache;
 };
 
@@ -169,9 +166,8 @@ class ServingSimulator
      * Configure the cross-request prefix cache for subsequent run()
      * calls (default: disabled).  Each run() replays against a fresh
      * cache instance, so one simulator can sweep budgets while
-     * sharing its calibration and composition caches; a disabled
-     * config (zero budget, or FOCUS_PREFIX_CACHE=off) reproduces the
-     * pre-cache replay bit for bit.
+     * sharing its calibration and composition caches; a zero budget
+     * reproduces the cache-free replay bit for bit.
      */
     void setPrefixCache(const PrefixCacheConfig &cfg) { pcache_ = cfg; }
     const PrefixCacheConfig &prefixCacheConfig() const
@@ -206,12 +202,11 @@ class ServingSimulator
      * position in @p stream / execution order.  Calibrates on demand.
      *
      * When @p cache is non-null and enabled, a serial pre-pass walks
-     * the planned batches in execution order, resolving each member's
-     * prefix key against the cache (lookup, then one admit per
-     * distinct missed key in first-occurrence order); hits swap in
-     * the combo's prefix-cached trace.  Batch *membership* is
-     * identical either way — plans key on the base trace, so a run
-     * with an enabled cache differs only in what each batch costs.
+     * the planned batches in execution order through
+     * resolvePrefixCache; hits swap in the combo's prefix-cached
+     * trace.  Batch *membership* is identical either way — plans key
+     * on the base trace, so a run with an enabled cache differs only
+     * in what each batch costs.
      */
     void replayOpenLoop(const BatchScheduler &scheduler,
                         const std::vector<ServeRequest> &stream,
@@ -242,6 +237,9 @@ class ServingSimulator
         return combo * 2 + (hit ? 1 : 0);
     }
 
+    /** Combo id behind a composition code (inverse of comboCode). */
+    static size_t codeCombo(size_t code) { return code >> 1; }
+
     /** Trace behind a composition code (hit or base variant). */
     const WorkloadTrace &codeTrace(size_t code) const;
 
@@ -254,6 +252,36 @@ class ServingSimulator
 
     /** Slab geometry of one combo's retained prefix, keyed payload. */
     SlabSpec comboSlabSpec(size_t combo, const std::string &key) const;
+
+    /**
+     * The prefix-cache batch protocol, shared by every replay path so
+     * a cluster of one replica reproduces the single box's hit
+     * stream: look up every member of one batch first (same-key
+     * members share the miss), then admit each distinct missed key
+     * once, in first-occurrence order.  @p members are positions into
+     * @p stream; @p codes holds each request's composition code, a
+     * miss code on entry.  A hit turns the member's code into its hit
+     * code and sets its outcome's prefix_hit.
+     */
+    void resolvePrefixCache(PrefixCache &cache,
+                            const std::vector<ServeRequest> &stream,
+                            const std::vector<size_t> &members,
+                            std::vector<size_t> &codes,
+                            std::vector<RequestOutcome> &outcomes) const;
+
+    /**
+     * Append one executed batch to @p batches and stamp its members'
+     * outcomes (@p members are positions into @p stream); returns the
+     * finish time start + @p service.  @p service is @p m's latency,
+     * or more under continuous batching, which serializes the previous
+     * batch's residual tail ahead of the batch's own cost.
+     */
+    static double recordBatch(const std::vector<ServeRequest> &stream,
+                              std::vector<RequestOutcome> &outcomes,
+                              std::vector<BatchRecord> &batches,
+                              const std::vector<size_t> &members,
+                              double ready, double start,
+                              double service, const RunMetrics &m);
 
     /**
      * Build each combo's prefix-cached trace + solo metrics

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstring>
-#include <map>
-#include <tuple>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -57,39 +54,6 @@ validateAccelConfig(const AccelConfig &cfg)
     }
 }
 
-/**
- * Memoization key for one GEMM's timing: the event geometry, the
- * effective SIC/gather flags, the psi value, and — when drawing from
- * the trace's empirical tile_fracs distribution — the sampler's
- * round-robin cursor, since the draws (and so the result and the
- * post-call sampler state) are a pure function of the cursor.  Keyed
- * with an ordered map like the serving layer's composition cache;
- * AccelConfig is fixed within one call, so it stays out of the key.
- */
-struct TimingKey
-{
-    int64_t m, k, n;
-    bool sic, gather;
-    uint64_t psi_bits;
-    int64_t cursor; ///< -1 for the stateless mean sampler
-
-    bool
-    operator<(const TimingKey &o) const
-    {
-        return std::tie(m, k, n, sic, gather, psi_bits, cursor) <
-            std::tie(o.m, o.k, o.n, o.sic, o.gather, o.psi_bits,
-                     o.cursor);
-    }
-};
-
-uint64_t
-doubleBits(double v)
-{
-    uint64_t u;
-    std::memcpy(&u, &v, sizeof(u));
-    return u;
-}
-
 } // namespace
 
 RunMetrics
@@ -105,13 +69,7 @@ simulateAccelerator(const AccelConfig &cfg, const WorkloadTrace &trace,
 
     DramModel dram(cfg.dram);
     FracSampler psi_dist(&trace.tile_fracs, 1.0);
-
-    // Layers repeat geometry, so (TimingKey -> timing) hits replace
-    // whole timeGemm calls.  A caller-supplied timer stays cacheless —
-    // it is the reference the equivalence suite diffs against.
-    const bool memoize = timer == nullptr;
-    const GemmTimer time_gemm = memoize ? timeGemm : timer;
-    std::map<TimingKey, GemmTiming> timing_cache;
+    const GemmTimer time_gemm = timer != nullptr ? timer : timeGemm;
 
     const bool is_focus_arch = cfg.arch == ArchKind::Focus;
     const bool is_cmc = cfg.arch == ArchKind::CMC;
@@ -146,37 +104,8 @@ simulateAccelerator(const AccelConfig &cfg, const WorkloadTrace &trace,
             FracSampler mean_sampler(nullptr, g.psi_in);
             FracSampler &sampler = use_dist ? psi_dist : mean_sampler;
 
-            GemmTiming fresh;
-            const GemmTiming *timing = nullptr;
-            if (memoize) {
-                const TimingKey key{
-                    g.m, g.k, g.n, sic_in, gather,
-                    doubleBits(g.psi_in),
-                    use_dist
-                        ? static_cast<int64_t>(psi_dist.cursor())
-                        : -1};
-                const auto it = timing_cache.find(key);
-                if (it != timing_cache.end()) {
-                    // Leave the shared sampler exactly where a real
-                    // walk would have (sampler-order invariant).
-                    if (use_dist) {
-                        psi_dist.advance(
-                            timeGemmDraws(cfg, g.m, g.k, g.n));
-                    }
-                    timing = &it->second;
-                } else {
-                    fresh = time_gemm(cfg, g.m, g.k, g.n, sampler,
-                                      sic_in, gather);
-                    timing = &timing_cache
-                                  .emplace(key, std::move(fresh))
-                                  .first->second;
-                }
-            } else {
-                fresh = time_gemm(cfg, g.m, g.k, g.n, sampler, sic_in,
-                                  gather);
-                timing = &fresh;
-            }
-            const GemmTiming &t = *timing;
+            const GemmTiming t =
+                time_gemm(cfg, g.m, g.k, g.n, sampler, sic_in, gather);
             layer_compute += t.cycles * g.count;
             rm.stall_scatter += t.stall_scatter * g.count;
             rm.stall_matcher += t.stall_matcher * g.count;

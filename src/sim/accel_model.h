@@ -126,10 +126,9 @@ struct RunMetrics
 };
 
 /**
- * Simulate @p trace on @p cfg.  GEMMs are timed by timeGemm, memoized
- * within the call on repeated geometry; a non-null @p timer replaces
- * timeGemm and turns the memo off (tests/test_sim_equiv.cc passes the
- * per-tile reference walk to check both).
+ * Simulate @p trace on @p cfg.  Every GEMM is timed by timeGemm; a
+ * non-null @p timer replaces it (tests/test_sim_equiv.cc passes the
+ * per-tile reference walk to check the closed form against it).
  */
 RunMetrics simulateAccelerator(const AccelConfig &cfg,
                                const WorkloadTrace &trace,

@@ -387,22 +387,6 @@ timeGemm(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
 }
 
 uint64_t
-timeGemmDraws(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n)
-{
-    validateTimingConfig(cfg);
-    if (m <= 0 || k <= 0 || n <= 0) {
-        return 0;
-    }
-    return static_cast<uint64_t>(ceilDiv(m, cfg.m_tile)) *
-        static_cast<uint64_t>(ceilDiv(n,
-                                      static_cast<int64_t>(
-                                          cfg.array_cols))) *
-        static_cast<uint64_t>(ceilDiv(k,
-                                      static_cast<int64_t>(
-                                          cfg.array_rows)));
-}
-
-uint64_t
 secSorterStall(const AccelConfig &cfg, int64_t m_tokens, int64_t text,
                int64_t head_dim, int64_t heads, int64_t topk)
 {

@@ -78,10 +78,9 @@ class FracSampler
 
     /**
      * Skip @p n draws (cursor advance only).  Lets timeGemm consume a
-     * whole draw window through precomputed per-value tables — or
-     * simulateAccelerator a memoized timing result — while leaving the
-     * sampler in exactly the state @p n next() calls would have
-     * (the sampler-order invariant).
+     * whole draw window through precomputed per-value tables while
+     * leaving the sampler in exactly the state @p n next() calls would
+     * have (the sampler-order invariant).
      */
     void
     advance(uint64_t n)
@@ -147,15 +146,6 @@ GemmTiming timeGemm(const AccelConfig &cfg, int64_t m, int64_t k,
 using GemmTimer = GemmTiming (*)(const AccelConfig &cfg, int64_t m,
                                  int64_t k, int64_t n, FracSampler &psi,
                                  bool sic_input, bool gather_out);
-
-/**
- * Number of FracSampler draws a SIC-input timeGemm of this shape
- * consumes (one per (m-tile, n-tile, k-sub-tile)); 0 for empty
- * shapes.  The memoization layer uses this to advance a shared
- * sampler past a cached result.
- */
-uint64_t timeGemmDraws(const AccelConfig &cfg, int64_t m, int64_t k,
-                       int64_t n);
 
 /**
  * SEC schedule check (Sec. V-B): cycles of the top-k sorter

@@ -135,10 +135,10 @@ struct WorkloadTrace
      * single round-robin cursor walks this vector, consuming exactly
      * one draw per (m-tile, n-tile, k-sub-tile) of every SIC-input
      * GEMM, in layer -> event -> m-tile -> n-tile -> k-sub-tile
-     * order.  The closed-form timeGemm, simulateAccelerator's
-     * memoization and the per-tile reference walk all preserve this
-     * order, which is what makes their outputs bit-identical — see
-     * docs/SIMULATOR.md and tests/test_sim_equiv.cc.
+     * order.  The closed-form timeGemm and the per-tile reference
+     * walk both preserve this order, which is what makes their
+     * outputs bit-identical — see docs/SIMULATOR.md and
+     * tests/test_sim_equiv.cc.
      */
     std::vector<double> tile_fracs;
 

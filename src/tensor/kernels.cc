@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cinttypes>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -59,22 +57,6 @@ namespace
 // -----------------------------------------------------------------
 // Backend selection
 // -----------------------------------------------------------------
-
-GemmBackend
-backendFromEnv()
-{
-    static const char *const names[] = {"portable", "blas"};
-    const GemmBackend b = static_cast<GemmBackend>(envBackendChoice(
-        "FOCUS_GEMM_BACKEND", names, 2,
-        static_cast<int>(GemmBackend::Portable)));
-    if (b == GemmBackend::Blas && !blasAvailable()) {
-        panic("FOCUS_GEMM_BACKEND=blas but this binary was built "
-              "without FOCUS_WITH_BLAS");
-    }
-    return b;
-}
-
-std::atomic<GemmBackend> g_backend{backendFromEnv()};
 
 MathBackend
 mathBackendFromEnv()
@@ -738,59 +720,6 @@ forRowRanges(int64_t rows, int64_t cols, const RowRangeFn &fn)
 // -----------------------------------------------------------------
 
 const char *
-backendName(GemmBackend b)
-{
-    switch (b) {
-      case GemmBackend::Portable:
-        return "portable";
-      case GemmBackend::Blas:
-        return "blas";
-    }
-    return "?";
-}
-
-bool
-blasAvailable()
-{
-#ifdef FOCUS_WITH_BLAS
-    return true;
-#else
-    return false;
-#endif
-}
-
-bool
-parseBackend(const char *name, GemmBackend &out)
-{
-    const std::string s(name != nullptr ? name : "");
-    if (s == "portable") {
-        out = GemmBackend::Portable;
-        return true;
-    }
-    if (s == "blas") {
-        out = GemmBackend::Blas;
-        return true;
-    }
-    return false;
-}
-
-GemmBackend
-activeBackend()
-{
-    return g_backend.load(std::memory_order_relaxed);
-}
-
-void
-setBackend(GemmBackend b)
-{
-    if (b == GemmBackend::Blas && !blasAvailable()) {
-        panic("setBackend: blas backend requested but this binary was "
-              "built without FOCUS_WITH_BLAS");
-    }
-    g_backend.store(b, std::memory_order_relaxed);
-}
-
-const char *
 mathBackendName(MathBackend b)
 {
     switch (b) {
@@ -1099,36 +1028,6 @@ gemmF32(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
 }
 
 void
-gemmTransBF32(int64_t m, int64_t n, int64_t k, const float *a,
-              int64_t lda, const float *b, int64_t ldb, float *c,
-              int64_t ldc)
-{
-    if (m <= 0 || n <= 0) {
-        return;
-    }
-    if (obs::countersEnabled()) {
-        static obs::Counter &calls =
-            obs::MetricsRegistry::instance().schedCounter(
-                "kernels.gemm.transb.calls");
-        static obs::Counter &macs =
-            obs::MetricsRegistry::instance().counter(
-                "kernels.gemm.transb.macs");
-        calls.add(1);
-        macs.add(static_cast<uint64_t>(m) *
-                 static_cast<uint64_t>(n) * static_cast<uint64_t>(k));
-    }
-    // Tile B rows so a j-tile stays cache-resident across the i loop.
-    constexpr int64_t kJTile = 64;
-    for (int64_t j0 = 0; j0 < n; j0 += kJTile) {
-        const int64_t jt = std::min(kJTile, n - j0);
-        for (int64_t i = 0; i < m; ++i) {
-            dotRowsScaled(a + i * lda, b + j0 * ldb, ldb, jt, k, 1.0f,
-                          c + i * ldc + j0);
-        }
-    }
-}
-
-void
 dotRowsScaled(const float *q, const float *b, int64_t ldb, int64_t rows,
               int64_t k, float scale, float *out)
 {
@@ -1256,141 +1155,6 @@ gemmInt8S32(int64_t m, int64_t n, int64_t k, const int8_t *a,
         }
     }
 }
-
-// -----------------------------------------------------------------
-// BLAS backend
-// -----------------------------------------------------------------
-
-#ifdef FOCUS_WITH_BLAS
-
-extern "C" {
-void sgemm_(const char *transa, const char *transb, const int *m,
-            const int *n, const int *k, const float *alpha,
-            const float *a, const int *lda, const float *b,
-            const int *ldb, const float *beta, float *c,
-            const int *ldc);
-}
-
-namespace
-{
-
-int
-blasInt(int64_t v, const char *what)
-{
-    if (v > INT32_MAX) {
-        panic("gemmBlas: %s=%" PRId64 " exceeds BLAS int range", what,
-              v);
-    }
-    return static_cast<int>(v);
-}
-
-} // namespace
-
-void
-gemmBlasF32(int64_t m, int64_t n, int64_t k, const float *a,
-            int64_t lda, const float *b, int64_t ldb, float *c,
-            int64_t ldc, bool fp16_inputs)
-{
-    if (m <= 0 || n <= 0) {
-        return;
-    }
-    if (k <= 0) {
-        for (int64_t i = 0; i < m; ++i) {
-            std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
-        }
-        return;
-    }
-    if (obs::countersEnabled()) {
-        static obs::Counter &calls =
-            obs::MetricsRegistry::instance().schedCounter(
-                "kernels.gemm.blas.calls");
-        static obs::Counter &macs =
-            obs::MetricsRegistry::instance().counter(
-                "kernels.gemm.blas.macs");
-        calls.add(1);
-        macs.add(static_cast<uint64_t>(m) *
-                 static_cast<uint64_t>(n) * static_cast<uint64_t>(k));
-    }
-    std::vector<float> ar, br;
-    if (fp16_inputs) {
-        ar.resize(static_cast<size_t>(m * k));
-        br.resize(static_cast<size_t>(k * n));
-        for (int64_t i = 0; i < m; ++i) {
-            for (int64_t p = 0; p < k; ++p) {
-                ar[static_cast<size_t>(i * k + p)] =
-                    fp16Round(a[i * lda + p]);
-            }
-        }
-        for (int64_t p = 0; p < k; ++p) {
-            for (int64_t j = 0; j < n; ++j) {
-                br[static_cast<size_t>(p * n + j)] =
-                    fp16Round(b[p * ldb + j]);
-            }
-        }
-        a = ar.data();
-        lda = k;
-        b = br.data();
-        ldb = n;
-    }
-    // Row-major C = A*B  <=>  col-major C^T = B^T * A^T, where the
-    // row-major buffers reinterpret as the transposed col-major
-    // matrices directly.
-    const int mm = blasInt(n, "n");
-    const int nn = blasInt(m, "m");
-    const int kk = blasInt(k, "k");
-    const int ld_b = blasInt(ldb, "ldb");
-    const int ld_a = blasInt(lda, "lda");
-    const int ld_c = blasInt(ldc, "ldc");
-    const float one = 1.0f, zero = 0.0f;
-    sgemm_("N", "N", &mm, &nn, &kk, &one, b, &ld_b, a, &ld_a, &zero, c,
-           &ld_c);
-}
-
-void
-gemmTransBBlasF32(int64_t m, int64_t n, int64_t k, const float *a,
-                  int64_t lda, const float *b, int64_t ldb, float *c,
-                  int64_t ldc)
-{
-    if (m <= 0 || n <= 0) {
-        return;
-    }
-    if (k <= 0) {
-        for (int64_t i = 0; i < m; ++i) {
-            std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
-        }
-        return;
-    }
-    // Row-major C = A*B^T  <=>  col-major C^T = B * A^T; the
-    // row-major (n x k) B buffer is col-major (k x n), so pass it
-    // transposed.
-    const int mm = blasInt(n, "n");
-    const int nn = blasInt(m, "m");
-    const int kk = blasInt(k, "k");
-    const int ld_b = blasInt(ldb, "ldb");
-    const int ld_a = blasInt(lda, "lda");
-    const int ld_c = blasInt(ldc, "ldc");
-    const float one = 1.0f, zero = 0.0f;
-    sgemm_("T", "N", &mm, &nn, &kk, &one, b, &ld_b, a, &ld_a, &zero, c,
-           &ld_c);
-}
-
-#else // !FOCUS_WITH_BLAS
-
-void
-gemmBlasF32(int64_t, int64_t, int64_t, const float *, int64_t,
-            const float *, int64_t, float *, int64_t, bool)
-{
-    panic("gemmBlasF32: built without FOCUS_WITH_BLAS");
-}
-
-void
-gemmTransBBlasF32(int64_t, int64_t, int64_t, const float *, int64_t,
-                  const float *, int64_t, float *, int64_t)
-{
-    panic("gemmTransBBlasF32: built without FOCUS_WITH_BLAS");
-}
-
-#endif // FOCUS_WITH_BLAS
 
 } // namespace kernels
 } // namespace focus

@@ -1,35 +1,22 @@
 /**
  * @file
  * Blocked GEMM kernel layer and SFU/vector-math tier: cache-blocked,
- * register-tiled portable microkernels behind runtime backend
- * dispatches.
+ * register-tiled portable microkernels.
  *
  * This is the compute substrate under `tensor/ops.h` (`gemm`,
- * `gemmTransB`, softmax, RMSNorm, activations), `tensor/quant.h`
- * (`gemmInt8`), the attention inner loops of `vlm/model.cc`, and the
- * SIC similarity gather of `focus/sic.cc`.  For GEMM, two backends
- * exist:
- *
- *  - **Portable** (default): B-panel packing + 4xNR register-tiled
- *    microkernel, M-blocks fanned across the `runtime/thread_pool.h`
- *    pool.  Bit-identical to the naive reference loops in
- *    tests/reference/gemm.h — per output element the accumulation
- *    order is exactly the reference order (ascending k with a single
- *    accumulator for `gemm`, the 4-way-split `dot` order for
- *    `gemmTransB`), at every thread count.
- *  - **Blas**: system `sgemm_` behind the `FOCUS_WITH_BLAS` CMake
- *    option.  NOT bit-exact (BLAS reorders the k-reduction); expected
- *    agreement is ~1e-5 relative for the shapes used here (see
- *    docs/KERNELS.md).
- *
- * Backend selection: `FOCUS_GEMM_BACKEND` environment variable
- * (`portable` | `blas`) or `setBackend()`.  The interior attention
- * kernels (`dotRowsScaled`, the causal QK^T/P*V products) always run
- * portable — they are part of the deterministic functional model and
- * have no BLAS equivalent with the required accumulation order.
+ * softmax, RMSNorm, activations), `tensor/quant.h` (`gemmInt8`), the
+ * attention inner loops of `vlm/model.cc`, and the SIC similarity
+ * gather of `focus/sic.cc`.  The GEMM is B-panel packing + a 4xNR
+ * register-tiled microkernel with M-blocks fanned across the
+ * `runtime/thread_pool.h` pool.  It is bit-identical to the naive
+ * reference loops in tests/reference/gemm.h — per output element the
+ * accumulation order is exactly the reference order (ascending k with
+ * a single accumulator) — at every thread count.  The attention
+ * interiors (`dotRowsScaled`, the causal QK^T/P*V products) pin their
+ * accumulation order the same way.
  *
  * The SFU tier (softmax/exp, SiLU/GELU, RMSNorm, the SIC similarity
- * gather) has its own two-way dispatch, `FOCUS_MATH_BACKEND`:
+ * gather) has a two-way runtime dispatch, `FOCUS_MATH_BACKEND`:
  *
  *  - **exact** (default): the historical scalar loops, verbatim —
  *    `std::exp`/`std::tanh` through libm, serial per-row
@@ -56,35 +43,6 @@ namespace focus
 {
 namespace kernels
 {
-
-/** GEMM backend selected at runtime (see file comment). */
-enum class GemmBackend
-{
-    Portable, ///< blocked/tiled, bit-exact vs naive, pool-parallel
-    Blas      ///< system sgemm, only if built with FOCUS_WITH_BLAS
-};
-
-/** Name for logging / bench banners. */
-const char *backendName(GemmBackend b);
-
-/** True when the binary was built with FOCUS_WITH_BLAS. */
-bool blasAvailable();
-
-/**
- * Parse a backend name ("portable", "blas"); returns false on an
- * unknown name.
- */
-bool parseBackend(const char *name, GemmBackend &out);
-
-/**
- * Currently active backend.  Initialized once from the
- * FOCUS_GEMM_BACKEND environment variable (default Portable; panics
- * if "blas" is requested but unavailable).
- */
-GemmBackend activeBackend();
-
-/** Override the active backend (panics on Blas when unavailable). */
-void setBackend(GemmBackend b);
 
 // ---------------------------------------------------------------
 // SFU / vector-math tier (softmax, exp, activations, RMSNorm, SIC
@@ -223,20 +181,9 @@ void gemmF32(int64_t m, int64_t n, int64_t k, const float *a,
              const int64_t *a_rows = nullptr, bool accumulate = false);
 
 /**
- * C = A * B^T (B stored n x k row-major), blocked, preserving the
- * 4-way-split lane order of ops.h `dot` per element — bit-identical
- * to the row-sweep reference in tests/reference/gemm.h (both share
- * the same per-element dot kernel, so contraction choices can never
- * diverge).
- */
-void gemmTransBF32(int64_t m, int64_t n, int64_t k, const float *a,
-                   int64_t lda, const float *b, int64_t ldb, float *c,
-                   int64_t ldc);
-
-/**
  * out[j] = dot(q, b + j*ldb, k) * scale for j in [0, rows) — the
- * attention-score row kernel (Q_i . K_j over one head slice), using
- * the same 4-way-lane dot as `gemmTransBF32`.
+ * attention-score row kernel (Q_i . K_j over one head slice), in the
+ * 4-way-split lane order of ops.h `dot`.
  */
 void dotRowsScaled(const float *q, const float *b, int64_t ldb,
                    int64_t rows, int64_t k, float scale, float *out);
@@ -288,21 +235,6 @@ void pvCausalF32(int64_t m, int64_t n, const float *p, int64_t ldp,
 void gemmInt8S32(int64_t m, int64_t n, int64_t k, const int8_t *a,
                  const float *a_scales, const int8_t *bt,
                  const float *b_scales, float *c, int64_t ldc);
-
-// ---------------------------------------------------------------
-// BLAS backend entry points.  Callable only when blasAvailable();
-// they panic otherwise.  Not bit-exact vs the portable path.
-// ---------------------------------------------------------------
-
-/** C = A * B via sgemm_ (fp16_inputs rounds operand copies first). */
-void gemmBlasF32(int64_t m, int64_t n, int64_t k, const float *a,
-                 int64_t lda, const float *b, int64_t ldb, float *c,
-                 int64_t ldc, bool fp16_inputs = false);
-
-/** C = A * B^T via sgemm_. */
-void gemmTransBBlasF32(int64_t m, int64_t n, int64_t k, const float *a,
-                       int64_t lda, const float *b, int64_t ldb,
-                       float *c, int64_t ldc);
 
 } // namespace kernels
 } // namespace focus

@@ -26,45 +26,8 @@ gemm(const Tensor &a, const Tensor &b, Tensor &c, bool fp16_inputs)
     if (c.rank() != 2 || c.rows() != m || c.cols() != n) {
         c = Tensor(m, n);
     }
-    switch (kernels::activeBackend()) {
-      case kernels::GemmBackend::Blas:
-        kernels::gemmBlasF32(m, n, k, a.data(), k, b.data(), n,
-                             c.data(), n, fp16_inputs);
-        break;
-      case kernels::GemmBackend::Portable:
-        kernels::gemmF32(m, n, k, a.data(), k, b.data(), n, c.data(),
-                         n, fp16_inputs);
-        break;
-    }
-}
-
-void
-gemmTransB(const Tensor &a, const Tensor &b, Tensor &c)
-{
-    if (a.rank() != 2 || b.rank() != 2) {
-        panic("gemmTransB: operands must be rank-2");
-    }
-    const int64_t m = a.rows();
-    const int64_t k = a.cols();
-    const int64_t n = b.rows();
-    if (b.cols() != k) {
-        panic("gemmTransB: inner dims mismatch (%" PRId64 " vs %" PRId64
-              ")",
-              k, b.cols());
-    }
-    if (c.rank() != 2 || c.rows() != m || c.cols() != n) {
-        c = Tensor(m, n);
-    }
-    switch (kernels::activeBackend()) {
-      case kernels::GemmBackend::Blas:
-        kernels::gemmTransBBlasF32(m, n, k, a.data(), k, b.data(), k,
-                                   c.data(), n);
-        break;
-      case kernels::GemmBackend::Portable:
-        kernels::gemmTransBF32(m, n, k, a.data(), k, b.data(), k,
-                               c.data(), n);
-        break;
-    }
+    kernels::gemmF32(m, n, k, a.data(), k, b.data(), n, c.data(), n,
+                     fp16_inputs);
 }
 
 void

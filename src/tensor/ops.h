@@ -22,20 +22,13 @@ namespace focus
  * @p fp16_inputs is true both inputs are rounded through binary16
  * element-wise before use, emulating FP16 operand storage.
  *
- * Dispatches to the backend selected in `tensor/kernels.h` (blocked
- * portable kernels by default; system BLAS via `FOCUS_GEMM_BACKEND`).
- * The portable path is bit-identical to the naive reference loop
+ * Runs the blocked kernel `kernels::gemmF32` (tensor/kernels.h),
+ * which is bit-identical to the naive reference loop
  * (tests/reference/gemm.h) and fans M blocks across the global
  * thread pool; see docs/KERNELS.md.
  */
 void gemm(const Tensor &a, const Tensor &b, Tensor &c,
           bool fp16_inputs = false);
-
-/**
- * C = A * B^T.  A is (M x K), B is (N x K), C is (M x N).
- * Backend-dispatched like gemm().
- */
-void gemmTransB(const Tensor &a, const Tensor &b, Tensor &c);
 
 /**
  * Row-wise numerically-stable softmax over a rank-2 tensor.

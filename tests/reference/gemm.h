@@ -17,7 +17,6 @@
 #include <cstdint>
 
 #include "common/half.h"
-#include "tensor/kernels.h"
 
 #ifndef __has_attribute
 #define __has_attribute(x) 0
@@ -68,22 +67,6 @@ gemmNaiveF32(int64_t m, int64_t n, int64_t k, const float *a,
                 }
             }
         }
-    }
-}
-
-/**
- * C = A * B^T, one dotRowsScaled row sweep per A row: the blocked
- * gemmTransBF32 shares this per-element dot primitive and differs only
- * in its j-tile traversal.
- */
-void
-gemmTransBNaiveF32(int64_t m, int64_t n, int64_t k, const float *a,
-                   int64_t lda, const float *b, int64_t ldb, float *c,
-                   int64_t ldc)
-{
-    for (int64_t i = 0; i < m; ++i) {
-        kernels::dotRowsScaled(a + i * lda, b, ldb, n, k, 1.0f,
-                               c + i * ldc);
     }
 }
 

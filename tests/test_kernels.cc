@@ -1,11 +1,11 @@
 /**
  * @file
  * Blocked GEMM kernel layer (tensor/kernels.h): bit-exactness of the
- * blocked portable kernels against the naive references across
+ * blocked kernels against the naive reference across
  * odd/prime/degenerate shapes, fp16 packing parity, the row gather
- * map, accumulate mode, backend dispatch, thread-count bit-identity
- * (raw kernels and through Evaluator::runFunctional), and — when
- * built with FOCUS_WITH_BLAS — tolerance agreement of the BLAS path.
+ * map, accumulate mode, the tensor/ops.h entry point, and
+ * thread-count bit-identity (raw kernels and through
+ * Evaluator::runFunctional).
  *
  * SFU tier (SfuKernels.*): exact-backend bit-identity to the
  * historical scalar loops, vector-backend tolerance vs libm
@@ -212,46 +212,6 @@ TEST(KernelsGemm, ThreadCountBitIdentity)
     EXPECT_TRUE(bitsEqual(c4, c_naive));
 }
 
-TEST(KernelsTransB, BlockedBitIdenticalToNaive)
-{
-    Rng rng(17);
-    for (const Shape &s : kShapes) {
-        const std::vector<float> a = randomBuf(rng, s.m * s.k);
-        const std::vector<float> b = randomBuf(rng, s.n * s.k);
-        std::vector<float> c_blocked(static_cast<size_t>(s.m * s.n));
-        std::vector<float> c_naive(static_cast<size_t>(s.m * s.n));
-        kernels::gemmTransBF32(s.m, s.n, s.k, a.data(), s.k, b.data(),
-                               s.k, c_blocked.data(), s.n);
-        reference::gemmTransBNaiveF32(s.m, s.n, s.k, a.data(), s.k,
-                                    b.data(), s.k, c_naive.data(),
-                                    s.n);
-        EXPECT_TRUE(bitsEqual(c_blocked, c_naive))
-            << "transB shape " << s.m << "x" << s.n << "x" << s.k;
-    }
-}
-
-TEST(KernelsDotRows, MatchesTransBReferenceRow)
-{
-    // dotRowsScaled(q, ...) over j rows == row 0 of the naive
-    // A*B^T reference with A = q, then scaled.
-    Rng rng(18);
-    const int64_t k = 37;
-    for (int64_t rows : {1, 2, 3, 4, 5, 8, 13}) {
-        const std::vector<float> q = randomBuf(rng, k);
-        const std::vector<float> b = randomBuf(rng, rows * k);
-        std::vector<float> out(static_cast<size_t>(rows));
-        kernels::dotRowsScaled(q.data(), b.data(), k, rows, k, 0.25f,
-                               out.data());
-        std::vector<float> ref(static_cast<size_t>(rows));
-        reference::gemmTransBNaiveF32(1, rows, k, q.data(), k, b.data(),
-                                    k, ref.data(), rows);
-        for (auto &v : ref) {
-            v *= 0.25f;
-        }
-        EXPECT_TRUE(bitsEqual(out, ref)) << "rows=" << rows;
-    }
-}
-
 TEST(KernelsDotRows, TracksOpsDotWithinTolerance)
 {
     // ops.h dot is compiled without the kernel clones, so its
@@ -312,7 +272,7 @@ TEST(KernelsInt8, MatchesReferenceTripleLoop)
     }
 }
 
-TEST(KernelsDispatch, TensorGemmOnPortableMatchesNaive)
+TEST(KernelsGemm, TensorGemmMatchesNaive)
 {
     Rng rng(20);
     Tensor a(9, 14), b(14, 11);
@@ -322,70 +282,12 @@ TEST(KernelsDispatch, TensorGemmOnPortableMatchesNaive)
     for (int64_t i = 0; i < b.numel(); ++i) {
         b.data()[i] = static_cast<float>(rng.gaussian());
     }
-    Tensor c_portable;
+    Tensor c;
     Tensor c_naive(9, 11);
-    const kernels::GemmBackend prev = kernels::activeBackend();
-    kernels::setBackend(kernels::GemmBackend::Portable);
-    gemm(a, b, c_portable);
-    kernels::setBackend(prev);
+    gemm(a, b, c);
     reference::gemmNaiveF32(9, 11, 14, a.data(), 14, b.data(), 11,
                           c_naive.data(), 11);
-    EXPECT_EQ(maxAbsDiff(c_portable, c_naive), 0.0);
-}
-
-TEST(KernelsDispatch, BackendNamesRoundTrip)
-{
-    kernels::GemmBackend b;
-    EXPECT_TRUE(kernels::parseBackend("portable", b));
-    EXPECT_EQ(b, kernels::GemmBackend::Portable);
-    EXPECT_TRUE(kernels::parseBackend("blas", b));
-    EXPECT_EQ(b, kernels::GemmBackend::Blas);
-    EXPECT_FALSE(kernels::parseBackend("naive", b));
-    EXPECT_FALSE(kernels::parseBackend("mkl", b));
-    EXPECT_FALSE(kernels::parseBackend("", b));
-    EXPECT_STREQ(kernels::backendName(kernels::GemmBackend::Portable),
-                 "portable");
-    EXPECT_STREQ(kernels::backendName(kernels::GemmBackend::Blas),
-                 "blas");
-}
-
-TEST(KernelsBlas, AgreesWithPortableWithinTolerance)
-{
-    if (!kernels::blasAvailable()) {
-        GTEST_SKIP() << "built without FOCUS_WITH_BLAS";
-    }
-    Rng rng(21);
-    const int64_t m = 45, n = 38, k = 51;
-    const std::vector<float> a = randomBuf(rng, m * k);
-    const std::vector<float> b = randomBuf(rng, k * n);
-    std::vector<float> c_blas(static_cast<size_t>(m * n));
-    std::vector<float> c_ref(static_cast<size_t>(m * n));
-    kernels::gemmBlasF32(m, n, k, a.data(), k, b.data(), n,
-                         c_blas.data(), n);
-    kernels::gemmF32(m, n, k, a.data(), k, b.data(), n, c_ref.data(),
-                     n);
-    // BLAS reorders the k reduction, so agreement is approximate:
-    // the documented tolerance for these magnitudes (see
-    // docs/KERNELS.md).
-    for (size_t i = 0; i < c_ref.size(); ++i) {
-        EXPECT_NEAR(c_blas[i], c_ref[i],
-                    1e-4 *
-                        (1.0 + std::abs(static_cast<double>(c_ref[i]))));
-    }
-
-    // TransB variant too.
-    const std::vector<float> bt = randomBuf(rng, n * k);
-    std::vector<float> t_blas(static_cast<size_t>(m * n));
-    std::vector<float> t_ref(static_cast<size_t>(m * n));
-    kernels::gemmTransBBlasF32(m, n, k, a.data(), k, bt.data(), k,
-                               t_blas.data(), n);
-    kernels::gemmTransBF32(m, n, k, a.data(), k, bt.data(), k,
-                           t_ref.data(), n);
-    for (size_t i = 0; i < t_ref.size(); ++i) {
-        EXPECT_NEAR(t_blas[i], t_ref[i],
-                    1e-4 *
-                        (1.0 + std::abs(static_cast<double>(t_ref[i]))));
-    }
+    EXPECT_EQ(maxAbsDiff(c, c_naive), 0.0);
 }
 
 // The end-to-end contract the kernel layer must not break: functional

@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests for the cross-request prefix cache tier: the cache proper
- * (doorkeeper admission, LRU-within-a-byte-budget, stats), the
- * prefix-cached trace transform, Zipf-skewed prefix identities, and
- * the serving/cluster integration contracts — FOCUS_PREFIX_CACHE=off
- * and a zero budget reproduce the pre-cache replay bit for bit at
- * every thread count, hits reduce latency, hash-affinity routing
- * beats round-robin on hit rate, and a cluster of one replica with a
- * cache matches the single box with the same cache.
+ * (doorkeeper admission, LRU within a 64-byte-granular byte budget,
+ * stats), the prefix-cached trace transform, Zipf-skewed prefix
+ * identities, and the serving/cluster integration contracts — a zero
+ * budget reproduces the cache-free replay bit for bit at every thread
+ * count, hits reduce latency, hash-affinity routing beats round-robin
+ * on hit rate, and a cluster of one replica with a cache matches the
+ * single box with the same cache.
  */
 
 #include <gtest/gtest.h>
@@ -99,27 +99,6 @@ timeoutSched()
     return sched;
 }
 
-/**
- * Save/restore the process-wide prefix-cache mode around a test and
- * force it On, so the suite also passes under the CI leg that runs
- * with FOCUS_PREFIX_CACHE=off in the environment.
- */
-class ModeGuard
-{
-  public:
-    ModeGuard() : mode_(activePrefixCacheMode())
-    {
-        setPrefixCacheMode(PrefixCacheMode::On);
-    }
-    ~ModeGuard() { setPrefixCacheMode(mode_); }
-
-    ModeGuard(const ModeGuard &) = delete;
-    ModeGuard &operator=(const ModeGuard &) = delete;
-
-  private:
-    const PrefixCacheMode mode_;
-};
-
 /** Every numeric field of two reports must match bit for bit. */
 void
 expectReportsIdentical(const ServingReport &a, const ServingReport &b)
@@ -178,9 +157,6 @@ TEST(PrefixCacheDeathTest, RejectsDegenerateInputs)
         "single-query");
     EXPECT_DEATH(
         {
-            // Runs in the death-test child: force the mode On so the
-            // check fires even under a FOCUS_PREFIX_CACHE=off leg.
-            setPrefixCacheMode(PrefixCacheMode::On);
             PrefixCache c(ampleConfig());
             c.admit("k", slab(0, 8));
         },
@@ -193,7 +169,6 @@ TEST(PrefixCacheDeathTest, RejectsDegenerateInputs)
 
 TEST(PrefixCache, DoorkeeperAdmitsOnSecondMiss)
 {
-    ModeGuard guard;
     PrefixCache c(ampleConfig());
     ASSERT_TRUE(c.enabled());
 
@@ -220,7 +195,6 @@ TEST(PrefixCache, DoorkeeperAdmitsOnSecondMiss)
 
 TEST(PrefixCache, LruEvictionWithinByteBudget)
 {
-    ModeGuard guard;
     // Budget fits exactly two 8 KiB slabs.
     PrefixCacheConfig cfg;
     cfg.budget_bytes = 2 * 64 * 64 * 2;
@@ -254,7 +228,6 @@ TEST(PrefixCache, LruEvictionWithinByteBudget)
 
 TEST(PrefixCache, OversizedSlabIsRejectedNotStored)
 {
-    ModeGuard guard;
     PrefixCacheConfig cfg;
     cfg.budget_bytes = 1024;
     PrefixCache c(cfg);
@@ -266,44 +239,45 @@ TEST(PrefixCache, OversizedSlabIsRejectedNotStored)
     EXPECT_EQ(c.stats().bytes_resident, 0);
 }
 
-TEST(PrefixCache, DisabledCacheCountsNothing)
+TEST(PrefixCache, BudgetChargesWholeCacheLines)
 {
-    ModeGuard guard;
-    // Zero budget disables regardless of mode.
+    // A 3x7 slab holds 42 payload bytes but is charged one 64-byte
+    // line: two fit a 128-byte budget, a third evicts the LRU one.
+    PrefixCacheConfig cfg;
+    cfg.budget_bytes = 128;
+    PrefixCache c(cfg);
+    const auto store = [&](const std::string &key) {
+        c.admit(key, slab(3, 7));
+        c.admit(key, slab(3, 7));
+    };
+    store("a");
+    store("b");
+    EXPECT_EQ(c.stats().evictions, 0);
+    EXPECT_EQ(c.stats().bytes_resident, 2 * 42);
+    store("c");
+    EXPECT_EQ(c.stats().admissions, 3);
+    EXPECT_EQ(c.stats().evictions, 1);
+    EXPECT_EQ(c.stats().bytes_resident, 2 * 42);
+    EXPECT_EQ(c.stats().bytes_peak, 2 * 42);
+    EXPECT_FALSE(c.lookup("a"));
+    EXPECT_TRUE(c.lookup("b"));
+    EXPECT_TRUE(c.lookup("c"));
+}
+
+TEST(PrefixCache, ZeroBudgetCountsNothing)
+{
     PrefixCacheConfig zero;
     PrefixCache z(zero);
     EXPECT_FALSE(z.enabled());
     EXPECT_FALSE(z.lookup("a"));
     z.admit("a", slab(64, 64));
-    EXPECT_EQ(z.stats().lookups, 0);
-    EXPECT_EQ(z.stats().misses, 0);
-
-    // FOCUS_PREFIX_CACHE=off disables even with a budget.
-    setPrefixCacheMode(PrefixCacheMode::Off);
-    PrefixCache off(ampleConfig());
-    EXPECT_FALSE(off.enabled());
-    EXPECT_FALSE(off.lookup("a"));
-    EXPECT_EQ(off.stats().lookups, 0);
-
-    EXPECT_STREQ(prefixCacheModeName(PrefixCacheMode::On), "on");
-    EXPECT_STREQ(prefixCacheModeName(PrefixCacheMode::Off), "off");
-}
-
-TEST(PrefixCache, Bf16SlabsCarryLargerRoundTripError)
-{
-    ModeGuard guard;
-    PrefixCacheConfig f16 = ampleConfig();
-    PrefixCacheConfig bf16 = ampleConfig();
-    bf16.format = SlabFormat::Bf16;
-    PrefixCache a(f16), b(bf16);
-    a.admit("k", slab(64, 64));
-    a.admit("k", slab(64, 64));
-    b.admit("k", slab(64, 64));
-    b.admit("k", slab(64, 64));
-    // Same payload (same key seed); bf16 keeps 8 mantissa bits to
-    // fp16's 11, so its round-trip error is strictly larger.
-    EXPECT_GT(b.stats().meanRoundTripError(),
-              a.stats().meanRoundTripError());
+    z.admit("a", slab(64, 64));
+    EXPECT_FALSE(z.lookup("a"));
+    const PrefixCacheStats s = z.stats();
+    EXPECT_EQ(s.lookups, 0);
+    EXPECT_EQ(s.misses, 0);
+    EXPECT_EQ(s.admissions, 0);
+    EXPECT_EQ(s.rejected, 0);
 }
 
 // ---------------------------------------------------------------
@@ -424,9 +398,8 @@ TEST(RequestQueue, PrefixKeyMatchesClusterRoutingKey)
 // serving integration
 // ---------------------------------------------------------------
 
-TEST(ServingPrefixCache, OffAndZeroBudgetAreBitIdentical)
+TEST(ServingPrefixCache, ZeroBudgetIsBitIdenticalToNoCache)
 {
-    ModeGuard guard;
     const QueueConfig q = cachedOpenConfig(12);
     const SchedulerConfig sched = timeoutSched();
 
@@ -440,14 +413,6 @@ TEST(ServingPrefixCache, OffAndZeroBudgetAreBitIdentical)
     const ServingReport r_zero = zero.run(sched);
     expectReportsIdentical(r_base, r_zero);
 
-    // FOCUS_PREFIX_CACHE=off with an ample budget.
-    setPrefixCacheMode(PrefixCacheMode::Off);
-    ServingSimulator off(q, AccelConfig::focus(), smallEval());
-    off.setPrefixCache(ampleConfig());
-    const ServingReport r_off = off.run(sched);
-    setPrefixCacheMode(PrefixCacheMode::On);
-    expectReportsIdentical(r_base, r_off);
-
     // And the baseline itself is thread-count invariant.
     ThreadPool p4(4);
     ServingSimulator base4(q, AccelConfig::focus(), smallEval());
@@ -457,7 +422,6 @@ TEST(ServingPrefixCache, OffAndZeroBudgetAreBitIdentical)
 
 TEST(ServingPrefixCache, HitsReduceLatencyAndAreThreadInvariant)
 {
-    ModeGuard guard;
     const QueueConfig q = cachedOpenConfig(16);
     const SchedulerConfig sched = timeoutSched();
 
@@ -510,7 +474,6 @@ TEST(ServingPrefixCache, HitsReduceLatencyAndAreThreadInvariant)
 
 TEST(ServingPrefixCache, HitRateGrowsWithBudget)
 {
-    ModeGuard guard;
     const QueueConfig q = cachedOpenConfig(24, 8);
     const SchedulerConfig sched = timeoutSched();
     ServingSimulator sim(q, AccelConfig::focus(), smallEval());
@@ -540,7 +503,6 @@ TEST(ServingPrefixCache, HitRateGrowsWithBudget)
 
 TEST(ClusterPrefixCache, ClusterOfOneMatchesSingleBox)
 {
-    ModeGuard guard;
     const QueueConfig q = cachedOpenConfig(12);
     const SchedulerConfig sched = timeoutSched();
 
@@ -563,7 +525,6 @@ TEST(ClusterPrefixCache, ClusterOfOneMatchesSingleBox)
 
 TEST(ClusterPrefixCache, HashAffinityBeatsRoundRobinHitRate)
 {
-    ModeGuard guard;
     // 4 replicas, enough requests that hot prefixes repeat per
     // replica under affinity routing.
     const QueueConfig q = cachedOpenConfig(48, 8);

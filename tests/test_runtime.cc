@@ -2,9 +2,9 @@
  * @file
  * Tests for the parallel execution runtime: pool lifecycle,
  * parallelFor index coverage, exception propagation, nesting, the
- * FOCUS_THREADS override, and the determinism contract — evaluator
- * and experiment-grid results must be bit-identical at every thread
- * count.
+ * strict FOCUS_THREADS override, and the determinism contract —
+ * evaluator and experiment-grid results must be bit-identical at
+ * every thread count.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -46,6 +47,34 @@ TEST(RuntimeDeathTest, RunFunctionalPanicsOnNonPositiveSamples)
             ev.runFunctional(MethodConfig::dense());
         },
         "samples must be positive");
+}
+
+TEST(ThreadPoolDeathTest, FocusThreadsEnvControlsDefault)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const char *ambient = std::getenv("FOCUS_THREADS");
+    const std::string saved = ambient != nullptr ? ambient : "";
+
+    ASSERT_EQ(setenv("FOCUS_THREADS", "3", 1), 0);
+    EXPECT_EQ(ThreadPool::defaultThreads(), 3);
+    // Garbage is fatal and names the variable, like every env knob.
+    for (const char *bad : {"abc", "0", "-3", "4x", "+2", " 4",
+                            "99999999999"}) {
+        ASSERT_EQ(setenv("FOCUS_THREADS", bad, 1), 0);
+        EXPECT_EXIT(ThreadPool::defaultThreads(),
+                    testing::ExitedWithCode(1),
+                    "FOCUS_THREADS='.*' is not a positive integer")
+            << "value '" << bad << "'";
+    }
+    // Unset and empty both select the hardware concurrency.
+    ASSERT_EQ(setenv("FOCUS_THREADS", "", 1), 0);
+    EXPECT_GE(ThreadPool::defaultThreads(), 1);
+    ASSERT_EQ(unsetenv("FOCUS_THREADS"), 0);
+    EXPECT_GE(ThreadPool::defaultThreads(), 1);
+
+    if (ambient != nullptr) {
+        ASSERT_EQ(setenv("FOCUS_THREADS", saved.c_str(), 1), 0);
+    }
 }
 
 TEST(ThreadPool, StartStopAndThreadCount)
@@ -173,17 +202,6 @@ TEST(ThreadPool, NestedParallelForRunsInline)
     });
     EXPECT_FALSE(ThreadPool::inParallelRegion());
     EXPECT_EQ(calls.load(), 64);
-}
-
-TEST(ThreadPool, FocusThreadsEnvControlsDefault)
-{
-    ASSERT_EQ(setenv("FOCUS_THREADS", "3", 1), 0);
-    EXPECT_EQ(ThreadPool::defaultThreads(), 3);
-    // Invalid values fall back to hardware concurrency (>= 1).
-    ASSERT_EQ(setenv("FOCUS_THREADS", "0", 1), 0);
-    EXPECT_GE(ThreadPool::defaultThreads(), 1);
-    ASSERT_EQ(unsetenv("FOCUS_THREADS"), 0);
-    EXPECT_GE(ThreadPool::defaultThreads(), 1);
 }
 
 TEST(ThreadPool, SetGlobalThreadsResizesGlobalPool)

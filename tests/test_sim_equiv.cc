@@ -1,8 +1,8 @@
 /**
  * @file
  * Equivalence harness for the cycle model: timeGemm's closed-form
- * costing, and simulateAccelerator's memoized use of it, must
- * reproduce the per-tile reference walk (tests/reference/sim_walk.h)
+ * costing, alone and through simulateAccelerator, must reproduce the
+ * per-tile reference walk (tests/reference/sim_walk.h)
  * bit for bit — cycles, stalls, op counters, DRAM bytes, tile
  * lengths, sampler state — over randomized and degenerate GEMM
  * shapes, every architecture, empty and non-empty psi distributions,
@@ -132,7 +132,7 @@ TEST(SimEquiv, SamplerCursorContinuesAcrossCalls)
 {
     // A shared sampler must end up in the same state after a sequence
     // of mixed dense/SIC GEMMs under either model (the sampler-order
-    // invariant memoization relies on).
+    // invariant a whole trace relies on).
     const AccelConfig cfg = AccelConfig::focus();
     const std::vector<double> fracs = {0.1, 0.9, 0.4, 0.7, 0.2,
                                        0.6, 0.3};
@@ -153,22 +153,6 @@ TEST(SimEquiv, SamplerCursorContinuesAcrossCalls)
             timeGemm(cfg, s.m, s.k, s.n, psi_f, s.sic, false);
         expectTimingEq(w, f, "sequence step");
         ASSERT_EQ(psi_w.cursor(), psi_f.cursor());
-    }
-}
-
-TEST(SimEquiv, DrawCountMatchesWalkConsumption)
-{
-    const AccelConfig cfg = AccelConfig::focus();
-    const std::vector<double> fracs(13, 0.5);
-    const int64_t shapes[][3] = {{1, 1, 1},      {1024, 3584, 3584},
-                                 {1025, 33, 97}, {0, 64, 64},
-                                 {64, 0, 64},    {31, 4096, 1}};
-    for (const auto &s : shapes) {
-        FracSampler psi(&fracs, 1.0);
-        reference::timeGemmWalk(cfg, s[0], s[1], s[2], psi, true, false);
-        const uint64_t draws = timeGemmDraws(cfg, s[0], s[1], s[2]);
-        EXPECT_EQ(psi.cursor(), draws % fracs.size())
-            << s[0] << "x" << s[1] << "x" << s[2];
     }
 }
 
@@ -258,8 +242,7 @@ TEST_P(SimEquivThreads, TraceEquivalenceAllArchitectures)
     checkTrace(AccelConfig::focus(), fo);
 
     // Non-empty distributions, sized to leave the round-robin cursor
-    // misaligned between repeats (7) and aligned often (64) — both
-    // memoization-key regimes.
+    // misaligned between repeated layers (7) and aligned often (64).
     fo.tile_fracs = {0.12, 0.93, 0.47, 0.71, 0.25, 0.66, 0.38};
     checkTrace(AccelConfig::focus(), fo);
     fo.tile_fracs.assign(64, 0.0);

@@ -109,23 +109,6 @@ TEST(Gemm, IdentityIsNoop)
     EXPECT_LT(maxAbsDiff(a, c), 1e-6);
 }
 
-TEST(Gemm, TransBMatchesExplicitTranspose)
-{
-    Rng rng(5);
-    const Tensor a = randomTensor(rng, 4, 8);
-    const Tensor b = randomTensor(rng, 6, 8); // (N x K)
-    Tensor bt(8, 6);
-    for (int64_t i = 0; i < 6; ++i) {
-        for (int64_t j = 0; j < 8; ++j) {
-            bt(j, i) = b(i, j);
-        }
-    }
-    Tensor c1, c2;
-    gemmTransB(a, b, c1);
-    gemm(a, bt, c2);
-    EXPECT_LT(maxAbsDiff(c1, c2), 1e-4);
-}
-
 TEST(Softmax, RowsSumToOne)
 {
     Rng rng(6);
