@@ -1,9 +1,10 @@
 /**
  * @file
  * Micro-kernel throughput benchmarks (google-benchmark): the hot
- * functional kernels underneath the reproduction — GEMM, cosine
- * similarity matching, similarity gather, streaming top-k, offset
- * coding, and the DRAM model.
+ * functional kernels underneath the reproduction — GEMM, the causal
+ * attention interior (QK^T, softmax, P*V), cosine similarity
+ * matching, similarity gather, streaming top-k, offset coding, and
+ * the DRAM model.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/parse.h"
 #include "common/rng.h"
 #include "focus/offset_encoding.h"
 #include "focus/sec.h"
@@ -128,6 +130,93 @@ BM_SoftmaxExact(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_SoftmaxExact)->Arg(64)->Arg(256);
+
+// ---- causal attention interior ----
+//
+// One head at the forwardBatch layout: head dim 32 inside packed
+// two-head activations (row stride 64), at the video (810) and image
+// (206) grid prompt lengths.  QK^T and P*V report MAC/s over the
+// causal triangle; the softmax reports live (unmasked) entries/s.
+
+constexpr int64_t kAttnHd = 32;
+constexpr int64_t kAttnLd = 64;
+
+double
+causalEntries(int64_t rows)
+{
+    return 0.5 * static_cast<double>(rows) * static_cast<double>(rows + 1);
+}
+
+/** Scaled causal scores of a random head slice (rows x rows). */
+Tensor
+causalScores(Rng &rng, int64_t rows)
+{
+    const Tensor q = randomTensor(rng, rows, kAttnLd);
+    const Tensor k = randomTensor(rng, rows, kAttnLd);
+    Tensor p(rows, rows);
+    kernels::qkScoresCausalF32(q.data(), kAttnLd, k.data(), kAttnLd, rows,
+                               kAttnHd, 0.17677669f, p.data(), rows);
+    return p;
+}
+
+void
+BM_QkScoresCausal(benchmark::State &state)
+{
+    const int64_t rows = state.range(0);
+    Rng rng(9);
+    const Tensor q = randomTensor(rng, rows, kAttnLd);
+    const Tensor k = randomTensor(rng, rows, kAttnLd);
+    Tensor p(rows, rows);
+    for (auto _ : state) {
+        kernels::qkScoresCausalF32(q.data(), kAttnLd, k.data(), kAttnLd,
+                                   rows, kAttnHd, 0.17677669f, p.data(),
+                                   rows);
+        benchmark::DoNotOptimize(p.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["MAC/s"] = benchmark::Counter(
+        causalEntries(rows) * kAttnHd,
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_QkScoresCausal)->Arg(206)->Arg(810);
+
+void
+BM_SoftmaxCausal(benchmark::State &state)
+{
+    // Re-normalizing the same rows costs what the first pass does.
+    const int64_t rows = state.range(0);
+    Rng rng(10);
+    Tensor p = causalScores(rng, rows);
+    for (auto _ : state) {
+        kernels::softmaxCausalF32(rows, p.data(), rows);
+        benchmark::DoNotOptimize(p.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["elem/s"] = benchmark::Counter(
+        causalEntries(rows), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_SoftmaxCausal)->Arg(206)->Arg(810);
+
+void
+BM_PvCausal(benchmark::State &state)
+{
+    const int64_t rows = state.range(0);
+    Rng rng(11);
+    Tensor p = causalScores(rng, rows);
+    kernels::softmaxCausalF32(rows, p.data(), rows);
+    const Tensor v = randomTensor(rng, rows, kAttnLd);
+    Tensor out(rows, kAttnLd);
+    for (auto _ : state) {
+        kernels::pvCausalF32(rows, kAttnHd, p.data(), rows, nullptr,
+                             v.data(), kAttnLd, out.data(), kAttnLd);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["MAC/s"] = benchmark::Counter(
+        causalEntries(rows) * kAttnHd,
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_PvCausal)->Arg(206)->Arg(810);
 
 void
 BM_Silu(benchmark::State &state)
@@ -347,14 +436,7 @@ main(int argc, char **argv)
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-            threads = std::atoi(argv[i] + 10);
-            if (threads < 1) {
-                std::fprintf(stderr,
-                             "bench_micro_kernels: bad %s "
-                             "(expected --threads=N, N >= 1)\n",
-                             argv[i]);
-                return 1;
-            }
+            threads = parsePositiveInt(argv[i] + 10, "--threads");
         } else {
             argv[out++] = argv[i];
         }

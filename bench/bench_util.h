@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parse.h"
 #include "eval/experiment.h"
 #include "eval/evaluator.h"
 #include "obs/metrics.h"
@@ -65,7 +66,10 @@ struct BenchOptions
  * --threads is given.  The batch / arrival-rate / replicas /
  * requests serving knobs are consumed by the serving and cluster
  * benches; every bench parses (and rejects malformed values of)
- * them so a shared wrapper script can pass one flag set.
+ * them so a shared wrapper script can pass one flag set.  Every count
+ * (the sample count, FOCUS_BENCH_SAMPLES, --threads, --batch,
+ * --replicas, --requests) must be a plain positive integer: anything
+ * else is a fatal() naming the input (common/parse.h).
  */
 inline BenchOptions
 benchOptions(int argc, char **argv, int fallback_samples)
@@ -75,19 +79,9 @@ benchOptions(int argc, char **argv, int fallback_samples)
     bool have_samples = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-            bo.threads = std::atoi(argv[i] + 10);
-            if (bo.threads < 1) {
-                fatal("invalid thread count in '%s' (want a "
-                      "positive integer)", argv[i]);
-            }
+            bo.threads = parsePositiveInt(argv[i] + 10, "--threads");
         } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-            char *end = nullptr;
-            bo.batch = static_cast<int>(
-                std::strtol(argv[i] + 8, &end, 10));
-            if (end == argv[i] + 8 || *end != '\0' || bo.batch < 1) {
-                fatal("invalid batch size in '%s' (want a positive "
-                      "integer)", argv[i]);
-            }
+            bo.batch = parsePositiveInt(argv[i] + 8, "--batch");
         } else if (std::strncmp(argv[i], "--arrival-rate=", 15) == 0) {
             char *end = nullptr;
             bo.arrival_rate = std::strtod(argv[i] + 15, &end);
@@ -97,23 +91,9 @@ benchOptions(int argc, char **argv, int fallback_samples)
                       "req/s value)", argv[i]);
             }
         } else if (std::strncmp(argv[i], "--replicas=", 11) == 0) {
-            char *end = nullptr;
-            bo.replicas = static_cast<int>(
-                std::strtol(argv[i] + 11, &end, 10));
-            if (end == argv[i] + 11 || *end != '\0' ||
-                bo.replicas < 1) {
-                fatal("invalid replica count in '%s' (want a "
-                      "positive integer)", argv[i]);
-            }
+            bo.replicas = parsePositiveInt(argv[i] + 11, "--replicas");
         } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-            char *end = nullptr;
-            bo.requests = static_cast<int>(
-                std::strtol(argv[i] + 11, &end, 10));
-            if (end == argv[i] + 11 || *end != '\0' ||
-                bo.requests < 1) {
-                fatal("invalid request count in '%s' (want a "
-                      "positive integer)", argv[i]);
-            }
+            bo.requests = parsePositiveInt(argv[i] + 11, "--requests");
         } else if (argv[i][0] == '-' && argv[i][1] != '\0' &&
                    (argv[i][1] < '0' || argv[i][1] > '9')) {
             // Reject unknown flags loudly: a typo like --thread=4
@@ -123,13 +103,14 @@ benchOptions(int argc, char **argv, int fallback_samples)
                   "[--replicas=N] [--requests=N])",
                   argv[i], argv[0]);
         } else if (!have_samples) {
-            bo.samples = std::max(1, std::atoi(argv[i]));
+            bo.samples = parsePositiveInt(argv[i], "sample count");
             have_samples = true;
         }
     }
     if (!have_samples) {
-        if (const char *env = std::getenv("FOCUS_BENCH_SAMPLES")) {
-            bo.samples = std::max(1, std::atoi(env));
+        const char *env = std::getenv("FOCUS_BENCH_SAMPLES");
+        if (env != nullptr && *env != '\0') {
+            bo.samples = parsePositiveInt(env, "FOCUS_BENCH_SAMPLES");
         }
     }
     if (bo.threads > 0) {

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/parse.h"
 #include "eval/evaluator.h"
 
 using namespace focus;
@@ -18,7 +19,8 @@ int
 main(int argc, char **argv)
 {
     EvalOptions opts;
-    opts.samples = argc > 1 ? std::max(1, std::atoi(argv[1])) : 8;
+    opts.samples = argc > 1 ? parsePositiveInt(argv[1], "sample count")
+                           : 8;
     const std::string dataset = argc > 2 ? argv[2] : "VideoMME";
 
     Evaluator ev("Llava-Vid", dataset, opts);

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/parse.h"
 #include "eval/experiment.h"
 #include "eval/report.h"
 #include "sim/area.h"
@@ -27,7 +28,8 @@ int
 main(int argc, char **argv)
 {
     EvalOptions opts;
-    opts.samples = argc > 1 ? std::max(1, std::atoi(argv[1])) : 4;
+    opts.samples = argc > 1 ? parsePositiveInt(argv[1], "sample count")
+                           : 4;
 
     std::printf("Functional measurement (one grid cell, reused by "
                 "every design point; %d threads)...\n",

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/parse.h"
 #include "eval/evaluator.h"
 #include "eval/report.h"
 #include "sim/gpu_model.h"
@@ -25,7 +26,8 @@ int
 main(int argc, char **argv)
 {
     EvalOptions opts;
-    opts.samples = argc > 1 ? std::max(1, std::atoi(argv[1])) : 4;
+    opts.samples = argc > 1 ? parsePositiveInt(argv[1], "sample count")
+                           : 4;
 
     Evaluator ev("Llava-Vid", "VideoMME", opts);
 

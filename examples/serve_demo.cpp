@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/parse.h"
 #include "eval/report.h"
 #include "serve/serving_sim.h"
 
@@ -25,7 +26,8 @@ int
 main(int argc, char **argv)
 {
     EvalOptions opts;
-    opts.samples = argc > 1 ? std::max(1, std::atoi(argv[1])) : 2;
+    opts.samples = argc > 1 ? parsePositiveInt(argv[1], "sample count")
+                           : 2;
 
     QueueConfig queue;
     queue.process = ArrivalProcess::OpenPoisson;

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/parse.h"
 #include "eval/evaluator.h"
 #include "eval/report.h"
 
@@ -29,7 +30,8 @@ int
 main(int argc, char **argv)
 {
     EvalOptions opts;
-    opts.samples = argc > 1 ? std::max(1, std::atoi(argv[1])) : 8;
+    opts.samples = argc > 1 ? parsePositiveInt(argv[1], "sample count")
+                           : 8;
 
     std::printf("VLA extension demo: manipulation episodes "
                 "(%d episodes)\n\n", opts.samples);

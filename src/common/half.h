@@ -9,12 +9,15 @@
  * plus the fp16 conversion path of the serving prefix cache
  * (serve/prefix_cache.h):
  *
- *  - floatToHalfBits: the readable reference conversion (RNE).
- *  - floatToHalfBitsFast: a branch-light integer-only conversion,
- *    bit-exact to the reference for every input including NaN payload
- *    and subnormal rounding (tests/test_half.cc proves it over all
+ *  - floatToHalfBitsFast: a branch-light integer-only conversion
+ *    (RNE), the one float -> binary16 path: `Half`, `fp16Round` (GEMM
+ *    packing, `Tensor::roundToFp16`) and the prefix cache all use it.
+ *    It is bit-exact to the readable reference conversion kept in
+ *    tests/reference/half.h for every input, NaN payload and
+ *    subnormal rounding included: tests/test_half.cc checks all
  *    binary16 patterns, the boundary bands and a strided full-range
- *    sweep).
+ *    sweep, and an exhaustive run over all 2^32 inputs agreed once
+ *    (EXPERIMENTS.md, "fp16 converter").
  *  - floatToHalfN: batch conversion over a contiguous span.
  */
 
@@ -53,161 +56,15 @@ bitsFloat(uint32_t u)
 } // namespace detail
 
 /**
- * Convert a float to binary16 bits with round-to-nearest-even.
- *
- * Handles normals, subnormals, infinities and NaN.  Overflow saturates
- * to infinity, matching IEEE default rounding behaviour.
- */
-inline uint16_t
-floatToHalfBits(float value)
-{
-    const uint32_t bits = detail::floatBits(value);
-    const uint32_t sign = (bits >> 16) & 0x8000u;
-    uint32_t exp = (bits >> 23) & 0xffu;
-    uint32_t mant = bits & 0x7fffffu;
-
-    if (exp == 0xffu) {
-        // Inf or NaN: preserve NaN-ness with a quiet bit.
-        const uint16_t nan_payload = mant ? 0x0200u : 0x0000u;
-        return static_cast<uint16_t>(sign | 0x7c00u | nan_payload |
-                                     (mant >> 13));
-    }
-
-    // Re-bias 127 -> 15.
-    int half_exp = static_cast<int>(exp) - 127 + 15;
-
-    if (half_exp >= 0x1f) {
-        // Overflow -> infinity.
-        return static_cast<uint16_t>(sign | 0x7c00u);
-    }
-
-    if (half_exp <= 0) {
-        // Subnormal half (or underflow to zero).
-        if (half_exp < -10) {
-            return static_cast<uint16_t>(sign);
-        }
-        // Add implicit leading 1, then shift into subnormal position.
-        mant |= 0x800000u;
-        const int shift = 14 - half_exp;
-        const uint32_t sub = mant >> shift;
-        const uint32_t rem = mant & ((1u << shift) - 1);
-        const uint32_t half_bit = 1u << (shift - 1);
-        uint32_t rounded = sub;
-        if (rem > half_bit || (rem == half_bit && (sub & 1u))) {
-            rounded += 1;
-        }
-        return static_cast<uint16_t>(sign | rounded);
-    }
-
-    // Normal half: round 23-bit mantissa to 10 bits (RNE).
-    uint32_t half_mant = mant >> 13;
-    const uint32_t rem = mant & 0x1fffu;
-    if (rem > 0x1000u || (rem == 0x1000u && (half_mant & 1u))) {
-        half_mant += 1;
-        if (half_mant == 0x400u) {
-            half_mant = 0;
-            half_exp += 1;
-            if (half_exp >= 0x1f) {
-                return static_cast<uint16_t>(sign | 0x7c00u);
-            }
-        }
-    }
-    return static_cast<uint16_t>(
-        sign | (static_cast<uint32_t>(half_exp) << 10) | half_mant);
-}
-
-/** Convert binary16 bits to float (exact). */
-inline float
-halfBitsToFloat(uint16_t h)
-{
-    const uint32_t sign = (static_cast<uint32_t>(h) & 0x8000u) << 16;
-    uint32_t exp = (h >> 10) & 0x1fu;
-    uint32_t mant = h & 0x3ffu;
-
-    if (exp == 0) {
-        if (mant == 0) {
-            return detail::bitsFloat(sign);
-        }
-        // Subnormal: normalize.
-        int shift = 0;
-        while ((mant & 0x400u) == 0) {
-            mant <<= 1;
-            ++shift;
-        }
-        mant &= 0x3ffu;
-        const uint32_t fexp = 127 - 15 - shift + 1;
-        return detail::bitsFloat(sign | (fexp << 23) | (mant << 13));
-    }
-    if (exp == 0x1fu) {
-        return detail::bitsFloat(sign | 0x7f800000u | (mant << 13));
-    }
-    const uint32_t fexp = exp - 15 + 127;
-    return detail::bitsFloat(sign | (fexp << 23) | (mant << 13));
-}
-
-/**
- * Half-precision storage type.
- *
- * Arithmetic promotes to float; assignment rounds back to binary16.
- * This mirrors an FP16 datapath with higher-precision intermediate
- * computation.
- */
-class Half
-{
-  public:
-    Half() : bits_(0) {}
-    explicit Half(float f) : bits_(floatToHalfBits(f)) {}
-
-    /** Construct directly from raw binary16 bits. */
-    static Half
-    fromBits(uint16_t b)
-    {
-        Half h;
-        h.bits_ = b;
-        return h;
-    }
-
-    /** Raw binary16 bit pattern. */
-    uint16_t bits() const { return bits_; }
-
-    /** Exact widening conversion. */
-    float toFloat() const { return halfBitsToFloat(bits_); }
-
-    operator float() const { return toFloat(); }
-
-    /** Sign bit, used by the AdapTiV sign-similarity baseline. */
-    bool signBit() const { return (bits_ & 0x8000u) != 0; }
-
-    Half &
-    operator+=(Half o)
-    {
-        *this = Half(toFloat() + o.toFloat());
-        return *this;
-    }
-
-    bool operator==(const Half &o) const { return bits_ == o.bits_; }
-    bool operator!=(const Half &o) const { return bits_ != o.bits_; }
-
-  private:
-    uint16_t bits_;
-};
-
-/** Round-trip a float through binary16 precision. */
-inline float
-fp16Round(float f)
-{
-    return halfBitsToFloat(floatToHalfBits(f));
-}
-
-/**
  * Fast float -> binary16 conversion (round-to-nearest-even).
  *
  * Pure integer pipeline with the float's magnitude classified once
  * against three thresholds; the normal-range path folds exponent
  * re-bias and RNE rounding (carry into the exponent included) into a
- * single add-and-shift, the F16C-style hot path.  Bit-exact to
- * floatToHalfBits on every input: same overflow saturation, same
- * subnormal rounding, same NaN quieting and payload truncation.
+ * single add-and-shift, the F16C-style hot path.  Overflow saturates
+ * to infinity, subnormals round to nearest even, and NaN keeps its
+ * truncated payload plus the quiet bit — bit-exact to the reference
+ * conversion in tests/reference/half.h on every input.
  */
 inline uint16_t
 floatToHalfBitsFast(float value)
@@ -251,6 +108,89 @@ floatToHalfBitsFast(float value)
         out = 0;
     }
     return static_cast<uint16_t>(sign | out);
+}
+
+/** Convert binary16 bits to float (exact). */
+inline float
+halfBitsToFloat(uint16_t h)
+{
+    const uint32_t sign = (static_cast<uint32_t>(h) & 0x8000u) << 16;
+    uint32_t exp = (h >> 10) & 0x1fu;
+    uint32_t mant = h & 0x3ffu;
+
+    if (exp == 0) {
+        if (mant == 0) {
+            return detail::bitsFloat(sign);
+        }
+        // Subnormal: normalize.
+        int shift = 0;
+        while ((mant & 0x400u) == 0) {
+            mant <<= 1;
+            ++shift;
+        }
+        mant &= 0x3ffu;
+        const uint32_t fexp = 127 - 15 - shift + 1;
+        return detail::bitsFloat(sign | (fexp << 23) | (mant << 13));
+    }
+    if (exp == 0x1fu) {
+        return detail::bitsFloat(sign | 0x7f800000u | (mant << 13));
+    }
+    const uint32_t fexp = exp - 15 + 127;
+    return detail::bitsFloat(sign | (fexp << 23) | (mant << 13));
+}
+
+/**
+ * Half-precision storage type.
+ *
+ * Arithmetic promotes to float; assignment rounds back to binary16.
+ * This mirrors an FP16 datapath with higher-precision intermediate
+ * computation.
+ */
+class Half
+{
+  public:
+    Half() : bits_(0) {}
+    explicit Half(float f) : bits_(floatToHalfBitsFast(f)) {}
+
+    /** Construct directly from raw binary16 bits. */
+    static Half
+    fromBits(uint16_t b)
+    {
+        Half h;
+        h.bits_ = b;
+        return h;
+    }
+
+    /** Raw binary16 bit pattern. */
+    uint16_t bits() const { return bits_; }
+
+    /** Exact widening conversion. */
+    float toFloat() const { return halfBitsToFloat(bits_); }
+
+    operator float() const { return toFloat(); }
+
+    /** Sign bit, used by the AdapTiV sign-similarity baseline. */
+    bool signBit() const { return (bits_ & 0x8000u) != 0; }
+
+    Half &
+    operator+=(Half o)
+    {
+        *this = Half(toFloat() + o.toFloat());
+        return *this;
+    }
+
+    bool operator==(const Half &o) const { return bits_ == o.bits_; }
+    bool operator!=(const Half &o) const { return bits_ != o.bits_; }
+
+  private:
+    uint16_t bits_;
+};
+
+/** Round-trip a float through binary16 precision. */
+inline float
+fp16Round(float f)
+{
+    return halfBitsToFloat(floatToHalfBitsFast(f));
 }
 
 /**

@@ -1,13 +1,11 @@
 #include "runtime/thread_pool.h"
 
-#include <cctype>
-#include <cerrno>
-#include <climits>
 #include <cstdlib>
 #include <memory>
 #include <system_error>
 
 #include "common/logging.h"
+#include "common/parse.h"
 #include "obs/trace_span.h"
 
 namespace focus
@@ -199,16 +197,8 @@ ThreadPool::defaultThreads()
 {
     const char *env = std::getenv("FOCUS_THREADS");
     if (env != nullptr && *env != '\0') {
-        // Digits only: a sign, a suffix ("4x") or an empty parse is a
-        // typo, and a typo must not silently become the core count.
-        char *end = nullptr;
-        errno = 0;
-        const long v = std::strtol(env, &end, 10);
-        if (!std::isdigit(static_cast<unsigned char>(*env)) ||
-            *end != '\0' || errno == ERANGE || v < 1 || v > INT_MAX) {
-            fatal("FOCUS_THREADS='%s' is not a positive integer", env);
-        }
-        return static_cast<int>(v);
+        // A typo must not silently become the core count.
+        return parsePositiveInt(env, "FOCUS_THREADS");
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1u ? static_cast<int>(hw) : 1;

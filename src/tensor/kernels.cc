@@ -24,6 +24,15 @@
 #define FOCUS_RESTRICT __restrict__
 #endif
 
+// Tile helpers are forced inline into their FOCUS_KERNEL_CLONES
+// caller, so each clone compiles them with its own ISA and the same
+// mul+add contraction as the loop they tile.
+#if defined(_MSC_VER)
+#define FOCUS_ALWAYS_INLINE __forceinline
+#else
+#define FOCUS_ALWAYS_INLINE inline __attribute__((always_inline))
+#endif
+
 // Function multi-versioning for the hot FP kernels: on x86-64 the
 // loader picks the widest clone the CPU supports (x86-64-v3 = AVX2 +
 // FMA, then AVX2, then baseline SSE2) — no -march flags, so the
@@ -286,22 +295,39 @@ gemmBlock(int64_t i0, int64_t mb, int64_t n, int64_t k, const float *a,
     }
 }
 
+/** Single-row remainder of dot4 (same lane split as `dot`). */
+FOCUS_KERNEL_CLONES float
+dot1(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b,
+     int64_t k)
+{
+    float l[4] = {};
+    int64_t p = 0;
+    for (; p + 4 <= k; p += 4) {
+        for (int64_t e = 0; e < 4; ++e) {
+            l[e] += q[p + e] * b[p + e];
+        }
+    }
+    for (; p < k; ++p) {
+        l[0] += q[p] * b[p];
+    }
+    return (l[0] + l[1]) + (l[2] + l[3]);
+}
+
 // -----------------------------------------------------------------
-// dot4 / dot4x4: FP contraction pinned OFF.
+// dot4 and the transposed QK^T tiles: FP contraction pinned OFF.
 //
-// qkScoresCausalF32 mixes the two kernels inside one probability
-// matrix, and the batched forward path (vlm/model.cc forwardBatch)
-// promises bit-identity with the per-sample dotRowsScaled arithmetic.
-// Two separately compiled bodies make the same mul+add-vs-FMA
-// contraction choices only by codegen luck — under the project-wide
-// -ffp-contract=fast, GCC fused some of dot4x4's accumulations while
-// leaving dot4's vector loop as mul+add, which surfaced as 1-ulp
-// score drift between the batched and per-sample paths.  Pinning
-// contraction off for exactly this pair turns that accident into a
-// contract: each product rounds before it accumulates, in every
-// clone, on every compiler.  Both kernels are only ever called with
-// k = headDim (a multiple of 4), so the pinned scalar tails never
-// run in practice and the pin does not perturb historical outputs.
+// qkScoresCausalF32 scores most keys in the transposed tiles below
+// and promises per-element bit-identity with dotRowsScaled, whose
+// full key groups run dot4.  Under the project-wide
+// -ffp-contract=fast the compiler decides per body whether a mul+add
+// becomes an FMA, so two separately compiled bodies agree only by
+// codegen luck (a fused-query tile once drifted 1 ulp from dot4 this
+// way).  Pinning contraction off for dot4 and the tiles makes the
+// agreement a contract: each product rounds before it accumulates,
+// in every clone, on every compiler.  dot1 stays outside the pin;
+// the ragged tails of both paths share it.  Both kernels are only
+// ever called with k = headDim (a multiple of 4), so the pinned
+// scalar tails never run in practice.
 // -----------------------------------------------------------------
 #if defined(__clang__)
 #define FOCUS_FP_CONTRACT_OFF _Pragma("clang fp contract(off)")
@@ -350,76 +376,89 @@ dot4(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b0,
     out[3] = ((l3[0] + l3[1]) + (l3[2] + l3[3])) * scale;
 }
 
+/** Column padding of the transposed key panel: the widest QK^T block. */
+constexpr int64_t kQkPad = 16;
+
 /**
- * Fused 4-query x 4-key block of `dot4`: out_r[j] for query r, key j
- * uses exactly dot4's per-element lane arithmetic (lane e accumulates
- * k = e, e+4, ...; scalar tail folds into lane 0; final sum
- * (l0+l1)+(l2+l3) times scale) — guaranteed, not assumed, because
- * contraction is pinned off for this pair (see the comment above
- * dot4).  Fusing the queries loads each key group once per *block*
- * instead of once per query — the q/k loads, not the arithmetic,
- * bound dot4 on the causal QK^T interior.
+ * One query against W consecutive keys of a transposed key panel
+ * (kt[p*ldt + c] is component p of key c): out[c] gets exactly dot4's
+ * per-element arithmetic — lane e accumulates k = e, e+4, ...; the
+ * scalar tail folds into lane 0; the result is (l0+l1)+(l2+l3) times
+ * scale.  The transposed layout turns each depth step into one
+ * broadcast of q times a contiguous W-wide key row, so the 4 x W
+ * accumulators live in vector registers.  Always inlined: a body
+ * compiled on its own would carry the default target's codegen into
+ * every clone of the caller.
  */
-FOCUS_KERNEL_CLONES void
-dot4x4(const float *FOCUS_RESTRICT q0, const float *FOCUS_RESTRICT q1,
-       const float *FOCUS_RESTRICT q2, const float *FOCUS_RESTRICT q3,
-       const float *FOCUS_RESTRICT b0, const float *FOCUS_RESTRICT b1,
-       const float *FOCUS_RESTRICT b2, const float *FOCUS_RESTRICT b3,
-       int64_t k, float scale, float *FOCUS_RESTRICT o0,
-       float *FOCUS_RESTRICT o1, float *FOCUS_RESTRICT o2,
-       float *FOCUS_RESTRICT o3)
+template <int64_t W>
+FOCUS_ALWAYS_INLINE void
+qkBlock(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT kt,
+        int64_t ldt, int64_t k, float scale, float *FOCUS_RESTRICT out)
 {
     FOCUS_FP_CONTRACT_OFF
-    float a0[4][4] = {}, a1[4][4] = {}, a2[4][4] = {}, a3[4][4] = {};
+    float l0[W] = {}, l1[W] = {}, l2[W] = {}, l3[W] = {};
     int64_t p = 0;
     for (; p + 4 <= k; p += 4) {
-        for (int64_t e = 0; e < 4; ++e) {
-            const float k0 = b0[p + e], k1 = b1[p + e];
-            const float k2 = b2[p + e], k3 = b3[p + e];
-            const float v0 = q0[p + e], v1 = q1[p + e];
-            const float v2 = q2[p + e], v3 = q3[p + e];
-            a0[0][e] += v0 * k0;
-            a0[1][e] += v0 * k1;
-            a0[2][e] += v0 * k2;
-            a0[3][e] += v0 * k3;
-            a1[0][e] += v1 * k0;
-            a1[1][e] += v1 * k1;
-            a1[2][e] += v1 * k2;
-            a1[3][e] += v1 * k3;
-            a2[0][e] += v2 * k0;
-            a2[1][e] += v2 * k1;
-            a2[2][e] += v2 * k2;
-            a2[3][e] += v2 * k3;
-            a3[0][e] += v3 * k0;
-            a3[1][e] += v3 * k1;
-            a3[2][e] += v3 * k2;
-            a3[3][e] += v3 * k3;
+        const float q0 = q[p], q1 = q[p + 1];
+        const float q2 = q[p + 2], q3 = q[p + 3];
+        const float *FOCUS_RESTRICT k0 = kt + p * ldt;
+        const float *FOCUS_RESTRICT k1 = k0 + ldt;
+        const float *FOCUS_RESTRICT k2 = k1 + ldt;
+        const float *FOCUS_RESTRICT k3 = k2 + ldt;
+        for (int64_t c = 0; c < W; ++c) {
+            l0[c] += q0 * k0[c];
+            l1[c] += q1 * k1[c];
+            l2[c] += q2 * k2[c];
+            l3[c] += q3 * k3[c];
         }
     }
     for (; p < k; ++p) {
-        const float k0 = b0[p], k1 = b1[p], k2 = b2[p], k3 = b3[p];
-        a0[0][0] += q0[p] * k0;
-        a0[1][0] += q0[p] * k1;
-        a0[2][0] += q0[p] * k2;
-        a0[3][0] += q0[p] * k3;
-        a1[0][0] += q1[p] * k0;
-        a1[1][0] += q1[p] * k1;
-        a1[2][0] += q1[p] * k2;
-        a1[3][0] += q1[p] * k3;
-        a2[0][0] += q2[p] * k0;
-        a2[1][0] += q2[p] * k1;
-        a2[2][0] += q2[p] * k2;
-        a2[3][0] += q2[p] * k3;
-        a3[0][0] += q3[p] * k0;
-        a3[1][0] += q3[p] * k1;
-        a3[2][0] += q3[p] * k2;
-        a3[3][0] += q3[p] * k3;
+        const float qv = q[p];
+        const float *FOCUS_RESTRICT krow = kt + p * ldt;
+        for (int64_t c = 0; c < W; ++c) {
+            l0[c] += qv * krow[c];
+        }
     }
-    for (int64_t j = 0; j < 4; ++j) {
-        o0[j] = ((a0[j][0] + a0[j][1]) + (a0[j][2] + a0[j][3])) * scale;
-        o1[j] = ((a1[j][0] + a1[j][1]) + (a1[j][2] + a1[j][3])) * scale;
-        o2[j] = ((a2[j][0] + a2[j][1]) + (a2[j][2] + a2[j][3])) * scale;
-        o3[j] = ((a3[j][0] + a3[j][1]) + (a3[j][2] + a3[j][3])) * scale;
+    for (int64_t c = 0; c < W; ++c) {
+        out[c] = ((l0[c] + l1[c]) + (l2[c] + l3[c])) * scale;
+    }
+}
+
+/**
+ * Causal scores from a transposed key panel (see qkScoresCausalF32).
+ * Per row i the dotRowsScaled split is kept: the 4-aligned prefix
+ * [0, (i+1) & ~3) runs dot4 arithmetic in 16- and 8-key blocks, the
+ * ragged tail runs dot1 on the untransposed keys.  A last partial
+ * 8-block (4 keys) is scored into a temporary tile, so nothing past the
+ * diagonal is written; the panel is padded to kQkPad columns, so every
+ * block reads inside it.
+ */
+FOCUS_KERNEL_CLONES void
+qkScoresPanel(const float *q, int64_t ldq, const float *kt, int64_t ldt,
+              const float *keys, int64_t ldk, int64_t rows, int64_t k,
+              float scale, float *out, int64_t ldo)
+{
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *qi = q + i * ldq;
+        float *orow = out + i * ldo;
+        const int64_t count = i + 1;
+        const int64_t full4 = count & ~int64_t{3};
+        int64_t j = 0;
+        for (; j + 16 <= full4; j += 16) {
+            qkBlock<16>(qi, kt + j, ldt, k, scale, orow + j);
+        }
+        if (j + 8 <= full4) {
+            qkBlock<8>(qi, kt + j, ldt, k, scale, orow + j);
+            j += 8;
+        }
+        if (j < full4) {
+            float tile[8];
+            qkBlock<8>(qi, kt + j, ldt, k, scale, tile);
+            std::copy(tile, tile + (full4 - j), orow + j);
+        }
+        for (j = full4; j < count; ++j) {
+            orow[j] = dot1(qi, keys + j * ldk, k) * scale;
+        }
     }
 }
 
@@ -427,22 +466,78 @@ dot4x4(const float *FOCUS_RESTRICT q0, const float *FOCUS_RESTRICT q1,
 #pragma GCC pop_options
 #endif
 
-/** Single-row remainder of dot4 (same lane split as `dot`). */
-FOCUS_KERNEL_CLONES float
-dot1(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b,
-     int64_t k)
+// -----------------------------------------------------------------
+// P*V register tile
+//
+// Unlike the QK^T tiles these are NOT under the contraction pin: they
+// reproduce pvCausalF32's historical in-memory loop, which the
+// project-wide -ffp-contract=fast lets each clone contract (FMA in
+// the x86-64-v3 clone).  Each element still has one accumulator,
+// summed in ascending j, so the tile and the loop agree bit for bit
+// as long as both are compiled into the same clone — hence
+// always_inline into the FOCUS_KERNEL_CLONES caller.
+// -----------------------------------------------------------------
+
+constexpr int64_t kPvLanes = 8;  ///< one ymm of floats
+constexpr int64_t kPvCols = 32; ///< P*V tile width (4 ymm per row)
+
+/** orow[c] += p[j] * v[j][c] for j in [j0, j1), c in [c0, c1). */
+FOCUS_ALWAYS_INLINE void
+pvAccumulate(const float *FOCUS_RESTRICT prow, int64_t j0, int64_t j1,
+             const float *FOCUS_RESTRICT v, int64_t ldv,
+             float *FOCUS_RESTRICT orow, int64_t c0, int64_t c1)
 {
-    float l[4] = {};
-    int64_t p = 0;
-    for (; p + 4 <= k; p += 4) {
-        for (int64_t e = 0; e < 4; ++e) {
-            l[e] += q[p + e] * b[p + e];
+    for (int64_t j = j0; j < j1; ++j) {
+        const float pj = prow[j];
+        const float *FOCUS_RESTRICT vrow = v + j * ldv;
+        for (int64_t c = c0; c < c1; ++c) {
+            orow[c] += pj * vrow[c];
         }
     }
-    for (; p < k; ++p) {
-        l[0] += q[p] * b[p];
+}
+
+/** pvCausalF32's single-row loop over columns [c0, c1). */
+FOCUS_ALWAYS_INLINE void
+pvRow(const float *FOCUS_RESTRICT prow, int64_t lim,
+      const float *FOCUS_RESTRICT v, int64_t ldv,
+      float *FOCUS_RESTRICT orow, int64_t c0, int64_t c1)
+{
+    for (int64_t c = c0; c < c1; ++c) {
+        orow[c] = 0.0f;
     }
-    return (l[0] + l[1]) + (l[2] + l[3]);
+    pvAccumulate(prow, 0, lim, v, ldv, orow, c0, c1);
+}
+
+/**
+ * Two output rows x kPvCols columns over their shared key range
+ * [0, shared): both rows' accumulators stay in registers and every V
+ * row slice loaded feeds two rows.  The accumulators are blocks of
+ * kPvLanes: with one flat 32-wide array per row GCC 12 keeps them on
+ * the stack instead.
+ */
+FOCUS_ALWAYS_INLINE void
+pvTile2(const float *FOCUS_RESTRICT p0, const float *FOCUS_RESTRICT p1,
+        int64_t shared, const float *FOCUS_RESTRICT v, int64_t ldv,
+        float *FOCUS_RESTRICT o0, float *FOCUS_RESTRICT o1)
+{
+    constexpr int64_t kBlocks = kPvCols / kPvLanes;
+    float a0[kBlocks][kPvLanes] = {}, a1[kBlocks][kPvLanes] = {};
+    for (int64_t j = 0; j < shared; ++j) {
+        const float x0 = p0[j], x1 = p1[j];
+        const float *FOCUS_RESTRICT vrow = v + j * ldv;
+        for (int64_t b = 0; b < kBlocks; ++b) {
+            for (int64_t c = 0; c < kPvLanes; ++c) {
+                a0[b][c] += x0 * vrow[b * kPvLanes + c];
+                a1[b][c] += x1 * vrow[b * kPvLanes + c];
+            }
+        }
+    }
+    for (int64_t b = 0; b < kBlocks; ++b) {
+        for (int64_t c = 0; c < kPvLanes; ++c) {
+            o0[b * kPvLanes + c] = a0[b][c];
+            o1[b * kPvLanes + c] = a1[b][c];
+        }
+    }
 }
 
 // -----------------------------------------------------------------
@@ -713,6 +808,29 @@ forRowRanges(int64_t rows, int64_t cols, const RowRangeFn &fn)
     }
 }
 
+/**
+ * Softmax counters, shared by the full-row and causal entry points.
+ * Per-backend names freeze the math backend at first use; the backend
+ * is a per-process knob in real runs.
+ */
+void
+countSoftmaxRows(int64_t rows)
+{
+    if (!obs::countersEnabled()) {
+        return;
+    }
+    static obs::Counter &calls =
+        obs::MetricsRegistry::instance().schedCounter(
+            std::string("kernels.softmax.") +
+            mathBackendName(activeMathBackend()) + ".calls");
+    static obs::Counter &row_total =
+        obs::MetricsRegistry::instance().counter(
+            std::string("kernels.softmax.") +
+            mathBackendName(activeMathBackend()) + ".rows");
+    calls.add(1);
+    row_total.add(static_cast<uint64_t>(rows));
+}
+
 } // namespace
 
 // -----------------------------------------------------------------
@@ -794,20 +912,7 @@ softmaxRowsF32(int64_t rows, int64_t cols, float *x, int64_t ld)
         // matching the k=0 degenerate-shape rule of the GEMM tier.
         return;
     }
-    // Per-backend counter names freeze the math backend at first use;
-    // the backend is a per-process knob in real runs.
-    if (obs::countersEnabled()) {
-        static obs::Counter &calls =
-            obs::MetricsRegistry::instance().schedCounter(
-                std::string("kernels.softmax.") +
-                mathBackendName(activeMathBackend()) + ".calls");
-        static obs::Counter &row_total =
-            obs::MetricsRegistry::instance().counter(
-                std::string("kernels.softmax.") +
-                mathBackendName(activeMathBackend()) + ".rows");
-        calls.add(1);
-        row_total.add(static_cast<uint64_t>(rows));
-    }
+    countSoftmaxRows(rows);
     if (activeMathBackend() == MathBackend::Vector) {
         forRowRanges(rows, cols, [&](int64_t i0, int64_t i1) {
             for (int64_t i = i0; i < i1; ++i) {
@@ -819,6 +924,44 @@ softmaxRowsF32(int64_t rows, int64_t cols, float *x, int64_t ld)
     forRowRanges(rows, cols, [&](int64_t i0, int64_t i1) {
         for (int64_t i = i0; i < i1; ++i) {
             softmaxRowExact(x + i * ld, cols);
+        }
+    });
+}
+
+void
+softmaxCausalF32(int64_t rows, float *x, int64_t ld)
+{
+    if (rows <= 0) {
+        return;
+    }
+    countSoftmaxRows(rows);
+    constexpr float kMasked = -1e30f;
+    if (activeMathBackend() == MathBackend::Vector) {
+        forRowRanges(rows, rows, [&](int64_t i0, int64_t i1) {
+            for (int64_t i = i0; i < i1; ++i) {
+                float *row = x + i * ld;
+                const int64_t live = i + 1;
+                // The live prefix rounded up to whole 8-lane blocks,
+                // or the full row once that would pass its trailing
+                // partial block: either way every live term lands in
+                // the lane the full-row pass gives it, and the masked
+                // slots add exact zeros.
+                int64_t width = (live + 7) & ~int64_t{7};
+                if (width > rows) {
+                    width = rows;
+                }
+                std::fill(row + live, row + width, kMasked);
+                softmaxRowVector(row, width);
+                std::fill(row + live, row + rows, 0.0f);
+            }
+        });
+        return;
+    }
+    forRowRanges(rows, rows, [&](int64_t i0, int64_t i1) {
+        for (int64_t i = i0; i < i1; ++i) {
+            float *row = x + i * ld;
+            softmaxRowExact(row, i + 1);
+            std::fill(row + i + 1, row + rows, 0.0f);
         }
     });
 }
@@ -1047,44 +1190,26 @@ qkScoresCausalF32(const float *q, int64_t ldq, const float *keys,
                   int64_t ldk, int64_t rows, int64_t k, float scale,
                   float *out, int64_t ldo)
 {
-    // Four query rows share one sweep over their common causal key
-    // range; key groups stay 4-aligned from j = 0, so every element
-    // is produced by the same dot4/dot1 call shape dotRowsScaled
-    // would have used.
-    constexpr int64_t kQt = 4;
-    int64_t i0 = 0;
-    for (; i0 + kQt <= rows; i0 += kQt) {
-        const int64_t shared4 = (i0 + 1) & ~int64_t{3};
-        const float *q0 = q + i0 * ldq;
-        const float *q1 = q0 + ldq;
-        const float *q2 = q1 + ldq;
-        const float *q3 = q2 + ldq;
-        for (int64_t j = 0; j < shared4; j += 4) {
-            const float *base = keys + j * ldk;
-            dot4x4(q0, q1, q2, q3, base, base + ldk, base + 2 * ldk,
-                   base + 3 * ldk, k, scale, out + i0 * ldo + j,
-                   out + (i0 + 1) * ldo + j, out + (i0 + 2) * ldo + j,
-                   out + (i0 + 3) * ldo + j);
-        }
-        for (int64_t r = 0; r < kQt; ++r) {
-            const int64_t count = i0 + r + 1;
-            const float *qr = q + (i0 + r) * ldq;
-            float *orow = out + (i0 + r) * ldo;
-            int64_t j = shared4;
-            for (; j + 4 <= count; j += 4) {
-                const float *base = keys + j * ldk;
-                dot4(qr, base, base + ldk, base + 2 * ldk,
-                     base + 3 * ldk, k, scale, orow + j);
-            }
-            for (; j < count; ++j) {
-                orow[j] = dot1(qr, keys + j * ldk, k) * scale;
-            }
+    if (rows <= 0) {
+        return;
+    }
+    // Transposed key panel, padded so every 8- or 16-key block of the
+    // last row group reads inside it (pad columns are zero and never
+    // reach an output).
+    static thread_local std::vector<float> panel;
+    const int64_t ldt = (rows + kQkPad - 1) / kQkPad * kQkPad;
+    panel.resize(static_cast<size_t>(k * ldt));
+    float *kt = panel.data();
+    for (int64_t p = 0; p < k; ++p) {
+        std::fill(kt + p * ldt + rows, kt + (p + 1) * ldt, 0.0f);
+    }
+    for (int64_t j = 0; j < rows; ++j) {
+        const float *krow = keys + j * ldk;
+        for (int64_t p = 0; p < k; ++p) {
+            kt[p * ldt + j] = krow[p];
         }
     }
-    for (; i0 < rows; ++i0) {
-        dotRowsScaled(q + i0 * ldq, keys, ldk, i0 + 1, k, scale,
-                      out + i0 * ldo);
-    }
+    qkScoresPanel(q, ldq, kt, ldt, keys, ldk, rows, k, scale, out, ldo);
 }
 
 FOCUS_KERNEL_CLONES void
@@ -1092,21 +1217,32 @@ pvCausalF32(int64_t m, int64_t n, const float *p, int64_t ldp,
             const int64_t *rowmap, const float *v, int64_t ldv,
             float *out, int64_t ldo)
 {
-    for (int64_t r = 0; r < m; ++r) {
+    const int64_t full = n / kPvCols * kPvCols;
+    int64_t r = 0;
+    for (; r + 2 <= m; r += 2) {
+        const int64_t src0 = rowmap ? rowmap[r] : r;
+        const int64_t src1 = rowmap ? rowmap[r + 1] : r + 1;
+        const float *prow0 = p + src0 * ldp;
+        const float *prow1 = p + src1 * ldp;
+        float *orow0 = out + r * ldo;
+        float *orow1 = orow0 + ldo;
+        const int64_t shared = std::min(src0, src1) + 1;
+        for (int64_t c0 = 0; c0 < full; c0 += kPvCols) {
+            pvTile2(prow0, prow1, shared, v + c0, ldv, orow0 + c0,
+                    orow1 + c0);
+            pvAccumulate(prow0, shared, src0 + 1, v, ldv, orow0, c0,
+                         c0 + kPvCols);
+            pvAccumulate(prow1, shared, src1 + 1, v, ldv, orow1, c0,
+                         c0 + kPvCols);
+        }
+        if (full < n) {
+            pvRow(prow0, src0 + 1, v, ldv, orow0, full, n);
+            pvRow(prow1, src1 + 1, v, ldv, orow1, full, n);
+        }
+    }
+    if (r < m) {
         const int64_t src = rowmap ? rowmap[r] : r;
-        const float *FOCUS_RESTRICT prow = p + src * ldp;
-        float *FOCUS_RESTRICT orow = out + r * ldo;
-        for (int64_t c = 0; c < n; ++c) {
-            orow[c] = 0.0f;
-        }
-        const int64_t lim = src + 1;
-        for (int64_t j = 0; j < lim; ++j) {
-            const float pj = prow[j];
-            const float *FOCUS_RESTRICT vrow = v + j * ldv;
-            for (int64_t c = 0; c < n; ++c) {
-                orow[c] += pj * vrow[c];
-            }
-        }
+        pvRow(p + src * ldp, src + 1, v, ldv, out + r * ldo, 0, n);
     }
 }
 

@@ -189,22 +189,41 @@ void dotRowsScaled(const float *q, const float *b, int64_t ldb,
                    int64_t rows, int64_t k, float scale, float *out);
 
 /**
- * Causal attention scores for one head slice, query-row tiled:
+ * Causal attention scores for one head slice:
  * out[i*ldo + j] = dot(q + i*ldq, keys + j*ldk, k) * scale for
  * j in [0, i+1), i in [0, rows).  Entries with j > i are NOT written.
  *
  * Per element this is exactly the `dotRowsScaled` arithmetic (the
  * dot4/dot1 lane split with groups of four key rows aligned to
  * j = 0), so a row computed here is bit-identical to a
- * `dotRowsScaled(q_i, keys, ldk, i+1, ...)` call.  The tiling only
- * reorders *which* (i, j) pair is computed when: four query rows
- * share one sweep over their common key range, so the key panel is
- * streamed from cache once per tile instead of once per row (the
- * QK^T interior was the top profile entry of the per-sample path).
+ * `dotRowsScaled(q_i, keys, ldk, i+1, ...)` call.  The keys are
+ * packed once into a thread-local transposed (k x rows) panel, and
+ * each query is scored against 16- and 8-key register tiles of it
+ * with dot4's four lane accumulators per key; only the ragged
+ * (i+1) % 4 tail keys run dot1 (docs/KERNELS.md, "Causal attention
+ * interior").
  */
 void qkScoresCausalF32(const float *q, int64_t ldq, const float *keys,
                        int64_t ldk, int64_t rows, int64_t k,
                        float scale, float *out, int64_t ldo);
+
+/**
+ * Causal softmax over a (rows x rows) score block with row stride
+ * @p ld: row i normalizes its i+1 live entries and gets +0 in every
+ * entry above the diagonal (prior contents there are ignored).
+ *
+ * Bit-identical, on both math backends, to setting the entries above
+ * the diagonal to -1e30 and running softmaxRowsF32 over full rows: a
+ * masked entry adds an exact zero to every sum and leaves every max
+ * unchanged, so the causal pass only skips it.  The exact backend
+ * runs its scalar row loop over the live entries; the vector backend
+ * runs over the live prefix rounded up to whole 8-lane blocks (slack
+ * slots masked), or over the full row once that would pass its
+ * trailing partial block, so every term keeps its lane.  Counted
+ * under the same `kernels.softmax.<backend>.*` counters as
+ * softmaxRowsF32 and row-parallel like it.
+ */
+void softmaxCausalF32(int64_t rows, float *x, int64_t ld);
 
 /**
  * Causal P*V for one head slice with an optional row gather map:
@@ -219,7 +238,11 @@ void qkScoresCausalF32(const float *q, int64_t ldq, const float *keys,
  * gemmF32 product adds only exact zeros beyond the limit (the same
  * argument that makes the naive reference's zero-skip bit-identical).
  * Skipping them halves the PV MACs and avoids packing the (rows x
- * rows) probability matrix entirely.
+ * rows) probability matrix entirely.  Output rows are taken in pairs
+ * as 2 x 32 register tiles over the pair's shared causal range, then
+ * each row adds its remaining keys in memory; column edges and an odd
+ * last row run the single-row loop.  None of this changes an
+ * element's accumulation order.
  */
 void pvCausalF32(int64_t m, int64_t n, const float *p, int64_t ldp,
                  const int64_t *rowmap, const float *v, int64_t ldv,

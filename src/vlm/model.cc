@@ -167,9 +167,11 @@ struct BatchState
 
 /**
  * One head's causal attention probabilities into @p p (rows x rows):
- * scaled Q.K^T over the causal range, -1e30 above the diagonal, then
- * row softmax.  Stream order is [visual ; text], so text queries see
- * every visual key.
+ * scaled Q.K^T over the causal range, then a causal row softmax that
+ * leaves +0 above the diagonal (bit-identical to masking with -1e30
+ * and a full-row softmax, the tests/reference/forward.h oracle).
+ * Stream order is [visual ; text], so text queries see every visual
+ * key.
  */
 void
 causalHeadProbs(const float *q, int64_t ldq, const float *k, int64_t ldk,
@@ -180,13 +182,7 @@ causalHeadProbs(const float *q, int64_t ldq, const float *k, int64_t ldk,
     }
     kernels::qkScoresCausalF32(q, ldq, k, ldk, rows, hd, scale, p.data(),
                                p.cols());
-    for (int64_t i = 0; i < rows; ++i) {
-        float *prow = p.row(i);
-        for (int64_t j = i + 1; j < rows; ++j) {
-            prow[j] = -1e30f;
-        }
-    }
-    softmaxRows(p);
+    kernels::softmaxCausalF32(rows, p.data(), p.cols());
 }
 
 } // namespace

@@ -1,15 +1,18 @@
 /**
  * @file
- * Unit tests for the common substrate: Half, Rng, stats, math utils.
+ * Unit tests for the common substrate: Half, Rng, stats, math utils,
+ * strict input parsing.
  */
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <set>
 
 #include "common/half.h"
 #include "common/math_util.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/stats.h"
 
@@ -260,6 +263,37 @@ TEST(MathUtil, Pow2Helpers)
     EXPECT_FALSE(isPow2(48));
     EXPECT_FALSE(isPow2(0));
     EXPECT_EQ(log2Exact(1024), 10);
+}
+
+// ---------------------------------------------------------------
+// parse
+// ---------------------------------------------------------------
+
+TEST(ParsePositiveInt, AcceptsPlainDecimal)
+{
+    EXPECT_EQ(parsePositiveInt("1", "sample count"), 1);
+    EXPECT_EQ(parsePositiveInt("42", "--threads"), 42);
+    EXPECT_EQ(parsePositiveInt("007", "--batch"), 7);
+    EXPECT_EQ(parsePositiveInt("2147483647", "--requests"), INT_MAX);
+}
+
+TEST(ParsePositiveIntDeathTest, GarbageIsFatalAndNamesTheInput)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // Each of these used to become a count silently: atoi turned
+    // "abc"/"-5" into a clamped 1, "4x" into 4, and a 2^32+1 request
+    // count wrapped to 1 through the int cast.
+    for (const char *bad : {"", "abc", "0", "-5", "+2", " 4", "4x",
+                            "2147483648", "4294967297",
+                            "99999999999999999999"}) {
+        EXPECT_EXIT(parsePositiveInt(bad, "--requests"),
+                    testing::ExitedWithCode(1),
+                    "--requests='.*' is not a positive integer")
+            << "value '" << bad << "'";
+    }
+    EXPECT_EXIT(parsePositiveInt("abc", "sample count"),
+                testing::ExitedWithCode(1),
+                "sample count='abc' is not a positive integer");
 }
 
 } // namespace

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the binary16 emulation in common/half.h: the reference
- * conversion round-trips every binary16 pattern, and the fast
- * conversion and its batch form are bit-exact to the reference across
- * the classification boundaries, a strided full-range sweep and the
- * special values.
+ * conversion (tests/reference/half.h) round-trips every binary16
+ * pattern, and the production conversion (floatToHalfBitsFast, behind
+ * `Half` and `fp16Round`) and its batch form are bit-exact to the
+ * reference across the classification boundaries, a strided
+ * full-range sweep and the special values.
  */
 
 #include <gtest/gtest.h>
@@ -14,11 +15,14 @@
 #include <vector>
 
 #include "common/half.h"
+#include "reference/half.h"
 
 namespace focus
 {
 namespace
 {
+
+using reference::floatToHalfBits;
 
 // ---------------------------------------------------------------
 // binary16

@@ -709,3 +709,189 @@ TEST(KernelsQuant, GemmInt8TensorPathUnchanged)
     gemmInt8(a, b, cq);
     EXPECT_LT(relativeError(cq, cf), 0.05);
 }
+
+// -----------------------------------------------------------------
+// Causal attention interior: each tiled kernel against the plain
+// kernel it reorders, bit for bit.
+// -----------------------------------------------------------------
+
+namespace
+{
+
+// Around the 8- and 16-key blocks, plus the image (206) and video
+// (811) prompt lengths of the benchmark grids.
+std::vector<int64_t>
+attentionRowCounts()
+{
+    std::vector<int64_t> rows;
+    for (int64_t r = 1; r <= 17; ++r) {
+        rows.push_back(r);
+    }
+    rows.push_back(206);
+    rows.push_back(811);
+    return rows;
+}
+
+/** Head slices: packed (ld == hd) and one head of two (ld > hd). */
+struct HeadSlice
+{
+    int64_t hd, ld, c0;
+};
+
+const HeadSlice kHeadSlices[] = {{32, 32, 0}, {32, 64, 32}, {30, 37, 5}};
+
+constexpr float kSentinel = 12345.0f;
+
+/** Random causal P: finite lower triangle, exact +0 above it. */
+std::vector<float>
+causalProbs(Rng &rng, int64_t rows)
+{
+    std::vector<float> p = randomBuf(rng, rows * rows);
+    for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t j = i + 1; j < rows; ++j) {
+            p[static_cast<size_t>(i * rows + j)] = 0.0f;
+        }
+    }
+    return p;
+}
+
+/** Random scores with @p fill above the diagonal, row stride @p ld. */
+std::vector<float>
+scoreBlock(Rng &rng, int64_t rows, int64_t ld, float fill)
+{
+    std::vector<float> x = randomBuf(rng, rows * ld);
+    for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t j = i + 1; j < rows; ++j) {
+            x[static_cast<size_t>(i * ld + j)] = fill;
+        }
+    }
+    return x;
+}
+
+} // namespace
+
+TEST(KernelsAttention, QkScoresRowsMatchDotRowsScaled)
+{
+    Rng rng(51);
+    for (const HeadSlice &hs : kHeadSlices) {
+        for (int64_t rows : attentionRowCounts()) {
+            const std::vector<float> q = randomBuf(rng, rows * hs.ld);
+            const std::vector<float> k = randomBuf(rng, rows * hs.ld);
+            const float scale = 0.17677669f;
+            const int64_t ldo = rows + 3;
+            std::vector<float> got(static_cast<size_t>(rows * ldo),
+                                   kSentinel);
+            kernels::qkScoresCausalF32(q.data() + hs.c0, hs.ld,
+                                       k.data() + hs.c0, hs.ld, rows,
+                                       hs.hd, scale, got.data(), ldo);
+            std::vector<float> want(static_cast<size_t>(ldo));
+            for (int64_t i = 0; i < rows; ++i) {
+                std::fill(want.begin(), want.end(), kSentinel);
+                kernels::dotRowsScaled(q.data() + i * hs.ld + hs.c0,
+                                       k.data() + hs.c0, hs.ld, i + 1,
+                                       hs.hd, scale, want.data());
+                ASSERT_EQ(std::memcmp(got.data() + i * ldo, want.data(),
+                                      want.size() * sizeof(float)),
+                          0)
+                    << "rows=" << rows << " hd=" << hs.hd
+                    << " ld=" << hs.ld << " row " << i;
+            }
+        }
+    }
+}
+
+TEST(KernelsAttention, PvMatchesGemmOverCausalP)
+{
+    Rng rng(52);
+    for (int64_t n : {32, 20, 48}) {
+        for (int64_t rows : attentionRowCounts()) {
+            const std::vector<float> p = causalProbs(rng, rows);
+            const int64_t ldv = n + 16;
+            const std::vector<float> v = randomBuf(rng, rows * ldv);
+            // Identity, then an ascending pruned map that keeps the
+            // last row (the text rows always survive).
+            std::vector<int64_t> pruned;
+            for (int64_t r = 0; r < rows; ++r) {
+                if (r + 1 == rows || rng.uniform() < 0.6) {
+                    pruned.push_back(r);
+                }
+            }
+            const std::vector<int64_t> *maps[] = {nullptr, &pruned};
+            for (const std::vector<int64_t> *map : maps) {
+                const int64_t m =
+                    map != nullptr ? static_cast<int64_t>(map->size())
+                                   : rows;
+                const int64_t *rowmap =
+                    map != nullptr ? map->data() : nullptr;
+                const int64_t ldo = n + 5;
+                std::vector<float> got(static_cast<size_t>(m * ldo),
+                                       kSentinel);
+                std::vector<float> want = got;
+                kernels::pvCausalF32(m, n, p.data(), rows, rowmap,
+                                     v.data(), ldv, got.data(), ldo);
+                kernels::gemmF32(m, n, rows, p.data(), rows, v.data(),
+                                 ldv, want.data(), ldo, false, rowmap);
+                EXPECT_TRUE(bitsEqual(got, want))
+                    << "rows=" << rows << " n=" << n
+                    << (map != nullptr ? " pruned" : " identity");
+            }
+        }
+    }
+}
+
+TEST(KernelsAttention, SoftmaxCausalMatchesMaskedSoftmax)
+{
+    Rng rng(53);
+    constexpr float nan = std::numeric_limits<float>::quiet_NaN();
+    for (kernels::MathBackend b :
+         {kernels::MathBackend::Exact, kernels::MathBackend::Vector}) {
+        MathBackendGuard guard(b);
+        for (int64_t rows : attentionRowCounts()) {
+            for (int64_t ld : {rows, rows + 3}) {
+                // The causal pass must ignore whatever sits above the
+                // diagonal (NaN here); the oracle masks it with -1e30.
+                std::vector<float> got = scoreBlock(rng, rows, ld, nan);
+                std::vector<float> want = got;
+                for (int64_t i = 0; i < rows; ++i) {
+                    for (int64_t j = i + 1; j < rows; ++j) {
+                        want[static_cast<size_t>(i * ld + j)] = -1e30f;
+                    }
+                }
+                kernels::softmaxCausalF32(rows, got.data(), ld);
+                kernels::softmaxRowsF32(rows, rows, want.data(), ld);
+                EXPECT_TRUE(bitsEqual(got, want))
+                    << kernels::mathBackendName(b) << " rows=" << rows
+                    << " ld=" << ld;
+            }
+        }
+    }
+}
+
+TEST(KernelsAttention, ThreadCountBitIdentity)
+{
+    Rng rng(54);
+    const int64_t rows = 811, hd = 32, ld = 64;
+    const std::vector<float> q = randomBuf(rng, rows * ld);
+    const std::vector<float> k = randomBuf(rng, rows * ld);
+    const std::vector<float> v = randomBuf(rng, rows * ld);
+    auto run = [&](int threads) {
+        ThreadPool::setGlobalThreads(threads);
+        std::vector<float> p(static_cast<size_t>(rows * rows),
+                             kSentinel);
+        kernels::qkScoresCausalF32(q.data(), ld, k.data(), ld, rows, hd,
+                                   0.17677669f, p.data(), rows);
+        kernels::softmaxCausalF32(rows, p.data(), rows);
+        std::vector<float> out(static_cast<size_t>(rows * hd));
+        kernels::pvCausalF32(rows, hd, p.data(), rows, nullptr,
+                             v.data(), ld, out.data(), hd);
+        ThreadPool::setGlobalThreads(0);
+        p.insert(p.end(), out.begin(), out.end());
+        return p;
+    };
+    for (kernels::MathBackend b :
+         {kernels::MathBackend::Exact, kernels::MathBackend::Vector}) {
+        MathBackendGuard guard(b);
+        EXPECT_TRUE(bitsEqual(run(1), run(4)))
+            << kernels::mathBackendName(b);
+    }
+}
