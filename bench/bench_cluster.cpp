@@ -57,7 +57,7 @@ main(int argc, char **argv)
     std::printf("mix: %zu classes, %d requests, open-loop %.3f "
                 "req/s, max batch %d, hash ring %d vnodes\n",
                 queue.mix.size(), num_requests, rate, max_batch,
-                HashRing::kDefaultVnodes);
+                HashRing::kVnodes);
     std::printf("(latencies are simulated accelerator seconds on "
                 "the %s config)\n\n",
                 AccelConfig::focus().name.c_str());

@@ -68,8 +68,9 @@ struct BenchOptions
  * benches; every bench parses (and rejects malformed values of)
  * them so a shared wrapper script can pass one flag set.  Every count
  * (the sample count, FOCUS_BENCH_SAMPLES, --threads, --batch,
- * --replicas, --requests) must be a plain positive integer: anything
- * else is a fatal() naming the input (common/parse.h).
+ * --replicas, --requests) must be a plain positive integer and
+ * --arrival-rate a finite positive number: anything else is a fatal()
+ * naming the input (common/parse.h).
  */
 inline BenchOptions
 benchOptions(int argc, char **argv, int fallback_samples)
@@ -83,13 +84,8 @@ benchOptions(int argc, char **argv, int fallback_samples)
         } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
             bo.batch = parsePositiveInt(argv[i] + 8, "--batch");
         } else if (std::strncmp(argv[i], "--arrival-rate=", 15) == 0) {
-            char *end = nullptr;
-            bo.arrival_rate = std::strtod(argv[i] + 15, &end);
-            if (end == argv[i] + 15 || *end != '\0' ||
-                !(bo.arrival_rate > 0.0)) {
-                fatal("invalid arrival rate in '%s' (want a positive "
-                      "req/s value)", argv[i]);
-            }
+            bo.arrival_rate =
+                parsePositiveDouble(argv[i] + 15, "--arrival-rate");
         } else if (std::strncmp(argv[i], "--replicas=", 11) == 0) {
             bo.replicas = parsePositiveInt(argv[i] + 11, "--replicas");
         } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {

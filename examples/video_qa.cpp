@@ -15,9 +15,9 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "common/parse.h"
 #include "eval/evaluator.h"
 
 using namespace focus;
@@ -40,7 +40,7 @@ int
 main(int argc, char **argv)
 {
     const uint64_t sample_idx =
-        argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 0;
+        argc > 1 ? parseIndex(argv[1], "sample index") : 0;
 
     EvalOptions opts;
     opts.samples = 1;

@@ -30,11 +30,13 @@ BatchScheduler::BatchScheduler(const SchedulerConfig &cfg) : cfg_(cfg)
         fatal("BatchScheduler: max_batch must be positive (got %d)",
               cfg_.max_batch);
     }
+    // Negated so a NaN fails it too (a NaN timeout used to change
+    // which batches form).
     if ((cfg_.policy == BatchPolicy::Timeout ||
          cfg_.policy == BatchPolicy::ConcAware) &&
-        cfg_.timeout_s < 0.0) {
-        fatal("BatchScheduler: negative batching timeout (%g s)",
-              cfg_.timeout_s);
+        !(cfg_.timeout_s >= 0.0)) {
+        fatal("BatchScheduler: batching timeout timeout_s must be "
+              "non-negative (got %g s)", cfg_.timeout_s);
     }
 }
 

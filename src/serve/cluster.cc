@@ -42,15 +42,11 @@ vnodePosition(int replica, int vnode)
 // HashRing
 // ---------------------------------------------------------------
 
-HashRing::HashRing(int replicas, int vnodes) : vnodes_(vnodes)
+HashRing::HashRing(int replicas)
 {
     if (replicas <= 0) {
         fatal("HashRing: at least one replica required (got %d)",
               replicas);
-    }
-    if (vnodes <= 0) {
-        fatal("HashRing: virtual-node count must be positive (got %d)",
-              vnodes);
     }
     members_.reserve(static_cast<size_t>(replicas));
     for (int r = 0; r < replicas; ++r) {
@@ -63,9 +59,9 @@ void
 HashRing::rebuild()
 {
     ring_.clear();
-    ring_.reserve(members_.size() * static_cast<size_t>(vnodes_));
+    ring_.reserve(members_.size() * static_cast<size_t>(kVnodes));
     for (const int id : members_) {
-        for (int v = 0; v < vnodes_; ++v) {
+        for (int v = 0; v < kVnodes; ++v) {
             ring_.emplace_back(vnodePosition(id, v), id);
         }
     }
@@ -161,26 +157,21 @@ ClusterSimulator::ClusterSimulator(ServingSimulator &base,
         fatal("ClusterSimulator: at least one replica required "
               "(got %d)", cfg_.replicas);
     }
-    if (cfg_.vnodes <= 0) {
-        fatal("ClusterSimulator: virtual-node count must be positive "
-              "(got %d)", cfg_.vnodes);
-    }
     if (cfg_.tensor_parallel <= 0) {
         fatal("ClusterSimulator: invalid split factor %d (want a "
               "positive tensor-parallel degree)",
               cfg_.tensor_parallel);
     }
-    if (cfg_.data_parallel <= 0) {
-        fatal("ClusterSimulator: invalid split factor %d (want a "
-              "positive data-parallel degree)", cfg_.data_parallel);
-    }
-    if (cfg_.shed_backlog_s < 0.0) {
-        fatal("ClusterSimulator: negative shed backlog bound (%g s)",
+    // Negated comparisons so a NaN fails them too.
+    if (!(cfg_.shed_backlog_s >= 0.0)) {
+        fatal("ClusterSimulator: shed_backlog_s must be a "
+              "non-negative backlog bound (got %g s)",
               cfg_.shed_backlog_s);
     }
-    if (cfg_.continuous_theta >= 1.0) {
-        fatal("ClusterSimulator: continuous-batching theta must be "
-              "below 1 (got %g)", cfg_.continuous_theta);
+    if (!(cfg_.continuous_theta < 1.0)) {
+        fatal("ClusterSimulator: continuous_theta (the continuous-"
+              "batching knee) must be below 1 (got %g)",
+              cfg_.continuous_theta);
     }
 }
 
@@ -195,207 +186,6 @@ ClusterSimulator::routingKey(const ServeRequest &req,
     return prefixKey(req, cls);
 }
 
-const ClusterSimulator::ShardCost &
-ClusterSimulator::costSharded(const std::vector<size_t> &comp)
-{
-    const auto hit = shard_cache_.find(comp);
-    if (hit != shard_cache_.end()) {
-        return hit->second;
-    }
-
-    ShardCost sc;
-    const int tp = cfg_.tensor_parallel;
-    // A data-parallel group never splits below one request.
-    const int dp = std::min(cfg_.data_parallel,
-                            static_cast<int>(comp.size()));
-
-    std::vector<const WorkloadTrace *> parts;
-    parts.reserve(comp.size());
-    for (const size_t code : comp) {
-        parts.push_back(&base_.codeTrace(code));
-    }
-
-    std::vector<uint64_t> layer_cycles;
-    if (tp == 1 && dp == 1) {
-        // Delegate to the base composition cache: bit-identical to
-        // the single-box path (and shared with it).
-        const RunMetrics &m = base_.costComposition(comp);
-        sc.metrics = m;
-        sc.service_s = m.seconds();
-        layer_cycles = m.layer_cycles;
-    } else {
-        const std::vector<WorkloadTrace> groups =
-            splitDataParallel(parts, dp);
-        double worst = -1.0;
-        for (const WorkloadTrace &group : groups) {
-            std::vector<WorkloadTrace> shards =
-                splitTensorParallel(group, tp);
-            for (const WorkloadTrace &shard : shards) {
-                RunMetrics rm = simulateAccelerator(
-                    base_.accelConfig(), shard);
-                sc.interconnect_bytes += rm.interconnect_bytes;
-                if (rm.seconds() > worst) {
-                    worst = rm.seconds();
-                    layer_cycles = rm.layer_cycles;
-                    sc.metrics = std::move(rm);
-                }
-            }
-        }
-        sc.service_s = worst;
-    }
-
-    // Continuous-batching knee: the first layer whose active rows
-    // have shrunk to theta * layer-0 rows.  The knee time scales the
-    // batch service by the critical engine's cycle prefix; the tail
-    // fraction is the mean active share past the knee (the residual
-    // array occupancy the next batch serializes behind).
-    sc.knee_s = sc.service_s;
-    sc.tail_frac = 0.0;
-    if (cfg_.continuous_theta > 0.0 && !layer_cycles.empty()) {
-        const WorkloadTrace fused_storage =
-            parts.size() > 1 ? fuseTraces(parts) : WorkloadTrace{};
-        const WorkloadTrace &fused =
-            parts.size() > 1 ? fused_storage : *parts.front();
-        const double rows0 =
-            static_cast<double>(fused.layers.front().rowsIn());
-        const size_t L = fused.layers.size();
-        size_t knee = L;
-        for (size_t l = 0; l < L; ++l) {
-            if (static_cast<double>(fused.layers[l].rowsIn()) <=
-                cfg_.continuous_theta * rows0) {
-                knee = l;
-                break;
-            }
-        }
-        if (knee < L && rows0 > 0.0) {
-            uint64_t prefix = 0, total = 0;
-            for (size_t l = 0; l < layer_cycles.size(); ++l) {
-                total += layer_cycles[l];
-                if (l < knee) {
-                    prefix += layer_cycles[l];
-                }
-            }
-            if (total > 0) {
-                sc.knee_s = sc.service_s *
-                    (static_cast<double>(prefix) /
-                     static_cast<double>(total));
-                double frac_sum = 0.0;
-                for (size_t l = knee; l < L; ++l) {
-                    frac_sum += std::min(
-                        1.0,
-                        static_cast<double>(
-                            fused.layers[l].rowsIn()) / rows0);
-                }
-                sc.tail_frac =
-                    frac_sum / static_cast<double>(L - knee);
-            }
-        }
-    }
-
-    return shard_cache_.emplace(comp, std::move(sc)).first->second;
-}
-
-void
-ClusterSimulator::replayAdvanced(
-    const BatchScheduler &scheduler,
-    const std::vector<ServeRequest> &sub,
-    std::vector<RequestOutcome> &outcomes,
-    std::vector<BatchRecord> &batches,
-    uint64_t &interconnect_bytes, PrefixCache *cache)
-{
-    const size_t n = sub.size();
-    const bool caching = cache != nullptr && cache->enabled();
-    outcomes.assign(n, RequestOutcome{});
-    batches.clear();
-    const std::vector<BatchKey> keys = base_.batchKeys(sub);
-    std::vector<size_t> req_code(n);
-    for (size_t i = 0; i < n; ++i) {
-        outcomes[i].arrival_s = sub[i].arrival_s;
-        req_code[i] = ServingSimulator::comboCode(
-            base_.classCombo(sub[i].class_id), false);
-    }
-
-    // Cache resolution for one batch, in execution order — the base
-    // replay's protocol, so a trivial split reproduces its hit stream.
-    const auto resolveCache = [&](const std::vector<size_t> &members) {
-        if (caching) {
-            base_.resolvePrefixCache(*cache, sub, members, req_code,
-                                     outcomes);
-        }
-    };
-
-    const auto compOf = [&](const std::vector<size_t> &members) {
-        std::vector<size_t> comp;
-        comp.reserve(members.size());
-        for (const size_t i : members) {
-            comp.push_back(req_code[i]);
-        }
-        return comp;
-    };
-
-    if (cfg_.continuous_theta <= 0.0) {
-        // Serial batch boundaries: the planned open-loop schedule
-        // with sharded costs.
-        const std::vector<PlannedBatch> plans =
-            scheduler.planOpenLoop(sub, keys);
-        double free_t = 0.0;
-        for (const PlannedBatch &plan : plans) {
-            resolveCache(plan.members);
-            const ShardCost &sc = costSharded(compOf(plan.members));
-            const double start = std::max(free_t, plan.ready_s);
-            free_t = ServingSimulator::recordBatch(
-                sub, outcomes, batches, plan.members, plan.ready_s,
-                start, sc.service_s, sc.metrics);
-            interconnect_bytes += sc.interconnect_bytes;
-        }
-        return;
-    }
-
-    // Continuous batching: launch the next batch at the previous
-    // batch's knee, serializing its residual tail occupancy (which
-    // drains linearly between knee and finish) ahead of the new
-    // batch's own service.
-    size_t next = 0;
-    std::vector<size_t> pending;
-    double release_t = 0.0;
-    double knee_abs = 0.0, finish_abs = 0.0, tail_work = 0.0;
-    while (next < n || !pending.empty()) {
-        double t = release_t;
-        if (pending.empty()) {
-            t = std::max(t, sub[next].arrival_s);
-        }
-        while (next < n && sub[next].arrival_s <= t) {
-            pending.push_back(next++);
-        }
-        obs::TraceSpan step_span("cluster.continuous.step");
-        const std::vector<size_t> picked =
-            scheduler.pickPending(pending, keys);
-        resolveCache(picked);
-        const ShardCost &sc = costSharded(compOf(picked));
-
-        double carry = 0.0;
-        if (finish_abs > knee_abs && t < finish_abs) {
-            carry = tail_work * (finish_abs - t) /
-                (finish_abs - knee_abs);
-        }
-        const double start = t;
-        const double service = carry + sc.service_s;
-        ServingSimulator::recordBatch(sub, outcomes, batches, picked,
-                                      t, start, service, sc.metrics);
-        interconnect_bytes += sc.interconnect_bytes;
-
-        release_t = start + carry + sc.knee_s;
-        knee_abs = release_t;
-        finish_abs = start + service;
-        tail_work = (sc.service_s - sc.knee_s) * sc.tail_frac;
-
-        for (const size_t i : picked) {
-            pending.erase(
-                std::find(pending.begin(), pending.end(), i));
-        }
-    }
-}
-
 ClusterReport
 ClusterSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
 {
@@ -405,11 +195,10 @@ ClusterSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
               "overload regime; closed-loop populations self-limit "
               "and stay a single-box (ServingSimulator) question");
     }
+    // Calibrate on this pool (the shed estimate below would otherwise
+    // calibrate on the global one); each replica's replay builds the
+    // prefix-cache hit traces on demand.
     base_.calibrate(pool);
-    const bool caching = cfg_.prefix_cache.enabled();
-    if (caching) {
-        base_.ensureHitTraces(pool);
-    }
     const BatchScheduler scheduler(sched);
     const std::vector<ServeRequest> stream =
         RequestQueue(queue).generate();
@@ -426,7 +215,7 @@ ClusterSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
                     stream[i].id % static_cast<int64_t>(R));
             }
         } else {
-            const HashRing ring(R, cfg_.vnodes);
+            const HashRing ring(R);
             for (size_t i = 0; i < n; ++i) {
                 const RequestClass &cls =
                     queue.mix[static_cast<size_t>(stream[i].class_id)];
@@ -443,11 +232,11 @@ ClusterSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
     if (cfg_.shed_backlog_s > 0.0) {
         est.reserve(queue.mix.size());
         for (size_t cls = 0; cls < queue.mix.size(); ++cls) {
+            const size_t code = ServingSimulator::comboCode(
+                base_.classCombo(static_cast<int>(cls)), false);
             est.push_back(
-                costSharded({ServingSimulator::comboCode(
-                                base_.classCombo(static_cast<int>(cls)),
-                                false)})
-                    .service_s);
+                base_.costComposition({code}, cfg_.tensor_parallel)
+                    .seconds());
         }
     }
     std::vector<std::vector<size_t>> admitted(
@@ -475,8 +264,6 @@ ClusterSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
     }
 
     // ---- per-replica replay ----
-    const bool simple = cfg_.tensor_parallel == 1 &&
-        cfg_.data_parallel == 1 && cfg_.continuous_theta <= 0.0;
     std::vector<RequestOutcome> outcomes(n);
     std::vector<std::vector<BatchRecord>> rep_batches(
         static_cast<size_t>(R));
@@ -515,13 +302,9 @@ ClusterSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
         std::vector<RequestOutcome> sub_out;
         std::vector<BatchRecord> sub_batches;
         if (!sub.empty()) {
-            if (simple) {
-                base_.replayOpenLoop(scheduler, sub, pool, sub_out,
-                                     sub_batches, &cache);
-            } else {
-                replayAdvanced(scheduler, sub, sub_out, sub_batches,
-                               rs.interconnect_bytes, &cache);
-            }
+            rs.interconnect_bytes = base_.replayOpenLoop(
+                scheduler, sub, pool, sub_out, sub_batches, &cache,
+                cfg_.tensor_parallel, cfg_.continuous_theta);
         }
         const PrefixCacheStats cs = cache.stats();
         rs.prefix_hits = cs.hits;

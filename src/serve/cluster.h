@@ -11,33 +11,31 @@
  *    (HashRing), so same-prefix traffic keeps replica affinity and
  *    adding a replica moves only ~K/N keys.  A round-robin policy is
  *    kept as the balance reference.
- *  - *Parallel splits*: each replica may itself be a tensor-parallel
- *    group (sim/trace.h splitTensorParallel — per-shard cycle/DRAM
- *    accounting plus the ring-collective interconnect term in
- *    sim/accel_model.cc) and/or a data-parallel engine group
- *    (splitDataParallel); batch service time is the slowest shard's.
- *  - *Continuous batching*: SEC shrinks the active set layer by
- *    layer, so a batch's concentrated tail frees most of the array at
- *    its "knee"; with continuous_theta > 0 the next batch launches at
- *    the knee and pays only the residual tail occupancy, re-forming
- *    batch membership from whatever is pending at that instant.
  *  - *Overload shedding*: a per-replica leaky-bucket backlog estimate
  *    (drains in real time, fills by the admitted request's estimated
  *    solo service) rejects arrivals once the backlog exceeds
  *    shed_backlog_s — the open-loop overload-regime admission policy.
+ *  - *Replay*: each replica's admitted sub-stream goes through
+ *    ServingSimulator::replayOpenLoop, the single box's own replay,
+ *    with the replica's tensor-parallel degree (sim/trace.h
+ *    splitTensorParallel — per-shard cycle/DRAM accounting plus the
+ *    ring-collective interconnect term in sim/accel_model.cc; batch
+ *    service time is the slowest shard's) and continuous-batching
+ *    knee (continuous_theta > 0: the next batch launches where SEC
+ *    has shrunk the active set and pays only the residual tail).
+ *    The cluster itself only routes, sheds and merges.
  *
  * Bit-identity contract: a cluster of one replica with default knobs
- * (tp = dp = 1, no shedding, serial batching) replays the exact code
- * path of ServingSimulator::run — same composition cache, same
- * timeline arithmetic, same report assembly — so every reported
- * metric matches bit for bit (tests/test_cluster.cc).
+ * (tp = 1, no shedding, serial batching) reproduces
+ * ServingSimulator::run bit for bit by construction — both run the
+ * same replay on the same batch-cost memo and assemble the report
+ * with the same function (tests/test_cluster.cc).
  */
 
 #ifndef FOCUS_SERVE_CLUSTER_H
 #define FOCUS_SERVE_CLUSTER_H
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,7 +48,7 @@ namespace focus
 /**
  * Consistent-hash ring with virtual nodes.
  *
- * Each member replica owns `vnodes` pseudo-random positions on a
+ * Each member replica owns kVnodes pseudo-random positions on a
  * 64-bit ring (a splitmix64-style mix of the replica id and vnode
  * index — no RNG state, so placement is a pure function of the
  * member set, independent of insertion order).  A key routes to the
@@ -60,7 +58,7 @@ class HashRing
 {
   public:
     /** Ring over replica ids 0..replicas-1 (fatal when empty). */
-    explicit HashRing(int replicas, int vnodes = kDefaultVnodes);
+    explicit HashRing(int replicas);
 
     int replicas() const { return static_cast<int>(members_.size()); }
     const std::vector<int> &members() const { return members_; }
@@ -82,12 +80,12 @@ class HashRing
      */
     static uint64_t hashKey(const std::string &key);
 
-    static constexpr int kDefaultVnodes = 64;
+    /** Ring positions per member replica. */
+    static constexpr int kVnodes = 64;
 
   private:
     void rebuild();
 
-    int vnodes_;
     std::vector<int> members_; ///< ascending replica ids
     /** (ring position, replica id), sorted ascending. */
     std::vector<std::pair<uint64_t, int>> ring_;
@@ -107,28 +105,21 @@ struct ClusterConfig
 {
     int replicas = 1;
     RoutingPolicy routing = RoutingPolicy::HashRing;
-    int vnodes = HashRing::kDefaultVnodes;
 
     /** Tensor-parallel shards per replica (1 = whole engine). */
     int tensor_parallel = 1;
-    /**
-     * Data-parallel engine groups per replica; a batch's requests
-     * round-robin across groups (capped at the batch size, so a
-     * group never goes empty).
-     */
-    int data_parallel = 1;
 
     /**
      * Admission bound: shed an arrival when its replica's estimated
-     * backlog exceeds this many seconds of work (<= 0 admits
-     * everything).
+     * backlog exceeds this many seconds of work (0 admits
+     * everything; fatal when negative or NaN).
      */
     double shed_backlog_s = 0.0;
 
     /**
      * Continuous-batching knee: the next batch launches at the layer
      * where the active set has shrunk to theta * its layer-0 rows
-     * (<= 0 keeps serial batch boundaries; must be < 1).
+     * (<= 0 keeps serial batch boundaries; fatal unless below 1).
      */
     double continuous_theta = 0.0;
 
@@ -183,10 +174,10 @@ struct ClusterReport
 /**
  * Fleet replay over a shared ServingSimulator.
  *
- * Non-owning: the base simulator provides calibration, the fused
- * composition cache, the replay engine for trivial replicas and the
- * report assembly, so sweeping replica counts reuses all functional
- * and simulation work.  Open-loop streams only — overload is an
+ * Non-owning: the base simulator provides calibration, the batch-cost
+ * memo, the replay and the report assembly, so sweeping replica
+ * counts, splits and policies reuses all functional and simulation
+ * work.  Open-loop streams only — overload is an
  * open-loop phenomenon; closed-loop populations self-limit and stay
  * a single-box question (fatal otherwise).
  */
@@ -199,43 +190,13 @@ class ClusterSimulator
     ClusterReport run(const SchedulerConfig &sched,
                       ThreadPool *pool = nullptr);
 
-    const ClusterConfig &clusterConfig() const { return cfg_; }
-
     /** Ring key of a request: class label + "#" + prefix id. */
     static std::string routingKey(const ServeRequest &req,
                                   const RequestClass &cls);
 
   private:
-    /** Sharded cost of one batch composition. */
-    struct ShardCost
-    {
-        double service_s = 0.0; ///< slowest shard/group
-        double knee_s = 0.0;    ///< array mostly free after this
-        double tail_frac = 0.0; ///< mean active fraction past knee
-        uint64_t interconnect_bytes = 0; ///< all shards, all groups
-        RunMetrics metrics;     ///< critical-path engine's metrics
-    };
-
-    const ShardCost &costSharded(const std::vector<size_t> &comp);
-
-    /**
-     * Replica replay when any advanced knob is on (tp/dp splits or
-     * continuous batching); outcomes positional in @p sub.  A
-     * non-null enabled @p cache resolves prefix keys the same way the
-     * base replay does: serially in execution order (per planned
-     * batch on the serial path, at pick time under continuous
-     * batching), with hits swapping in the combo's hit-trace code.
-     */
-    void replayAdvanced(const BatchScheduler &scheduler,
-                        const std::vector<ServeRequest> &sub,
-                        std::vector<RequestOutcome> &outcomes,
-                        std::vector<BatchRecord> &batches,
-                        uint64_t &interconnect_bytes,
-                        PrefixCache *cache);
-
     ServingSimulator &base_;
     ClusterConfig cfg_;
-    std::map<std::vector<size_t>, ShardCost> shard_cache_;
 };
 
 } // namespace focus

@@ -36,41 +36,51 @@ RequestQueue::RequestQueue(const QueueConfig &cfg) : cfg_(cfg)
         fatal("RequestQueue: num_requests must be positive (got %d)",
               cfg_.num_requests);
     }
+    // Every range check is written so a NaN fails it, and rates and
+    // weights must be finite: a NaN or infinite rate would silently
+    // yield an all-NaN or all-zero arrival stream.
     double total_weight = 0.0;
     for (const RequestClass &c : cfg_.mix) {
-        if (c.weight < 0.0) {
-            fatal("RequestQueue: negative weight for class '%s'",
-                  c.label().c_str());
+        if (!(std::isfinite(c.weight) && c.weight >= 0.0)) {
+            fatal("RequestQueue: class '%s' weight must be finite and "
+                  "non-negative (got %g)", c.label().c_str(), c.weight);
         }
-        if (c.slo_latency_s <= 0.0) {
-            fatal("RequestQueue: non-positive SLO for class '%s'",
-                  c.label().c_str());
+        if (!(c.slo_latency_s > 0.0)) {
+            fatal("RequestQueue: class '%s' slo_latency_s must be "
+                  "positive (got %g s)", c.label().c_str(),
+                  c.slo_latency_s);
         }
         if (c.prefix_cardinality <= 0) {
             fatal("RequestQueue: non-positive prefix cardinality for "
                   "class '%s'", c.label().c_str());
         }
-        if (c.prefix_zipf < 0.0) {
-            fatal("RequestQueue: negative prefix Zipf exponent for "
-                  "class '%s'", c.label().c_str());
+        if (!(std::isfinite(c.prefix_zipf) && c.prefix_zipf >= 0.0)) {
+            fatal("RequestQueue: class '%s' prefix_zipf exponent must "
+                  "be finite and non-negative (got %g)",
+                  c.label().c_str(), c.prefix_zipf);
         }
         total_weight += c.weight;
     }
-    if (total_weight <= 0.0) {
-        fatal("RequestQueue: request mix has zero total weight");
+    if (!(std::isfinite(total_weight) && total_weight > 0.0)) {
+        fatal("RequestQueue: request mix total weight must be finite "
+              "and positive (got %g)", total_weight);
     }
     if (cfg_.process == ArrivalProcess::OpenPoisson &&
-        cfg_.arrival_rate_rps <= 0.0) {
-        fatal("RequestQueue: open-loop arrival rate must be positive "
-              "(got %g)", cfg_.arrival_rate_rps);
+        !(std::isfinite(cfg_.arrival_rate_rps) &&
+          cfg_.arrival_rate_rps > 0.0)) {
+        fatal("RequestQueue: open-loop arrival rate arrival_rate_rps "
+              "must be finite and positive (got %g)",
+              cfg_.arrival_rate_rps);
     }
     if (cfg_.process == ArrivalProcess::ClosedLoop) {
         if (cfg_.clients <= 0) {
             fatal("RequestQueue: closed-loop client count must be "
                   "positive (got %d)", cfg_.clients);
         }
-        if (cfg_.think_mean_s < 0.0) {
-            fatal("RequestQueue: negative think time (%g s)",
+        if (!(std::isfinite(cfg_.think_mean_s) &&
+              cfg_.think_mean_s >= 0.0)) {
+            fatal("RequestQueue: think time think_mean_s must be "
+                  "finite and non-negative (got %g s)",
                   cfg_.think_mean_s);
         }
     }

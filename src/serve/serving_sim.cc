@@ -184,16 +184,6 @@ ServingSimulator::classCombo(int class_id)
 }
 
 const WorkloadTrace &
-ServingSimulator::comboTrace(size_t combo) const
-{
-    if (combo >= combos_.size()) {
-        panic("ServingSimulator::comboTrace: combo %zu out of range",
-              combo);
-    }
-    return combos_[combo].trace;
-}
-
-const WorkloadTrace &
 ServingSimulator::codeTrace(size_t code) const
 {
     const size_t combo = codeCombo(code);
@@ -273,13 +263,14 @@ ServingSimulator::recordBatch(const std::vector<ServeRequest> &stream,
                               std::vector<BatchRecord> &batches,
                               const std::vector<size_t> &members,
                               double ready, double start,
-                              double service, const RunMetrics &m)
+                              double service,
+                              std::shared_ptr<const RunMetrics> m)
 {
     BatchRecord rec;
     rec.ready_s = ready;
     rec.start_s = start;
     rec.service_s = service;
-    rec.metrics = m;
+    rec.metrics = std::move(m);
     const int batch_id = static_cast<int>(batches.size());
     for (const size_t i : members) {
         rec.request_ids.push_back(stream[i].id);
@@ -308,20 +299,56 @@ ServingSimulator::batchKeys(const std::vector<ServeRequest> &stream)
     return keys;
 }
 
-const RunMetrics &
-ServingSimulator::costComposition(const std::vector<size_t> &comp)
+std::vector<const WorkloadTrace *>
+ServingSimulator::compositionTraces(const std::vector<size_t> &comp) const
 {
-    const auto it = batch_cache_.find(comp);
-    if (it != batch_cache_.end()) {
-        return it->second;
-    }
     std::vector<const WorkloadTrace *> parts;
     parts.reserve(comp.size());
     for (const size_t code : comp) {
         parts.push_back(&codeTrace(code));
     }
-    RunMetrics m = simulateAccelerator(accel_, fuseTraces(parts));
-    return batch_cache_.emplace(comp, std::move(m)).first->second;
+    return parts;
+}
+
+ServingSimulator::BatchCost
+ServingSimulator::simulateBatch(const std::vector<size_t> &comp,
+                                int tp) const
+{
+    // Service time is the slowest shard's (the first on ties); an
+    // unsplit engine is its one shard, the fused trace itself.
+    BatchCost cost;
+    double worst = -1.0;
+    for (const WorkloadTrace &shard : splitTensorParallel(
+             fuseTraces(compositionTraces(comp)), tp)) {
+        RunMetrics rm = simulateAccelerator(accel_, shard);
+        cost.interconnect_bytes += rm.interconnect_bytes;
+        if (rm.seconds() > worst) {
+            worst = rm.seconds();
+            cost.metrics =
+                std::make_shared<const RunMetrics>(std::move(rm));
+        }
+    }
+    return cost;
+}
+
+const ServingSimulator::BatchCost &
+ServingSimulator::batchCost(const std::vector<size_t> &comp, int tp)
+{
+    auto key = std::make_pair(tp, comp);
+    const auto it = batch_cache_.find(key);
+    if (it != batch_cache_.end()) {
+        return it->second;
+    }
+    BatchCost cost = simulateBatch(comp, tp);
+    return batch_cache_.emplace(std::move(key), std::move(cost))
+        .first->second;
+}
+
+const RunMetrics &
+ServingSimulator::costComposition(const std::vector<size_t> &comp,
+                                  int tp)
+{
+    return *batchCost(comp, tp).metrics;
 }
 
 namespace
@@ -341,14 +368,79 @@ percentile(const std::vector<double> &sorted, double q)
     return sorted[std::min(idx, sorted.size() - 1)];
 }
 
+/** Where a batch frees most of the array under continuous batching. */
+struct Knee
+{
+    double knee_s = 0.0;    ///< array mostly free after this
+    double tail_frac = 0.0; ///< mean active fraction past the knee
+};
+
+/**
+ * Continuous-batching knee of a batch of @p parts whose critical
+ * engine has metrics @p m and service time @p service_s: the first
+ * layer whose active rows have shrunk to @p theta * layer-0 rows.
+ * The knee time scales the service by the critical engine's cycle
+ * prefix; the tail fraction is the mean active share past the knee
+ * (the residual array occupancy the next batch serializes behind).
+ * A batch's rows per layer are its parts' rows summed, exactly the
+ * rows fuseTraces concatenates.
+ */
+Knee
+batchKnee(const std::vector<const WorkloadTrace *> &parts,
+          const RunMetrics &m, double service_s, double theta)
+{
+    Knee k;
+    k.knee_s = service_s;
+    if (m.layer_cycles.empty()) {
+        return k;
+    }
+    const size_t L = parts.front()->layers.size();
+    std::vector<int64_t> rows(L, 0);
+    for (const WorkloadTrace *p : parts) {
+        for (size_t l = 0; l < L; ++l) {
+            rows[l] += p->layers[l].rowsIn();
+        }
+    }
+    const double rows0 = static_cast<double>(rows.front());
+    size_t knee = L;
+    for (size_t l = 0; l < L; ++l) {
+        if (static_cast<double>(rows[l]) <= theta * rows0) {
+            knee = l;
+            break;
+        }
+    }
+    if (knee < L && rows0 > 0.0) {
+        uint64_t prefix = 0, total = 0;
+        for (size_t l = 0; l < m.layer_cycles.size(); ++l) {
+            total += m.layer_cycles[l];
+            if (l < knee) {
+                prefix += m.layer_cycles[l];
+            }
+        }
+        if (total > 0) {
+            k.knee_s = service_s *
+                (static_cast<double>(prefix) /
+                 static_cast<double>(total));
+            double frac_sum = 0.0;
+            for (size_t l = knee; l < L; ++l) {
+                frac_sum += std::min(
+                    1.0, static_cast<double>(rows[l]) / rows0);
+            }
+            k.tail_frac = frac_sum / static_cast<double>(L - knee);
+        }
+    }
+    return k;
+}
+
 } // namespace
 
-void
+uint64_t
 ServingSimulator::replayOpenLoop(
     const BatchScheduler &scheduler,
     const std::vector<ServeRequest> &stream, ThreadPool *pool,
     std::vector<RequestOutcome> &outcomes,
-    std::vector<BatchRecord> &batches, PrefixCache *cache)
+    std::vector<BatchRecord> &batches, PrefixCache *cache, int tp,
+    double theta)
 {
     calibrate(pool);
     const bool caching = cache != nullptr && cache->enabled();
@@ -370,10 +462,75 @@ ServingSimulator::replayOpenLoop(
                            combos_[combo].trace.retainedRows()};
         outcomes[i].arrival_s = stream[i].arrival_s;
     }
+    const auto compOf = [&](const std::vector<size_t> &members) {
+        std::vector<size_t> comp;
+        comp.reserve(members.size());
+        for (const size_t i : members) {
+            comp.push_back(req_code[i]);
+        }
+        return comp;
+    };
+    uint64_t interconnect_bytes = 0;
 
-    // Plans key on the *base* trace even when caching: batch
-    // membership must not depend on cache state, so an enabled cache
-    // changes what a batch costs but never which batches form.
+    if (theta > 0.0) {
+        // Continuous batching: launch the next batch at the previous
+        // batch's knee, serializing its residual tail occupancy
+        // (which drains linearly between knee and finish) ahead of
+        // the new batch's own service.  Batches form at pick time,
+        // so the cache resolves there too.
+        size_t next = 0;
+        std::vector<size_t> pending;
+        double release_t = 0.0;
+        double knee_abs = 0.0, finish_abs = 0.0, tail_work = 0.0;
+        while (next < n || !pending.empty()) {
+            double t = release_t;
+            if (pending.empty()) {
+                t = std::max(t, stream[next].arrival_s);
+            }
+            while (next < n && stream[next].arrival_s <= t) {
+                pending.push_back(next++);
+            }
+            obs::TraceSpan step_span("cluster.continuous.step");
+            const std::vector<size_t> picked =
+                scheduler.pickPending(pending, keys);
+            if (caching) {
+                resolvePrefixCache(*cache, stream, picked, req_code,
+                                   outcomes);
+            }
+            const std::vector<size_t> comp = compOf(picked);
+            const BatchCost &cost = batchCost(comp, tp);
+            const double own_s = cost.metrics->seconds();
+            const Knee knee = batchKnee(compositionTraces(comp),
+                                        *cost.metrics, own_s, theta);
+
+            double carry = 0.0;
+            if (finish_abs > knee_abs && t < finish_abs) {
+                carry = tail_work * (finish_abs - t) /
+                    (finish_abs - knee_abs);
+            }
+            const double start = t;
+            const double service = carry + own_s;
+            recordBatch(stream, outcomes, batches, picked, t, start,
+                        service, cost.metrics);
+            interconnect_bytes += cost.interconnect_bytes;
+
+            release_t = start + carry + knee.knee_s;
+            knee_abs = release_t;
+            finish_abs = start + service;
+            tail_work = (own_s - knee.knee_s) * knee.tail_frac;
+
+            for (const size_t i : picked) {
+                pending.erase(
+                    std::find(pending.begin(), pending.end(), i));
+            }
+        }
+        return interconnect_bytes;
+    }
+
+    // Serial batch boundaries.  Plans key on the *base* trace even
+    // when caching: batch membership must not depend on cache state,
+    // so an enabled cache changes what a batch costs but never which
+    // batches form.
     const std::vector<PlannedBatch> plans =
         scheduler.planOpenLoop(stream, keys);
 
@@ -387,46 +544,41 @@ ServingSimulator::replayOpenLoop(
         }
     }
 
-    // Fuse + simulate every distinct composition across the
-    // pool; the timeline pass below then only reads the cache.
+    // Cost every distinct composition not yet memoized across the
+    // pool; the timeline pass below then only reads the memo.
     std::vector<std::vector<size_t>> comps(plans.size());
     std::vector<std::vector<size_t>> todo;
     for (size_t b = 0; b < plans.size(); ++b) {
-        for (const size_t i : plans[b].members) {
-            comps[b].push_back(req_code[i]);
-        }
-        if (batch_cache_.find(comps[b]) == batch_cache_.end() &&
+        comps[b] = compOf(plans[b].members);
+        if (batch_cache_.find(std::make_pair(tp, comps[b])) ==
+                batch_cache_.end() &&
             std::find(todo.begin(), todo.end(), comps[b]) ==
                 todo.end()) {
             todo.push_back(comps[b]);
         }
     }
-    std::vector<RunMetrics> slots(todo.size());
+    std::vector<BatchCost> slots(todo.size());
     ThreadPool &p = pool ? *pool : ThreadPool::global();
     p.parallelFor(
         static_cast<int64_t>(todo.size()), [&](int64_t t) {
-            const std::vector<size_t> &comp =
-                todo[static_cast<size_t>(t)];
-            std::vector<const WorkloadTrace *> parts;
-            parts.reserve(comp.size());
-            for (const size_t code : comp) {
-                parts.push_back(&codeTrace(code));
-            }
             slots[static_cast<size_t>(t)] =
-                simulateAccelerator(accel_, fuseTraces(parts));
+                simulateBatch(todo[static_cast<size_t>(t)], tp);
         });
     for (size_t t = 0; t < todo.size(); ++t) {
-        batch_cache_.emplace(todo[t], std::move(slots[t]));
+        batch_cache_.emplace(std::make_pair(tp, std::move(todo[t])),
+                             std::move(slots[t]));
     }
 
     double free_t = 0.0;
     for (size_t b = 0; b < plans.size(); ++b) {
-        const RunMetrics &m = costComposition(comps[b]);
+        const BatchCost &cost = batchCost(comps[b], tp);
         const double start = std::max(free_t, plans[b].ready_s);
         free_t = recordBatch(stream, outcomes, batches,
-                             plans[b].members, plans[b].ready_s,
-                             start, m.seconds(), m);
+                             plans[b].members, plans[b].ready_s, start,
+                             cost.metrics->seconds(), cost.metrics);
+        interconnect_bytes += cost.interconnect_bytes;
     }
+    return interconnect_bytes;
 }
 
 ServingReport
@@ -451,7 +603,7 @@ ServingSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
 
     if (queue_.process == ArrivalProcess::OpenPoisson) {
         replayOpenLoop(scheduler, stream, pool, outcomes, batches,
-                       &cache);
+                       &cache, 1, 0.0);
     } else {
         std::vector<size_t> req_code(n);
         std::vector<BatchKey> keys(n);
@@ -512,13 +664,13 @@ ServingSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
             for (const size_t i : picked) {
                 comp.push_back(req_code[i]);
             }
-            const RunMetrics &m = costComposition(comp);
+            const BatchCost &cost = batchCost(comp, 1);
             for (const size_t i : picked) {
                 outcomes[i].arrival_s = arr[i];
             }
-            const double finish =
-                recordBatch(stream, outcomes, batches, picked, start,
-                            start, m.seconds(), m);
+            const double finish = recordBatch(
+                stream, outcomes, batches, picked, start, start,
+                cost.metrics->seconds(), cost.metrics);
             free_t = finish;
 
             for (const size_t i : picked) {

@@ -19,6 +19,10 @@
  *    pool before a serial timeline pass assigns start/finish times.
  *    Closed-loop replay is a serial event loop (arrivals depend on
  *    completions) over the same composition cache.
+ *  - replayOpenLoop() is the one open-loop replay: run() calls it on
+ *    an unsplit engine with serial batch boundaries, and the cluster
+ *    layer (serve/cluster.h) calls it once per replica with that
+ *    replica's tensor-parallel degree and continuous-batching knee.
  *
  * Determinism: for a fixed QueueConfig seed every report is
  * bit-identical at every thread count — parallel stages write only
@@ -80,8 +84,13 @@ struct BatchRecord
     double ready_s = 0.0;
     double start_s = 0.0;
     double service_s = 0.0;
-    int replica = 0;    ///< executing replica (0 on a single box)
-    RunMetrics metrics; ///< fused-trace accelerator metrics
+    int replica = 0; ///< executing replica (0 on a single box)
+    /**
+     * Fused-trace accelerator metrics (the critical-path shard's on a
+     * tensor-parallel replica).  Shared with the simulator's batch-cost
+     * memo: every batch of one composition points at one entry.
+     */
+    std::shared_ptr<const RunMetrics> metrics;
 };
 
 /** Per-class accuracy and latency summary. */
@@ -170,10 +179,6 @@ class ServingSimulator
      * reproduces the cache-free replay bit for bit.
      */
     void setPrefixCache(const PrefixCacheConfig &cfg) { pcache_ = cfg; }
-    const PrefixCacheConfig &prefixCacheConfig() const
-    {
-        return pcache_;
-    }
 
     /** Batch-of-1 metrics of a mix class (calibrates on demand). */
     const RunMetrics &classSolo(int class_id);
@@ -190,30 +195,42 @@ class ServingSimulator
 
     // ---- building blocks shared with the cluster layer ----
     // (serve/cluster.h routes sub-streams of the same arrival trace
-    // to replicas and replays each through these, so a cluster of one
-    // replica is bit-identical to run() by construction.)
+    // to replicas and replays each through replayOpenLoop, so a
+    // cluster of one replica is bit-identical to run() by
+    // construction.)
 
     /**
-     * Open-loop replay of @p stream — any arrival-sorted subset of
-     * the generated stream — under @p scheduler.  Fuses and costs
-     * every distinct batch composition across @p pool, then assigns
-     * start/finish times in a serial FIFO timeline starting at
-     * t = 0.  @p outcomes and @p batches are overwritten, indexed by
-     * position in @p stream / execution order.  Calibrates on demand.
+     * The open-loop replay: @p stream — any arrival-sorted subset of
+     * the generated stream — under @p scheduler on one engine split
+     * @p tp ways (tensor parallel; 1 = whole engine).  @p outcomes
+     * and @p batches are overwritten, indexed by position in
+     * @p stream / execution order; the timeline starts at t = 0.
+     * Returns the interconnect bytes of every executed batch, summed
+     * over all shards.  Calibrates on demand.
      *
-     * When @p cache is non-null and enabled, a serial pre-pass walks
-     * the planned batches in execution order through
-     * resolvePrefixCache; hits swap in the combo's prefix-cached
-     * trace.  Batch *membership* is identical either way — plans key
-     * on the base trace, so a run with an enabled cache differs only
-     * in what each batch costs.
+     * With @p theta <= 0 batch boundaries are serial: the planned
+     * schedule's distinct compositions are costed across @p pool,
+     * then a serial FIFO pass assigns start/finish times.  With
+     * 0 < @p theta < 1 batching is continuous: the next batch
+     * launches at the previous batch's SEC knee (the first layer
+     * whose active rows have shrunk to theta * layer-0 rows), its
+     * membership re-formed from whatever is pending then, and pays
+     * the residual tail occupancy ahead of its own service.
+     *
+     * When @p cache is non-null and enabled, prefix keys resolve
+     * serially in execution order through the batch protocol (per
+     * planned batch in a pre-pass, or at pick time under continuous
+     * batching); hits swap in the combo's prefix-cached trace.
+     * Batch *membership* is identical either way — batches key on
+     * the base trace, so an enabled cache changes only what each
+     * batch costs.
      */
-    void replayOpenLoop(const BatchScheduler &scheduler,
-                        const std::vector<ServeRequest> &stream,
-                        ThreadPool *pool,
-                        std::vector<RequestOutcome> &outcomes,
-                        std::vector<BatchRecord> &batches,
-                        PrefixCache *cache = nullptr);
+    uint64_t replayOpenLoop(const BatchScheduler &scheduler,
+                            const std::vector<ServeRequest> &stream,
+                            ThreadPool *pool,
+                            std::vector<RequestOutcome> &outcomes,
+                            std::vector<BatchRecord> &batches,
+                            PrefixCache *cache, int tp, double theta);
 
     /** Batching keys (model id, retained rows) for @p stream. */
     std::vector<BatchKey>
@@ -221,9 +238,6 @@ class ServingSimulator
 
     /** Mix class -> calibrated combo index (calibrates on demand). */
     size_t classCombo(int class_id);
-
-    /** Full-scale trace of a calibrated combo. */
-    const WorkloadTrace &comboTrace(size_t combo) const;
 
     /**
      * Composition code of one request: a combo id tagged with its
@@ -237,28 +251,67 @@ class ServingSimulator
         return combo * 2 + (hit ? 1 : 0);
     }
 
-    /** Combo id behind a composition code (inverse of comboCode). */
-    static size_t codeCombo(size_t code) { return code >> 1; }
-
     /** Trace behind a composition code (hit or base variant). */
     const WorkloadTrace &codeTrace(size_t code) const;
 
     /**
      * Fused metrics of a batch composition (sequence of composition
-     * codes in member order), memoized in the process-lifetime cache
-     * shared with run().
+     * codes in member order) on a @p tp-way tensor-parallel engine:
+     * the slowest shard's, which sets the batch's service time.
+     * Memoized in the batch-cost memo shared with every replay.
      */
-    const RunMetrics &costComposition(const std::vector<size_t> &comp);
+    const RunMetrics &costComposition(const std::vector<size_t> &comp,
+                                      int tp = 1);
 
     /** Slab geometry of one combo's retained prefix, keyed payload. */
     SlabSpec comboSlabSpec(size_t combo, const std::string &key) const;
 
     /**
-     * The prefix-cache batch protocol, shared by every replay path so
-     * a cluster of one replica reproduces the single box's hit
-     * stream: look up every member of one batch first (same-key
-     * members share the miss), then admit each distinct missed key
-     * once, in first-occurrence order.  @p members are positions into
+     * Build each combo's prefix-cached trace + solo metrics
+     * (idempotent; fans across @p pool; calibrates on demand).
+     * Deferred off the calibration path so cache-disabled runs do no
+     * hit-trace work; replays with an enabled cache call it first.
+     */
+    void ensureHitTraces(ThreadPool *pool);
+
+    /**
+     * Aggregate a report over @p stream: @p outcomes is positional
+     * (outcomes[i] describes stream[i]); shed outcomes are excluded
+     * from the latency distribution and counted as SLO misses.
+     */
+    ServingReport assemble(const SchedulerConfig &sched,
+                           const std::vector<ServeRequest> &stream,
+                           std::vector<RequestOutcome> outcomes,
+                           std::vector<BatchRecord> batches) const;
+
+  private:
+    /** Memoized cost of one batch composition on one split engine. */
+    struct BatchCost
+    {
+        /** Critical-path (slowest, first on ties) shard's metrics. */
+        std::shared_ptr<const RunMetrics> metrics;
+        /** Interconnect bytes summed over all shards. */
+        uint64_t interconnect_bytes = 0;
+    };
+
+    /** Traces behind a composition's codes, in member order. */
+    std::vector<const WorkloadTrace *>
+    compositionTraces(const std::vector<size_t> &comp) const;
+    /** Fuse, split @p tp ways and simulate @p comp (not memoized). */
+    BatchCost simulateBatch(const std::vector<size_t> &comp,
+                            int tp) const;
+    /** Memoized simulateBatch. */
+    const BatchCost &batchCost(const std::vector<size_t> &comp, int tp);
+
+    /** Combo id behind a composition code (inverse of comboCode). */
+    static size_t codeCombo(size_t code) { return code >> 1; }
+
+    /**
+     * The prefix-cache batch protocol, shared by every replay so a
+     * cluster of one replica reproduces the single box's hit stream:
+     * look up every member of one batch first (same-key members share
+     * the miss), then admit each distinct missed key once, in
+     * first-occurrence order.  @p members are positions into
      * @p stream; @p codes holds each request's composition code, a
      * miss code on entry.  A hit turns the member's code into its hit
      * code and sets its outcome's prefix_hit.
@@ -281,28 +334,9 @@ class ServingSimulator
                               std::vector<BatchRecord> &batches,
                               const std::vector<size_t> &members,
                               double ready, double start,
-                              double service, const RunMetrics &m);
+                              double service,
+                              std::shared_ptr<const RunMetrics> m);
 
-    /**
-     * Build each combo's prefix-cached trace + solo metrics
-     * (idempotent; fans across @p pool; calibrates on demand).
-     * Deferred off the calibration path so cache-disabled runs do no
-     * hit-trace work; replays with an enabled cache call it first,
-     * and the cluster layer must before costing hit codes itself.
-     */
-    void ensureHitTraces(ThreadPool *pool);
-
-    /**
-     * Aggregate a report over @p stream: @p outcomes is positional
-     * (outcomes[i] describes stream[i]); shed outcomes are excluded
-     * from the latency distribution and counted as SLO misses.
-     */
-    ServingReport assemble(const SchedulerConfig &sched,
-                           const std::vector<ServeRequest> &stream,
-                           std::vector<RequestOutcome> outcomes,
-                           std::vector<BatchRecord> batches) const;
-
-  private:
     /** Calibrated (model, dataset, method) combo. */
     struct Combo
     {
@@ -340,8 +374,14 @@ class ServingSimulator
     std::vector<size_t> class_combo_; ///< mix class -> combo
     std::vector<size_t> class_dense_; ///< mix class -> dense reference
 
-    /** Fused metrics per batch composition (code sequence). */
-    std::map<std::vector<size_t>, RunMetrics> batch_cache_;
+    /**
+     * The batch-cost memo: (tp degree, composition) -> cost.  Lives
+     * as long as the simulator, so every replay on it — run(), each
+     * cluster replica, every ClusterSimulator built on it — costs a
+     * composition once.
+     */
+    std::map<std::pair<int, std::vector<size_t>>, BatchCost>
+        batch_cache_;
 };
 
 } // namespace focus

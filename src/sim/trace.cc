@@ -557,30 +557,4 @@ splitTensorParallel(const WorkloadTrace &trace, int tp)
     return shards;
 }
 
-std::vector<WorkloadTrace>
-splitDataParallel(const std::vector<const WorkloadTrace *> &parts,
-                  int dp)
-{
-    if (dp <= 0) {
-        fatal("splitDataParallel: invalid split factor %d (want a "
-              "positive data-parallel degree)", dp);
-    }
-    if (static_cast<size_t>(dp) > parts.size()) {
-        fatal("splitDataParallel: invalid split factor %d for %zu "
-              "request parts (a group would be empty)", dp,
-              parts.size());
-    }
-    std::vector<WorkloadTrace> groups;
-    groups.reserve(static_cast<size_t>(dp));
-    for (int g = 0; g < dp; ++g) {
-        std::vector<const WorkloadTrace *> sub;
-        for (size_t i = static_cast<size_t>(g); i < parts.size();
-             i += static_cast<size_t>(dp)) {
-            sub.push_back(parts[i]);
-        }
-        groups.push_back(fuseTraces(sub));
-    }
-    return groups;
-}
-
 } // namespace focus

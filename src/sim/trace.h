@@ -266,10 +266,11 @@ WorkloadTrace applyPrefixCache(const WorkloadTrace &trace);
 
 /**
  * Exact work accounting of a trace, on quantities that partition
- * *exactly* under the parallel splits below.  The psi-weighted MAC
- * total (GemmEvent::macs) is floating point and only approximately
- * distributive, so conservation tests assert on the integer fields
- * with equality and on weighted_macs with a relative tolerance.
+ * *exactly* under the tensor-parallel split below.  The psi-weighted
+ * MAC total (GemmEvent::macs) is floating point and only
+ * approximately distributive, so conservation tests assert on the
+ * integer fields with equality and on weighted_macs with a relative
+ * tolerance.
  */
 struct TraceWork
 {
@@ -305,19 +306,6 @@ TraceWork traceWork(const WorkloadTrace &trace);
  */
 std::vector<WorkloadTrace> splitTensorParallel(const WorkloadTrace &trace,
                                                int tp);
-
-/**
- * Data-parallel split: partition the per-request @p parts round-robin
- * across @p dp engine groups and fuse each group (fuseTraces).  Rows
- * and MACs partition exactly; weights replicate per group (each
- * engine streams the full panel set).  No interconnect term —
- * inference data parallelism needs no gradient exchange.
- *
- * Fatal when dp is non-positive or exceeds the part count (a group
- * would be empty).
- */
-std::vector<WorkloadTrace>
-splitDataParallel(const std::vector<const WorkloadTrace *> &parts, int dp);
 
 } // namespace focus
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -204,8 +205,6 @@ TEST(HashRingDeathTest, RejectsDegenerateRings)
                 "replica");
     EXPECT_EXIT(HashRing(-1), ::testing::ExitedWithCode(1),
                 "replica");
-    EXPECT_EXIT(HashRing(2, 0), ::testing::ExitedWithCode(1),
-                "virtual-node");
     HashRing ring(2);
     EXPECT_EXIT(ring.removeReplica(9), ::testing::ExitedWithCode(1),
                 "unknown replica");
@@ -230,26 +229,22 @@ TEST(ClusterDeathTest, RejectsInvalidConfigs)
                 ::testing::ExitedWithCode(1),
                 "invalid split factor");
 
-    ClusterConfig bad_dp;
-    bad_dp.data_parallel = -2;
-    EXPECT_EXIT(ClusterSimulator(base, bad_dp),
-                ::testing::ExitedWithCode(1),
-                "invalid split factor");
+    // NaN must fail every range check: a NaN theta used to turn
+    // continuous batching on, a NaN backlog bound to never shed.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double theta : {1.0, nan}) {
+        ClusterConfig bad_theta;
+        bad_theta.continuous_theta = theta;
+        EXPECT_EXIT(ClusterSimulator(base, bad_theta),
+                    ::testing::ExitedWithCode(1), "continuous_theta");
+    }
 
-    ClusterConfig bad_theta;
-    bad_theta.continuous_theta = 1.0;
-    EXPECT_EXIT(ClusterSimulator(base, bad_theta),
-                ::testing::ExitedWithCode(1), "theta");
-
-    ClusterConfig bad_shed;
-    bad_shed.shed_backlog_s = -0.5;
-    EXPECT_EXIT(ClusterSimulator(base, bad_shed),
-                ::testing::ExitedWithCode(1), "backlog");
-
-    ClusterConfig bad_vnodes;
-    bad_vnodes.vnodes = 0;
-    EXPECT_EXIT(ClusterSimulator(base, bad_vnodes),
-                ::testing::ExitedWithCode(1), "virtual-node");
+    for (const double bound : {-0.5, nan}) {
+        ClusterConfig bad_shed;
+        bad_shed.shed_backlog_s = bound;
+        EXPECT_EXIT(ClusterSimulator(base, bad_shed),
+                    ::testing::ExitedWithCode(1), "shed_backlog_s");
+    }
 
     QueueConfig closed = q;
     closed.process = ArrivalProcess::ClosedLoop;
@@ -301,9 +296,9 @@ expectReportsIdentical(const ServingReport &a, const ServingReport &b)
         EXPECT_EQ(x.ready_s, y.ready_s);
         EXPECT_EQ(x.start_s, y.start_s);
         EXPECT_EQ(x.service_s, y.service_s);
-        EXPECT_EQ(x.metrics.cycles, y.metrics.cycles);
-        EXPECT_EQ(x.metrics.dramTotalBytes(),
-                  y.metrics.dramTotalBytes());
+        EXPECT_EQ(x.metrics->cycles, y.metrics->cycles);
+        EXPECT_EQ(x.metrics->dramTotalBytes(),
+                  y.metrics->dramTotalBytes());
     }
 
     ASSERT_EQ(a.classes.size(), b.classes.size());
@@ -505,9 +500,9 @@ TEST(Cluster, TensorParallelAddsInterconnectAndCutsMakespan)
     // The interconnect term is *exactly* zero without a split.
     EXPECT_EQ(unsplit.interconnect_bytes, 0u);
     for (const BatchRecord &b : unsplit.merged.batches) {
-        EXPECT_EQ(b.metrics.interconnect_bytes, 0u);
-        EXPECT_EQ(b.metrics.interconnect_cycles, 0u);
-        EXPECT_EQ(b.metrics.energy.interconnect, 0.0);
+        EXPECT_EQ(b.metrics->interconnect_bytes, 0u);
+        EXPECT_EQ(b.metrics->interconnect_cycles, 0u);
+        EXPECT_EQ(b.metrics->energy.interconnect, 0.0);
     }
 
     ClusterConfig tp2 = plain;
@@ -519,8 +514,8 @@ TEST(Cluster, TensorParallelAddsInterconnectAndCutsMakespan)
     // so batches finish faster despite the interconnect tax.
     EXPECT_LT(split.merged.makespan_s, unsplit.merged.makespan_s);
     for (const BatchRecord &b : split.merged.batches) {
-        EXPECT_GT(b.metrics.interconnect_bytes, 0u);
-        EXPECT_GT(b.metrics.interconnect_cycles, 0u);
+        EXPECT_GT(b.metrics->interconnect_bytes, 0u);
+        EXPECT_GT(b.metrics->interconnect_cycles, 0u);
     }
 }
 
@@ -531,12 +526,12 @@ TEST(Cluster, LayerCyclesPartitionTotalCycles)
     ClusterSimulator cluster(base, ClusterConfig{});
     const ClusterReport rep = cluster.run(SchedulerConfig{});
     for (const BatchRecord &b : rep.merged.batches) {
-        ASSERT_FALSE(b.metrics.layer_cycles.empty());
+        ASSERT_FALSE(b.metrics->layer_cycles.empty());
         uint64_t sum = 0;
-        for (const uint64_t c : b.metrics.layer_cycles) {
+        for (const uint64_t c : b.metrics->layer_cycles) {
             sum += c;
         }
-        EXPECT_EQ(sum, b.metrics.cycles);
+        EXPECT_EQ(sum, b.metrics->cycles);
     }
 }
 
@@ -576,29 +571,83 @@ TEST(Cluster, AdvancedKnobsStayThreadDeterministic)
     sched.policy = BatchPolicy::Timeout;
     sched.max_batch = 4;
 
-    ClusterConfig cfg;
-    cfg.replicas = 2;
-    cfg.tensor_parallel = 2;
-    cfg.continuous_theta = 0.3;
-    cfg.shed_backlog_s = 500.0;
+    // Continuous batching costs each batch at pick time; serial
+    // boundaries pre-cost the tensor-parallel compositions across the
+    // pool.  Both must be thread-count invariant.
+    for (const double theta : {0.3, 0.0}) {
+        ClusterConfig cfg;
+        cfg.replicas = 2;
+        cfg.tensor_parallel = 2;
+        cfg.continuous_theta = theta;
+        cfg.shed_backlog_s = 500.0;
 
-    ThreadPool pool1(1);
-    ServingSimulator base1(q, AccelConfig::focus(), smallEval());
-    const ClusterReport a =
-        ClusterSimulator(base1, cfg).run(sched, &pool1);
+        ThreadPool pool1(1);
+        ServingSimulator base1(q, AccelConfig::focus(), smallEval());
+        const ClusterReport a =
+            ClusterSimulator(base1, cfg).run(sched, &pool1);
 
-    ThreadPool pool4(4);
-    ServingSimulator base4(q, AccelConfig::focus(), smallEval());
-    const ClusterReport b =
-        ClusterSimulator(base4, cfg).run(sched, &pool4);
+        ThreadPool pool4(4);
+        ServingSimulator base4(q, AccelConfig::focus(), smallEval());
+        const ClusterReport b =
+            ClusterSimulator(base4, cfg).run(sched, &pool4);
 
-    expectReportsIdentical(a.merged, b.merged);
-    EXPECT_EQ(a.interconnect_bytes, b.interconnect_bytes);
-    EXPECT_EQ(a.shed, b.shed);
-    ASSERT_EQ(a.replicas.size(), b.replicas.size());
-    for (size_t r = 0; r < a.replicas.size(); ++r) {
-        EXPECT_EQ(a.replicas[r].routed, b.replicas[r].routed);
-        EXPECT_EQ(a.replicas[r].busy_s, b.replicas[r].busy_s);
+        SCOPED_TRACE("theta " + std::to_string(theta));
+        expectReportsIdentical(a.merged, b.merged);
+        EXPECT_GT(a.interconnect_bytes, 0u);
+        EXPECT_EQ(a.interconnect_bytes, b.interconnect_bytes);
+        EXPECT_EQ(a.shed, b.shed);
+        ASSERT_EQ(a.replicas.size(), b.replicas.size());
+        for (size_t r = 0; r < a.replicas.size(); ++r) {
+            EXPECT_EQ(a.replicas[r].routed, b.replicas[r].routed);
+            EXPECT_EQ(a.replicas[r].busy_s, b.replicas[r].busy_s);
+            EXPECT_EQ(a.replicas[r].interconnect_bytes,
+                      b.replicas[r].interconnect_bytes);
+        }
+    }
+}
+
+TEST(Cluster, BatchesOfOneCompositionShareOneMetricsEntry)
+{
+    // Batch records point into the simulator's batch-cost memo
+    // instead of copying a fused batch's metrics (Fig. 13 tile log
+    // included), so every batch of one composition on one split
+    // shares one entry — on the single box and across replicas.
+    const QueueConfig q = smallOpenConfig(12, 1.0);
+    SchedulerConfig sched;
+    sched.policy = BatchPolicy::FixedSize;
+    sched.max_batch = 2;
+    ServingSimulator base(q, AccelConfig::focus(), smallEval());
+    ClusterConfig split;
+    split.replicas = 2;
+    split.tensor_parallel = 2;
+
+    const ServingReport single = base.run(sched);
+    const ServingReport fleet =
+        ClusterSimulator(base, split).run(sched).merged;
+    for (const ServingReport *rep : {&single, &fleet}) {
+        std::vector<std::vector<size_t>> comps;
+        for (const BatchRecord &b : rep->batches) {
+            ASSERT_NE(b.metrics, nullptr);
+            std::vector<size_t> comp;
+            for (const int64_t id : b.request_ids) {
+                const RequestOutcome &o =
+                    rep->outcomes[static_cast<size_t>(id)];
+                comp.push_back(ServingSimulator::comboCode(
+                    base.classCombo(o.class_id), o.prefix_hit));
+            }
+            comps.push_back(std::move(comp));
+        }
+        int repeats = 0;
+        for (size_t i = 0; i < comps.size(); ++i) {
+            for (size_t j = i + 1; j < comps.size(); ++j) {
+                if (comps[i] == comps[j]) {
+                    EXPECT_EQ(rep->batches[i].metrics,
+                              rep->batches[j].metrics);
+                    repeats += 1;
+                }
+            }
+        }
+        EXPECT_GT(repeats, 0); // the stream repeats a composition
     }
 }
 

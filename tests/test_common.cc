@@ -296,5 +296,49 @@ TEST(ParsePositiveIntDeathTest, GarbageIsFatalAndNamesTheInput)
                 "sample count='abc' is not a positive integer");
 }
 
+TEST(ParseIndex, AcceptsZeroAndFullRange)
+{
+    EXPECT_EQ(parseIndex("0", "sample index"), 0u);
+    EXPECT_EQ(parseIndex("3", "sample index"), 3u);
+    EXPECT_EQ(parseIndex("18446744073709551615", "sample index"),
+              UINT64_MAX);
+}
+
+TEST(ParseIndexDeathTest, GarbageIsFatalAndNamesTheInput)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // video_qa used to run sample 0 for "abc" and sample 2^64-1 for
+    // "-1" (atoll, then a cast).
+    for (const char *bad : {"", "abc", "-1", "+2", " 4", "4x", "1.5",
+                            "18446744073709551616"}) {
+        EXPECT_EXIT(parseIndex(bad, "sample index"),
+                    testing::ExitedWithCode(1),
+                    "sample index='.*' is not a non-negative integer")
+            << "value '" << bad << "'";
+    }
+}
+
+TEST(ParsePositiveDouble, AcceptsFinitePositiveNumbers)
+{
+    EXPECT_EQ(parsePositiveDouble("0.05", "--arrival-rate"), 0.05);
+    EXPECT_EQ(parsePositiveDouble("2", "--arrival-rate"), 2.0);
+    EXPECT_EQ(parsePositiveDouble(".5", "--arrival-rate"), 0.5);
+    EXPECT_EQ(parsePositiveDouble("1e3", "--arrival-rate"), 1000.0);
+}
+
+TEST(ParsePositiveDoubleDeathTest, GarbageIsFatalAndNamesTheInput)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // "inf" and "1e999" used to pass as an infinite rate, which puts
+    // every arrival at t = 0.
+    for (const char *bad : {"", "abc", "0", "0.0", "-1", "+2", " 4",
+                            "4x", "inf", "nan", "1e999", "1e-999"}) {
+        EXPECT_EXIT(parsePositiveDouble(bad, "--arrival-rate"),
+                    testing::ExitedWithCode(1),
+                    "--arrival-rate='.*' is not a finite positive number")
+            << "value '" << bad << "'";
+    }
+}
+
 } // namespace
 } // namespace focus

@@ -113,8 +113,8 @@ expectReportsIdentical(const ServingReport &a, const ServingReport &b)
     }
     ASSERT_EQ(a.batches.size(), b.batches.size());
     for (size_t i = 0; i < a.batches.size(); ++i) {
-        EXPECT_EQ(a.batches[i].metrics.cycles,
-                  b.batches[i].metrics.cycles);
+        EXPECT_EQ(a.batches[i].metrics->cycles,
+                  b.batches[i].metrics->cycles);
         EXPECT_EQ(a.batches[i].service_s, b.batches[i].service_s);
         EXPECT_EQ(a.batches[i].start_s, b.batches[i].start_s);
     }

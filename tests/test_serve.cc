@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "eval/evaluator.h"
 #include "runtime/thread_pool.h"
@@ -137,9 +138,68 @@ TEST(RequestQueueDeathTest, RejectsBadConfigs)
     bad_clients.clients = 0;
     EXPECT_EXIT(RequestQueue{bad_clients},
                 ::testing::ExitedWithCode(1), "client count");
+
+    // NaN must fail every range check, and rates must be finite: a
+    // NaN or infinite arrival rate used to yield an all-NaN (or
+    // all-zero) arrival stream.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double rate : {nan, inf, -1.0}) {
+        QueueConfig q = smallOpenConfig();
+        q.arrival_rate_rps = rate;
+        EXPECT_EXIT(RequestQueue{q}, ::testing::ExitedWithCode(1),
+                    "arrival_rate_rps");
+    }
+    for (const double weight : {nan, inf, -1.0}) {
+        QueueConfig q = smallOpenConfig();
+        q.mix[0].weight = weight;
+        EXPECT_EXIT(RequestQueue{q}, ::testing::ExitedWithCode(1),
+                    "weight");
+    }
+    for (const double slo : {nan, 0.0}) {
+        QueueConfig q = smallOpenConfig();
+        q.mix[0].slo_latency_s = slo;
+        EXPECT_EXIT(RequestQueue{q}, ::testing::ExitedWithCode(1),
+                    "slo_latency_s");
+    }
+    for (const double zipf : {nan, inf, -0.5}) {
+        QueueConfig q = smallOpenConfig();
+        q.mix[0].prefix_zipf = zipf;
+        EXPECT_EXIT(RequestQueue{q}, ::testing::ExitedWithCode(1),
+                    "prefix_zipf");
+    }
+    for (const double think : {nan, inf, -1.0}) {
+        QueueConfig q = smallOpenConfig();
+        q.process = ArrivalProcess::ClosedLoop;
+        q.think_mean_s = think;
+        EXPECT_EXIT(RequestQueue{q}, ::testing::ExitedWithCode(1),
+                    "think_mean_s");
+    }
 }
 
 // ---- batch scheduler ----
+
+TEST(BatchSchedulerDeathTest, RejectsBadConfigs)
+{
+    SchedulerConfig no_batch;
+    no_batch.max_batch = 0;
+    EXPECT_EXIT(BatchScheduler{no_batch},
+                ::testing::ExitedWithCode(1), "max_batch");
+
+    // A NaN timeout used to pass the check and change which batches
+    // form; both timeout-driven policies must reject it.
+    for (const BatchPolicy policy :
+         {BatchPolicy::Timeout, BatchPolicy::ConcAware}) {
+        for (const double timeout :
+             {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+            SchedulerConfig cfg;
+            cfg.policy = policy;
+            cfg.timeout_s = timeout;
+            EXPECT_EXIT(BatchScheduler{cfg},
+                        ::testing::ExitedWithCode(1), "timeout_s");
+        }
+    }
+}
 
 TEST(BatchScheduler, FixedSizeChunksWithEndFlush)
 {
@@ -261,13 +321,13 @@ TEST(ServingSim, BatchOfOneIsBitIdenticalToEvaluatorSimulate)
 
     ASSERT_EQ(rep.batches.size(), 3u);
     for (const BatchRecord &b : rep.batches) {
-        EXPECT_EQ(b.metrics.cycles, ref.cycles);
-        EXPECT_EQ(b.metrics.stall_sec, ref.stall_sec);
-        EXPECT_EQ(b.metrics.dram_act_read, ref.dram_act_read);
-        EXPECT_EQ(b.metrics.dram_weights, ref.dram_weights);
-        EXPECT_EQ(b.metrics.sfu_ops, ref.sfu_ops);
-        EXPECT_EQ(b.metrics.sec_ops, ref.sec_ops);
-        EXPECT_EQ(b.metrics.energy.total(), ref.energy.total());
+        EXPECT_EQ(b.metrics->cycles, ref.cycles);
+        EXPECT_EQ(b.metrics->stall_sec, ref.stall_sec);
+        EXPECT_EQ(b.metrics->dram_act_read, ref.dram_act_read);
+        EXPECT_EQ(b.metrics->dram_weights, ref.dram_weights);
+        EXPECT_EQ(b.metrics->sfu_ops, ref.sfu_ops);
+        EXPECT_EQ(b.metrics->sec_ops, ref.sec_ops);
+        EXPECT_EQ(b.metrics->energy.total(), ref.energy.total());
         EXPECT_EQ(b.service_s, ref.seconds());
     }
     for (const RequestOutcome &o : rep.outcomes) {
@@ -299,8 +359,8 @@ TEST(ServingSim, DeterministicAcrossThreadCounts)
     }
     ASSERT_EQ(r1.batches.size(), r4.batches.size());
     for (size_t b = 0; b < r1.batches.size(); ++b) {
-        EXPECT_EQ(r1.batches[b].metrics.cycles,
-                  r4.batches[b].metrics.cycles);
+        EXPECT_EQ(r1.batches[b].metrics->cycles,
+                  r4.batches[b].metrics->cycles);
         EXPECT_EQ(r1.batches[b].service_s, r4.batches[b].service_s);
     }
     EXPECT_EQ(r1.throughput_rps, r4.throughput_rps);

@@ -525,40 +525,6 @@ TEST(TraceSplit, TensorParallelOfOneIsVerbatim)
     EXPECT_EQ(a.weighted_macs, b.weighted_macs);
 }
 
-TEST(TraceSplit, DataParallelConservesRequestWork)
-{
-    const ModelProfile mp = modelProfile("Llava-Vid");
-    const DatasetProfile dsp = datasetProfile("VideoMME");
-    const WorkloadTrace dense = buildDenseTrace(mp, dsp);
-    const WorkloadTrace focus = focusTrace();
-    const std::vector<const WorkloadTrace *> parts = {
-        &focus, &dense, &focus, &focus, &dense};
-    const TraceWork total = traceWork(fuseTraces(parts));
-
-    for (const int dp : {2, 3, 5}) {
-        const std::vector<WorkloadTrace> groups =
-            splitDataParallel(parts, dp);
-        ASSERT_EQ(groups.size(), static_cast<size_t>(dp));
-        int64_t macs = 0, rows = 0;
-        int batch = 0;
-        double weighted = 0.0;
-        for (const WorkloadTrace &g : groups) {
-            const TraceWork w = traceWork(g);
-            macs += w.dense_macs;
-            rows += w.retained_rows;
-            weighted += w.weighted_macs;
-            batch += g.batch_size;
-        }
-        // Requests (and so MACs and rows) partition exactly;
-        // weights replicate per engine group, so no byte assertion.
-        EXPECT_EQ(batch, 5);
-        EXPECT_EQ(macs, total.dense_macs);
-        EXPECT_EQ(rows, total.retained_rows);
-        EXPECT_NEAR(weighted, total.weighted_macs,
-                    1e-9 * total.weighted_macs);
-    }
-}
-
 TEST(TraceSplitDeathTest, InvalidSplitFactorsAreFatal)
 {
     const ModelProfile mp = modelProfile("Llava-Vid");
@@ -572,12 +538,6 @@ TEST(TraceSplitDeathTest, InvalidSplitFactorsAreFatal)
     EXPECT_EXIT(
         splitTensorParallel(tr, static_cast<int>(tr.heads) + 1),
         ::testing::ExitedWithCode(1), "invalid split factor");
-
-    const std::vector<const WorkloadTrace *> parts = {&tr, &tr};
-    EXPECT_EXIT(splitDataParallel(parts, 0),
-                ::testing::ExitedWithCode(1), "invalid split factor");
-    EXPECT_EXIT(splitDataParallel(parts, 3),
-                ::testing::ExitedWithCode(1), "invalid split factor");
 }
 
 } // namespace
