@@ -3,8 +3,7 @@
  * Micro-kernel throughput benchmarks (google-benchmark): the hot
  * functional kernels underneath the reproduction — GEMM, the causal
  * attention interior (QK^T, softmax, P*V), cosine similarity
- * matching, similarity gather, streaming top-k, offset coding, and
- * the DRAM model.
+ * matching, similarity gather, streaming top-k, and the DRAM model.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,7 +14,6 @@
 
 #include "common/parse.h"
 #include "common/rng.h"
-#include "focus/offset_encoding.h"
 #include "focus/sec.h"
 #include "focus/sic.h"
 #include "runtime/thread_pool.h"
@@ -316,24 +314,6 @@ BM_StreamingTopK(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * m);
 }
 BENCHMARK(BM_StreamingTopK)->Arg(800)->Arg(6400);
-
-void
-BM_OffsetCoding(benchmark::State &state)
-{
-    std::vector<int64_t> retained;
-    Rng rng(6);
-    int64_t pos = 0;
-    for (int i = 0; i < 2000; ++i) {
-        pos += 1 + static_cast<int64_t>(rng.uniformInt(9));
-        retained.push_back(pos);
-    }
-    for (auto _ : state) {
-        const auto enc = encodeOffsets(retained);
-        benchmark::DoNotOptimize(decodeOffsets(enc));
-    }
-    state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_OffsetCoding);
 
 void
 BM_DramRequests(benchmark::State &state)

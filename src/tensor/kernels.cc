@@ -25,8 +25,8 @@
 #endif
 
 // Tile helpers are forced inline into their FOCUS_KERNEL_CLONES
-// caller, so each clone compiles them with its own ISA and the same
-// mul+add contraction as the loop they tile.
+// caller, so each clone compiles them with its own ISA: out of line
+// they would run the default target's SSE2 code.
 #if defined(_MSC_VER)
 #define FOCUS_ALWAYS_INLINE __forceinline
 #else
@@ -34,23 +34,21 @@
 #endif
 
 // Function multi-versioning for the hot FP kernels: on x86-64 the
-// loader picks the widest clone the CPU supports (x86-64-v3 = AVX2 +
-// FMA, then AVX2, then baseline SSE2) — no -march flags, so the
-// binary stays portable.  The v3 clone contracts each mul+add step
-// into one FMA, which changes rounding vs the baseline clone; to keep
-// the blocked-vs-naive bit-identity invariant machine-independent,
-// the SAME clone list is applied to the naive reference loops in
-// tests/reference/gemm.h, so kernel and reference contract
-// identically on any given machine.  (Cross-machine value drift already exists via libm; all
-// determinism contracts in this repo are within-build.)
+// loader picks the x86-64-v3 clone (AVX2 + FMA) where the CPU has it
+// and the baseline SSE2 clone otherwise — no -march flags, so the
+// binary stays portable.  The clones compute the same bits: the build
+// never contracts a mul+add (-ffp-contract=off), and every fused
+// multiply-add is a std::fma in the source, which the v3 clone emits
+// as one FMA instruction and the baseline clone as a call to libm's
+// correctly rounded fmaf (docs/KERNELS.md).  TSan builds compile one
+// body: its runtime is not up yet when the ifunc resolvers run.
 #ifndef __has_attribute
 #define __has_attribute(x) 0
 #endif
 #if defined(__x86_64__) && __has_attribute(target_clones) &&          \
-    defined(__linux__)
+    defined(__linux__) && !defined(__SANITIZE_THREAD__)
 #define FOCUS_KERNEL_CLONES                                           \
-    __attribute__((                                                   \
-        target_clones("default", "avx2", "arch=x86-64-v3")))
+    __attribute__((target_clones("default", "arch=x86-64-v3")))
 #else
 #define FOCUS_KERNEL_CLONES
 #endif
@@ -209,12 +207,12 @@ micro4x8(int64_t kc, const float *FOCUS_RESTRICT ap,
     }
     // Per-row inner loops: each row's 8-wide update is an independent
     // j-loop, which GCC turns into exactly one broadcast + one 8-lane
-    // multiply-add per row per depth step.
+    // fused multiply-add per row per depth step.
     for (int64_t p = 0; p < kc; ++p) {
         for (int64_t r = 0; r < kMr; ++r) {
             const float ar = ap[r];
             for (int64_t j = 0; j < kNr; ++j) {
-                acc[r][j] += ar * bp[j];
+                acc[r][j] = std::fma(ar, bp[j], acc[r][j]);
             }
         }
         ap += kMr;
@@ -245,7 +243,7 @@ microEdge(int64_t kc, const float *FOCUS_RESTRICT ap,
         for (int64_t r = 0; r < kMr; ++r) {
             const float ar = ap[r];
             for (int64_t j = 0; j < kNr; ++j) {
-                acc[r][j] += ar * bp[j];
+                acc[r][j] = std::fma(ar, bp[j], acc[r][j]);
             }
         }
         ap += kMr;
@@ -295,6 +293,14 @@ gemmBlock(int64_t i0, int64_t mb, int64_t n, int64_t k, const float *a,
     }
 }
 
+// -----------------------------------------------------------------
+// Dot kernels and the transposed QK^T tiles
+//
+// Plain mul + add: every product rounds before it accumulates, so
+// dot4, the QK^T tiles, dot1 and ops.h `dot` give the same bits for
+// the same lane split.
+// -----------------------------------------------------------------
+
 /** Single-row remainder of dot4 (same lane split as `dot`). */
 FOCUS_KERNEL_CLONES float
 dot1(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b,
@@ -313,32 +319,6 @@ dot1(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b,
     return (l[0] + l[1]) + (l[2] + l[3]);
 }
 
-// -----------------------------------------------------------------
-// dot4 and the transposed QK^T tiles: FP contraction pinned OFF.
-//
-// qkScoresCausalF32 scores most keys in the transposed tiles below
-// and promises per-element bit-identity with dotRowsScaled, whose
-// full key groups run dot4.  Under the project-wide
-// -ffp-contract=fast the compiler decides per body whether a mul+add
-// becomes an FMA, so two separately compiled bodies agree only by
-// codegen luck (a fused-query tile once drifted 1 ulp from dot4 this
-// way).  Pinning contraction off for dot4 and the tiles makes the
-// agreement a contract: each product rounds before it accumulates,
-// in every clone, on every compiler.  dot1 stays outside the pin;
-// the ragged tails of both paths share it.  Both kernels are only
-// ever called with k = headDim (a multiple of 4), so the pinned
-// scalar tails never run in practice.
-// -----------------------------------------------------------------
-#if defined(__clang__)
-#define FOCUS_FP_CONTRACT_OFF _Pragma("clang fp contract(off)")
-#else
-#define FOCUS_FP_CONTRACT_OFF
-#endif
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC push_options
-#pragma GCC optimize("fp-contract=off")
-#endif
-
 /**
  * Four-row dot microkernel preserving ops.h `dot`'s 4-way lane split:
  * per output, lane L accumulates terms k = L, L+4, L+8, ... and the
@@ -351,7 +331,6 @@ dot4(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b0,
      const float *FOCUS_RESTRICT b3, int64_t k, float scale,
      float *FOCUS_RESTRICT out)
 {
-    FOCUS_FP_CONTRACT_OFF
     float l0[4] = {}, l1[4] = {}, l2[4] = {}, l3[4] = {};
     int64_t p = 0;
     for (; p + 4 <= k; p += 4) {
@@ -395,7 +374,6 @@ FOCUS_ALWAYS_INLINE void
 qkBlock(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT kt,
         int64_t ldt, int64_t k, float scale, float *FOCUS_RESTRICT out)
 {
-    FOCUS_FP_CONTRACT_OFF
     float l0[W] = {}, l1[W] = {}, l2[W] = {}, l3[W] = {};
     int64_t p = 0;
     for (; p + 4 <= k; p += 4) {
@@ -462,20 +440,12 @@ qkScoresPanel(const float *q, int64_t ldq, const float *kt, int64_t ldt,
     }
 }
 
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC pop_options
-#endif
-
 // -----------------------------------------------------------------
 // P*V register tile
 //
-// Unlike the QK^T tiles these are NOT under the contraction pin: they
-// reproduce pvCausalF32's historical in-memory loop, which the
-// project-wide -ffp-contract=fast lets each clone contract (FMA in
-// the x86-64-v3 clone).  Each element still has one accumulator,
-// summed in ascending j, so the tile and the loop agree bit for bit
-// as long as both are compiled into the same clone — hence
-// always_inline into the FOCUS_KERNEL_CLONES caller.
+// Unlike the QK^T tiles these fuse: each element has one accumulator,
+// updated by one fma per key in ascending j, so the tile and the
+// in-memory single-row loop agree bit for bit.
 // -----------------------------------------------------------------
 
 constexpr int64_t kPvLanes = 8;  ///< one ymm of floats
@@ -491,7 +461,7 @@ pvAccumulate(const float *FOCUS_RESTRICT prow, int64_t j0, int64_t j1,
         const float pj = prow[j];
         const float *FOCUS_RESTRICT vrow = v + j * ldv;
         for (int64_t c = c0; c < c1; ++c) {
-            orow[c] += pj * vrow[c];
+            orow[c] = std::fma(pj, vrow[c], orow[c]);
         }
     }
 }
@@ -527,8 +497,8 @@ pvTile2(const float *FOCUS_RESTRICT p0, const float *FOCUS_RESTRICT p1,
         const float *FOCUS_RESTRICT vrow = v + j * ldv;
         for (int64_t b = 0; b < kBlocks; ++b) {
             for (int64_t c = 0; c < kPvLanes; ++c) {
-                a0[b][c] += x0 * vrow[b * kPvLanes + c];
-                a1[b][c] += x1 * vrow[b * kPvLanes + c];
+                a0[b][c] = std::fma(x0, vrow[b * kPvLanes + c], a0[b][c]);
+                a1[b][c] = std::fma(x1, vrow[b * kPvLanes + c], a1[b][c]);
             }
         }
     }
@@ -568,18 +538,18 @@ expfPoly(float x)
     constexpr float lo = -86.0f;
     float xc = x > lo ? x : lo;  // NaN -> lo (cast below stays defined)
     xc = xc > hi ? hi : xc;
-    const float z = xc * 1.44269504088896341f; // x / ln2
-    const float t = z + 12582912.0f;           // 1.5*2^23 rounding trick
+    // x / ln2, plus 1.5*2^23: rounds to the nearest integer.
+    const float t = std::fma(xc, 1.44269504088896341f, 12582912.0f);
     const float n = t - 12582912.0f;
-    float r = xc - n * 0.693359375f;   // ln2 high part
-    r -= n * -2.12194440e-4f;          // ln2 low part
+    float r = std::fma(-n, 0.693359375f, xc); // ln2 high part
+    r = std::fma(n, 2.12194440e-4f, r);       // ln2 low part
     float p = 1.9875691500e-4f;
-    p = p * r + 1.3981999507e-3f;
-    p = p * r + 8.3334519073e-3f;
-    p = p * r + 4.1665795894e-2f;
-    p = p * r + 1.6666665459e-1f;
-    p = p * r + 5.0000001201e-1f;
-    p = p * r * r + r + 1.0f;
+    p = std::fma(p, r, 1.3981999507e-3f);
+    p = std::fma(p, r, 8.3334519073e-3f);
+    p = std::fma(p, r, 4.1665795894e-2f);
+    p = std::fma(p, r, 1.6666665459e-1f);
+    p = std::fma(p, r, 5.0000001201e-1f);
+    p = std::fma(p * r, r, r) + 1.0f;
     const int32_t bits = (static_cast<int32_t>(n) + 127) << 23;
     float scale;
     std::memcpy(&scale, &bits, sizeof(scale));
@@ -702,7 +672,7 @@ geluVector(float *FOCUS_RESTRICT x, int64_t n)
     constexpr float c = 0.7978845608f; // sqrt(2/pi)
     for (int64_t i = 0; i < n; ++i) {
         const float v = x[i];
-        const float y = c * (v + 0.044715f * v * v * v);
+        const float y = c * std::fma(0.044715f * v * v, v, v);
         // tanh(y) = 1 - 2 / (exp(2y) + 1); exact in infinite
         // precision, so accuracy tracks the polynomial expf.
         const float th = 1.0f - 2.0f / (expfPoly(2.0f * y) + 1.0f);
@@ -718,7 +688,7 @@ rmsNormRowVector(float *FOCUS_RESTRICT row, int64_t n,
     int64_t j = 0;
     for (; j + 8 <= n; j += 8) {
         for (int64_t e = 0; e < 8; ++e) {
-            s[e] += row[j + e] * row[j + e];
+            s[e] = std::fma(row[j + e], row[j + e], s[e]);
         }
     }
     for (; j < n; ++j) {
@@ -746,7 +716,7 @@ l2NormVector(const float *FOCUS_RESTRICT v, int64_t n)
     int64_t j = 0;
     for (; j + 8 <= n; j += 8) {
         for (int64_t e = 0; e < 8; ++e) {
-            s[e] += v[j + e] * v[j + e];
+            s[e] = std::fma(v[j + e], v[j + e], s[e]);
         }
     }
     for (; j < n; ++j) {
@@ -758,11 +728,10 @@ l2NormVector(const float *FOCUS_RESTRICT v, int64_t n)
 
 /**
  * Candidate dot kernel for the similarity gather.  Unlike the
- * GEMM-tier dot primitives this uses an 8-wide lane split: the
- * vector backend carries no bit-exactness contract, and the 8-lane
- * shape maps 1:1 onto a ymm accumulator (a pinned 4-lane split — or
- * a multi-candidate variant — forces GCC 12 into permute-heavy
- * reductions that lose to scalar code).
+ * GEMM-tier dot primitives this uses an 8-wide lane split with fused
+ * lane updates: the vector backend need not match `exact`, and a
+ * 4-lane split — or a multi-candidate variant — forces GCC 12 into
+ * permute-heavy reductions that lose to scalar code.
  */
 FOCUS_KERNEL_CLONES float
 simDot1(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b,
@@ -772,7 +741,7 @@ simDot1(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b,
     int64_t p = 0;
     for (; p + 8 <= n; p += 8) {
         for (int64_t e = 0; e < 8; ++e) {
-            l[e] += q[p + e] * b[p + e];
+            l[e] = std::fma(q[p + e], b[p + e], l[e]);
         }
     }
     for (; p < n; ++p) {

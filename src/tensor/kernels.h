@@ -11,9 +11,15 @@
  * `runtime/thread_pool.h` pool.  It is bit-identical to the naive
  * reference loops in tests/reference/gemm.h — per output element the
  * accumulation order is exactly the reference order (ascending k with
- * a single accumulator) — at every thread count.  The attention
- * interiors (`dotRowsScaled`, the causal QK^T/P*V products) pin their
- * accumulation order the same way.
+ * a single accumulator, one std::fma per step) — at every thread
+ * count.  The attention interiors (`dotRowsScaled`, the causal
+ * QK^T/P*V products) pin their accumulation order the same way.
+ *
+ * The build never contracts a mul+add (-ffp-contract=off); every
+ * fused multiply-add is a std::fma in kernels.cc.  So the kernels'
+ * bits depend on the source and the inputs only, not on which
+ * target_clones body the host runs (docs/KERNELS.md, "Vectorization
+ * and determinism").
  *
  * The SFU tier (softmax/exp, SiLU/GELU, RMSNorm, the SIC similarity
  * gather) has a two-way runtime dispatch, `FOCUS_MATH_BACKEND`:
@@ -27,11 +33,14 @@
  *    multi-lane reductions under the same `target_clones` scheme as
  *    the GEMM microkernels.  Not bit-exact vs `exact`; agreement is
  *    enforced to float-rounding scale by `tests/test_kernels.cc`.
- *    Benches default to this backend.
+ *    Its bits do not depend on the host: the tests match them to
+ *    baseline-ISA restatements (tests/reference/sfu.h).  Benches
+ *    default to this backend.
  *
- * Both SFU backends are deterministic within a build: per-row work is
- * data-parallel with no cross-row reduction, so results are
- * bit-identical at every thread count (`SfuKernels.*` tests).
+ * Both SFU backends are deterministic: per-row work is data-parallel
+ * with no cross-row reduction, so results are bit-identical at every
+ * thread count (`SfuKernels.*` tests).  Only `exact` calls the host
+ * libm.
  */
 
 #ifndef FOCUS_TENSOR_KERNELS_H

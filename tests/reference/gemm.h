@@ -4,31 +4,20 @@
  * exactness oracles tests/test_kernels.cc checks the blocked kernels
  * of tensor/kernels.h against.
  *
- * The naive product carries the same target_clones list as the
- * blocked kernels, so on any machine the loader picks the same ISA
- * for both and the compiler contracts mul+add into FMA the same way
- * (docs/KERNELS.md); without it the two would differ in the last bit
- * on FMA hardware.  Include from one translation unit only.
+ * The naive product fuses each multiply-add with std::fma, as the
+ * blocked microkernels do, and is compiled once at the baseline ISA:
+ * on an FMA host the kernels run their x86-64-v3 clone, so the
+ * KernelsGemm tests check that clone against portable arithmetic
+ * (docs/KERNELS.md).  Include from one translation unit only.
  */
 
 #ifndef FOCUS_TESTS_REFERENCE_GEMM_H
 #define FOCUS_TESTS_REFERENCE_GEMM_H
 
+#include <cmath>
 #include <cstdint>
 
 #include "common/half.h"
-
-#ifndef __has_attribute
-#define __has_attribute(x) 0
-#endif
-#if defined(__x86_64__) && __has_attribute(target_clones) &&          \
-    defined(__linux__)
-#define FOCUS_REFERENCE_CLONES                                        \
-    __attribute__((                                                   \
-        target_clones("default", "avx2", "arch=x86-64-v3")))
-#else
-#define FOCUS_REFERENCE_CLONES
-#endif
 
 namespace focus
 {
@@ -40,7 +29,7 @@ namespace reference
  * for a plain product.  With @p fp16_inputs both operands are rounded
  * through binary16 per multiply.
  */
-FOCUS_REFERENCE_CLONES void
+void
 gemmNaiveF32(int64_t m, int64_t n, int64_t k, const float *a,
              int64_t lda, const float *b, int64_t ldb, float *c,
              int64_t ldc, bool fp16_inputs = false)
@@ -59,11 +48,11 @@ gemmNaiveF32(int64_t m, int64_t n, int64_t k, const float *a,
             const float *brow = b + kk * ldb;
             if (fp16_inputs) {
                 for (int64_t j = 0; j < n; ++j) {
-                    crow[j] += av * fp16Round(brow[j]);
+                    crow[j] = std::fma(av, fp16Round(brow[j]), crow[j]);
                 }
             } else {
                 for (int64_t j = 0; j < n; ++j) {
-                    crow[j] += av * brow[j];
+                    crow[j] = std::fma(av, brow[j], crow[j]);
                 }
             }
         }

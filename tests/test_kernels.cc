@@ -12,6 +12,10 @@
  * (polynomial expf, fused softmax, SiLU/GELU, RMSNorm, similarity
  * gather), NaN propagation, degenerate shapes, thread-count
  * invariance, and the FOCUS_MATH_BACKEND dispatch.
+ *
+ * Cross-clone oracles (*MatchesOracleBitwise): each vector-backend
+ * kernel and dotRowsScaled against its restatement in
+ * tests/reference/sfu.h, compiled without clones at the baseline ISA.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +30,7 @@
 #include "common/rng.h"
 #include "eval/evaluator.h"
 #include "reference/gemm.h"
+#include "reference/sfu.h"
 #include "runtime/thread_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -37,12 +42,13 @@ using namespace focus;
 namespace
 {
 
+/** Gaussian inputs of standard deviation @p sd. */
 std::vector<float>
-randomBuf(Rng &rng, int64_t n)
+randomBuf(Rng &rng, int64_t n, double sd = 1.0)
 {
     std::vector<float> v(static_cast<size_t>(n));
     for (auto &x : v) {
-        x = static_cast<float>(rng.gaussian());
+        x = static_cast<float>(sd * rng.gaussian());
     }
     return v;
 }
@@ -214,9 +220,7 @@ TEST(KernelsGemm, ThreadCountBitIdentity)
 
 TEST(KernelsDotRows, TracksOpsDotWithinTolerance)
 {
-    // ops.h dot is compiled without the kernel clones, so its
-    // contraction can differ from dot4's; anchor the kernel's values
-    // to it within float tolerance.
+    // Anchor the kernel's values to ops.h dot within float tolerance.
     Rng rng(23);
     for (int64_t k : {1, 3, 7, 32, 64, 129}) {
         const std::vector<float> q = randomBuf(rng, k);
@@ -232,6 +236,28 @@ TEST(KernelsDotRows, TracksOpsDotWithinTolerance)
                              std::abs(static_cast<double>(want))))
                 << "k=" << k << " j=" << j;
         }
+    }
+}
+
+TEST(KernelsDotRows, MatchesOracleBitwise)
+{
+    // Six rows: one dot4 group, then two dot1 rows.  Short k is where
+    // a contracting compiler fuses dot1 in an FMA clone.
+    Rng rng(24);
+    for (int64_t k : {4, 7, 8, 13, 32, 64}) {
+        const std::vector<float> q = randomBuf(rng, k);
+        const std::vector<float> b = randomBuf(rng, 6 * (k + 3));
+        const float scale = 0.17677669f;
+        std::vector<float> got(6), want(6);
+        kernels::dotRowsScaled(q.data(), b.data(), k + 3, 6, k, scale,
+                               got.data());
+        for (int64_t j = 0; j < 6; ++j) {
+            want[static_cast<size_t>(j)] =
+                reference::dotLanes4(q.data(), b.data() + j * (k + 3),
+                                     k) *
+                scale;
+        }
+        EXPECT_TRUE(bitsEqual(got, want)) << "k=" << k;
     }
 }
 
@@ -689,6 +715,129 @@ TEST(SfuKernels, OpsSoftmaxDispatchesOnMathBackend)
         softmaxRows(tv);
     }
     EXPECT_LT(maxAbsDiff(tv, te), 2e-6);
+}
+
+// -----------------------------------------------------------------
+// Cross-clone oracles: every vector-backend body against its
+// baseline-ISA restatement (tests/reference/sfu.h), bit for bit, at
+// lengths on both sides of the 8-lane blocks.
+// -----------------------------------------------------------------
+
+namespace
+{
+
+const int64_t kOracleLengths[] = {1, 3, 7, 8, 13, 32, 64, 100, 257};
+
+} // namespace
+
+TEST(SfuKernels, ExpRowsMatchesOracleBitwise)
+{
+    MathBackendGuard guard(kernels::MathBackend::Vector);
+    Rng rng(41);
+    for (int64_t n : kOracleLengths) {
+        std::vector<float> got = randomBuf(rng, 2 * n, 8.0);
+        std::vector<float> want = got;
+        kernels::expRowsF32(2, n, got.data(), n);
+        reference::expRowVector(want.data(), 2 * n);
+        EXPECT_TRUE(bitsEqual(got, want)) << "n=" << n;
+    }
+}
+
+TEST(SfuKernels, SoftmaxMatchesOracleBitwise)
+{
+    MathBackendGuard guard(kernels::MathBackend::Vector);
+    Rng rng(42);
+    for (int64_t n : kOracleLengths) {
+        std::vector<float> got = randomBuf(rng, 3 * n, 3.0);
+        std::vector<float> want = got;
+        kernels::softmaxRowsF32(3, n, got.data(), n);
+        for (int64_t i = 0; i < 3; ++i) {
+            reference::softmaxRowVector(want.data() + i * n, n);
+        }
+        EXPECT_TRUE(bitsEqual(got, want)) << "n=" << n;
+    }
+}
+
+TEST(SfuKernels, ExpBiasedSumMatchesOracleBitwise)
+{
+    MathBackendGuard guard(kernels::MathBackend::Vector);
+    Rng rng(43);
+    for (int64_t n : kOracleLengths) {
+        std::vector<float> got = randomBuf(rng, n, 3.0);
+        std::vector<float> want = got;
+        const float got_sum = kernels::expBiasedSumF32(got.data(), n, 0.7f);
+        const float want_sum =
+            reference::expBiasedSumVector(want.data(), n, 0.7f);
+        EXPECT_TRUE(bitsEqual(got, want)) << "n=" << n;
+        EXPECT_TRUE(bitsEqual({got_sum}, {want_sum})) << "n=" << n;
+    }
+}
+
+TEST(SfuKernels, ActivationsMatchOracleBitwise)
+{
+    MathBackendGuard guard(kernels::MathBackend::Vector);
+    Rng rng(44);
+    for (int64_t n : kOracleLengths) {
+        const std::vector<float> base = randomBuf(rng, n, 3.0);
+        std::vector<float> silu = base, gelu = base;
+        std::vector<float> silu_ref = base, gelu_ref = base;
+        kernels::siluF32(silu.data(), n);
+        kernels::geluF32(gelu.data(), n);
+        reference::siluVector(silu_ref.data(), n);
+        reference::geluVector(gelu_ref.data(), n);
+        EXPECT_TRUE(bitsEqual(silu, silu_ref)) << "silu n=" << n;
+        EXPECT_TRUE(bitsEqual(gelu, gelu_ref)) << "gelu n=" << n;
+    }
+}
+
+TEST(SfuKernels, RmsNormMatchesOracleBitwise)
+{
+    MathBackendGuard guard(kernels::MathBackend::Vector);
+    Rng rng(45);
+    for (int64_t n : kOracleLengths) {
+        const std::vector<float> base = randomBuf(rng, 3 * n);
+        const std::vector<float> gain = randomBuf(rng, n);
+        const float *gains[] = {gain.data(), nullptr};
+        for (const float *g : gains) {
+            std::vector<float> got = base, want = base;
+            kernels::rmsNormRowsF32(3, n, got.data(), n, g, 1e-6f);
+            for (int64_t i = 0; i < 3; ++i) {
+                reference::rmsNormRowVector(want.data() + i * n, n, g,
+                                            1e-6f);
+            }
+            EXPECT_TRUE(bitsEqual(got, want))
+                << "n=" << n << (g != nullptr ? " gain" : " no gain");
+        }
+    }
+}
+
+TEST(SfuKernels, SimGatherMatchesOracleBitwise)
+{
+    MathBackendGuard guard(kernels::MathBackend::Vector);
+    Rng rng(46);
+    const int64_t rows = 9;
+    const int64_t cand[] = {1, 2, 3, 4, 5, 6, 7, 8};
+    for (int64_t n : kOracleLengths) {
+        const std::vector<float> pack = randomBuf(rng, rows * n);
+        std::vector<float> norms(static_cast<size_t>(rows));
+        std::vector<float> norms_ref(static_cast<size_t>(rows));
+        kernels::l2NormRowsF32(pack.data(), n, rows, n, norms.data());
+        for (int64_t i = 0; i < rows; ++i) {
+            norms_ref[static_cast<size_t>(i)] =
+                reference::l2NormVector(pack.data() + i * n, n);
+        }
+        EXPECT_TRUE(bitsEqual(norms, norms_ref)) << "n=" << n;
+
+        std::vector<float> sims(8), sims_ref(8);
+        kernels::simGatherF32(pack.data(), norms[0], pack.data(), n,
+                              norms.data(), cand, 8, n, sims.data());
+        for (size_t c = 0; c < 8; ++c) {
+            sims_ref[c] = reference::simVector(
+                pack.data(), norms[0], pack.data() + cand[c] * n,
+                norms[static_cast<size_t>(cand[c])], n);
+        }
+        EXPECT_TRUE(bitsEqual(sims, sims_ref)) << "n=" << n;
+    }
 }
 
 TEST(KernelsQuant, GemmInt8TensorPathUnchanged)

@@ -8,12 +8,16 @@
 
 #include <set>
 
-#include "focus/layouter.h"
+#include "reference/layouter.h"
 
 namespace focus
 {
 namespace
 {
+
+using reference::LayouterBuffer;
+using reference::layouterBank;
+using reference::layouterOffset;
 
 TEST(Layouter, PaperWorkedExamples)
 {

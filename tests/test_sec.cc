@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the Semantic Concentrator: importance analysis, top-k
- * selection (exact and streaming-sorter emulation), offset encoding.
+ * selection (exact and streaming-sorter emulation), and the offset
+ * encoding model of tests/reference/offset_encoding.h.
  */
 
 #include <gtest/gtest.h>
@@ -9,13 +10,17 @@
 #include <algorithm>
 
 #include "common/rng.h"
-#include "focus/offset_encoding.h"
 #include "focus/sec.h"
+#include "reference/offset_encoding.h"
 
 namespace focus
 {
 namespace
 {
+
+using reference::OffsetEncoding;
+using reference::decodeOffsets;
+using reference::encodeOffsets;
 
 TEST(SecImportance, MaxOverTextRowsAndHeads)
 {
