@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/parse.h"
@@ -23,7 +22,6 @@
 #include "sim/trace.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "workload/profiles.h"
 
 using namespace focus;
@@ -76,27 +74,10 @@ BM_GemmFp16(benchmark::State &state)
 BENCHMARK(BM_GemmFp16)->Arg(64)->Arg(128);
 
 void
-BM_GemmInt8(benchmark::State &state)
-{
-    const int64_t n = state.range(0);
-    Rng rng(2);
-    const Tensor a = randomTensor(rng, n, n);
-    const Tensor b = randomTensor(rng, n, n);
-    Tensor c;
-    for (auto _ : state) {
-        gemmInt8(a, b, c);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_GemmInt8)->Arg(64)->Arg(128);
-
-void
 BM_Softmax(benchmark::State &state)
 {
     // Row-wise softmax on an (n x n) score matrix — the attention
-    // shape that dominates the post-GEMM fig9a profile.  Runs the
-    // ambient math backend (vector by default in benches; see main).
+    // shape that dominates the post-GEMM fig9a profile.
     const int64_t n = state.range(0);
     Rng rng(7);
     const Tensor base = randomTensor(rng, n, n);
@@ -108,26 +89,6 @@ BM_Softmax(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_Softmax)->Arg(64)->Arg(256);
-
-void
-BM_SoftmaxExact(benchmark::State &state)
-{
-    // A/B reference: the historical libm scalar path through the
-    // same dispatch FOCUS_MATH_BACKEND drives.
-    const int64_t n = state.range(0);
-    Rng rng(7);
-    const Tensor base = randomTensor(rng, n, n);
-    const kernels::MathBackend prev = kernels::activeMathBackend();
-    kernels::setMathBackend(kernels::MathBackend::Exact);
-    for (auto _ : state) {
-        Tensor t = base;
-        softmaxRows(t);
-        benchmark::DoNotOptimize(t.data());
-    }
-    kernels::setMathBackend(prev);
-    state.SetItemsProcessed(state.iterations() * n * n);
-}
-BENCHMARK(BM_SoftmaxExact)->Arg(64)->Arg(256);
 
 // ---- causal attention interior ----
 //
@@ -270,35 +231,6 @@ BM_SicGather(benchmark::State &state)
 BENCHMARK(BM_SicGather);
 
 void
-BM_SicGatherExact(benchmark::State &state)
-{
-    // A/B reference for the similarity-gather kernel: the historical
-    // scalar cosine path.
-    const int frames = 8, h = 10, w = 10;
-    Rng rng(4);
-    std::vector<TokenCoord> coords;
-    for (int f = 0; f < frames; ++f) {
-        for (int r = 0; r < h; ++r) {
-            for (int c = 0; c < w; ++c) {
-                coords.push_back(TokenCoord{f, r, c});
-            }
-        }
-    }
-    const Tensor base = randomTensor(rng, frames * h * w, 64);
-    SicConfig cfg;
-    const kernels::MathBackend prev = kernels::activeMathBackend();
-    kernels::setMathBackend(kernels::MathBackend::Exact);
-    for (auto _ : state) {
-        Tensor x = base;
-        const SicResult res = sicGather(x, coords, cfg);
-        benchmark::DoNotOptimize(res.unique_vectors);
-    }
-    kernels::setMathBackend(prev);
-    state.SetItemsProcessed(state.iterations() * frames * h * w * 2);
-}
-BENCHMARK(BM_SicGatherExact);
-
-void
 BM_StreamingTopK(benchmark::State &state)
 {
     const int64_t m = state.range(0);
@@ -406,9 +338,7 @@ BENCHMARK(BM_SimulateAccelFocus);
 // pool's workers execute, so the pool defaults to a single thread
 // here (the blocked GEMM would otherwise fan M blocks out and the
 // per-kernel numbers would depend on the host's core count).
-// --threads=N opts back in to a wider pool.  The SFU math backend
-// defaults to vector in benches (FOCUS_MATH_BACKEND overrides) — the
-// exact libm path is the ctest default and has its own *Exact rows.
+// --threads=N opts back in to a wider pool.
 int
 main(int argc, char **argv)
 {
@@ -423,12 +353,7 @@ main(int argc, char **argv)
     }
     argc = out;
     ThreadPool::setGlobalThreads(threads);
-    if (std::getenv("FOCUS_MATH_BACKEND") == nullptr) {
-        kernels::setMathBackend(kernels::MathBackend::Vector);
-    }
-    std::printf("# pool threads: %d, math backend: %s\n",
-                ThreadPool::global().threads(),
-                kernels::mathBackendName(kernels::activeMathBackend()));
+    std::printf("# pool threads: %d\n", ThreadPool::global().threads());
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
         return 1;

@@ -9,11 +9,9 @@
  * environment variable) sizing the thread pool that the experiment
  * grid dispatches cells on; defaults are sized so the full bench
  * suite completes in minutes.  Results are deterministic in the seed
- * and bit-identical at every thread count.
- *
- * Benches run the SFU vector math backend by default (ctest runs
- * exact); set FOCUS_MATH_BACKEND=exact to reproduce the historical
- * libm arithmetic bit-for-bit (see tensor/kernels.h).
+ * and bit-identical at every thread count.  Benches, ctest and the
+ * examples all run the same SFU arithmetic (tensor/kernels.h), so a
+ * bench prints the numbers the snapshots and tests check.
  */
 
 #ifndef FOCUS_BENCH_BENCH_UTIL_H
@@ -36,7 +34,6 @@
 #include "runtime/thread_pool.h"
 #include "sim/gpu_model.h"
 #include "sim/systolic.h"
-#include "tensor/kernels.h"
 
 #ifndef FOCUS_GIT_REV
 #define FOCUS_GIT_REV "unknown"
@@ -112,11 +109,6 @@ benchOptions(int argc, char **argv, int fallback_samples)
     if (bo.threads > 0) {
         ThreadPool::setGlobalThreads(bo.threads);
     }
-    // Benches default the SFU tier to the vector backend (the perf
-    // configuration); an explicit FOCUS_MATH_BACKEND always wins.
-    if (std::getenv("FOCUS_MATH_BACKEND") == nullptr) {
-        kernels::setMathBackend(kernels::MathBackend::Vector);
-    }
     return bo;
 }
 
@@ -146,19 +138,18 @@ accelForMethod(const MethodConfig &m)
 }
 
 /**
- * Standard bench banner.  Echoes the sample count, pool width and
- * math backend so a result can be tied to its configuration;
- * everything *below* the banner is bit-identical at every pool width.
+ * Standard bench banner.  Echoes the sample count and pool width so a
+ * result can be tied to its configuration; everything *below* the
+ * banner is bit-identical at every pool width.
  */
 inline void
 benchBanner(const char *what, const BenchOptions &bo)
 {
     std::printf("=== %s ===\n", what);
     std::printf("(synthetic reproduction; %d samples per cell; "
-                "%d threads; %s math; see "
-                "EXPERIMENTS.md for paper-vs-measured)\n\n",
-                bo.samples, ThreadPool::global().threads(),
-                kernels::mathBackendName(kernels::activeMathBackend()));
+                "%d threads; see EXPERIMENTS.md for paper-vs-measured)"
+                "\n\n",
+                bo.samples, ThreadPool::global().threads());
 }
 
 /**
@@ -169,10 +160,10 @@ benchBanner(const char *what, const BenchOptions &bo)
  * directory, "off" disables it, any other value is the destination
  * directory.  Emission is silent — bench stdout below the banner must
  * stay bit-identical across configurations, so the JSON (which embeds
- * wall-clock and backend names) never touches stdout.  CI compares a
- * fresh snapshot against the checked-in one with
- * bench/compare_bench_json.py: metrics must match exactly (they are
- * deterministic), wall clock within a tolerance band.
+ * wall-clock) never touches stdout.  CI compares a fresh snapshot
+ * against the checked-in one with bench/compare_bench_json.py: metrics
+ * must match exactly (they are deterministic), wall clock within a
+ * tolerance band.
  */
 class BenchRecorder
 {
@@ -227,13 +218,11 @@ class BenchRecorder
         }
         std::fprintf(f, "{\n  \"bench\": \"%s\",\n", name_.c_str());
         std::fprintf(f, "  \"git_rev\": \"%s\",\n", FOCUS_GIT_REV);
-        std::fprintf(
-            f,
-            "  \"config\": {\n"
-            "    \"samples\": %d,\n    \"threads\": %d,\n"
-            "    \"math_backend\": \"%s\"\n  },\n",
-            samples_, ThreadPool::global().threads(),
-            kernels::mathBackendName(kernels::activeMathBackend()));
+        std::fprintf(f,
+                     "  \"config\": {\n"
+                     "    \"samples\": %d,\n    \"threads\": %d\n"
+                     "  },\n",
+                     samples_, ThreadPool::global().threads());
         std::fprintf(f, "  \"wall_ms\": %.3f,\n", wall_ms);
         std::fprintf(f, "  \"metrics\": {");
         for (size_t i = 0; i < metrics_.size(); ++i) {

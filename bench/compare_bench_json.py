@@ -4,14 +4,18 @@
 The bench binaries emit machine-readable snapshots (bench_util.h
 BenchRecorder) holding the headline metrics printed below the banner
 plus the wall clock.  Metrics are deterministic for a fixed
-configuration (samples, seed, math backend), so they must
-match the snapshot up to --metric-rtol (a small relative tolerance
-for libm variation across glibc builds when the exact math backend
-leans on the host libm).  Wall clock varies across machines, so it is
-only banded: the fresh value must lie within a factor of --wall-band
-of the snapshot in either direction — catching order-of-magnitude
-regressions (e.g. a hot loop silently de-vectorized) without
-flaking on hardware differences.
+configuration (samples, seed), so they must match the snapshot up to
+--metric-rtol.  The float kernels give the same bits on every host
+(docs/KERNELS.md), but a few double-precision libm calls remain and
+follow the host's glibc: the RNG's log/sin/cos (common/rng.cc), the
+scene generator's exp (workload/scene.cc), the arrival process's
+log/pow (serve/request_queue.cc) and the batch scheduler's log2
+(serve/batch_scheduler.cc).  The small relative tolerance absorbs
+their last-bit differences across libm builds.  Wall clock varies
+across machines, so it is only banded: the fresh value must lie
+within a factor of --wall-band of the snapshot in either direction —
+catching order-of-magnitude regressions (e.g. a hot loop silently
+de-vectorized) without flaking on hardware differences.
 
 Exit status: 0 on pass, 1 on any mismatch (with a report), 2 on
 usage/IO errors.
@@ -23,7 +27,7 @@ import sys
 
 # Configuration fields that change what the metrics *mean*; a snapshot
 # taken under a different one of these is not comparable.
-COMPARABLE_CONFIG = ("samples", "math_backend")
+COMPARABLE_CONFIG = ("samples",)
 
 
 def load(path):

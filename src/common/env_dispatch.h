@@ -3,10 +3,10 @@
  * Shared environment-variable backend dispatch.
  *
  * Every runtime choice knob in this repo follows the same contract
- * (`FOCUS_MATH_BACKEND`, `FOCUS_OBS`, `FOCUS_LOG`): an unset or empty
- * variable selects the default, a known name selects that choice, and
- * an unknown name panics loudly listing the valid choices — a typo
- * must never silently fall back to the default.  The numeric
+ * (`FOCUS_OBS`, `FOCUS_LOG`): an unset or empty variable selects the
+ * default, a known name selects that choice, and an unknown name
+ * panics loudly listing the valid choices — a typo must never
+ * silently fall back to the default.  The numeric
  * `FOCUS_THREADS` (runtime/thread_pool.cc) keeps the same rule: unset
  * or empty is the default, garbage is fatal.
  */

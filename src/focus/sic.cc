@@ -177,9 +177,7 @@ sicGather(Tensor &x, const std::vector<TokenCoord> &coords,
                     }
                     // Batched similarity kernel over the packed tile
                     // slice; the selection scan below keeps the
-                    // historical delta order and >= tie rule, so
-                    // match decisions are backend-independent up to
-                    // the vector backend's rounding.
+                    // historical delta order and >= tie rule.
                     kernels::simGatherF32(
                         orig.data() + i * vec,
                         norms[static_cast<size_t>(i)], orig.data(),

@@ -1,20 +1,15 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <string>
 #include <vector>
 
-#include "common/env_dispatch.h"
 #include "common/half.h"
-#include "common/logging.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
-#include "tensor/ops.h"
 
 // Portable restrict qualifier: the microkernels rely on it so the
 // compiler can vectorize the packed-panel loops without alias checks.
@@ -60,21 +55,6 @@ namespace kernels
 
 namespace
 {
-
-// -----------------------------------------------------------------
-// Backend selection
-// -----------------------------------------------------------------
-
-MathBackend
-mathBackendFromEnv()
-{
-    static const char *const names[] = {"exact", "vector"};
-    return static_cast<MathBackend>(envBackendChoice(
-        "FOCUS_MATH_BACKEND", names, 2,
-        static_cast<int>(MathBackend::Exact)));
-}
-
-std::atomic<MathBackend> g_math_backend{mathBackendFromEnv()};
 
 // -----------------------------------------------------------------
 // Packing
@@ -513,17 +493,16 @@ pvTile2(const float *FOCUS_RESTRICT p0, const float *FOCUS_RESTRICT p1,
 // -----------------------------------------------------------------
 // SFU tier internals
 //
-// The vector backend's transcendental core is a branch-free
-// polynomial expf (Cephes 32-bit constants): clamp to the finite
-// range, split x = n*ln2 + r with round-to-nearest via the 1.5*2^23
-// trick, evaluate a degree-6 polynomial in r, scale by 2^n through
-// the exponent bits.  NaN inputs survive the clamp via the final
-// select; inputs below the clamp range (including -inf) flush to
-// exactly 0 — see the comment at the flush blend — and +inf
-// saturates to exp(hi), large but finite.  The helper is a plain
-// inline function so each target_clones caller inlines it and
-// vectorizes it with its own ISA (blends for the selects, cvtps2dq
-// for the exponent cast).
+// The transcendental core is a branch-free polynomial expf (Cephes
+// 32-bit constants): clamp to the finite range, split x = n*ln2 + r
+// with round-to-nearest via the 1.5*2^23 trick, evaluate a degree-6
+// polynomial in r, scale by 2^n through the exponent bits.  NaN
+// inputs survive the clamp via the final select; inputs below the
+// clamp range (including -inf) flush to exactly 0 — see the comment
+// at the flush blend — and +inf saturates to exp(hi), large but
+// finite.  The helper is a plain inline function so each
+// target_clones caller inlines it and vectorizes it with its own ISA
+// (blends for the selects, cvtps2dq for the exponent cast).
 // -----------------------------------------------------------------
 
 inline float
@@ -564,15 +543,7 @@ expfPoly(float x)
     return x != x ? x : out; // propagate NaN
 }
 
-FOCUS_KERNEL_CLONES void
-expRowVector(float *FOCUS_RESTRICT row, int64_t n)
-{
-    for (int64_t j = 0; j < n; ++j) {
-        row[j] = expfPoly(row[j]);
-    }
-}
-
-/** Fused max/exp/normalize, 8-lane reductions (vector backend). */
+/** Fused max/exp/normalize with 8-lane reductions. */
 FOCUS_KERNEL_CLONES void
 softmaxRowVector(float *FOCUS_RESTRICT row, int64_t n)
 {
@@ -611,72 +582,6 @@ softmaxRowVector(float *FOCUS_RESTRICT row, int64_t n)
     const float inv = 1.0f / sum;
     for (j = 0; j < n; ++j) {
         row[j] *= inv;
-    }
-}
-
-/**
- * The historical tensor/ops.cc softmax row loop, verbatim and
- * deliberately NOT clone-versioned: it must keep producing the exact
- * libm-based bits the pre-SFU-tier code produced.
- */
-void
-softmaxRowExact(float *row, int64_t n)
-{
-    float mx = row[0];
-    for (int64_t j = 1; j < n; ++j) {
-        mx = std::max(mx, row[j]);
-    }
-    float sum = 0.0f;
-    for (int64_t j = 0; j < n; ++j) {
-        row[j] = std::exp(row[j] - mx);
-        sum += row[j];
-    }
-    const float inv = 1.0f / sum;
-    for (int64_t j = 0; j < n; ++j) {
-        row[j] *= inv;
-    }
-}
-
-FOCUS_KERNEL_CLONES float
-expBiasedSumVector(float *FOCUS_RESTRICT x, int64_t n, float bias)
-{
-    float s[8] = {};
-    int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        for (int64_t e = 0; e < 8; ++e) {
-            const float v = expfPoly(x[j + e] - bias);
-            x[j + e] = v;
-            s[e] += v;
-        }
-    }
-    for (; j < n; ++j) {
-        const float v = expfPoly(x[j] - bias);
-        x[j] = v;
-        s[0] += v;
-    }
-    return ((s[0] + s[1]) + (s[2] + s[3])) +
-        ((s[4] + s[5]) + (s[6] + s[7]));
-}
-
-FOCUS_KERNEL_CLONES void
-siluVector(float *FOCUS_RESTRICT x, int64_t n)
-{
-    for (int64_t i = 0; i < n; ++i) {
-        x[i] = x[i] / (1.0f + expfPoly(-x[i]));
-    }
-}
-
-FOCUS_KERNEL_CLONES void
-geluVector(float *FOCUS_RESTRICT x, int64_t n)
-{
-    constexpr float c = 0.7978845608f; // sqrt(2/pi)
-    for (int64_t i = 0; i < n; ++i) {
-        const float v = x[i];
-        const float y = c * std::fma(0.044715f * v * v, v, v);
-        // tanh(y) = 1 - 2 / (exp(2y) + 1); exact in infinite
-        // precision, so accuracy tracks the polynomial expf.
-        const float th = 1.0f - 2.0f / (expfPoly(2.0f * y) + 1.0f);
-        x[i] = 0.5f * v * (1.0f + th);
     }
 }
 
@@ -729,8 +634,8 @@ l2NormVector(const float *FOCUS_RESTRICT v, int64_t n)
 /**
  * Candidate dot kernel for the similarity gather.  Unlike the
  * GEMM-tier dot primitives this uses an 8-wide lane split with fused
- * lane updates: the vector backend need not match `exact`, and a
- * 4-lane split — or a multi-candidate variant — forces GCC 12 into
+ * lane updates: the gather need not match ops.h `dot`, and a 4-lane
+ * split — or a multi-candidate variant — forces GCC 12 into
  * permute-heavy reductions that lose to scalar code.
  */
 FOCUS_KERNEL_CLONES float
@@ -777,11 +682,7 @@ forRowRanges(int64_t rows, int64_t cols, const RowRangeFn &fn)
     }
 }
 
-/**
- * Softmax counters, shared by the full-row and causal entry points.
- * Per-backend names freeze the math backend at first use; the backend
- * is a per-process knob in real runs.
- */
+/** Softmax counters, shared by the full-row and causal entry points. */
 void
 countSoftmaxRows(int64_t rows)
 {
@@ -790,12 +691,9 @@ countSoftmaxRows(int64_t rows)
     }
     static obs::Counter &calls =
         obs::MetricsRegistry::instance().schedCounter(
-            std::string("kernels.softmax.") +
-            mathBackendName(activeMathBackend()) + ".calls");
+            "kernels.softmax.calls");
     static obs::Counter &row_total =
-        obs::MetricsRegistry::instance().counter(
-            std::string("kernels.softmax.") +
-            mathBackendName(activeMathBackend()) + ".rows");
+        obs::MetricsRegistry::instance().counter("kernels.softmax.rows");
     calls.add(1);
     row_total.add(static_cast<uint64_t>(rows));
 }
@@ -803,75 +701,8 @@ countSoftmaxRows(int64_t rows)
 } // namespace
 
 // -----------------------------------------------------------------
-// Public backend controls
-// -----------------------------------------------------------------
-
-const char *
-mathBackendName(MathBackend b)
-{
-    switch (b) {
-      case MathBackend::Exact:
-        return "exact";
-      case MathBackend::Vector:
-        return "vector";
-    }
-    return "?";
-}
-
-bool
-parseMathBackend(const char *name, MathBackend &out)
-{
-    const std::string s(name != nullptr ? name : "");
-    if (s == "exact") {
-        out = MathBackend::Exact;
-        return true;
-    }
-    if (s == "vector") {
-        out = MathBackend::Vector;
-        return true;
-    }
-    return false;
-}
-
-MathBackend
-activeMathBackend()
-{
-    return g_math_backend.load(std::memory_order_relaxed);
-}
-
-void
-setMathBackend(MathBackend b)
-{
-    g_math_backend.store(b, std::memory_order_relaxed);
-}
-
-// -----------------------------------------------------------------
 // SFU tier entry points
 // -----------------------------------------------------------------
-
-void
-expRowsF32(int64_t rows, int64_t cols, float *x, int64_t ld)
-{
-    if (rows <= 0 || cols <= 0) {
-        return;
-    }
-    if (activeMathBackend() == MathBackend::Vector) {
-        forRowRanges(rows, cols, [&](int64_t i0, int64_t i1) {
-            for (int64_t i = i0; i < i1; ++i) {
-                expRowVector(x + i * ld, cols);
-            }
-        });
-        return;
-    }
-    forRowRanges(rows, cols, [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-            float *row = x + i * ld;
-            for (int64_t j = 0; j < cols; ++j) {
-                row[j] = std::exp(row[j]);
-            }
-        }
-    });
-}
 
 void
 softmaxRowsF32(int64_t rows, int64_t cols, float *x, int64_t ld)
@@ -882,17 +713,9 @@ softmaxRowsF32(int64_t rows, int64_t cols, float *x, int64_t ld)
         return;
     }
     countSoftmaxRows(rows);
-    if (activeMathBackend() == MathBackend::Vector) {
-        forRowRanges(rows, cols, [&](int64_t i0, int64_t i1) {
-            for (int64_t i = i0; i < i1; ++i) {
-                softmaxRowVector(x + i * ld, cols);
-            }
-        });
-        return;
-    }
     forRowRanges(rows, cols, [&](int64_t i0, int64_t i1) {
         for (int64_t i = i0; i < i1; ++i) {
-            softmaxRowExact(x + i * ld, cols);
+            softmaxRowVector(x + i * ld, cols);
         }
     });
 }
@@ -905,84 +728,52 @@ softmaxCausalF32(int64_t rows, float *x, int64_t ld)
     }
     countSoftmaxRows(rows);
     constexpr float kMasked = -1e30f;
-    if (activeMathBackend() == MathBackend::Vector) {
-        forRowRanges(rows, rows, [&](int64_t i0, int64_t i1) {
-            for (int64_t i = i0; i < i1; ++i) {
-                float *row = x + i * ld;
-                const int64_t live = i + 1;
-                // The live prefix rounded up to whole 8-lane blocks,
-                // or the full row once that would pass its trailing
-                // partial block: either way every live term lands in
-                // the lane the full-row pass gives it, and the masked
-                // slots add exact zeros.
-                int64_t width = (live + 7) & ~int64_t{7};
-                if (width > rows) {
-                    width = rows;
-                }
-                std::fill(row + live, row + width, kMasked);
-                softmaxRowVector(row, width);
-                std::fill(row + live, row + rows, 0.0f);
-            }
-        });
-        return;
-    }
     forRowRanges(rows, rows, [&](int64_t i0, int64_t i1) {
         for (int64_t i = i0; i < i1; ++i) {
             float *row = x + i * ld;
-            softmaxRowExact(row, i + 1);
-            std::fill(row + i + 1, row + rows, 0.0f);
+            const int64_t live = i + 1;
+            // The live prefix rounded up to whole 8-lane blocks, or
+            // the full row once that would pass its trailing partial
+            // block: either way every live term lands in the lane the
+            // full-row pass gives it, and the masked slots add exact
+            // zeros.
+            int64_t width = (live + 7) & ~int64_t{7};
+            if (width > rows) {
+                width = rows;
+            }
+            std::fill(row + live, row + width, kMasked);
+            softmaxRowVector(row, width);
+            std::fill(row + live, row + rows, 0.0f);
         }
     });
 }
 
-float
-expBiasedSumF32(float *x, int64_t n, float bias)
+FOCUS_KERNEL_CLONES float
+expBiasedSumF32(float *FOCUS_RESTRICT x, int64_t n, float bias)
 {
-    if (n <= 0) {
-        return 0.0f;
+    float s[8] = {};
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        for (int64_t e = 0; e < 8; ++e) {
+            const float v = expfPoly(x[j + e] - bias);
+            x[j + e] = v;
+            s[e] += v;
+        }
     }
-    if (activeMathBackend() == MathBackend::Vector) {
-        return expBiasedSumVector(x, n, bias);
+    for (; j < n; ++j) {
+        const float v = expfPoly(x[j] - bias);
+        x[j] = v;
+        s[0] += v;
     }
-    // Historical readout-logit loop: serial std::exp, serial sum.
-    float sum = 0.0f;
-    for (int64_t j = 0; j < n; ++j) {
-        x[j] = std::exp(x[j] - bias);
-        sum += x[j];
-    }
-    return sum;
+    return ((s[0] + s[1]) + (s[2] + s[3])) +
+        ((s[4] + s[5]) + (s[6] + s[7]));
 }
 
-void
-siluF32(float *x, int64_t n)
+FOCUS_KERNEL_CLONES void
+siluF32(float *FOCUS_RESTRICT x, int64_t n)
 {
-    if (n <= 0) {
-        return;
-    }
-    if (activeMathBackend() == MathBackend::Vector) {
-        siluVector(x, n);
-        return;
-    }
     for (int64_t i = 0; i < n; ++i) {
-        x[i] = x[i] / (1.0f + std::exp(-x[i]));
-    }
-}
-
-void
-geluF32(float *x, int64_t n)
-{
-    if (n <= 0) {
-        return;
-    }
-    if (activeMathBackend() == MathBackend::Vector) {
-        geluVector(x, n);
-        return;
-    }
-    constexpr float c = 0.7978845608f; // sqrt(2/pi)
-    for (int64_t i = 0; i < n; ++i) {
-        const float v = x[i];
-        x[i] = 0.5f * v *
-            (1.0f + std::tanh(c * (v + 0.044715f * v * v * v)));
+        x[i] = x[i] / (1.0f + expfPoly(-x[i]));
     }
 }
 
@@ -992,29 +783,12 @@ rmsNormRowsF32(int64_t rows, int64_t cols, float *x, int64_t ld,
 {
     if (rows <= 0 || cols <= 0) {
         // A zero-width row has no mean square: defined no-op instead
-        // of the historical 0/0 NaN fill.
-        return;
-    }
-    if (activeMathBackend() == MathBackend::Vector) {
-        forRowRanges(rows, cols, [&](int64_t i0, int64_t i1) {
-            for (int64_t i = i0; i < i1; ++i) {
-                rmsNormRowVector(x + i * ld, cols, gain, eps);
-            }
-        });
+        // of a 0/0 NaN fill.
         return;
     }
     forRowRanges(rows, cols, [&](int64_t i0, int64_t i1) {
         for (int64_t i = i0; i < i1; ++i) {
-            float *row = x + i * ld;
-            float ms = 0.0f;
-            for (int64_t j = 0; j < cols; ++j) {
-                ms += row[j] * row[j];
-            }
-            ms /= static_cast<float>(cols);
-            const float inv = 1.0f / std::sqrt(ms + eps);
-            for (int64_t j = 0; j < cols; ++j) {
-                row[j] *= inv * (gain != nullptr ? gain[j] : 1.0f);
-            }
+            rmsNormRowVector(x + i * ld, cols, gain, eps);
         }
     });
 }
@@ -1023,17 +797,8 @@ void
 l2NormRowsF32(const float *x, int64_t ld, int64_t rows, int64_t n,
               float *norms)
 {
-    if (rows <= 0) {
-        return;
-    }
-    if (activeMathBackend() == MathBackend::Vector) {
-        for (int64_t i = 0; i < rows; ++i) {
-            norms[i] = l2NormVector(x + i * ld, n);
-        }
-        return;
-    }
     for (int64_t i = 0; i < rows; ++i) {
-        norms[i] = l2Norm(x + i * ld, n);
+        norms[i] = l2NormVector(x + i * ld, n);
     }
 }
 
@@ -1048,21 +813,12 @@ simGatherF32(const float *key, float key_norm, const float *pack,
     if (obs::countersEnabled()) {
         static obs::Counter &calls =
             obs::MetricsRegistry::instance().schedCounter(
-                std::string("kernels.sim_gather.") +
-                mathBackendName(activeMathBackend()) + ".calls");
+                "kernels.sim_gather.calls");
         static obs::Counter &dots =
             obs::MetricsRegistry::instance().counter(
-                std::string("kernels.sim_gather.") +
-                mathBackendName(activeMathBackend()) + ".dots");
+                "kernels.sim_gather.dots");
         calls.add(1);
         dots.add(static_cast<uint64_t>(count));
-    }
-    if (activeMathBackend() != MathBackend::Vector) {
-        for (int64_t c = 0; c < count; ++c) {
-            sims[c] = cosineSimilarityPrenorm(
-                key, key_norm, pack + cand[c] * ld, norms[cand[c]], n);
-        }
-        return;
     }
     constexpr float tiny = 1e-12f;
     for (int64_t c = 0; c < count; ++c) {
@@ -1212,52 +968,6 @@ pvCausalF32(int64_t m, int64_t n, const float *p, int64_t ldp,
     if (r < m) {
         const int64_t src = rowmap ? rowmap[r] : r;
         pvRow(p + src * ldp, src + 1, v, ldv, out + r * ldo, 0, n);
-    }
-}
-
-// -----------------------------------------------------------------
-// INT8 kernel
-// -----------------------------------------------------------------
-
-FOCUS_KERNEL_CLONES void
-gemmInt8S32(int64_t m, int64_t n, int64_t k, const int8_t *a,
-            const float *a_scales, const int8_t *bt,
-            const float *b_scales, float *c, int64_t ldc)
-{
-    for (int64_t i = 0; i < m; ++i) {
-        const int8_t *FOCUS_RESTRICT arow = a + i * k;
-        const float ascale = a_scales[i];
-        float *crow = c + i * ldc;
-        int64_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const int8_t *FOCUS_RESTRICT b0 = bt + j * k;
-            const int8_t *FOCUS_RESTRICT b1 = b0 + k;
-            const int8_t *FOCUS_RESTRICT b2 = b1 + k;
-            const int8_t *FOCUS_RESTRICT b3 = b2 + k;
-            int32_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
-            for (int64_t p = 0; p < k; ++p) {
-                const int32_t av = arow[p];
-                acc0 += av * b0[p];
-                acc1 += av * b1[p];
-                acc2 += av * b2[p];
-                acc3 += av * b3[p];
-            }
-            crow[j] = static_cast<float>(acc0) * ascale * b_scales[j];
-            crow[j + 1] =
-                static_cast<float>(acc1) * ascale * b_scales[j + 1];
-            crow[j + 2] =
-                static_cast<float>(acc2) * ascale * b_scales[j + 2];
-            crow[j + 3] =
-                static_cast<float>(acc3) * ascale * b_scales[j + 3];
-        }
-        for (; j < n; ++j) {
-            const int8_t *FOCUS_RESTRICT brow = bt + j * k;
-            int32_t acc = 0;
-            for (int64_t p = 0; p < k; ++p) {
-                acc += static_cast<int32_t>(arow[p]) * brow[p];
-            }
-            crow[j] = static_cast<float>(acc) * ascale * b_scales[j];
-        }
     }
 }
 

@@ -4,11 +4,10 @@
  * register-tiled portable microkernels.
  *
  * This is the compute substrate under `tensor/ops.h` (`gemm`,
- * softmax, RMSNorm, activations), `tensor/quant.h` (`gemmInt8`), the
- * attention inner loops of `vlm/model.cc`, and the SIC similarity
- * gather of `focus/sic.cc`.  The GEMM is B-panel packing + a 4xNR
- * register-tiled microkernel with M-blocks fanned across the
- * `runtime/thread_pool.h` pool.  It is bit-identical to the naive
+ * softmax, RMSNorm, SiLU), the attention inner loops of
+ * `vlm/model.cc`, and the SIC similarity gather of `focus/sic.cc`.
+ * The GEMM is B-panel packing + a 4xNR register-tiled microkernel with
+ * M-blocks fanned across the `runtime/thread_pool.h` pool.  It is bit-identical to the naive
  * reference loops in tests/reference/gemm.h — per output element the
  * accumulation order is exactly the reference order (ascending k with
  * a single accumulator, one std::fma per step) — at every thread
@@ -21,26 +20,16 @@
  * target_clones body the host runs (docs/KERNELS.md, "Vectorization
  * and determinism").
  *
- * The SFU tier (softmax/exp, SiLU/GELU, RMSNorm, the SIC similarity
- * gather) has a two-way runtime dispatch, `FOCUS_MATH_BACKEND`:
- *
- *  - **exact** (default): the historical scalar loops, verbatim —
- *    `std::exp`/`std::tanh` through libm, serial per-row
- *    accumulation, the ops.h 4-lane `dot`.  Bit-identical to the
- *    pre-SFU-tier code at every thread count; ctest runs this.
- *  - **vector**: branch-free polynomial `expf` (Cephes-style
- *    degree-6, relative error ~2 ulp over the clamped range) and
- *    multi-lane reductions under the same `target_clones` scheme as
- *    the GEMM microkernels.  Not bit-exact vs `exact`; agreement is
- *    enforced to float-rounding scale by `tests/test_kernels.cc`.
- *    Its bits do not depend on the host: the tests match them to
- *    baseline-ISA restatements (tests/reference/sfu.h).  Benches
- *    default to this backend.
- *
- * Both SFU backends are deterministic: per-row work is data-parallel
- * with no cross-row reduction, so results are bit-identical at every
- * thread count (`SfuKernels.*` tests).  Only `exact` calls the host
- * libm.
+ * The SFU tier (softmax/exp, SiLU, RMSNorm, the SIC similarity
+ * gather) has one implementation: a branch-free polynomial `expf`
+ * (Cephes-style degree-6, relative error ~2 ulp over the clamped
+ * range) and 8-lane reductions under the same `target_clones` scheme
+ * as the GEMM microkernels.  It calls no libm transcendental, so its
+ * bits do not depend on the host: the tests match them to
+ * baseline-ISA restatements (tests/reference/sfu.h) bit for bit, and
+ * bound them against libm (`*TracksLibm`).  Per-row work is
+ * data-parallel with no cross-row reduction, so results are
+ * bit-identical at every thread count (`SfuKernels.*` tests).
  */
 
 #ifndef FOCUS_TENSOR_KERNELS_H
@@ -54,89 +43,54 @@ namespace kernels
 {
 
 // ---------------------------------------------------------------
-// SFU / vector-math tier (softmax, exp, activations, RMSNorm, SIC
-// similarity gather).  See the file comment for backend semantics.
+// SFU / vector-math tier (softmax, exp, SiLU, RMSNorm, SIC similarity
+// gather).  See the file comment for the arithmetic.
 // ---------------------------------------------------------------
 
-/** Math backend for the SFU tier. */
-enum class MathBackend
-{
-    Exact, ///< historical scalar loops (libm), bit-identical baseline
-    Vector ///< polynomial expf + multi-lane loops, tolerance-validated
-};
-
-/** Name for logging / bench banners ("exact" | "vector"). */
-const char *mathBackendName(MathBackend b);
-
-/**
- * Parse a math-backend name ("exact", "vector"); returns false on an
- * unknown name.
- */
-bool parseMathBackend(const char *name, MathBackend &out);
-
-/**
- * Currently active math backend.  Initialized once from the
- * FOCUS_MATH_BACKEND environment variable (default Exact; panics on
- * an unknown name).
- */
-MathBackend activeMathBackend();
-
-/** Override the active math backend. */
-void setMathBackend(MathBackend b);
-
-/**
- * x[i][j] = exp(x[i][j]) over a (rows x cols) row-major block with
- * row stride @p ld.  Exact: `std::exp` per element.  Vector:
- * polynomial expf — NaN propagates, inputs below the clamp range
- * (about -86) flush to exactly 0 like libm's underflow, and +inf
- * saturates to exp(88) ~ 1.7e38 (large but finite).  Rows fan across
- * the thread pool when the block is large enough; per-row work is
- * independent, so results are bit-identical at every thread count.
- */
-void expRowsF32(int64_t rows, int64_t cols, float *x, int64_t ld);
+// perfbench/main.cc still names the math backend; only a change to
+// the benchmark may edit it.  ROADMAP item 6 drops those calls and
+// then this shim.
+enum class MathBackend { Vector };
+inline const char *mathBackendName(MathBackend) { return "vector"; }
+inline MathBackend activeMathBackend() { return MathBackend::Vector; }
+inline void setMathBackend(MathBackend) {}
 
 /**
  * Fused row-wise numerically-stable softmax over a (rows x cols)
  * row-major block with row stride @p ld: per row, subtract the max,
- * exponentiate, and scale by the reciprocal of the sum.  Rows of
- * width 0 (or empty blocks) are a no-op.  The exact backend
- * reproduces the historical `tensor/ops.cc` loop bit-for-bit
- * (including its `1/sum` multiply); the vector backend runs the
- * polynomial expf with 8-lane max/sum reductions.  All-NaN /
- * all-(-inf) rows propagate NaN on both backends.  Row-parallel and
- * thread-count invariant like expRowsF32.
+ * exponentiate (polynomial expf), and scale by the reciprocal of the
+ * sum, with 8-lane max/sum reductions.  Rows of width 0 (or empty
+ * blocks) are a no-op.  All-NaN / all-(-inf) rows propagate NaN.
+ * Rows fan across the thread pool when the block is large enough;
+ * per-row work is independent, so results are bit-identical at every
+ * thread count.
  */
 void softmaxRowsF32(int64_t rows, int64_t cols, float *x, int64_t ld);
 
 /**
  * x[j] = exp(x[j] - bias) for j in [0, n); returns the sum of the
- * results accumulated in ascending-j order (the readout logit path of
- * `vlm/model.cc`).  Exact: serial `std::exp` + serial float sum —
- * bit-identical to the historical in-line loop.  Vector: polynomial
- * expf + 8-lane sum.
+ * results in 8 lanes (the readout logit path of `vlm/model.cc`).  The
+ * polynomial expf propagates NaN, flushes inputs below the clamp
+ * range (about -86) to exactly 0 like libm's underflow, and
+ * saturates +inf to exp(88) ~ 1.7e38 (large but finite).
  */
 float expBiasedSumF32(float *x, int64_t n, float bias);
 
 /** x[i] = x[i] * sigmoid(x[i]) (SiLU/swish), element-wise over n. */
 void siluF32(float *x, int64_t n);
 
-/** GELU tanh approximation, element-wise over n. */
-void geluF32(float *x, int64_t n);
-
 /**
  * RMSNorm over each row of a (rows x cols) block with row stride
  * @p ld: row /= sqrt(mean(row^2) + eps), then scaled by @p gain
- * (length cols) when non-null.  cols == 0 is a no-op.  Exact
- * reproduces the historical serial loop; vector uses 8-lane
- * sum-of-squares.
+ * (length cols) when non-null.  cols == 0 is a no-op.  The sum of
+ * squares runs in 8 lanes; row-parallel like softmaxRowsF32.
  */
 void rmsNormRowsF32(int64_t rows, int64_t cols, float *x, int64_t ld,
                     const float *gain, float eps);
 
 /**
  * norms[i] = l2 norm of row i of a (rows x n) block with row stride
- * @p ld.  Exact matches ops.h `l2Norm` per row (4-lane dot order);
- * vector uses an 8-lane sum of squares.
+ * @p ld, from an 8-lane sum of squares.
  */
 void l2NormRowsF32(const float *x, int64_t ld, int64_t rows, int64_t n,
                    float *norms);
@@ -149,10 +103,8 @@ void l2NormRowsF32(const float *x, int64_t ld, int64_t rows, int64_t n,
  * keeps).  Near-zero norms yield similarity 0, as in ops.h
  * `cosineSimilarityPrenorm`.  The reference rows are packed once per
  * tile slice by the caller; candidates stream through an 8-lane
- * register-tiled dot kernel on the vector backend (one candidate per
- * call — see the simDot1 comment for why wider tiling loses), and
- * through the historical `cosineSimilarityPrenorm` scalar path
- * (bit-identical) on the exact backend.
+ * register-tiled dot kernel, one candidate per call (see the simDot1
+ * comment for why wider tiling loses).
  */
 void simGatherF32(const float *key, float key_norm, const float *pack,
                   int64_t ld, const float *norms, const int64_t *cand,
@@ -221,16 +173,14 @@ void qkScoresCausalF32(const float *q, int64_t ldq, const float *keys,
  * @p ld: row i normalizes its i+1 live entries and gets +0 in every
  * entry above the diagonal (prior contents there are ignored).
  *
- * Bit-identical, on both math backends, to setting the entries above
- * the diagonal to -1e30 and running softmaxRowsF32 over full rows: a
- * masked entry adds an exact zero to every sum and leaves every max
- * unchanged, so the causal pass only skips it.  The exact backend
- * runs its scalar row loop over the live entries; the vector backend
- * runs over the live prefix rounded up to whole 8-lane blocks (slack
+ * Bit-identical to setting the entries above the diagonal to -1e30
+ * and running softmaxRowsF32 over full rows: a masked entry adds an
+ * exact zero to every sum and leaves every max unchanged.  Each row
+ * runs over its live prefix rounded up to whole 8-lane blocks (slack
  * slots masked), or over the full row once that would pass its
  * trailing partial block, so every term keeps its lane.  Counted
- * under the same `kernels.softmax.<backend>.*` counters as
- * softmaxRowsF32 and row-parallel like it.
+ * under the same `kernels.softmax.*` counters as softmaxRowsF32 and
+ * row-parallel like it.
  */
 void softmaxCausalF32(int64_t rows, float *x, int64_t ld);
 
@@ -256,17 +206,6 @@ void softmaxCausalF32(int64_t rows, float *x, int64_t ld);
 void pvCausalF32(int64_t m, int64_t n, const float *p, int64_t ldp,
                  const int64_t *rowmap, const float *v, int64_t ldv,
                  float *out, int64_t ldo);
-
-/**
- * INT8 GEMM with per-row / per-output-channel scales:
- * C[i][j] = (sum_k a[i][k]*bt[j][k]) * a_scales[i] * b_scales[j].
- * A is (m x k) int8 row-major, BT is (n x k) int8 row-major (i.e. B
- * transposed).  Integer accumulation is exact, so blocking cannot
- * change results.
- */
-void gemmInt8S32(int64_t m, int64_t n, int64_t k, const int8_t *a,
-                 const float *a_scales, const int8_t *bt,
-                 const float *b_scales, float *c, int64_t ldc);
 
 } // namespace kernels
 } // namespace focus

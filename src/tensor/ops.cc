@@ -42,27 +42,6 @@ softmaxRows(Tensor &t)
 }
 
 void
-softmaxRowsMasked(Tensor &t, const Tensor &mask)
-{
-    // Rank is validated before the mask is applied so a bad call
-    // panics without half-mutating t.
-    if (t.rank() != 2) {
-        panic("softmaxRowsMasked: rank-2 required");
-    }
-    if (!t.sameShape(mask)) {
-        panic("softmaxRowsMasked: shape mismatch");
-    }
-    for (int64_t i = 0; i < t.rows(); ++i) {
-        float *row = t.row(i);
-        const float *mrow = mask.row(i);
-        for (int64_t j = 0; j < t.cols(); ++j) {
-            row[j] += mrow[j];
-        }
-    }
-    softmaxRows(t);
-}
-
-void
 rmsNormRows(Tensor &t, const Tensor &gain, float eps)
 {
     if (t.rank() != 2) {
@@ -86,12 +65,6 @@ void
 siluInPlace(Tensor &t)
 {
     kernels::siluF32(t.data(), t.numel());
-}
-
-void
-geluInPlace(Tensor &t)
-{
-    kernels::geluF32(t.data(), t.numel());
 }
 
 float

@@ -31,38 +31,23 @@ void gemm(const Tensor &a, const Tensor &b, Tensor &c,
           bool fp16_inputs = false);
 
 /**
- * Row-wise numerically-stable softmax over a rank-2 tensor.
- * Degenerate shapes (0 rows and/or 0 columns) are defined no-ops.
- * All-(-inf) rows propagate NaN.  Dispatches on the SFU math backend
- * (`FOCUS_MATH_BACKEND=exact|vector`, see tensor/kernels.h): exact
- * is the historical bit-identical scalar path, vector the polynomial
- * SIMD path.
+ * Row-wise numerically-stable softmax over a rank-2 tensor, through
+ * the SFU kernel `kernels::softmaxRowsF32` (polynomial expf, see
+ * tensor/kernels.h).  Degenerate shapes (0 rows and/or 0 columns) are
+ * defined no-ops.  All-(-inf) rows propagate NaN.
  */
 void softmaxRows(Tensor &t);
-
-/**
- * Row-wise softmax with an additive mask (mask 0 or -inf style).
- * Both operands must be rank-2 of the same shape; rank is validated
- * before the mask is applied.
- */
-void softmaxRowsMasked(Tensor &t, const Tensor &mask);
 
 /**
  * RMSNorm over the last dimension: x / sqrt(mean(x^2) + eps) * gain.
  * @p gain may be empty (all-ones); a non-empty gain whose length is
  * not the column count panics.  Zero-column tensors are a no-op.
- * Backend-dispatched like softmaxRows().
+ * Runs `kernels::rmsNormRowsF32`.
  */
 void rmsNormRows(Tensor &t, const Tensor &gain, float eps = 1e-6f);
 
-/** SiLU (swish), element-wise.  Backend-dispatched like softmaxRows(). */
+/** SiLU (swish), element-wise, through `kernels::siluF32`. */
 void siluInPlace(Tensor &t);
-
-/**
- * GELU (tanh approximation), element-wise.  Backend-dispatched like
- * softmaxRows().
- */
-void geluInPlace(Tensor &t);
 
 /** Dot product of two length-n float vectors. */
 float dot(const float *a, const float *b, int64_t n);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "tensor/kernels.h"
 
 namespace focus
 {
@@ -58,37 +57,6 @@ Tensor
 int8RoundTrip(const Tensor &t)
 {
     return dequantize(quantizeRows(t));
-}
-
-void
-gemmInt8(const Tensor &a, const Tensor &b, Tensor &c)
-{
-    if (a.rank() != 2 || b.rank() != 2 || a.cols() != b.rows()) {
-        panic("gemmInt8: bad operand shapes");
-    }
-    const int64_t m = a.rows();
-    const int64_t k = a.cols();
-    const int64_t n = b.cols();
-
-    const QuantizedMatrix qa = quantizeRows(a);
-
-    // Quantize B per output channel: transpose, quantize rows.
-    Tensor bt(n, k);
-    for (int64_t i = 0; i < k; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-            bt(j, i) = b(i, j);
-        }
-    }
-    const QuantizedMatrix qb = quantizeRows(bt);
-
-    if (c.rank() != 2 || c.rows() != m || c.cols() != n) {
-        c = Tensor(m, n);
-    }
-    // Integer accumulation is exact, so the blocked kernel is free to
-    // reorder; results are identical to the reference triple loop.
-    kernels::gemmInt8S32(m, n, k, qa.data.data(), qa.scales.data(),
-                         qb.data.data(), qb.scales.data(), c.data(),
-                         n);
 }
 
 } // namespace focus

@@ -3,12 +3,14 @@
  * INT8 symmetric quantization used by the Tbl. IV "synergy with
  * quantization" experiment.
  *
- * Activations/weights are quantized per-row (per output channel for
- * weights) with a symmetric scale, multiplied in int32, and
- * dequantized, mirroring bitsandbytes-style W8A8 inference at the
- * fidelity level that matters for the concentration algorithms: the
+ * Weights (once, at model load) and the RMSNorm outputs that feed the
+ * QKV and FFN projections (per forward pass) are round-tripped through
+ * int8 with a symmetric per-row scale, and the products then run the
+ * ordinary fp32 `gemm`.  This models W8A8 inference at the fidelity
+ * level that matters for the concentration algorithms: the
  * quantization noise perturbs cosine similarities and attention
- * scores, which is what shifts sparsity/accuracy in the paper.
+ * scores, which is what shifts sparsity/accuracy in the paper.  No
+ * int8 product is computed.
  */
 
 #ifndef FOCUS_TENSOR_QUANT_H
@@ -45,14 +47,6 @@ Tensor dequantize(const QuantizedMatrix &q);
  * functional pipeline.
  */
 Tensor int8RoundTrip(const Tensor &t);
-
-/**
- * INT8 GEMM: C = deq(qA) * deq(qB) computed in int32 then scaled.
- * A is (M x K) quantized per row; B is (K x N) quantized per *column*
- * internally (B is transposed before quantization so each output
- * channel has its own scale).
- */
-void gemmInt8(const Tensor &a, const Tensor &b, Tensor &c);
 
 } // namespace focus
 

@@ -1,21 +1,28 @@
 /**
  * @file
- * Reference vector-backend bodies: the SFU kernels of tensor/kernels.cc
- * (`FOCUS_MATH_BACKEND=vector`) and the lane-split dot of
- * `dotRowsScaled`, restated as plain loops.
+ * Reference SFU bodies: the SFU kernels of tensor/kernels.cc and the
+ * lane-split dot of `dotRowsScaled`, restated as plain loops, plus the
+ * scalar libm loops (`*Libm`) the kernels are bounded against.
  *
- * Each function keeps its kernel's lane split, its std::fma sites and
- * its unfused mul + add steps, so it computes the kernel's bits.  These
- * bodies carry no target_clones attribute: the tests compile them once
- * at the baseline ISA, where each std::fma is libm's correctly rounded
- * fmaf, while the kernels run their x86-64-v3 clone on an FMA host.
- * Bitwise agreement is the cross-clone half of the arithmetic contract
- * (docs/KERNELS.md, "Vectorization and determinism").
+ * Each kernel restatement keeps its kernel's lane split, its std::fma
+ * sites and its unfused mul + add steps, so it computes the kernel's
+ * bits.  These bodies carry no target_clones attribute: the tests
+ * compile them once at the baseline ISA, where each std::fma is libm's
+ * correctly rounded fmaf, while the kernels run their x86-64-v3 clone
+ * on an FMA host.  Bitwise agreement is the cross-clone half of the
+ * arithmetic contract (docs/KERNELS.md, "Vectorization and
+ * determinism").
+ *
+ * The `*Libm` loops are the scalar `std::exp` code the SFU tier
+ * replaced: serial per-row sums, libm transcendentals.  They depend on
+ * the host libm, so the tests compare the kernels to them only within
+ * a tolerance (`SfuKernels.*TracksLibm`).
  */
 
 #ifndef FOCUS_TESTS_REFERENCE_SFU_H
 #define FOCUS_TESTS_REFERENCE_SFU_H
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -26,7 +33,7 @@ namespace focus
 namespace reference
 {
 
-/** The polynomial expf of the vector backend (kernels.cc expfPoly). */
+/** The polynomial expf of the SFU kernels (kernels.cc expfPoly). */
 inline float
 expfPoly(float x)
 {
@@ -58,15 +65,6 @@ inline float
 sumLanes8(const float s[8])
 {
     return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
-}
-
-/** row[j] = exp(row[j]) (expRowsF32, one row). */
-inline void
-expRowVector(float *row, int64_t n)
-{
-    for (int64_t j = 0; j < n; ++j) {
-        row[j] = expfPoly(row[j]);
-    }
 }
 
 /** One softmaxRowsF32 row: 8-lane max and sum, tails in lane 0. */
@@ -117,19 +115,6 @@ siluVector(float *x, int64_t n)
 {
     for (int64_t i = 0; i < n; ++i) {
         x[i] = x[i] / (1.0f + expfPoly(-x[i]));
-    }
-}
-
-/** geluF32: tanh through the polynomial expf. */
-inline void
-geluVector(float *x, int64_t n)
-{
-    constexpr float c = 0.7978845608f;
-    for (int64_t i = 0; i < n; ++i) {
-        const float v = x[i];
-        const float y = c * std::fma(0.044715f * v * v, v, v);
-        const float th = 1.0f - 2.0f / (expfPoly(2.0f * y) + 1.0f);
-        x[i] = 0.5f * v * (1.0f + th);
     }
 }
 
@@ -201,6 +186,49 @@ dotLanes4(const float *a, const float *b, int64_t k)
         l[0] += a[p] * b[p];
     }
     return (l[0] + l[1]) + (l[2] + l[3]);
+}
+
+/** Scalar softmax row: serial max, std::exp, serial sum, 1/sum. */
+inline void
+softmaxRowLibm(float *row, int64_t n)
+{
+    float mx = row[0];
+    for (int64_t j = 1; j < n; ++j) {
+        mx = std::max(mx, row[j]);
+    }
+    float sum = 0.0f;
+    for (int64_t j = 0; j < n; ++j) {
+        row[j] = std::exp(row[j] - mx);
+        sum += row[j];
+    }
+    const float inv = 1.0f / sum;
+    for (int64_t j = 0; j < n; ++j) {
+        row[j] *= inv;
+    }
+}
+
+/** Scalar SiLU through std::exp. */
+inline void
+siluLibm(float *x, int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        x[i] = x[i] / (1.0f + std::exp(-x[i]));
+    }
+}
+
+/** Scalar RMSNorm row (serial sum of squares); @p gain may be null. */
+inline void
+rmsNormRowLibm(float *row, int64_t n, const float *gain, float eps)
+{
+    float ms = 0.0f;
+    for (int64_t j = 0; j < n; ++j) {
+        ms += row[j] * row[j];
+    }
+    ms /= static_cast<float>(n);
+    const float inv = 1.0f / std::sqrt(ms + eps);
+    for (int64_t j = 0; j < n; ++j) {
+        row[j] *= inv * (gain != nullptr ? gain[j] : 1.0f);
+    }
 }
 
 } // namespace reference

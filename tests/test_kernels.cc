@@ -7,21 +7,19 @@
  * thread-count bit-identity (raw kernels and through
  * Evaluator::runFunctional).
  *
- * SFU tier (SfuKernels.*): exact-backend bit-identity to the
- * historical scalar loops, vector-backend tolerance vs libm
- * (polynomial expf, fused softmax, SiLU/GELU, RMSNorm, similarity
- * gather), NaN propagation, degenerate shapes, thread-count
- * invariance, and the FOCUS_MATH_BACKEND dispatch.
+ * SFU tier (SfuKernels.*): tolerance vs the scalar libm loops of
+ * tests/reference/sfu.h (polynomial expf, fused softmax, SiLU,
+ * RMSNorm, similarity gather), NaN propagation, degenerate shapes and
+ * thread-count invariance.
  *
- * Cross-clone oracles (*MatchesOracleBitwise): each vector-backend
- * kernel and dotRowsScaled against its restatement in
- * tests/reference/sfu.h, compiled without clones at the baseline ISA.
+ * Cross-clone oracles (*MatchesOracleBitwise): each SFU kernel and
+ * dotRowsScaled against its restatement in tests/reference/sfu.h,
+ * compiled without clones at the baseline ISA.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -34,7 +32,6 @@
 #include "runtime/thread_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "tensor/tensor.h"
 
 using namespace focus;
@@ -261,43 +258,6 @@ TEST(KernelsDotRows, MatchesOracleBitwise)
     }
 }
 
-TEST(KernelsInt8, MatchesReferenceTripleLoop)
-{
-    Rng rng(19);
-    const int64_t m = 13, n = 21, k = 31;
-    std::vector<int8_t> a(static_cast<size_t>(m * k));
-    std::vector<int8_t> bt(static_cast<size_t>(n * k));
-    for (auto &v : a) {
-        v = static_cast<int8_t>(
-            static_cast<int64_t>(rng.uniformInt(255)) - 127);
-    }
-    for (auto &v : bt) {
-        v = static_cast<int8_t>(
-            static_cast<int64_t>(rng.uniformInt(255)) - 127);
-    }
-    const std::vector<float> as = randomBuf(rng, m);
-    const std::vector<float> bs = randomBuf(rng, n);
-
-    std::vector<float> c(static_cast<size_t>(m * n));
-    kernels::gemmInt8S32(m, n, k, a.data(), as.data(), bt.data(),
-                         bs.data(), c.data(), n);
-
-    for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-            int32_t acc = 0;
-            for (int64_t p = 0; p < k; ++p) {
-                acc += static_cast<int32_t>(a[static_cast<size_t>(
-                           i * k + p)]) *
-                    static_cast<int32_t>(
-                           bt[static_cast<size_t>(j * k + p)]);
-            }
-            const float want = static_cast<float>(acc) *
-                as[static_cast<size_t>(i)] * bs[static_cast<size_t>(j)];
-            EXPECT_EQ(c[static_cast<size_t>(i * n + j)], want);
-        }
-    }
-}
-
 TEST(KernelsGemm, TensorGemmMatchesNaive)
 {
     Rng rng(20);
@@ -347,29 +307,8 @@ TEST(KernelsDeterminism, RunFunctionalBitIdenticalAcrossThreadCounts)
 // SFU tier
 // -----------------------------------------------------------------
 
-namespace
-{
-
-/** RAII math-backend override (restores the ambient backend). */
-class MathBackendGuard
-{
-  public:
-    explicit MathBackendGuard(kernels::MathBackend b)
-        : prev_(kernels::activeMathBackend())
-    {
-        kernels::setMathBackend(b);
-    }
-    ~MathBackendGuard() { kernels::setMathBackend(prev_); }
-
-  private:
-    kernels::MathBackend prev_;
-};
-
-} // namespace
-
 TEST(SfuKernels, VectorExpTracksLibmAtUlpScale)
 {
-    MathBackendGuard guard(kernels::MathBackend::Vector);
     // Dense sweep of the non-flushed range plus random gaussians:
     // the polynomial is specified to ~2 ulp relative error on
     // [-86, 88]; below -86 it flushes to zero (SfuKernels.
@@ -382,9 +321,10 @@ TEST(SfuKernels, VectorExpTracksLibmAtUlpScale)
     for (int i = 0; i < 500; ++i) {
         xs.push_back(static_cast<float>(rng.gaussian(0.0, 4.0)));
     }
+    // x - 0.0f is x bit for bit, so this reaches expfPoly(x) itself.
     std::vector<float> got = xs;
-    kernels::expRowsF32(1, static_cast<int64_t>(got.size()), got.data(),
-                        static_cast<int64_t>(got.size()));
+    kernels::expBiasedSumF32(got.data(), static_cast<int64_t>(got.size()),
+                             0.0f);
     for (size_t i = 0; i < xs.size(); ++i) {
         const double want = std::exp(static_cast<double>(xs[i]));
         EXPECT_NEAR(got[i], want, 5e-7 * want) << "x=" << xs[i];
@@ -393,11 +333,10 @@ TEST(SfuKernels, VectorExpTracksLibmAtUlpScale)
 
 TEST(SfuKernels, VectorExpSpecialValues)
 {
-    MathBackendGuard guard(kernels::MathBackend::Vector);
     constexpr float inf = std::numeric_limits<float>::infinity();
     float v[6] = {std::numeric_limits<float>::quiet_NaN(), -inf, inf,
                   0.0f, -87.0f, -1e30f};
-    kernels::expRowsF32(1, 6, v, 6);
+    kernels::expBiasedSumF32(v, 6, 0.0f);
     EXPECT_TRUE(std::isnan(v[0]));
     EXPECT_EQ(v[1], 0.0f);  // flush-to-zero below the clamp range
     EXPECT_GT(v[2], 1e38f); // saturates large but finite
@@ -406,35 +345,7 @@ TEST(SfuKernels, VectorExpSpecialValues)
     EXPECT_EQ(v[5], 0.0f); // softmax -1e30 masks give exactly 0
 }
 
-TEST(SfuKernels, SoftmaxExactBitIdenticalToHistoricalLoop)
-{
-    MathBackendGuard guard(kernels::MathBackend::Exact);
-    Rng rng(32);
-    const int64_t rows = 9, cols = 37;
-    std::vector<float> x = randomBuf(rng, rows * cols);
-    std::vector<float> ref = x;
-    kernels::softmaxRowsF32(rows, cols, x.data(), cols);
-    // The pre-SFU-tier tensor/ops.cc loop, verbatim.
-    for (int64_t i = 0; i < rows; ++i) {
-        float *row = ref.data() + i * cols;
-        float mx = row[0];
-        for (int64_t j = 1; j < cols; ++j) {
-            mx = std::max(mx, row[j]);
-        }
-        float sum = 0.0f;
-        for (int64_t j = 0; j < cols; ++j) {
-            row[j] = std::exp(row[j] - mx);
-            sum += row[j];
-        }
-        const float inv = 1.0f / sum;
-        for (int64_t j = 0; j < cols; ++j) {
-            row[j] *= inv;
-        }
-    }
-    EXPECT_TRUE(bitsEqual(x, ref));
-}
-
-TEST(SfuKernels, SoftmaxVectorTracksExact)
+TEST(SfuKernels, SoftmaxTracksLibm)
 {
     Rng rng(33);
     for (int64_t cols : {1, 3, 7, 8, 64, 129}) {
@@ -443,20 +354,16 @@ TEST(SfuKernels, SoftmaxVectorTracksExact)
         for (auto &v : base) {
             v = static_cast<float>(rng.gaussian(0.0, 3.0));
         }
-        std::vector<float> exact = base, vec = base;
-        {
-            MathBackendGuard g(kernels::MathBackend::Exact);
-            kernels::softmaxRowsF32(rows, cols, exact.data(), cols);
+        std::vector<float> libm = base, vec = base;
+        for (int64_t i = 0; i < rows; ++i) {
+            reference::softmaxRowLibm(libm.data() + i * cols, cols);
         }
-        {
-            MathBackendGuard g(kernels::MathBackend::Vector);
-            kernels::softmaxRowsF32(rows, cols, vec.data(), cols);
-        }
+        kernels::softmaxRowsF32(rows, cols, vec.data(), cols);
         for (int64_t i = 0; i < rows; ++i) {
             float sum = 0.0f;
             for (int64_t j = 0; j < cols; ++j) {
                 const size_t at = static_cast<size_t>(i * cols + j);
-                EXPECT_NEAR(vec[at], exact[at], 2e-6)
+                EXPECT_NEAR(vec[at], libm[at], 2e-6)
                     << "cols=" << cols << " (" << i << "," << j << ")";
                 sum += vec[at];
             }
@@ -467,7 +374,6 @@ TEST(SfuKernels, SoftmaxVectorTracksExact)
 
 TEST(SfuKernels, SoftmaxVectorPropagatesNaNForAllMaskedRows)
 {
-    MathBackendGuard guard(kernels::MathBackend::Vector);
     constexpr float ninf = -std::numeric_limits<float>::infinity();
     std::vector<float> x = {ninf, ninf, ninf, 0.5f, 0.25f, 0.125f};
     kernels::softmaxRowsF32(2, 3, x.data(), 3);
@@ -479,146 +385,76 @@ TEST(SfuKernels, SoftmaxVectorPropagatesNaNForAllMaskedRows)
 
 TEST(SfuKernels, SoftmaxDegenerateShapesAreNoops)
 {
-    for (kernels::MathBackend b :
-         {kernels::MathBackend::Exact, kernels::MathBackend::Vector}) {
-        MathBackendGuard guard(b);
-        float sentinel[3] = {1.0f, 2.0f, 3.0f};
-        kernels::softmaxRowsF32(0, 3, sentinel, 3);
-        kernels::softmaxRowsF32(3, 0, sentinel, 0);
-        EXPECT_EQ(sentinel[0], 1.0f);
-        EXPECT_EQ(sentinel[1], 2.0f);
-        EXPECT_EQ(sentinel[2], 3.0f);
-        EXPECT_EQ(kernels::expBiasedSumF32(sentinel, 0, 0.0f), 0.0f);
-        kernels::expRowsF32(0, 3, sentinel, 3);
-        EXPECT_EQ(sentinel[0], 1.0f);
-    }
+    float sentinel[3] = {1.0f, 2.0f, 3.0f};
+    kernels::softmaxRowsF32(0, 3, sentinel, 3);
+    kernels::softmaxRowsF32(3, 0, sentinel, 0);
+    EXPECT_EQ(sentinel[0], 1.0f);
+    EXPECT_EQ(sentinel[1], 2.0f);
+    EXPECT_EQ(sentinel[2], 3.0f);
+    EXPECT_EQ(kernels::expBiasedSumF32(sentinel, 0, 0.0f), 0.0f);
+    EXPECT_EQ(sentinel[0], 1.0f);
 }
 
-TEST(SfuKernels, ExpBiasedSumExactMatchesHistoricalReadoutLoop)
-{
-    MathBackendGuard guard(kernels::MathBackend::Exact);
-    Rng rng(34);
-    std::vector<float> x = randomBuf(rng, 61);
-    std::vector<float> ref = x;
-    float mx = -1e30f;
-    for (float v : x) {
-        mx = std::max(mx, v);
-    }
-    const float got_sum =
-        kernels::expBiasedSumF32(x.data(), 61, mx);
-    float want_sum = 0.0f;
-    for (auto &v : ref) {
-        v = std::exp(v - mx);
-        want_sum += v;
-    }
-    EXPECT_EQ(got_sum, want_sum);
-    EXPECT_TRUE(bitsEqual(x, ref));
-}
-
-TEST(SfuKernels, ActivationsVectorTracksExact)
+TEST(SfuKernels, SiluTracksLibm)
 {
     Rng rng(35);
     std::vector<float> base = randomBuf(rng, 513);
     base.push_back(30.0f); // deep saturation both sides
     base.push_back(-30.0f);
     const int64_t n = static_cast<int64_t>(base.size());
-    std::vector<float> se = base, sv = base, ge = base, gv = base;
-    {
-        MathBackendGuard g(kernels::MathBackend::Exact);
-        kernels::siluF32(se.data(), n);
-        kernels::geluF32(ge.data(), n);
-    }
-    {
-        MathBackendGuard g(kernels::MathBackend::Vector);
-        kernels::siluF32(sv.data(), n);
-        kernels::geluF32(gv.data(), n);
-    }
+    std::vector<float> libm = base, vec = base;
+    reference::siluLibm(libm.data(), n);
+    kernels::siluF32(vec.data(), n);
     for (size_t i = 0; i < base.size(); ++i) {
         const double tol =
             1e-6 * (1.0 + std::abs(static_cast<double>(base[i])));
-        EXPECT_NEAR(sv[i], se[i], tol) << "silu x=" << base[i];
-        EXPECT_NEAR(gv[i], ge[i], tol) << "gelu x=" << base[i];
+        EXPECT_NEAR(vec[i], libm[i], tol) << "silu x=" << base[i];
     }
 }
 
-TEST(SfuKernels, RmsNormVectorTracksExact)
+TEST(SfuKernels, RmsNormTracksLibm)
 {
     Rng rng(36);
     const int64_t rows = 4, cols = 129;
     std::vector<float> base = randomBuf(rng, rows * cols);
     std::vector<float> gain = randomBuf(rng, cols);
-    std::vector<float> exact = base, vec = base;
-    {
-        MathBackendGuard g(kernels::MathBackend::Exact);
-        kernels::rmsNormRowsF32(rows, cols, exact.data(), cols,
-                                gain.data(), 1e-6f);
+    std::vector<float> libm = base, vec = base;
+    for (int64_t i = 0; i < rows; ++i) {
+        reference::rmsNormRowLibm(libm.data() + i * cols, cols,
+                                  gain.data(), 1e-6f);
     }
-    {
-        MathBackendGuard g(kernels::MathBackend::Vector);
-        kernels::rmsNormRowsF32(rows, cols, vec.data(), cols,
-                                gain.data(), 1e-6f);
-    }
-    for (size_t i = 0; i < exact.size(); ++i) {
-        EXPECT_NEAR(vec[i], exact[i],
+    kernels::rmsNormRowsF32(rows, cols, vec.data(), cols, gain.data(),
+                            1e-6f);
+    for (size_t i = 0; i < libm.size(); ++i) {
+        EXPECT_NEAR(vec[i], libm[i],
                     1e-5 *
-                        (1.0 + std::abs(static_cast<double>(exact[i]))));
+                        (1.0 + std::abs(static_cast<double>(libm[i]))));
     }
 }
 
-TEST(SfuKernels, SimGatherExactBitIdenticalToPrenormCosine)
+TEST(SfuKernels, SimGatherTracksLibm)
 {
-    MathBackendGuard guard(kernels::MathBackend::Exact);
-    Rng rng(37);
-    const int64_t rows = 12, n = 32;
-    const std::vector<float> pack = randomBuf(rng, rows * n);
-    std::vector<float> norms(static_cast<size_t>(rows));
-    kernels::l2NormRowsF32(pack.data(), n, rows, n, norms.data());
-    const int64_t cand[] = {3, 0, 11, 7, 7, 2};
-    std::vector<float> sims(6);
-    kernels::simGatherF32(pack.data(), norms[0], pack.data(), n,
-                          norms.data(), cand, 6, n, sims.data());
-    for (int64_t c = 0; c < 6; ++c) {
-        const float want = cosineSimilarityPrenorm(
-            pack.data(), norms[0], pack.data() + cand[c] * n,
-            norms[static_cast<size_t>(cand[c])], n);
-        EXPECT_EQ(sims[static_cast<size_t>(c)], want);
-        EXPECT_EQ(norms[static_cast<size_t>(c)],
-                  l2Norm(pack.data() + c * n, n));
-    }
-    EXPECT_NEAR(sims[1], 1.0f, 1e-6); // cand[1] == 0: key vs itself
-}
-
-TEST(SfuKernels, SimGatherVectorTracksExact)
-{
+    // The scalar path is ops.h's: l2Norm (4-lane dot, std::sqrt) and
+    // cosineSimilarityPrenorm.
     Rng rng(38);
     for (int64_t n : {8, 32, 33}) {
         const int64_t rows = 9;
         const std::vector<float> pack = randomBuf(rng, rows * n);
         std::vector<float> norms(static_cast<size_t>(rows));
-        std::vector<float> norms_vec(static_cast<size_t>(rows));
         const int64_t cand[] = {1, 2, 3, 4, 5, 6, 7, 8};
-        std::vector<float> exact(8), vec(8);
-        {
-            MathBackendGuard g(kernels::MathBackend::Exact);
-            kernels::l2NormRowsF32(pack.data(), n, rows, n,
-                                   norms.data());
-            kernels::simGatherF32(pack.data(), norms[0], pack.data(),
-                                  n, norms.data(), cand, 8, n,
-                                  exact.data());
-        }
-        {
-            MathBackendGuard g(kernels::MathBackend::Vector);
-            kernels::l2NormRowsF32(pack.data(), n, rows, n,
-                                   norms_vec.data());
-            kernels::simGatherF32(pack.data(), norms_vec[0],
-                                  pack.data(), n, norms_vec.data(),
-                                  cand, 8, n, vec.data());
-        }
+        std::vector<float> vec(8);
+        kernels::l2NormRowsF32(pack.data(), n, rows, n, norms.data());
+        kernels::simGatherF32(pack.data(), norms[0], pack.data(), n,
+                              norms.data(), cand, 8, n, vec.data());
+        const float key_norm = l2Norm(pack.data(), n);
         for (size_t c = 0; c < 8; ++c) {
-            EXPECT_NEAR(vec[c], exact[c], 1e-5)
+            const float *row = pack.data() + cand[c] * n;
+            const float want = cosineSimilarityPrenorm(
+                pack.data(), key_norm, row, l2Norm(row, n), n);
+            EXPECT_NEAR(vec[c], want, 1e-5)
                 << "n=" << n << " cand=" << c;
         }
-        // Zero-norm candidates never match on either backend.
+        // Zero-norm candidates never match.
         std::vector<float> zero_pack(static_cast<size_t>(2 * n), 0.0f);
         std::copy(pack.begin(), pack.begin() + n, zero_pack.begin());
         float znorms[2];
@@ -634,91 +470,31 @@ TEST(SfuKernels, SimGatherVectorTracksExact)
 
 TEST(SfuKernels, ThreadCountBitIdentity)
 {
-    // Large enough to cross the row fan-out threshold on both
-    // backends; per-row work is independent, so results must be
-    // bit-identical at every pool width.
+    // Large enough to cross the row fan-out threshold; per-row work is
+    // independent, so results must be bit-identical at every pool
+    // width.
     Rng rng(39);
     const int64_t rows = 300, cols = 300;
     const std::vector<float> base = randomBuf(rng, rows * cols);
-    for (kernels::MathBackend b :
-         {kernels::MathBackend::Exact, kernels::MathBackend::Vector}) {
-        MathBackendGuard guard(b);
-        std::vector<float> c1 = base, c4 = base;
-        ThreadPool::setGlobalThreads(1);
-        kernels::softmaxRowsF32(rows, cols, c1.data(), cols);
-        ThreadPool::setGlobalThreads(4);
-        kernels::softmaxRowsF32(rows, cols, c4.data(), cols);
-        ThreadPool::setGlobalThreads(0);
-        EXPECT_TRUE(bitsEqual(c1, c4))
-            << kernels::mathBackendName(b);
+    std::vector<float> c1 = base, c4 = base;
+    ThreadPool::setGlobalThreads(1);
+    kernels::softmaxRowsF32(rows, cols, c1.data(), cols);
+    ThreadPool::setGlobalThreads(4);
+    kernels::softmaxRowsF32(rows, cols, c4.data(), cols);
+    ThreadPool::setGlobalThreads(0);
+    EXPECT_TRUE(bitsEqual(c1, c4));
 
-        std::vector<float> r1 = base, r4 = base;
-        ThreadPool::setGlobalThreads(1);
-        kernels::rmsNormRowsF32(rows, cols, r1.data(), cols, nullptr,
-                                1e-6f);
-        ThreadPool::setGlobalThreads(4);
-        kernels::rmsNormRowsF32(rows, cols, r4.data(), cols, nullptr,
-                                1e-6f);
-        ThreadPool::setGlobalThreads(0);
-        EXPECT_TRUE(bitsEqual(r1, r4))
-            << kernels::mathBackendName(b);
-    }
-}
-
-TEST(SfuKernels, MathBackendNamesRoundTrip)
-{
-    kernels::MathBackend b;
-    EXPECT_TRUE(kernels::parseMathBackend("exact", b));
-    EXPECT_EQ(b, kernels::MathBackend::Exact);
-    EXPECT_TRUE(kernels::parseMathBackend("vector", b));
-    EXPECT_EQ(b, kernels::MathBackend::Vector);
-    EXPECT_FALSE(kernels::parseMathBackend("fast", b));
-    EXPECT_FALSE(kernels::parseMathBackend("", b));
-    EXPECT_STREQ(kernels::mathBackendName(kernels::MathBackend::Exact),
-                 "exact");
-    EXPECT_STREQ(
-        kernels::mathBackendName(kernels::MathBackend::Vector),
-        "vector");
-}
-
-TEST(SfuKernels, MathBackendFollowsEnvironment)
-{
-    // The ambient backend must match FOCUS_MATH_BACKEND (Exact when
-    // unset) — this runs in both CI matrix legs, so it pins the env
-    // initialization path for each value.
-    kernels::MathBackend want = kernels::MathBackend::Exact;
-    if (const char *env = std::getenv("FOCUS_MATH_BACKEND")) {
-        if (*env != '\0') {
-            ASSERT_TRUE(kernels::parseMathBackend(env, want))
-                << "unparseable FOCUS_MATH_BACKEND in test env";
-        }
-    }
-    EXPECT_EQ(kernels::activeMathBackend(), want);
-}
-
-TEST(SfuKernels, OpsSoftmaxDispatchesOnMathBackend)
-{
-    // Through the tensor/ops.h entry point: the two backends must
-    // agree to tolerance but are not expected to be bit-identical.
-    Rng rng(40);
-    Tensor base(6, 50);
-    for (int64_t i = 0; i < base.numel(); ++i) {
-        base.data()[i] = static_cast<float>(rng.gaussian(0.0, 2.0));
-    }
-    Tensor te = base, tv = base;
-    {
-        MathBackendGuard g(kernels::MathBackend::Exact);
-        softmaxRows(te);
-    }
-    {
-        MathBackendGuard g(kernels::MathBackend::Vector);
-        softmaxRows(tv);
-    }
-    EXPECT_LT(maxAbsDiff(tv, te), 2e-6);
+    std::vector<float> r1 = base, r4 = base;
+    ThreadPool::setGlobalThreads(1);
+    kernels::rmsNormRowsF32(rows, cols, r1.data(), cols, nullptr, 1e-6f);
+    ThreadPool::setGlobalThreads(4);
+    kernels::rmsNormRowsF32(rows, cols, r4.data(), cols, nullptr, 1e-6f);
+    ThreadPool::setGlobalThreads(0);
+    EXPECT_TRUE(bitsEqual(r1, r4));
 }
 
 // -----------------------------------------------------------------
-// Cross-clone oracles: every vector-backend body against its
+// Cross-clone oracles: every SFU kernel body against its
 // baseline-ISA restatement (tests/reference/sfu.h), bit for bit, at
 // lengths on both sides of the 8-lane blocks.
 // -----------------------------------------------------------------
@@ -730,22 +506,8 @@ const int64_t kOracleLengths[] = {1, 3, 7, 8, 13, 32, 64, 100, 257};
 
 } // namespace
 
-TEST(SfuKernels, ExpRowsMatchesOracleBitwise)
-{
-    MathBackendGuard guard(kernels::MathBackend::Vector);
-    Rng rng(41);
-    for (int64_t n : kOracleLengths) {
-        std::vector<float> got = randomBuf(rng, 2 * n, 8.0);
-        std::vector<float> want = got;
-        kernels::expRowsF32(2, n, got.data(), n);
-        reference::expRowVector(want.data(), 2 * n);
-        EXPECT_TRUE(bitsEqual(got, want)) << "n=" << n;
-    }
-}
-
 TEST(SfuKernels, SoftmaxMatchesOracleBitwise)
 {
-    MathBackendGuard guard(kernels::MathBackend::Vector);
     Rng rng(42);
     for (int64_t n : kOracleLengths) {
         std::vector<float> got = randomBuf(rng, 3 * n, 3.0);
@@ -760,7 +522,6 @@ TEST(SfuKernels, SoftmaxMatchesOracleBitwise)
 
 TEST(SfuKernels, ExpBiasedSumMatchesOracleBitwise)
 {
-    MathBackendGuard guard(kernels::MathBackend::Vector);
     Rng rng(43);
     for (int64_t n : kOracleLengths) {
         std::vector<float> got = randomBuf(rng, n, 3.0);
@@ -773,26 +534,20 @@ TEST(SfuKernels, ExpBiasedSumMatchesOracleBitwise)
     }
 }
 
-TEST(SfuKernels, ActivationsMatchOracleBitwise)
+TEST(SfuKernels, SiluMatchesOracleBitwise)
 {
-    MathBackendGuard guard(kernels::MathBackend::Vector);
     Rng rng(44);
     for (int64_t n : kOracleLengths) {
-        const std::vector<float> base = randomBuf(rng, n, 3.0);
-        std::vector<float> silu = base, gelu = base;
-        std::vector<float> silu_ref = base, gelu_ref = base;
+        std::vector<float> silu = randomBuf(rng, n, 3.0);
+        std::vector<float> silu_ref = silu;
         kernels::siluF32(silu.data(), n);
-        kernels::geluF32(gelu.data(), n);
         reference::siluVector(silu_ref.data(), n);
-        reference::geluVector(gelu_ref.data(), n);
-        EXPECT_TRUE(bitsEqual(silu, silu_ref)) << "silu n=" << n;
-        EXPECT_TRUE(bitsEqual(gelu, gelu_ref)) << "gelu n=" << n;
+        EXPECT_TRUE(bitsEqual(silu, silu_ref)) << "n=" << n;
     }
 }
 
 TEST(SfuKernels, RmsNormMatchesOracleBitwise)
 {
-    MathBackendGuard guard(kernels::MathBackend::Vector);
     Rng rng(45);
     for (int64_t n : kOracleLengths) {
         const std::vector<float> base = randomBuf(rng, 3 * n);
@@ -813,7 +568,6 @@ TEST(SfuKernels, RmsNormMatchesOracleBitwise)
 
 TEST(SfuKernels, SimGatherMatchesOracleBitwise)
 {
-    MathBackendGuard guard(kernels::MathBackend::Vector);
     Rng rng(46);
     const int64_t rows = 9;
     const int64_t cand[] = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -838,25 +592,6 @@ TEST(SfuKernels, SimGatherMatchesOracleBitwise)
         }
         EXPECT_TRUE(bitsEqual(sims, sims_ref)) << "n=" << n;
     }
-}
-
-TEST(KernelsQuant, GemmInt8TensorPathUnchanged)
-{
-    // tensor/quant.cc gemmInt8 now routes through the kernel layer;
-    // its int8 result must still track the fp32 product closely
-    // (same bound as tests/test_tensor.cc used pre-refactor).
-    Rng rng(22);
-    Tensor a(12, 40), b(40, 9);
-    for (int64_t i = 0; i < a.numel(); ++i) {
-        a.data()[i] = static_cast<float>(rng.gaussian());
-    }
-    for (int64_t i = 0; i < b.numel(); ++i) {
-        b.data()[i] = static_cast<float>(rng.gaussian());
-    }
-    Tensor cf, cq;
-    gemm(a, b, cf);
-    gemmInt8(a, b, cq);
-    EXPECT_LT(relativeError(cq, cf), 0.05);
 }
 
 // -----------------------------------------------------------------
@@ -992,26 +727,21 @@ TEST(KernelsAttention, SoftmaxCausalMatchesMaskedSoftmax)
 {
     Rng rng(53);
     constexpr float nan = std::numeric_limits<float>::quiet_NaN();
-    for (kernels::MathBackend b :
-         {kernels::MathBackend::Exact, kernels::MathBackend::Vector}) {
-        MathBackendGuard guard(b);
-        for (int64_t rows : attentionRowCounts()) {
-            for (int64_t ld : {rows, rows + 3}) {
-                // The causal pass must ignore whatever sits above the
-                // diagonal (NaN here); the oracle masks it with -1e30.
-                std::vector<float> got = scoreBlock(rng, rows, ld, nan);
-                std::vector<float> want = got;
-                for (int64_t i = 0; i < rows; ++i) {
-                    for (int64_t j = i + 1; j < rows; ++j) {
-                        want[static_cast<size_t>(i * ld + j)] = -1e30f;
-                    }
+    for (int64_t rows : attentionRowCounts()) {
+        for (int64_t ld : {rows, rows + 3}) {
+            // The causal pass must ignore whatever sits above the
+            // diagonal (NaN here); the oracle masks it with -1e30.
+            std::vector<float> got = scoreBlock(rng, rows, ld, nan);
+            std::vector<float> want = got;
+            for (int64_t i = 0; i < rows; ++i) {
+                for (int64_t j = i + 1; j < rows; ++j) {
+                    want[static_cast<size_t>(i * ld + j)] = -1e30f;
                 }
-                kernels::softmaxCausalF32(rows, got.data(), ld);
-                kernels::softmaxRowsF32(rows, rows, want.data(), ld);
-                EXPECT_TRUE(bitsEqual(got, want))
-                    << kernels::mathBackendName(b) << " rows=" << rows
-                    << " ld=" << ld;
             }
+            kernels::softmaxCausalF32(rows, got.data(), ld);
+            kernels::softmaxRowsF32(rows, rows, want.data(), ld);
+            EXPECT_TRUE(bitsEqual(got, want))
+                << "rows=" << rows << " ld=" << ld;
         }
     }
 }
@@ -1037,10 +767,5 @@ TEST(KernelsAttention, ThreadCountBitIdentity)
         p.insert(p.end(), out.begin(), out.end());
         return p;
     };
-    for (kernels::MathBackend b :
-         {kernels::MathBackend::Exact, kernels::MathBackend::Vector}) {
-        MathBackendGuard guard(b);
-        EXPECT_TRUE(bitsEqual(run(1), run(4)))
-            << kernels::mathBackendName(b);
-    }
+    EXPECT_TRUE(bitsEqual(run(1), run(4)));
 }

@@ -139,9 +139,8 @@ TEST(Softmax, StableUnderLargeLogits)
 TEST(Softmax, MaskedEntriesGetZero)
 {
     Tensor t(1, 4);
-    Tensor mask(1, 4);
-    mask(0, 3) = -1e30f;
-    softmaxRowsMasked(t, mask);
+    t(0, 3) += -1e30f; // additive mask
+    softmaxRows(t);
     EXPECT_NEAR(t(0, 3), 0.0f, 1e-6);
     EXPECT_NEAR(t(0, 0), 1.0f / 3.0f, 1e-5);
 }
@@ -174,24 +173,14 @@ TEST(Softmax, SingleColumnRowsBecomeOne)
     }
 }
 
-TEST(Softmax, MaskedValidatesRankBeforeMutating)
-{
-    // Rank must be rejected up front — historically the panic fired
-    // inside softmaxRows only after the mask had been added.
-    Tensor t(2, 3, 4);
-    Tensor mask(2, 3, 4);
-    EXPECT_DEATH(softmaxRowsMasked(t, mask), "rank-2");
-}
-
 TEST(Softmax, AllMaskedRowPropagatesNaN)
 {
     constexpr float ninf = -std::numeric_limits<float>::infinity();
     Tensor t(2, 3);
-    Tensor mask(2, 3);
     for (int64_t j = 0; j < 3; ++j) {
-        mask(0, j) = ninf; // row 0: everything masked
+        t(0, j) += ninf; // row 0: everything masked
     }
-    softmaxRowsMasked(t, mask);
+    softmaxRows(t);
     for (int64_t j = 0; j < 3; ++j) {
         // -inf - (-inf) = NaN must propagate, not silently become a
         // uniform (or garbage) distribution.
@@ -256,31 +245,25 @@ TEST(RmsNorm, DegenerateShapesAreNoops)
     EXPECT_NEAR(one(1, 0), 1.0f, 1e-5);
 }
 
-TEST(Activations, SiluAndGeluShapes)
+TEST(Activations, SiluShapes)
 {
     Tensor t(1, 3);
     t(0, 0) = 0.0f;
     t(0, 1) = 10.0f;
     t(0, 2) = -10.0f;
-    Tensor g = t;
     siluInPlace(t);
     EXPECT_NEAR(t(0, 0), 0.0f, 1e-6);
     EXPECT_NEAR(t(0, 1), 10.0f, 1e-3);
     EXPECT_NEAR(t(0, 2), 0.0f, 1e-3);
-    geluInPlace(g);
-    EXPECT_NEAR(g(0, 0), 0.0f, 1e-6);
-    EXPECT_NEAR(g(0, 1), 10.0f, 1e-3);
 }
 
 TEST(Activations, EmptyTensorsAreNoops)
 {
     Tensor a(0, 8);
     siluInPlace(a);
-    geluInPlace(a);
     EXPECT_EQ(a.numel(), 0);
     Tensor b(8, 0);
     siluInPlace(b);
-    geluInPlace(b);
     EXPECT_EQ(b.numel(), 0);
 }
 
@@ -332,17 +315,6 @@ TEST(Quant, RoundTripErrorBounded)
                       absmax / 127.0f * 0.5f + 1e-6f);
         }
     }
-}
-
-TEST(Quant, Int8GemmApproximatesFloatGemm)
-{
-    Rng rng(10);
-    const Tensor a = randomTensor(rng, 8, 32);
-    const Tensor b = randomTensor(rng, 32, 8);
-    Tensor cf, cq;
-    gemm(a, b, cf);
-    gemmInt8(a, b, cq);
-    EXPECT_LT(relativeError(cq, cf), 0.05);
 }
 
 TEST(Quant, ScalesArePerRow)
