@@ -1,7 +1,8 @@
 /**
  * @file
  * Micro-kernel throughput benchmarks (google-benchmark): the hot
- * functional kernels underneath the reproduction — GEMM, the causal
+ * functional kernels underneath the reproduction — GEMM (square and at
+ * the forward pass's shapes), fp16 activation rounding, the causal
  * attention interior (QK^T, softmax, P*V), cosine similarity
  * matching, similarity gather, streaming top-k, and the DRAM model.
  */
@@ -72,6 +73,55 @@ BM_GemmFp16(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_GemmFp16)->Arg(64)->Arg(128);
+
+void
+BM_GemmForward(benchmark::State &state)
+{
+    // The forward pass's projection shapes: M packed rows (412: two
+    // image samples; 810: one video sample; 101: a batch shrunk by SEC
+    // pruning) against a (K x N) weight: QKV/O-proj (64, 64), gate/up
+    // (64, 256), down (256, 64).
+    const int64_t m = state.range(0);
+    const int64_t k = state.range(1);
+    const int64_t n = state.range(2);
+    Rng rng(2);
+    const Tensor a = randomTensor(rng, m, k);
+    const Tensor b = randomTensor(rng, k, n);
+    Tensor c;
+    for (auto _ : state) {
+        gemm(a, b, c);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["MAC/s"] = benchmark::Counter(
+        static_cast<double>(m * k * n),
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GemmForward)
+    ->ArgNames({"m", "k", "n"})
+    ->ArgsProduct({{101, 412, 810}, {64}, {64, 256}})
+    ->ArgsProduct({{101, 412, 810}, {256}, {64}});
+
+void
+BM_RoundFp16(benchmark::State &state)
+{
+    // Activation rounding of one (rows x d) block, as forwardBatch
+    // rounds each normalized sample; re-rounding costs what the first
+    // pass does.
+    const int64_t rows = state.range(0);
+    const int64_t d = state.range(1);
+    Rng rng(12);
+    Tensor t = randomTensor(rng, rows, d);
+    for (auto _ : state) {
+        t.roundToFp16();
+        benchmark::DoNotOptimize(t.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["elem/s"] = benchmark::Counter(
+        static_cast<double>(rows * d),
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_RoundFp16)->Args({412, 64});
 
 void
 BM_Softmax(benchmark::State &state)

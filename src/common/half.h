@@ -10,8 +10,11 @@
  * (serve/prefix_cache.h):
  *
  *  - floatToHalfBitsFast: a branch-light integer-only conversion
- *    (RNE), the one float -> binary16 path: `Half`, `fp16Round` (GEMM
- *    packing, `Tensor::roundToFp16`) and the prefix cache all use it.
+ *    (RNE), the software float -> binary16 path: `Half`, `fp16Round`
+ *    (GEMM packing) and the prefix cache use it.  Batch activation
+ *    rounding (`Tensor::roundToFp16`, tensor/kernels.h
+ *    `roundFp16F32`) runs F16C where the CPU has it and
+ *    `fp16Round` for the rest, with the same bits.
  *    It is bit-exact to the readable reference conversion kept in
  *    tests/reference/half.h for every input, NaN payload and
  *    subnormal rounding included: tests/test_half.cc checks all

@@ -48,6 +48,17 @@
 #define FOCUS_KERNEL_CLONES
 #endif
 
+// F16C activation rounding (roundFp16F32): compiled for x86-64 with
+// its own target attribute and chosen by one CPU-feature check at run
+// time — no ifunc, so sanitizer builds run it too.  Other targets
+// compile only the fp16Round loop.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define FOCUS_F16C_ROUNDING 1
+#else
+#define FOCUS_F16C_ROUNDING 0
+#endif
+
 namespace focus
 {
 namespace kernels
@@ -164,75 +175,106 @@ packA(const float *a, int64_t lda, const int64_t *a_rows, int64_t i0,
 // -----------------------------------------------------------------
 // Microkernels
 //
-// micro4x8: the full-tile kernel.  ap is a packed kMr-row quad
-// (kMr values per depth step), bp a packed kNr-wide panel slice.  On
-// the first K block (load_c false) the accumulators start at zero —
+// micro4x16: the register tile.  ap is a packed kMr-row quad (kMr
+// values per depth step), bp a packed kNr-wide panel slice.  On the
+// first K block (load_c false) the accumulators start at zero —
 // folding the output zeroing into the kernel; later K blocks load the
 // partial C tile first and accumulation across K blocks stays
 // strictly sequential in k per element — the bit-exactness invariant.
 // -----------------------------------------------------------------
 
-FOCUS_KERNEL_CLONES void
-micro4x8(int64_t kc, const float *FOCUS_RESTRICT ap,
-         const float *FOCUS_RESTRICT bp, float *FOCUS_RESTRICT c,
-         int64_t ldc, bool load_c)
+constexpr int64_t kLanes = 8;              ///< one ymm of floats
+constexpr int64_t kNrBlocks = kNr / kLanes; ///< ymm blocks per tile row
+
+/** One tile row of C into its accumulator blocks. */
+FOCUS_ALWAYS_INLINE void
+loadRow(const float *FOCUS_RESTRICT c, float (&acc)[kNrBlocks][kLanes])
 {
-    float acc[kMr][kNr] = {};
-    if (load_c) {
-        for (int64_t r = 0; r < kMr; ++r) {
-            for (int64_t j = 0; j < kNr; ++j) {
-                acc[r][j] = c[r * ldc + j];
-            }
-        }
-    }
-    // Per-row inner loops: each row's 8-wide update is an independent
-    // j-loop, which GCC turns into exactly one broadcast + one 8-lane
-    // fused multiply-add per row per depth step.
-    for (int64_t p = 0; p < kc; ++p) {
-        for (int64_t r = 0; r < kMr; ++r) {
-            const float ar = ap[r];
-            for (int64_t j = 0; j < kNr; ++j) {
-                acc[r][j] = std::fma(ar, bp[j], acc[r][j]);
-            }
-        }
-        ap += kMr;
-        bp += kNr;
-    }
-    for (int64_t r = 0; r < kMr; ++r) {
-        for (int64_t j = 0; j < kNr; ++j) {
-            c[r * ldc + j] = acc[r][j];
+    for (int64_t b = 0; b < kNrBlocks; ++b) {
+        for (int64_t e = 0; e < kLanes; ++e) {
+            acc[b][e] = c[b * kLanes + e];
         }
     }
 }
 
-/** Edge-tile variant: identical accumulation, partial C load/store. */
-FOCUS_KERNEL_CLONES void
-microEdge(int64_t kc, const float *FOCUS_RESTRICT ap,
-          const float *FOCUS_RESTRICT bp, float *FOCUS_RESTRICT c,
-          int64_t ldc, int64_t mr, int64_t nr, bool load_c)
+/**
+ * One row's accumulator blocks back into C.  Rows are stored one at a
+ * time: stores interleaved across rows make GCC 12 add a run-time
+ * check for overlapping rows (ldc < kNr).
+ */
+FOCUS_ALWAYS_INLINE void
+storeRow(const float (&acc)[kNrBlocks][kLanes], float *FOCUS_RESTRICT c)
 {
-    float acc[kMr][kNr] = {};
-    if (load_c) {
-        for (int64_t r = 0; r < mr; ++r) {
-            for (int64_t j = 0; j < nr; ++j) {
-                acc[r][j] = c[r * ldc + j];
-            }
+    for (int64_t b = 0; b < kNrBlocks; ++b) {
+        for (int64_t e = 0; e < kLanes; ++e) {
+            c[b * kLanes + e] = acc[b][e];
         }
     }
+}
+
+/**
+ * 4 x 16 tile: each depth step is four broadcasts of A times two
+ * 8-lane B blocks, so the eight ymm accumulators cover two FMA ports
+ * at four cycles of latency.  Each row keeps its own array of 8-lane
+ * blocks: with one acc[r][b][e] array GCC 12 interchanges the loops
+ * and stores the accumulators at every depth step.
+ */
+FOCUS_KERNEL_CLONES void
+micro4x16(int64_t kc, const float *FOCUS_RESTRICT ap,
+          const float *FOCUS_RESTRICT bp, float *FOCUS_RESTRICT c,
+          int64_t ldc, bool load_c)
+{
+    float a0[kNrBlocks][kLanes] = {}, a1[kNrBlocks][kLanes] = {};
+    float a2[kNrBlocks][kLanes] = {}, a3[kNrBlocks][kLanes] = {};
+    float *FOCUS_RESTRICT c0 = c;
+    float *FOCUS_RESTRICT c1 = c0 + ldc;
+    float *FOCUS_RESTRICT c2 = c1 + ldc;
+    float *FOCUS_RESTRICT c3 = c2 + ldc;
+    if (load_c) {
+        loadRow(c0, a0);
+        loadRow(c1, a1);
+        loadRow(c2, a2);
+        loadRow(c3, a3);
+    }
     for (int64_t p = 0; p < kc; ++p) {
-        for (int64_t r = 0; r < kMr; ++r) {
-            const float ar = ap[r];
-            for (int64_t j = 0; j < kNr; ++j) {
-                acc[r][j] = std::fma(ar, bp[j], acc[r][j]);
+        const float x0 = ap[0], x1 = ap[1], x2 = ap[2], x3 = ap[3];
+        for (int64_t b = 0; b < kNrBlocks; ++b) {
+            for (int64_t e = 0; e < kLanes; ++e) {
+                const float bv = bp[b * kLanes + e];
+                a0[b][e] = std::fma(x0, bv, a0[b][e]);
+                a1[b][e] = std::fma(x1, bv, a1[b][e]);
+                a2[b][e] = std::fma(x2, bv, a2[b][e]);
+                a3[b][e] = std::fma(x3, bv, a3[b][e]);
             }
         }
         ap += kMr;
         bp += kNr;
     }
-    for (int64_t r = 0; r < mr; ++r) {
-        for (int64_t j = 0; j < nr; ++j) {
-            c[r * ldc + j] = acc[r][j];
+    storeRow(a0, c0);
+    storeRow(a1, c1);
+    storeRow(a2, c2);
+    storeRow(a3, c3);
+}
+
+/**
+ * Edge tile (mr < kMr rows or nr < kNr columns): the full tile runs
+ * over the zero-padded packed panels into a stack tile, and only the
+ * valid mr x nr part is copied out, so every valid element gets the
+ * full tile's arithmetic.
+ */
+void
+microEdge(int64_t kc, const float *ap, const float *bp, float *c,
+          int64_t ldc, int64_t mr, int64_t nr, bool load_c)
+{
+    float tile[kMr * kNr] = {};
+    if (load_c) {
+        for (int64_t r = 0; r < mr; ++r) {
+            std::copy(c + r * ldc, c + r * ldc + nr, tile + r * kNr);
         }
+    }
+    micro4x16(kc, ap, bp, tile, kNr, load_c);
+    for (int64_t r = 0; r < mr; ++r) {
+        std::copy(tile + r * kNr, tile + r * kNr + nr, c + r * ldc);
     }
 }
 
@@ -264,7 +306,7 @@ gemmBlock(int64_t i0, int64_t mb, int64_t n, int64_t k, const float *a,
                     apack.data() + (iq / kMr) * (kc * kMr);
                 float *cp = c + (i0 + iq) * ldc + jp * kNr;
                 if (mr == kMr && nr == kNr) {
-                    micro4x8(kc, ap, bp, cp, ldc, load_c);
+                    micro4x16(kc, ap, bp, cp, ldc, load_c);
                 } else {
                     microEdge(kc, ap, bp, cp, ldc, mr, nr, load_c);
                 }
@@ -428,7 +470,6 @@ qkScoresPanel(const float *q, int64_t ldq, const float *kt, int64_t ldt,
 // in-memory single-row loop agree bit for bit.
 // -----------------------------------------------------------------
 
-constexpr int64_t kPvLanes = 8;  ///< one ymm of floats
 constexpr int64_t kPvCols = 32; ///< P*V tile width (4 ymm per row)
 
 /** orow[c] += p[j] * v[j][c] for j in [j0, j1), c in [c0, c1). */
@@ -462,7 +503,7 @@ pvRow(const float *FOCUS_RESTRICT prow, int64_t lim,
  * Two output rows x kPvCols columns over their shared key range
  * [0, shared): both rows' accumulators stay in registers and every V
  * row slice loaded feeds two rows.  The accumulators are blocks of
- * kPvLanes: with one flat 32-wide array per row GCC 12 keeps them on
+ * kLanes: with one flat 32-wide array per row GCC 12 keeps them on
  * the stack instead.
  */
 FOCUS_ALWAYS_INLINE void
@@ -470,22 +511,22 @@ pvTile2(const float *FOCUS_RESTRICT p0, const float *FOCUS_RESTRICT p1,
         int64_t shared, const float *FOCUS_RESTRICT v, int64_t ldv,
         float *FOCUS_RESTRICT o0, float *FOCUS_RESTRICT o1)
 {
-    constexpr int64_t kBlocks = kPvCols / kPvLanes;
-    float a0[kBlocks][kPvLanes] = {}, a1[kBlocks][kPvLanes] = {};
+    constexpr int64_t kBlocks = kPvCols / kLanes;
+    float a0[kBlocks][kLanes] = {}, a1[kBlocks][kLanes] = {};
     for (int64_t j = 0; j < shared; ++j) {
         const float x0 = p0[j], x1 = p1[j];
         const float *FOCUS_RESTRICT vrow = v + j * ldv;
         for (int64_t b = 0; b < kBlocks; ++b) {
-            for (int64_t c = 0; c < kPvLanes; ++c) {
-                a0[b][c] = std::fma(x0, vrow[b * kPvLanes + c], a0[b][c]);
-                a1[b][c] = std::fma(x1, vrow[b * kPvLanes + c], a1[b][c]);
+            for (int64_t c = 0; c < kLanes; ++c) {
+                a0[b][c] = std::fma(x0, vrow[b * kLanes + c], a0[b][c]);
+                a1[b][c] = std::fma(x1, vrow[b * kLanes + c], a1[b][c]);
             }
         }
     }
     for (int64_t b = 0; b < kBlocks; ++b) {
-        for (int64_t c = 0; c < kPvLanes; ++c) {
-            o0[b * kPvLanes + c] = a0[b][c];
-            o1[b * kPvLanes + c] = a1[b][c];
+        for (int64_t c = 0; c < kLanes; ++c) {
+            o0[b * kLanes + c] = a0[b][c];
+            o1[b * kLanes + c] = a1[b][c];
         }
     }
 }
@@ -682,6 +723,37 @@ forRowRanges(int64_t rows, int64_t cols, const RowRangeFn &fn)
     }
 }
 
+#if FOCUS_F16C_ROUNDING
+/**
+ * The 8-lane body of roundFp16F32: vcvtps2ph with round-to-nearest-
+ * even, then the exact widening back.  Returns how many leading
+ * elements it rounded (n rounded down to a multiple of 8).
+ */
+__attribute__((target("avx,f16c"))) int64_t
+roundFp16F16c(float *x, int64_t n)
+{
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m128i h = _mm256_cvtps_ph(
+            _mm256_loadu_ps(x + i),
+            _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+        _mm256_storeu_ps(x + i, _mm256_cvtph_ps(h));
+    }
+    return i;
+}
+
+bool
+cpuHasF16c()
+{
+    static const bool has = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx") &&
+            __builtin_cpu_supports("f16c");
+    }();
+    return has;
+}
+#endif
+
 /** Softmax counters, shared by the full-row and causal entry points. */
 void
 countSoftmaxRows(int64_t rows)
@@ -826,6 +898,20 @@ simGatherF32(const float *key, float key_norm, const float *pack,
         sims[c] = (key_norm < tiny || nb < tiny)
             ? 0.0f
             : simDot1(key, pack + cand[c] * ld, n) / (key_norm * nb);
+    }
+}
+
+void
+roundFp16F32(float *x, int64_t n)
+{
+    int64_t i = 0;
+#if FOCUS_F16C_ROUNDING
+    if (cpuHasF16c()) {
+        i = roundFp16F16c(x, n);
+    }
+#endif
+    for (; i < n; ++i) {
+        x[i] = fp16Round(x[i]);
     }
 }
 

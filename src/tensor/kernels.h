@@ -6,13 +6,15 @@
  * This is the compute substrate under `tensor/ops.h` (`gemm`,
  * softmax, RMSNorm, SiLU), the attention inner loops of
  * `vlm/model.cc`, and the SIC similarity gather of `focus/sic.cc`.
- * The GEMM is B-panel packing + a 4xNR register-tiled microkernel with
- * M-blocks fanned across the `runtime/thread_pool.h` pool.  It is bit-identical to the naive
- * reference loops in tests/reference/gemm.h — per output element the
- * accumulation order is exactly the reference order (ascending k with
- * a single accumulator, one std::fma per step) — at every thread
- * count.  The attention interiors (`dotRowsScaled`, the causal
- * QK^T/P*V products) pin their accumulation order the same way.
+ * The GEMM is B-panel packing + a 4x16 register tile (eight 8-lane
+ * accumulators; edge tiles run it into a stack tile) with M-blocks
+ * fanned across the `runtime/thread_pool.h` pool.  It is
+ * bit-identical to the naive reference loops in tests/reference/gemm.h
+ * — per output element the accumulation order is exactly the
+ * reference order (ascending k with a single accumulator, one std::fma
+ * per step) — at every thread count.  The attention interiors
+ * (`dotRowsScaled`, the causal QK^T/P*V products) pin their
+ * accumulation order the same way.
  *
  * The build never contracts a mul+add (-ffp-contract=off); every
  * fused multiply-add is a std::fma in kernels.cc.  So the kernels'
@@ -110,11 +112,22 @@ void simGatherF32(const float *key, float key_norm, const float *pack,
                   int64_t ld, const float *norms, const int64_t *cand,
                   int64_t count, int64_t n, float *sims);
 
+/**
+ * x[i] = fp16Round(x[i]) for i in [0, n): round through binary16 and
+ * back (round-to-nearest-even), bit for bit as common/half.h
+ * `fp16Round`.  Where the CPU has F16C, 8 lanes per step go through
+ * vcvtps2ph/vcvtph2ps; the n % 8 tail, hosts without F16C and
+ * non-x86 builds run the `fp16Round` loop.  The two agree on all
+ * 2^32 inputs, NaN payloads included (EXPERIMENTS.md, "4 × 16 GEMM
+ * tile and F16C activation rounding").
+ */
+void roundFp16F32(float *x, int64_t n);
+
 // ---------------------------------------------------------------
 // Blocking geometry (exposed for tests and docs/KERNELS.md).
 // ---------------------------------------------------------------
 inline constexpr int64_t kMr = 4;   ///< microkernel rows (A panel)
-inline constexpr int64_t kNr = 8;   ///< microkernel cols (B panel)
+inline constexpr int64_t kNr = 16;  ///< microkernel cols (B panel)
 inline constexpr int64_t kMc = 64;  ///< rows per M block = parallel grain
 inline constexpr int64_t kKc = 256; ///< depth per packed K block
 

@@ -3,8 +3,8 @@
 #include <cinttypes>
 #include <numeric>
 
-#include "common/half.h"
 #include "common/logging.h"
+#include "tensor/kernels.h"
 
 namespace focus
 {
@@ -110,9 +110,7 @@ Tensor::fill(float v)
 void
 Tensor::roundToFp16()
 {
-    for (auto &v : data_) {
-        v = fp16Round(v);
-    }
+    kernels::roundFp16F32(data_.data(), numel());
 }
 
 Tensor

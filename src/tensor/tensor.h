@@ -57,7 +57,11 @@ class Tensor
 
     void fill(float v);
 
-    /** Round every element through binary16 (storage emulation). */
+    /**
+     * Round every element through binary16 (storage emulation), bit
+     * for bit as `fp16Round`: kernels::roundFp16F32 takes 8 lanes per
+     * F16C step where the CPU has it and runs `fp16Round` elsewhere.
+     */
     void roundToFp16();
 
     /** Reinterpret with a new shape of identical element count. */

@@ -5,9 +5,10 @@
  *
  * One sample at a time, every projection a plain tensor/ops.h gemm()
  * over that sample's rows, attention scores one dotRowsScaled() call
- * per query row.  forwardBatch packs samples into taller GEMMs and
- * tiles the attention interior; both must reproduce this function
- * bit for bit (tests/test_forward.cc).
+ * per query row, activations rounded to fp16 one `fp16Round` at a
+ * time.  forwardBatch packs samples into taller GEMMs, tiles the
+ * attention interior and rounds 8 lanes at a time with F16C; all of
+ * it must reproduce this function bit for bit (tests/test_forward.cc).
  */
 
 #ifndef FOCUS_TESTS_REFERENCE_FORWARD_H
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/half.h"
 #include "focus/sec.h"
 #include "focus/sic.h"
 #include "tensor/kernels.h"
@@ -29,6 +31,19 @@ namespace focus
 {
 namespace reference
 {
+
+/**
+ * Activation rounding one element at a time through the software
+ * converter, so the forward comparison also checks
+ * Tensor::roundToFp16's batch (F16C) path end to end.
+ */
+inline void
+roundFp16Scalar(Tensor &t)
+{
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        t.data()[i] = fp16Round(t.data()[i]);
+    }
+}
 
 /** Multi-head causal attention; fills per-head probabilities. */
 inline void
@@ -203,7 +218,7 @@ forward(const VlmModel &model, const VideoSample &sample,
         if (method.int8) {
             xn = int8RoundTrip(xn);
         } else {
-            xn.roundToFp16();
+            roundFp16Scalar(xn);
         }
         if (sic_on && l > 0) {
             rec.psi_qkv = gatherSite(xn, gather_coords(s_cur),
@@ -324,7 +339,7 @@ forward(const VlmModel &model, const VideoSample &sample,
         if (method.int8) {
             xn2 = int8RoundTrip(xn2);
         } else {
-            xn2.roundToFp16();
+            roundFp16Scalar(xn2);
         }
         if (sic_on) {
             rec.psi_ffn = gatherSite(xn2, gather_coords(s_cur),

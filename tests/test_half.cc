@@ -3,9 +3,10 @@
  * Tests for the binary16 emulation in common/half.h: the reference
  * conversion (tests/reference/half.h) round-trips every binary16
  * pattern, and the production conversion (floatToHalfBitsFast, behind
- * `Half` and `fp16Round`) and its batch form are bit-exact to the
- * reference across the classification boundaries, a strided
- * full-range sweep and the special values.
+ * `Half` and `fp16Round`), its batch form and the batch activation
+ * rounding `kernels::roundFp16F32` (F16C where the CPU has it) are
+ * bit-exact to the reference across the classification boundaries, a
+ * strided full-range sweep and the special values.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 
 #include "common/half.h"
 #include "reference/half.h"
+#include "tensor/kernels.h"
 
 namespace focus
 {
@@ -23,6 +25,24 @@ namespace
 {
 
 using reference::floatToHalfBits;
+
+/**
+ * Rounds @p src in one kernels::roundFp16F32 call and checks every
+ * result against the reference round trip, bit for bit (NaN payloads
+ * included).  Callers pass lengths that are not multiples of 8, so
+ * the F16C body and the scalar tail both run.
+ */
+void
+expectBatchRoundMatchesReference(const std::vector<float> &src)
+{
+    std::vector<float> out = src;
+    kernels::roundFp16F32(out.data(), static_cast<int64_t>(out.size()));
+    for (size_t i = 0; i < src.size(); ++i) {
+        const float want = halfBitsToFloat(floatToHalfBits(src[i]));
+        ASSERT_EQ(detail::floatBits(out[i]), detail::floatBits(want))
+            << "bits 0x" << std::hex << detail::floatBits(src[i]);
+    }
+}
 
 // ---------------------------------------------------------------
 // binary16
@@ -55,9 +75,12 @@ TEST(Half, FastMatchesReferenceOnBoundaryBands)
     // The fast path classifies by magnitude against three thresholds
     // (subnormal floor, normal floor, overflow) plus the inf/NaN
     // band; sweep a dense window around each, both signs.
+    // Each window also goes through the batch rounding in one call
+    // (2 * 131073 values: 8-lane body plus a 2-element tail).
     const uint32_t centers[] = {0x33000000u, 0x38800000u, 0x47800000u,
                                 0x7f800000u};
     for (const uint32_t c : centers) {
+        std::vector<float> window;
         for (int64_t d = -65536; d <= 65536; ++d) {
             const uint32_t abs =
                 static_cast<uint32_t>(static_cast<int64_t>(c) + d);
@@ -65,20 +88,32 @@ TEST(Half, FastMatchesReferenceOnBoundaryBands)
                 const float f = detail::bitsFloat(sign | abs);
                 ASSERT_EQ(floatToHalfBitsFast(f), floatToHalfBits(f))
                     << "bits 0x" << std::hex << (sign | abs);
+                window.push_back(f);
             }
         }
+        expectBatchRoundMatchesReference(window);
     }
 }
 
 TEST(Half, FastMatchesReferenceOnStridedSweepAndSpecials)
 {
     // Coarse sweep of the whole uint32 space (coprime stride hits
-    // every exponent) plus the exact special values.
+    // every exponent) plus the exact special values.  The batch
+    // rounding takes the sweep in chunks of 4099 values and the 15
+    // specials in one call: both lengths leave a scalar tail.
+    constexpr size_t kChunk = 4099;
+    std::vector<float> chunk;
     for (uint64_t b = 0; b <= 0xffffffffull; b += 251) {
         const float f = detail::bitsFloat(static_cast<uint32_t>(b));
         ASSERT_EQ(floatToHalfBitsFast(f), floatToHalfBits(f))
             << "bits 0x" << std::hex << b;
+        chunk.push_back(f);
+        if (chunk.size() == kChunk) {
+            expectBatchRoundMatchesReference(chunk);
+            chunk.clear();
+        }
     }
+    expectBatchRoundMatchesReference(chunk);
     const uint32_t specials[] = {
         0x00000000u, 0x80000000u, // +-0
         0x00000001u, 0x807fffffu, // float subnormals
@@ -88,11 +123,14 @@ TEST(Half, FastMatchesReferenceOnStridedSweepAndSpecials)
         0x477fe000u, 0x477ff000u, // just below half overflow
         0x38800000u - 1, 0x33000000u - 1,
     };
+    std::vector<float> special_values;
     for (const uint32_t b : specials) {
         const float f = detail::bitsFloat(b);
         EXPECT_EQ(floatToHalfBitsFast(f), floatToHalfBits(f))
             << "bits 0x" << std::hex << b;
+        special_values.push_back(f);
     }
+    expectBatchRoundMatchesReference(special_values);
 }
 
 TEST(Half, KnownConversions)

@@ -60,18 +60,23 @@ bitsEqual(const std::vector<float> &a, const std::vector<float> &b)
 }
 
 // Shapes chosen to hit every dispatch edge: unit dims, primes off the
-// 4x8 tile grid, exact tile multiples, one-off sizes around the
-// kMc=64 M-block boundary, and k=300 > kKc=256 to exercise the
-// multi-K-block C reload path.
+// 4x16 tile grid, every m % 4 edge row count, n % 16 edge columns
+// (one full panel plus 7 in {6, 23, 19}), exact tile multiples,
+// one-off sizes around the kMc=64 M-block boundary, and k=300 >
+// kKc=256 to exercise the multi-K-block C reload path, on full tiles
+// and on edge tiles ({66, 40, 300}: two edge rows, 8 edge columns).
+// The last three are the forward pass's own projection shapes
+// (gate/up, QKV/O-proj, down) at packed-batch row counts.
 struct Shape
 {
     int64_t m, n, k;
 };
 
 const Shape kShapes[] = {
-    {1, 1, 1},    {1, 16, 3},    {5, 1, 7},       {7, 9, 5},
-    {13, 17, 11}, {31, 29, 37},  {64, 64, 64},    {65, 63, 66},
-    {100, 37, 53}, {127, 129, 64}, {40, 24, 300},
+    {1, 1, 1},      {1, 16, 3},     {5, 1, 7},      {7, 9, 5},
+    {13, 17, 11},   {31, 29, 37},   {64, 64, 64},   {65, 63, 66},
+    {100, 37, 53},  {127, 129, 64}, {40, 24, 300},  {6, 23, 19},
+    {66, 40, 300},  {413, 256, 64}, {206, 64, 64},  {101, 64, 256},
 };
 
 } // namespace
