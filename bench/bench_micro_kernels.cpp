@@ -57,24 +57,6 @@ BM_Gemm(benchmark::State &state)
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
 void
-BM_GemmFp16(benchmark::State &state)
-{
-    // fp16-input variant: operands rounded through binary16 during
-    // packing (not per-FMA).
-    const int64_t n = state.range(0);
-    Rng rng(1);
-    const Tensor a = randomTensor(rng, n, n);
-    const Tensor b = randomTensor(rng, n, n);
-    Tensor c;
-    for (auto _ : state) {
-        gemm(a, b, c, /*fp16_inputs=*/true);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_GemmFp16)->Arg(64)->Arg(128);
-
-void
 BM_GemmForward(benchmark::State &state)
 {
     // The forward pass's projection shapes: M packed rows (412: two
@@ -388,7 +370,9 @@ BENCHMARK(BM_SimulateAccelFocus);
 // pool's workers execute, so the pool defaults to a single thread
 // here (the blocked GEMM would otherwise fan M blocks out and the
 // per-kernel numbers would depend on the host's core count).
-// --threads=N opts back in to a wider pool.
+// --threads=N opts back in to a wider pool.  The banner names the pool
+// width and the kernel clone the host runs, so a row says which body
+// produced it.
 int
 main(int argc, char **argv)
 {
@@ -404,6 +388,7 @@ main(int argc, char **argv)
     argc = out;
     ThreadPool::setGlobalThreads(threads);
     std::printf("# pool threads: %d\n", ThreadPool::global().threads());
+    std::printf("# kernel clone: %s\n", kernels::cloneName());
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
         return 1;

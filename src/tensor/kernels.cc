@@ -11,41 +11,43 @@
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 
-// Portable restrict qualifier: the microkernels rely on it so the
-// compiler can vectorize the packed-panel loops without alias checks.
-#if defined(_MSC_VER)
-#define FOCUS_RESTRICT __restrict
-#else
+// The kernels need GCC or Clang: the QK^T tile keeps its lane sets in
+// GNU vector types, and the helpers below are GNU attributes.
+//
+// Restrict qualifier: the microkernels rely on it so the compiler can
+// vectorize the packed-panel loops without alias checks.
 #define FOCUS_RESTRICT __restrict__
-#endif
 
 // Tile helpers are forced inline into their FOCUS_KERNEL_CLONES
 // caller, so each clone compiles them with its own ISA: out of line
 // they would run the default target's SSE2 code.
-#if defined(_MSC_VER)
-#define FOCUS_ALWAYS_INLINE __forceinline
-#else
 #define FOCUS_ALWAYS_INLINE inline __attribute__((always_inline))
-#endif
 
 // Function multi-versioning for the hot FP kernels: on x86-64 the
-// loader picks the x86-64-v3 clone (AVX2 + FMA) where the CPU has it
-// and the baseline SSE2 clone otherwise — no -march flags, so the
-// binary stays portable.  The clones compute the same bits: the build
-// never contracts a mul+add (-ffp-contract=off), and every fused
-// multiply-add is a std::fma in the source, which the v3 clone emits
-// as one FMA instruction and the baseline clone as a call to libm's
-// correctly rounded fmaf (docs/KERNELS.md).  TSan builds compile one
-// body: its runtime is not up yet when the ifunc resolvers run.
+// loader picks, by CPUID, the x86-64-v4 clone (AVX-512) or the
+// x86-64-v3 clone (AVX2 + FMA) where the CPU has it and the baseline
+// SSE2 clone otherwise — no -march flags, so the binary stays
+// portable.  The clones compute the same bits: the build never
+// contracts a mul+add (-ffp-contract=off), and every fused
+// multiply-add is a std::fma in the source, which the v3 and v4 clones
+// emit as one FMA instruction and the baseline clone as a call to
+// libm's correctly rounded fmaf (docs/KERNELS.md).  cloneName() names
+// the body the host runs by repeating the resolver's CPU-level checks,
+// so it must list the same levels as this attribute.  TSan builds
+// compile one body: its runtime is not up yet when the ifunc resolvers
+// run.
 #ifndef __has_attribute
 #define __has_attribute(x) 0
 #endif
 #if defined(__x86_64__) && __has_attribute(target_clones) &&          \
     defined(__linux__) && !defined(__SANITIZE_THREAD__)
 #define FOCUS_KERNEL_CLONES                                           \
-    __attribute__((target_clones("default", "arch=x86-64-v3")))
+    __attribute__((target_clones("default", "arch=x86-64-v3",         \
+                                 "arch=x86-64-v4")))
+#define FOCUS_HAS_KERNEL_CLONES 1
 #else
 #define FOCUS_KERNEL_CLONES
+#define FOCUS_HAS_KERNEL_CLONES 0
 #endif
 
 // F16C activation rounding (roundFp16F32): compiled for x86-64 with
@@ -64,6 +66,24 @@ namespace focus
 namespace kernels
 {
 
+const char *
+cloneName()
+{
+#if FOCUS_HAS_KERNEL_CLONES
+    // The levels the target_clones resolver tests, highest first.
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("x86-64-v4")) {
+        return "x86-64-v4";
+    }
+    if (__builtin_cpu_supports("x86-64-v3")) {
+        return "x86-64-v3";
+    }
+    return "baseline";
+#else
+    return "single body";
+#endif
+}
+
 namespace
 {
 
@@ -75,13 +95,11 @@ namespace
 // zero-padded past n.  The microkernel then streams one contiguous
 // kNr-wide panel slice per K block.  A is packed per (M block, K
 // block) into row quads of kMr: quad iq holds, for each depth step p,
-// the kMr values a[iq*kMr .. +kMr)[p], zero-padded past m.  fp16
-// operand rounding happens here, once per element, so the microkernel
-// hot loop stays branch-free.
+// the kMr values a[iq*kMr .. +kMr)[p], zero-padded past m.
 // -----------------------------------------------------------------
 
 void
-packB(const float *b, int64_t ldb, int64_t k, int64_t n, bool fp16,
+packB(const float *b, int64_t ldb, int64_t k, int64_t n,
       float *FOCUS_RESTRICT dst)
 {
     const int64_t full = (n / kNr) * kNr;
@@ -93,23 +111,15 @@ packB(const float *b, int64_t ldb, int64_t k, int64_t n, bool fp16,
         const float *FOCUS_RESTRICT src = b + p * ldb;
         float *out = dst + p * kNr;
         int64_t j0 = 0;
-        if (fp16) {
-            for (; j0 < full; j0 += kNr, out += panel_stride) {
-                for (int64_t j = 0; j < kNr; ++j) {
-                    out[j] = fp16Round(src[j0 + j]);
-                }
-            }
-        } else {
-            for (; j0 < full; j0 += kNr, out += panel_stride) {
-                for (int64_t j = 0; j < kNr; ++j) {
-                    out[j] = src[j0 + j];
-                }
+        for (; j0 < full; j0 += kNr, out += panel_stride) {
+            for (int64_t j = 0; j < kNr; ++j) {
+                out[j] = src[j0 + j];
             }
         }
         if (j0 < n) {
             const int64_t nr = n - j0;
             for (int64_t j = 0; j < nr; ++j) {
-                out[j] = fp16 ? fp16Round(src[j0 + j]) : src[j0 + j];
+                out[j] = src[j0 + j];
             }
             for (int64_t j = nr; j < kNr; ++j) {
                 out[j] = 0.0f;
@@ -120,8 +130,7 @@ packB(const float *b, int64_t ldb, int64_t k, int64_t n, bool fp16,
 
 void
 packA(const float *a, int64_t lda, const int64_t *a_rows, int64_t i0,
-      int64_t mb, int64_t k0, int64_t kc, bool fp16,
-      float *FOCUS_RESTRICT dst)
+      int64_t mb, int64_t k0, int64_t kc, float *FOCUS_RESTRICT dst)
 {
     const int64_t full = (mb / kMr) * kMr;
     int64_t iq = 0;
@@ -142,20 +151,11 @@ packA(const float *a, int64_t lda, const int64_t *a_rows, int64_t i0,
             r2 = r1 + lda;
             r3 = r2 + lda;
         }
-        if (fp16) {
-            for (int64_t p = 0; p < kc; ++p) {
-                dst[p * kMr] = fp16Round(r0[p]);
-                dst[p * kMr + 1] = fp16Round(r1[p]);
-                dst[p * kMr + 2] = fp16Round(r2[p]);
-                dst[p * kMr + 3] = fp16Round(r3[p]);
-            }
-        } else {
-            for (int64_t p = 0; p < kc; ++p) {
-                dst[p * kMr] = r0[p];
-                dst[p * kMr + 1] = r1[p];
-                dst[p * kMr + 2] = r2[p];
-                dst[p * kMr + 3] = r3[p];
-            }
+        for (int64_t p = 0; p < kc; ++p) {
+            dst[p * kMr] = r0[p];
+            dst[p * kMr + 1] = r1[p];
+            dst[p * kMr + 2] = r2[p];
+            dst[p * kMr + 3] = r3[p];
         }
     }
     // Trailing partial quad: zero-fill, then copy the valid rows.
@@ -166,7 +166,7 @@ packA(const float *a, int64_t lda, const int64_t *a_rows, int64_t i0,
             const int64_t src_row = a_rows != nullptr ? a_rows[i] : i;
             const float *FOCUS_RESTRICT src = a + src_row * lda + k0;
             for (int64_t p = 0; p < kc; ++p) {
-                dst[p * kMr + r] = fp16 ? fp16Round(src[p]) : src[p];
+                dst[p * kMr + r] = src[p];
             }
         }
     }
@@ -285,7 +285,7 @@ microEdge(int64_t kc, const float *ap, const float *bp, float *c,
 void
 gemmBlock(int64_t i0, int64_t mb, int64_t n, int64_t k, const float *a,
           int64_t lda, const int64_t *a_rows, const float *bpack,
-          float *c, int64_t ldc, bool fp16, bool accumulate)
+          float *c, int64_t ldc, bool accumulate)
 {
     static thread_local std::vector<float> apack;
     const int64_t mbp = ((mb + kMr - 1) / kMr) * kMr;
@@ -296,7 +296,7 @@ gemmBlock(int64_t i0, int64_t mb, int64_t n, int64_t k, const float *a,
         // caller asked to accumulate into existing C.
         const bool load_c = accumulate || k0 > 0;
         apack.resize(static_cast<size_t>(mbp * kc));
-        packA(a, lda, a_rows, i0, mb, k0, kc, fp16, apack.data());
+        packA(a, lda, a_rows, i0, mb, k0, kc, apack.data());
         for (int64_t jp = 0; jp < panels; ++jp) {
             const int64_t nr = std::min(kNr, n - jp * kNr);
             const float *bp = bpack + jp * (k * kNr) + k0 * kNr;
@@ -381,22 +381,34 @@ dot4(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b0,
 constexpr int64_t kQkPad = 16;
 
 /**
+ * Eight floats as one GNU vector: a ymm in the v3 and v4 clones, two
+ * xmm in the baseline clone.  Loaded and stored with std::memcpy, so
+ * no alignment is assumed.
+ */
+using Vec8 = float __attribute__((vector_size(kLanes * sizeof(float))));
+
+/**
  * One query against W consecutive keys of a transposed key panel
  * (kt[p*ldt + c] is component p of key c): out[c] gets exactly dot4's
  * per-element arithmetic — lane e accumulates k = e, e+4, ...; the
  * scalar tail folds into lane 0; the result is (l0+l1)+(l2+l3) times
  * scale.  The transposed layout turns each depth step into one
- * broadcast of q times a contiguous W-wide key row, so the 4 x W
- * accumulators live in vector registers.  Always inlined: a body
- * compiled on its own would carry the default target's codegen into
- * every clone of the caller.
+ * broadcast of q times a contiguous W-wide key row.  The four lane
+ * sets are vectors of 8 keys, so every add of the final combine is a
+ * vector add too: with plain float arrays GCC 12 combines (l2 + l3)
+ * in scalar adds and lane shuffles.  Always inlined: a body compiled
+ * on its own would carry the default target's codegen into every
+ * clone of the caller.
  */
 template <int64_t W>
 FOCUS_ALWAYS_INLINE void
 qkBlock(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT kt,
         int64_t ldt, int64_t k, float scale, float *FOCUS_RESTRICT out)
 {
-    float l0[W] = {}, l1[W] = {}, l2[W] = {}, l3[W] = {};
+    constexpr int64_t kBlocks = W / kLanes;
+    Vec8 l0[kBlocks] = {}, l1[kBlocks] = {};
+    Vec8 l2[kBlocks] = {}, l3[kBlocks] = {};
+    Vec8 kv = {};
     int64_t p = 0;
     for (; p + 4 <= k; p += 4) {
         const float q0 = q[p], q1 = q[p + 1];
@@ -405,22 +417,28 @@ qkBlock(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT kt,
         const float *FOCUS_RESTRICT k1 = k0 + ldt;
         const float *FOCUS_RESTRICT k2 = k1 + ldt;
         const float *FOCUS_RESTRICT k3 = k2 + ldt;
-        for (int64_t c = 0; c < W; ++c) {
-            l0[c] += q0 * k0[c];
-            l1[c] += q1 * k1[c];
-            l2[c] += q2 * k2[c];
-            l3[c] += q3 * k3[c];
+        for (int64_t b = 0; b < kBlocks; ++b) {
+            std::memcpy(&kv, k0 + b * kLanes, sizeof(kv));
+            l0[b] += q0 * kv;
+            std::memcpy(&kv, k1 + b * kLanes, sizeof(kv));
+            l1[b] += q1 * kv;
+            std::memcpy(&kv, k2 + b * kLanes, sizeof(kv));
+            l2[b] += q2 * kv;
+            std::memcpy(&kv, k3 + b * kLanes, sizeof(kv));
+            l3[b] += q3 * kv;
         }
     }
     for (; p < k; ++p) {
         const float qv = q[p];
         const float *FOCUS_RESTRICT krow = kt + p * ldt;
-        for (int64_t c = 0; c < W; ++c) {
-            l0[c] += qv * krow[c];
+        for (int64_t b = 0; b < kBlocks; ++b) {
+            std::memcpy(&kv, krow + b * kLanes, sizeof(kv));
+            l0[b] += qv * kv;
         }
     }
-    for (int64_t c = 0; c < W; ++c) {
-        out[c] = ((l0[c] + l1[c]) + (l2[c] + l3[c])) * scale;
+    for (int64_t b = 0; b < kBlocks; ++b) {
+        const Vec8 r = ((l0[b] + l1[b]) + (l2[b] + l3[b])) * scale;
+        std::memcpy(out + b * kLanes, &r, sizeof(r));
     }
 }
 
@@ -922,7 +940,7 @@ roundFp16F32(float *x, int64_t n)
 void
 gemmF32(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
         const float *b, int64_t ldb, float *c, int64_t ldc,
-        bool fp16_inputs, const int64_t *a_rows, bool accumulate)
+        const int64_t *a_rows, bool accumulate)
 {
     if (m <= 0 || n <= 0) {
         return;
@@ -954,14 +972,13 @@ gemmF32(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
     const int64_t panels = (n + kNr - 1) / kNr;
     bpack_tls.resize(static_cast<size_t>(panels * kNr * k));
     float *bpack = bpack_tls.data();
-    packB(b, ldb, k, n, fp16_inputs, bpack);
+    packB(b, ldb, k, n, bpack);
 
     const int64_t mblocks = (m + kMc - 1) / kMc;
     auto run_block = [&](int64_t bi) {
         const int64_t i0 = bi * kMc;
         const int64_t mb = std::min(kMc, m - i0);
-        gemmBlock(i0, mb, n, k, a, lda, a_rows, bpack, c, ldc,
-                  fp16_inputs, accumulate);
+        gemmBlock(i0, mb, n, k, a, lda, a_rows, bpack, c, ldc, accumulate);
     };
 
     // Fan M blocks across the pool when the product is big enough to

@@ -7,8 +7,9 @@
  * softmax, RMSNorm, SiLU), the attention inner loops of
  * `vlm/model.cc`, and the SIC similarity gather of `focus/sic.cc`.
  * The GEMM is B-panel packing + a 4x16 register tile (eight 8-lane
- * accumulators; edge tiles run it into a stack tile) with M-blocks
- * fanned across the `runtime/thread_pool.h` pool.  It is
+ * accumulators, four 16-lane ones in the x86-64-v4 clone; edge tiles
+ * run it into a stack tile) with M-blocks fanned across the
+ * `runtime/thread_pool.h` pool.  It is
  * bit-identical to the naive reference loops in tests/reference/gemm.h
  * — per output element the accumulation order is exactly the
  * reference order (ascending k with a single accumulator, one std::fma
@@ -43,6 +44,15 @@ namespace focus
 {
 namespace kernels
 {
+
+/**
+ * The body of the FOCUS_KERNEL_CLONES kernels this host runs:
+ * "x86-64-v4", "x86-64-v3" or "baseline", by the same CPU-level checks
+ * the loader's clone resolver makes, or "single body" in a build
+ * without clones (TSan, non-x86-64).  Every body computes the same
+ * bits; the name says which one a timing measured.
+ */
+const char *cloneName();
 
 // ---------------------------------------------------------------
 // SFU / vector-math tier (softmax, exp, SiLU, RMSNorm, SIC similarity
@@ -139,9 +149,7 @@ inline constexpr int64_t kKc = 256; ///< depth per packed K block
  * @p ldb, C is (m x n) with row stride @p ldc.  With @p accumulate
  * false (the default) C's prior contents are ignored: the first K
  * block starts its accumulators at zero, so callers need not zero C.
- * When @p fp16_inputs is set, both operands are rounded through
- * binary16 while being packed, so the microkernel hot loop stays
- * branch-free.  @p a_rows, when non-null, is an m-entry gather map:
+ * @p a_rows, when non-null, is an m-entry gather map:
  * logical A row i reads from a + a_rows[i]*lda (used for the
  * post-prune P*V product).
  *
@@ -151,8 +159,8 @@ inline constexpr int64_t kKc = 256; ///< depth per packed K block
  */
 void gemmF32(int64_t m, int64_t n, int64_t k, const float *a,
              int64_t lda, const float *b, int64_t ldb, float *c,
-             int64_t ldc, bool fp16_inputs = false,
-             const int64_t *a_rows = nullptr, bool accumulate = false);
+             int64_t ldc, const int64_t *a_rows = nullptr,
+             bool accumulate = false);
 
 /**
  * out[j] = dot(q, b + j*ldb, k) * scale for j in [0, rows) — the

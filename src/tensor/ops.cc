@@ -11,7 +11,7 @@ namespace focus
 {
 
 void
-gemm(const Tensor &a, const Tensor &b, Tensor &c, bool fp16_inputs)
+gemm(const Tensor &a, const Tensor &b, Tensor &c)
 {
     if (a.rank() != 2 || b.rank() != 2) {
         panic("gemm: operands must be rank-2");
@@ -26,8 +26,7 @@ gemm(const Tensor &a, const Tensor &b, Tensor &c, bool fp16_inputs)
     if (c.rank() != 2 || c.rows() != m || c.cols() != n) {
         c = Tensor(m, n);
     }
-    kernels::gemmF32(m, n, k, a.data(), k, b.data(), n, c.data(), n,
-                     fp16_inputs);
+    kernels::gemmF32(m, n, k, a.data(), k, b.data(), n, c.data(), n);
 }
 
 void

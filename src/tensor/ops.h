@@ -18,17 +18,16 @@ namespace focus
 /**
  * C = A * B.  A is (M x K), B is (K x N), C is (M x N).
  *
- * Accumulation is float (FP32), matching the PE array; if
- * @p fp16_inputs is true both inputs are rounded through binary16
- * element-wise before use, emulating FP16 operand storage.
+ * Accumulation is float (FP32), matching the PE array.  The forward
+ * pass rounds activations through binary16 before they get here
+ * (Tensor::roundToFp16); the GEMM itself does not round.
  *
  * Runs the blocked kernel `kernels::gemmF32` (tensor/kernels.h),
  * which is bit-identical to the naive reference loop
  * (tests/reference/gemm.h) and fans M blocks across the global
  * thread pool; see docs/KERNELS.md.
  */
-void gemm(const Tensor &a, const Tensor &b, Tensor &c,
-          bool fp16_inputs = false);
+void gemm(const Tensor &a, const Tensor &b, Tensor &c);
 
 /**
  * Row-wise numerically-stable softmax over a rank-2 tensor, through

@@ -285,7 +285,7 @@ forward(const VlmModel &model, const VideoSample &sample,
             kernels::gemmF32(rows_after, hd, rows, p.data(), p.cols(),
                              v.data() + c0, v.cols(),
                              attn_out.data() + c0, attn_out.cols(),
-                             /*fp16_inputs=*/false, pv_map);
+                             pv_map);
         }
         res.ops += static_cast<double>(rows_after) * rows * d; // PV
 

@@ -8,10 +8,10 @@
  * sites and its unfused mul + add steps, so it computes the kernel's
  * bits.  These bodies carry no target_clones attribute: the tests
  * compile them once at the baseline ISA, where each std::fma is libm's
- * correctly rounded fmaf, while the kernels run their x86-64-v3 clone
- * on an FMA host.  Bitwise agreement is the cross-clone half of the
- * arithmetic contract (docs/KERNELS.md, "Vectorization and
- * determinism").
+ * correctly rounded fmaf, while the kernels run their x86-64-v3 or
+ * x86-64-v4 clone on an FMA host.  Bitwise agreement is the
+ * cross-clone half of the arithmetic contract (docs/KERNELS.md,
+ * "Vectorization and determinism").
  *
  * The `*Libm` loops are the scalar `std::exp` code the SFU tier
  * replaced: serial per-row sums, libm transcendentals.  They depend on

@@ -2,10 +2,9 @@
  * @file
  * Blocked GEMM kernel layer (tensor/kernels.h): bit-exactness of the
  * blocked kernels against the naive reference across
- * odd/prime/degenerate shapes, fp16 packing parity, the row gather
- * map, accumulate mode, the tensor/ops.h entry point, and
- * thread-count bit-identity (raw kernels and through
- * Evaluator::runFunctional).
+ * odd/prime/degenerate shapes, the row gather map, accumulate mode,
+ * the tensor/ops.h entry point, and thread-count bit-identity (raw
+ * kernels and through Evaluator::runFunctional).
  *
  * SFU tier (SfuKernels.*): tolerance vs the scalar libm loops of
  * tests/reference/sfu.h (polynomial expf, fused softmax, SiLU,
@@ -24,7 +23,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/half.h"
 #include "common/rng.h"
 #include "eval/evaluator.h"
 #include "reference/gemm.h"
@@ -110,48 +108,6 @@ TEST(KernelsGemm, KZeroYieldsZeroOutput)
     }
 }
 
-TEST(KernelsGemm, Fp16PackingMatchesNaiveFp16)
-{
-    Rng rng(12);
-    for (const Shape &s : kShapes) {
-        const std::vector<float> a = randomBuf(rng, s.m * s.k);
-        const std::vector<float> b = randomBuf(rng, s.k * s.n);
-        std::vector<float> c_blocked(static_cast<size_t>(s.m * s.n));
-        std::vector<float> c_naive(static_cast<size_t>(s.m * s.n),
-                                   0.0f);
-        kernels::gemmF32(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
-                         c_blocked.data(), s.n, /*fp16_inputs=*/true);
-        reference::gemmNaiveF32(s.m, s.n, s.k, a.data(), s.k, b.data(),
-                              s.n, c_naive.data(), s.n,
-                              /*fp16_inputs=*/true);
-        EXPECT_TRUE(bitsEqual(c_blocked, c_naive))
-            << "fp16 shape " << s.m << "x" << s.n << "x" << s.k;
-    }
-}
-
-TEST(KernelsGemm, Fp16RoundsEachOperandOnce)
-{
-    // The packed-rounding path must equal rounding both operands
-    // up front and running the plain-fp32 kernel.
-    Rng rng(13);
-    const int64_t m = 9, n = 21, k = 33;
-    std::vector<float> a = randomBuf(rng, m * k);
-    std::vector<float> b = randomBuf(rng, k * n);
-    std::vector<float> c_fp16(static_cast<size_t>(m * n));
-    kernels::gemmF32(m, n, k, a.data(), k, b.data(), n, c_fp16.data(),
-                     n, /*fp16_inputs=*/true);
-    for (auto &v : a) {
-        v = fp16Round(v);
-    }
-    for (auto &v : b) {
-        v = fp16Round(v);
-    }
-    std::vector<float> c_ref(static_cast<size_t>(m * n));
-    kernels::gemmF32(m, n, k, a.data(), k, b.data(), n, c_ref.data(),
-                     n);
-    EXPECT_TRUE(bitsEqual(c_fp16, c_ref));
-}
-
 TEST(KernelsGemm, RowGatherMapMatchesMaterializedGather)
 {
     Rng rng(14);
@@ -162,7 +118,7 @@ TEST(KernelsGemm, RowGatherMapMatchesMaterializedGather)
 
     std::vector<float> c_map(static_cast<size_t>(m * n));
     kernels::gemmF32(m, n, k, a.data(), k, b.data(), n, c_map.data(),
-                     n, false, map);
+                     n, map);
 
     std::vector<float> gathered(static_cast<size_t>(m * k));
     for (int64_t i = 0; i < m; ++i) {
@@ -186,7 +142,7 @@ TEST(KernelsGemm, AccumulateAddsOntoExistingC)
 
     std::vector<float> c_acc = seed_c;
     kernels::gemmF32(m, n, k, a.data(), k, b.data(), n, c_acc.data(),
-                     n, false, nullptr, /*accumulate=*/true);
+                     n, nullptr, /*accumulate=*/true);
 
     // Naive reference accumulates into whatever C holds.
     std::vector<float> c_ref = seed_c;
@@ -501,13 +457,16 @@ TEST(SfuKernels, ThreadCountBitIdentity)
 // -----------------------------------------------------------------
 // Cross-clone oracles: every SFU kernel body against its
 // baseline-ISA restatement (tests/reference/sfu.h), bit for bit, at
-// lengths on both sides of the 8-lane blocks.
+// lengths on both sides of the 8-lane blocks and of a 16-lane zmm
+// (16 and 17: one zmm, then a tail; 24 and 31: a zmm plus an 8-lane
+// block, then a tail).
 // -----------------------------------------------------------------
 
 namespace
 {
 
-const int64_t kOracleLengths[] = {1, 3, 7, 8, 13, 32, 64, 100, 257};
+const int64_t kOracleLengths[] = {1,  3,  7,  8,  13, 16,  17,
+                                  24, 31, 32, 64, 100, 257};
 
 } // namespace
 
@@ -719,7 +678,7 @@ TEST(KernelsAttention, PvMatchesGemmOverCausalP)
                 kernels::pvCausalF32(m, n, p.data(), rows, rowmap,
                                      v.data(), ldv, got.data(), ldo);
                 kernels::gemmF32(m, n, rows, p.data(), rows, v.data(),
-                                 ldv, want.data(), ldo, false, rowmap);
+                                 ldv, want.data(), ldo, rowmap);
                 EXPECT_TRUE(bitsEqual(got, want))
                     << "rows=" << rows << " n=" << n
                     << (map != nullptr ? " pruned" : " identity");
