@@ -119,8 +119,9 @@ main(int argc, char **argv)
                 AccelConfig cfg = AccelConfig::focus();
                 cfg.sic_matchers = matchers;
                 FracSampler psi(nullptr, 1.0);
-                const GemmTiming gt =
-                    timeGemm(cfg, 1024, k, 32, psi, false, true);
+                std::vector<int64_t> dense_log; // stays empty
+                const GemmTiming gt = timeGemm(cfg, 1024, k, 32, psi,
+                                               false, true, dense_log);
                 t.addRow({std::to_string(k),
                           std::to_string(matchers),
                           std::to_string(gt.stall_matcher),

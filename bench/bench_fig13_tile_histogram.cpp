@@ -54,6 +54,10 @@ main(int argc, char **argv)
         std::snprintf(range, sizeof(range), "%4.0f-%4.0f",
                       hist.binLo(b), hist.binHi(b));
         table.addRow({range, fmtF(density, 4), fmtF(util, 3)});
+        char key[32];
+        std::snprintf(key, sizeof(key), "density_%.0f_%.0f",
+                      hist.binLo(b), hist.binHi(b));
+        rec.metric(key, density);
     }
     rec.metric("tiles", static_cast<double>(rm.tile_lengths.size()));
     rec.metric("utilization", rm.utilization);

@@ -1,64 +1,11 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <sstream>
 
 #include "common/logging.h"
 
 namespace focus
 {
-
-ScalarSummary::ScalarSummary()
-    : count_(0), sum_(0.0), sum_sq_(0.0),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity())
-{
-}
-
-void
-ScalarSummary::add(double v)
-{
-    ++count_;
-    sum_ += v;
-    sum_sq_ += v * v;
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-}
-
-void
-ScalarSummary::merge(const ScalarSummary &other)
-{
-    count_ += other.count_;
-    sum_ += other.sum_;
-    sum_sq_ += other.sum_sq_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-double
-ScalarSummary::mean() const
-{
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-double
-ScalarSummary::variance() const
-{
-    if (count_ == 0) {
-        return 0.0;
-    }
-    const double m = mean();
-    const double v = sum_sq_ / static_cast<double>(count_) - m * m;
-    return v < 0.0 ? 0.0 : v;
-}
-
-double
-ScalarSummary::stddev() const
-{
-    return std::sqrt(variance());
-}
 
 Histogram::Histogram(double lo, double hi, int bins)
     : lo_(lo), hi_(hi), counts_(static_cast<size_t>(bins), 0), total_(0)
@@ -106,55 +53,6 @@ Histogram::cdfAt(double v) const
         }
     }
     return static_cast<double>(n) / static_cast<double>(raw_.size());
-}
-
-void
-StatSet::inc(const std::string &name, uint64_t by)
-{
-    vals_[name] += by;
-}
-
-void
-StatSet::set(const std::string &name, uint64_t v)
-{
-    vals_[name] = v;
-}
-
-uint64_t
-StatSet::get(const std::string &name) const
-{
-    auto it = vals_.find(name);
-    return it == vals_.end() ? 0 : it->second;
-}
-
-bool
-StatSet::has(const std::string &name) const
-{
-    return vals_.count(name) != 0;
-}
-
-void
-StatSet::merge(const StatSet &other)
-{
-    for (const auto &[k, v] : other.vals_) {
-        vals_[k] += v;
-    }
-}
-
-void
-StatSet::clear()
-{
-    vals_.clear();
-}
-
-std::string
-StatSet::dump(const std::string &prefix) const
-{
-    std::ostringstream os;
-    for (const auto &[k, v] : vals_) {
-        os << prefix << k << " = " << v << "\n";
-    }
-    return os.str();
 }
 
 } // namespace focus

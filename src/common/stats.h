@@ -1,46 +1,17 @@
 /**
  * @file
- * Lightweight statistics: named counters, scalar summaries and
- * fixed-bin histograms used by the timing/energy models and benches.
+ * Fixed-bin histograms for the benches' distribution figures
+ * (Fig. 2(b), Fig. 13).
  */
 
 #ifndef FOCUS_COMMON_STATS_H
 #define FOCUS_COMMON_STATS_H
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace focus
 {
-
-/**
- * Running summary of a scalar series: count/mean/min/max/stddev.
- */
-class ScalarSummary
-{
-  public:
-    ScalarSummary();
-
-    void add(double v);
-    void merge(const ScalarSummary &other);
-
-    uint64_t count() const { return count_; }
-    double mean() const;
-    double min() const { return min_; }
-    double max() const { return max_; }
-    double variance() const;
-    double stddev() const;
-    double sum() const { return sum_; }
-
-  private:
-    uint64_t count_;
-    double sum_;
-    double sum_sq_;
-    double min_;
-    double max_;
-};
 
 /**
  * Histogram with uniform bins over [lo, hi); out-of-range samples are
@@ -68,30 +39,6 @@ class Histogram
     std::vector<uint64_t> counts_;
     uint64_t total_;
     std::vector<double> raw_;
-};
-
-/**
- * A bag of named 64-bit counters with formatted dumping.  Components
- * of the simulator (buffers, DRAM, PEs) record activity here and the
- * energy model converts counters to joules at the end of a run.
- */
-class StatSet
-{
-  public:
-    void inc(const std::string &name, uint64_t by = 1);
-    void set(const std::string &name, uint64_t v);
-    uint64_t get(const std::string &name) const;
-    bool has(const std::string &name) const;
-    void merge(const StatSet &other);
-    void clear();
-
-    const std::map<std::string, uint64_t> &all() const { return vals_; }
-
-    /** Render "name = value" lines, sorted by name. */
-    std::string dump(const std::string &prefix = "") const;
-
-  private:
-    std::map<std::string, uint64_t> vals_;
 };
 
 } // namespace focus

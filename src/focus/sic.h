@@ -9,7 +9,8 @@
  * replaces vectors whose cosine similarity to a block neighbour
  * exceeds the threshold with an index reference to that neighbour's
  * representative.  A per-tile similarity map permits exact layout
- * reconstruction (Similarity Scatter).
+ * reconstruction (Similarity Scatter; the reference is
+ * tests/reference/sic_scatter.h).
  */
 
 #ifndef FOCUS_FOCUS_SIC_H
@@ -92,25 +93,6 @@ struct SicResult
  */
 SicResult sicGather(Tensor &x, const std::vector<TokenCoord> &coords,
                     const SicConfig &cfg);
-
-/**
- * Similarity Scatter reference: reconstruct the full (rows x cols)
- * tensor from compact per-slice buffers and the maps.  Used by tests
- * to prove gather/scatter losslessness and by the FC GEMM model.
- *
- * @param compact  per map, the unique vectors in compact order
- *                 (unique x slice_width each).
- */
-Tensor sicScatter(const SicResult &res,
-                  const std::vector<Tensor> &compact, int64_t rows,
-                  int64_t cols);
-
-/**
- * Extract the compact buffers implied by a gathered tensor, matching
- * the maps of @p res.  (Utility for tests and the scatter path.)
- */
-std::vector<Tensor> sicCompactBuffers(const Tensor &gathered,
-                                      const SicResult &res);
 
 } // namespace focus
 

@@ -9,18 +9,6 @@
 namespace focus
 {
 
-const char *
-arrivalProcessName(ArrivalProcess p)
-{
-    switch (p) {
-      case ArrivalProcess::OpenPoisson:
-        return "open-poisson";
-      case ArrivalProcess::ClosedLoop:
-        return "closed-loop";
-    }
-    return "?";
-}
-
 std::string
 RequestClass::label() const
 {

@@ -38,8 +38,6 @@ enum class ArrivalProcess
     ClosedLoop,  ///< fixed clients, exponential think after completion
 };
 
-const char *arrivalProcessName(ArrivalProcess p);
-
 /** One request class of a serving mix. */
 struct RequestClass
 {

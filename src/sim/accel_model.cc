@@ -23,9 +23,6 @@ mapBytes(double vectors)
     return static_cast<uint64_t>(std::llround(vectors * 2.0));
 }
 
-/** Cap on recorded tile lengths (Fig. 13 histogram sample). */
-constexpr size_t kTileLengthCap = 200000;
-
 /**
  * One-time config validation at simulation entry: every division in
  * the cycle/traffic models below assumes positive dimensions, so a
@@ -99,35 +96,20 @@ simulateAccelerator(const AccelConfig &cfg, const WorkloadTrace &trace,
 
         for (const GemmEvent &g : layer.gemms) {
             const bool sic_in = g.psi_in < 1.0;
-            const bool use_dist = sic_in && !trace.tile_fracs.empty();
             const bool gather = is_focus_arch && g.gather_out;
             FracSampler mean_sampler(nullptr, g.psi_in);
-            FracSampler &sampler = use_dist ? psi_dist : mean_sampler;
+            FracSampler &sampler =
+                trace.tile_fracs.empty() ? mean_sampler : psi_dist;
 
-            const GemmTiming t =
-                time_gemm(cfg, g.m, g.k, g.n, sampler, sic_in, gather);
+            const GemmTiming t = time_gemm(cfg, g.m, g.k, g.n, sampler,
+                                           sic_in, gather,
+                                           rm.tile_lengths);
             layer_compute += t.cycles * g.count;
             rm.stall_scatter += t.stall_scatter * g.count;
             rm.stall_matcher += t.stall_matcher * g.count;
             rm.mac_ops += t.mac_ops * g.count;
             rm.scatter_ops += t.scatter_ops * g.count;
             rm.matcher_ops += t.matcher_ops * g.count;
-            if (sic_in && rm.tile_lengths.size() < kTileLengthCap) {
-                // Truncate the batch insert precisely at the cap (a
-                // whole-batch insert used to overshoot it by up to
-                // one GEMM's worth of tiles).
-                if (rm.tile_lengths.empty()) {
-                    rm.tile_lengths.reserve(kTileLengthCap);
-                }
-                const size_t room =
-                    kTileLengthCap - rm.tile_lengths.size();
-                const size_t take =
-                    std::min(room, t.tile_lengths.size());
-                rm.tile_lengths.insert(
-                    rm.tile_lengths.end(), t.tile_lengths.begin(),
-                    t.tile_lengths.begin() +
-                        static_cast<int64_t>(take));
-            }
 
             // ---- DRAM traffic ----
             const int64_t m_tiles = ceilDiv(g.m, cfg.m_tile);
@@ -326,8 +308,8 @@ simulateAccelerator(const AccelConfig &cfg, const WorkloadTrace &trace,
         rm.cycles += layer_total;
     }
 
-    // Drop the cap-sized reservation slack: RunMetrics objects are
-    // stored long-term (serving composition cache, grid results).
+    // Drop the log's growth slack: RunMetrics objects are stored
+    // long-term (serving composition cache, grid results).
     rm.tile_lengths.shrink_to_fit();
 
     rm.mean_input_frac = input_frac_den > 0.0

@@ -85,7 +85,11 @@ struct RunMetrics
     /** Cycle-weighted PE utilization. */
     double utilization = 0.0;
 
-    /** Concentrated tile lengths (Fig. 13); empty unless SIC ran. */
+    /**
+     * Concentrated tile lengths (Fig. 13): p of the run's first
+     * kTileLengthCap SIC sub-tiles, in walk order; empty unless SIC
+     * ran.
+     */
     std::vector<int64_t> tile_lengths;
 
     /** Mean input-matrix size relative to dense (Fig. 12(b)). */

@@ -3,85 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
 #include "common/math_util.h"
 
 namespace focus
 {
 
-namespace
-{
-/** Burst granularity: one 64-byte access per command. */
-constexpr uint64_t kBurstBytes = 64;
-} // namespace
-
-DramModel::DramModel(const DramConfig &cfg)
-    : cfg_(cfg),
-      banks_(static_cast<size_t>(cfg.channels * cfg.banks_per_channel)),
-      bytes_moved_(0), activates_(0)
-{
-}
-
-void
-DramModel::reset()
-{
-    for (auto &b : banks_) {
-        b.open_row = -1;
-    }
-    bytes_moved_ = 0;
-    activates_ = 0;
-    stats.clear();
-}
-
-void
-DramModel::mapAddress(uint64_t addr, int &channel, int &bank,
-                      int64_t &row) const
-{
-    // Fine-grained channel interleave at burst granularity, then bank
-    // interleave, then row: the address layout that maximizes
-    // streaming parallelism.
-    const uint64_t burst = addr / kBurstBytes;
-    channel = static_cast<int>(burst % cfg_.channels);
-    const uint64_t per_channel = burst / cfg_.channels;
-    const uint64_t bursts_per_row =
-        static_cast<uint64_t>(cfg_.row_bytes) / kBurstBytes;
-    const uint64_t row_linear = per_channel / bursts_per_row;
-    bank = static_cast<int>(row_linear % cfg_.banks_per_channel);
-    row = static_cast<int64_t>(row_linear / cfg_.banks_per_channel);
-}
-
-uint64_t
-DramModel::access(uint64_t addr, uint64_t bytes, bool write)
-{
-    uint64_t busy = 0;
-    const uint64_t first = addr / kBurstBytes;
-    const uint64_t last = (addr + std::max<uint64_t>(bytes, 1) - 1) /
-        kBurstBytes;
-    for (uint64_t b = first; b <= last; ++b) {
-        int channel, bank;
-        int64_t row;
-        mapAddress(b * kBurstBytes, channel, bank, row);
-        BankState &st = banks_[static_cast<size_t>(
-            channel * cfg_.banks_per_channel + bank)];
-        if (st.open_row != row) {
-            // Precharge (if a row was open) + activate.
-            busy += (st.open_row >= 0 ? cfg_.t_rp : 0) + cfg_.t_rcd;
-            st.open_row = row;
-            ++activates_;
-            stats.inc(write ? "row_miss_wr" : "row_miss_rd");
-        } else {
-            stats.inc(write ? "row_hit_wr" : "row_hit_rd");
-        }
-        // Column access; CAS latency pipelines with the data burst
-        // for back-to-back accesses, so only the first in a row run
-        // pays it — approximated by folding tCL into row misses.
-        busy += cfg_.t_bl;
-        bytes_moved_ += kBurstBytes;
-    }
-    stats.inc(write ? "bytes_written" : "bytes_read",
-              (last - first + 1) * kBurstBytes);
-    return busy;
-}
+DramModel::DramModel(const DramConfig &cfg) : cfg_(cfg) {}
 
 double
 DramModel::streamEfficiency() const
@@ -90,7 +17,7 @@ DramModel::streamEfficiency() const
     // bank interleaving cannot hide.  With >= 4 banks the gap is
     // fully overlapped, leaving only the refresh derate.
     const double data_cycles =
-        static_cast<double>(cfg_.row_bytes) / kBurstBytes * cfg_.t_bl;
+        static_cast<double>(cfg_.row_bytes) / kDramBurstBytes * cfg_.t_bl;
     const double gap = cfg_.t_rp + cfg_.t_rcd;
     const double hidden = std::min(
         gap, data_cycles * (cfg_.banks_per_channel - 1));
@@ -114,7 +41,6 @@ DramModel::addStreamEnergy(uint64_t bytes)
     bytes_moved_ += bytes;
     activates_ += ceilDiv<uint64_t>(
         bytes, static_cast<uint64_t>(cfg_.row_bytes));
-    stats.inc("bytes_streamed", bytes);
 }
 
 double

@@ -1,15 +1,10 @@
 /**
  * @file
- * DDR4 DRAM model (DRAMsim3-lite).
- *
- * Two operating modes share one set of device parameters:
- *
- *  - Request mode: per-(channel, bank) open-row state with
- *    tRCD/tRP/tCL/tBL timing.  Used for unit-level validation and for
- *    small workloads.
- *  - Stream mode: analytic cost of a large contiguous transfer,
- *    calibrated against request mode (row-hit streaming with bank
- *    interleaving hides activation latency; refresh derates peak).
+ * DDR4 DRAM model (DRAMsim3-lite), stream mode: the analytic cost of
+ * a large contiguous transfer.  Bank interleaving hides activation
+ * latency behind row-hit streaming, and refresh derates peak; the
+ * request-mode model it is checked against (per-bank open-row state,
+ * tRCD/tRP/tBL timing) is tests/reference/dram_requests.h.
  *
  * Energy follows device-level accounting: activates + data movement
  * + background power (added by the caller from elapsed time).
@@ -19,26 +14,20 @@
 #define FOCUS_SIM_DRAM_H
 
 #include <cstdint>
-#include <vector>
 
-#include "common/stats.h"
 #include "sim/accel_config.h"
 
 namespace focus
 {
+
+/** Burst granularity: one 64-byte access per command. */
+constexpr uint64_t kDramBurstBytes = 64;
 
 /** DDR4 device model. */
 class DramModel
 {
   public:
     explicit DramModel(const DramConfig &cfg);
-
-    /**
-     * Request mode: access @p bytes starting at @p addr.  Returns the
-     * channel busy cycles consumed (the caller may overlap across
-     * channels).  Updates open-row state and energy counters.
-     */
-    uint64_t access(uint64_t addr, uint64_t bytes, bool write);
 
     /**
      * Stream mode: cycles to move @p bytes of contiguous data across
@@ -66,24 +55,10 @@ class DramModel
 
     const DramConfig &config() const { return cfg_; }
 
-    StatSet stats;
-
-    void reset();
-
   private:
-    struct BankState
-    {
-        int64_t open_row = -1;
-    };
-
     DramConfig cfg_;
-    std::vector<BankState> banks_; ///< [channel * banks + bank]
-    uint64_t bytes_moved_;
-    uint64_t activates_;
-
-    /** Decompose an address into (channel, bank, row). */
-    void mapAddress(uint64_t addr, int &channel, int &bank,
-                    int64_t &row) const;
+    uint64_t bytes_moved_ = 0;
+    uint64_t activates_ = 0;
 };
 
 } // namespace focus

@@ -62,42 +62,24 @@ tileBands(int64_t total, int64_t tile, TileBand out[2])
 /**
  * Sum of @p len consecutive entries of the cyclic sequence whose
  * prefix sums are @p prefix (prefix[j] = sum of the first j entries,
- * so prefix.size() = S + 1), starting at position @p c < S.  Integer
+ * so prefix.size() = T + 1), starting at position @p c < T.  Integer
  * arithmetic throughout, so the result equals the sequential sum
  * exactly.
  */
-template <typename T>
-T
-cyclicRangeSum(const std::vector<T> &prefix, size_t c, uint64_t len)
+template <typename V>
+V
+cyclicRangeSum(const std::vector<V> &prefix, size_t c, uint64_t len)
 {
-    const size_t S = prefix.size() - 1;
-    const T total = prefix[S];
-    T sum = static_cast<T>(len / S) * total;
-    const size_t e = c + len % S;
-    if (e <= S) {
+    const size_t T = prefix.size() - 1;
+    const V total = prefix[T];
+    V sum = static_cast<V>(len / T) * total;
+    const size_t e = c + len % T;
+    if (e <= T) {
         sum += prefix[e] - prefix[c];
     } else {
-        sum += (total - prefix[c]) + prefix[e - S];
+        sum += (total - prefix[c]) + prefix[e - T];
     }
     return sum;
-}
-
-/**
- * Append @p len entries of the cyclic table @p tab starting at
- * position @p c < S, in chunked bulk inserts.
- */
-void
-appendCyclic(std::vector<int64_t> &out, const std::vector<int64_t> &tab,
-             size_t c, uint64_t len)
-{
-    const size_t S = tab.size();
-    while (len > 0) {
-        const size_t chunk = static_cast<size_t>(
-            std::min<uint64_t>(len, S - c));
-        out.insert(out.end(), tab.begin() + c, tab.begin() + c + chunk);
-        len -= chunk;
-        c = (c + chunk) % S;
-    }
 }
 
 } // namespace
@@ -114,7 +96,8 @@ GemmTiming::utilization(const AccelConfig &cfg) const
 
 GemmTiming
 timeGemm(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
-             FracSampler &psi, bool sic_input, bool gather_out)
+         FracSampler &psi, bool sic_input, bool gather_out,
+         std::vector<int64_t> &tile_lengths)
 {
     validateTimingConfig(cfg);
     GemmTiming t;
@@ -129,6 +112,11 @@ timeGemm(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
     const int64_t k_subs = ceilDiv(k, b);
     const int64_t n_tiles = ceilDiv(n, a);
     const int64_t last_k_eff = k - (k_subs - 1) * b;
+    const uint64_t matcher_den =
+        static_cast<uint64_t>(cfg.sic_matchers);
+    TileBand mb[2], nb[2];
+    const int mbn = tileBands(m, cfg.m_tile, mb);
+    const int nbn = tileBands(n, a, nb);
 
     if (!sic_input) {
         // Dense input: every sub-tile of an (m-rows, n-cols) tile
@@ -136,9 +124,6 @@ timeGemm(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
         // distinct (m-band, n-band) combinations.  All op counters
         // accumulate integer-valued doubles, so these aggregated sums
         // equal the walk's incremental sums bit-for-bit below 2^53.
-        TileBand mb[2], nb[2];
-        const int mbn = tileBands(m, cfg.m_tile, mb);
-        const int nbn = tileBands(n, a, nb);
         for (int mi = 0; mi < mbn; ++mi) {
             const int64_t m_rows = mb[mi].size;
             const uint64_t tile_base = static_cast<uint64_t>(b) +
@@ -146,8 +131,7 @@ timeGemm(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
                     (static_cast<uint64_t>(m_rows) + fill);
             const uint64_t matcher = gather_out
                 ? ceilDiv<uint64_t>(
-                      8ull * static_cast<uint64_t>(m_rows),
-                      static_cast<uint64_t>(cfg.sic_matchers))
+                      8ull * static_cast<uint64_t>(m_rows), matcher_den)
                 : 0;
             for (int ni = 0; ni < nbn; ++ni) {
                 const int64_t n_eff = nb[ni].size;
@@ -171,171 +155,47 @@ timeGemm(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
     }
 
     // SIC input: one psi draw per (m-tile, n-tile, k-sub-tile), in
-    // exactly the per-tile walk's order.
-    const uint64_t total_draws = static_cast<uint64_t>(m_tiles) *
+    // the walk's order.  The sampler is round-robin, so draw d of this
+    // GEMM is position d mod T of the T = min(S, draws) values it
+    // draws from the cursor on: all S when its draws wrap the
+    // distribution, only its own otherwise (S = 1 when the sampler
+    // holds a mean).  Tabulate p, and the sub-tile latency it
+    // implies, once per position and tile geometry with prefix sums;
+    // each (m-tile, n-tile) window of k_subs draws then costs O(1)
+    // lookups.  The scatter stall needs no table of its own: per
+    // sub-tile stall = sub - compute, so a window's stall is
+    // sum(sub) - (sum(p) + k_subs * fill), exactly, in integers.
+    const uint64_t draws = static_cast<uint64_t>(m_tiles) *
         static_cast<uint64_t>(n_tiles) * static_cast<uint64_t>(k_subs);
-    t.tile_lengths.reserve(static_cast<size_t>(total_draws));
-    const uint64_t matcher_den =
-        static_cast<uint64_t>(cfg.sic_matchers);
-    const uint64_t scatter_den =
-        static_cast<uint64_t>(cfg.scatter_accumulators);
-    TileBand mb[2], nb[2];
-    const int mbn = tileBands(m, cfg.m_tile, mb);
-    const int nbn = tileBands(n, a, nb);
-
-    if (!psi.empirical()) {
-        // Mean-backed sampler: every draw is the same value, so the
-        // whole walk collapses to closed form per (m-band, n-band);
-        // only the tile-length log stays O(draws) (bulk fill, in
-        // m-tile-major walk order — full m-tiles precede the edge).
-        for (int mi = 0; mi < mbn; ++mi) {
-            const int64_t m_rows = mb[mi].size;
-            const double f = clamp(psi.mean(), 0.0, 1.0);
-            const int64_t p = std::max<int64_t>(
-                1, static_cast<int64_t>(
-                       std::llround(f * static_cast<double>(m_rows))));
-            const uint64_t compute = static_cast<uint64_t>(p) + fill;
-            const uint64_t matcher = gather_out
-                ? ceilDiv<uint64_t>(
-                      8ull * static_cast<uint64_t>(m_rows),
-                      matcher_den)
-                : 0;
-            for (int ni = 0; ni < nbn; ++ni) {
-                const int64_t n_eff = nb[ni].size;
-                const int64_t tiles = mb[mi].count * nb[ni].count;
-                const uint64_t scatter = ceilDiv<uint64_t>(
-                    static_cast<uint64_t>(m_rows) * n_eff,
-                    scatter_den);
-                const uint64_t sub = std::max(compute, scatter);
-                if (scatter > compute) {
-                    t.stall_scatter += (scatter - compute) *
-                        static_cast<uint64_t>(k_subs) *
-                        static_cast<uint64_t>(tiles);
-                }
-                uint64_t tile_cycles = static_cast<uint64_t>(b) +
-                    static_cast<uint64_t>(k_subs) * sub;
-                t.scatter_ops += static_cast<double>(m_rows) * n_eff *
-                    k_subs * tiles;
-                t.mac_ops += static_cast<double>(p) * k * n_eff *
-                    tiles;
-                if (gather_out) {
-                    t.matcher_ops += 8.0 *
-                        static_cast<double>(m_rows) * n_eff * tiles;
-                    if (matcher > tile_cycles) {
-                        t.stall_matcher += (matcher - tile_cycles) *
-                            static_cast<uint64_t>(tiles);
-                        tile_cycles = matcher;
-                    }
-                }
-                t.cycles += tile_cycles * static_cast<uint64_t>(tiles);
-            }
-            t.tile_lengths.insert(
-                t.tile_lengths.end(),
-                static_cast<size_t>(mb[mi].count) *
-                    static_cast<size_t>(n_tiles) *
-                    static_cast<size_t>(k_subs),
-                p);
-        }
-        return t;
+    const size_t T =
+        static_cast<size_t>(std::min<uint64_t>(psi.size(), draws));
+    std::vector<double> frac(T);
+    for (double &f : frac) {
+        f = clamp(psi.next(), 0.0, 1.0);
     }
-
-    // Empirical distribution: the round-robin sampler makes every
-    // (m-tile, n-tile) draw window a cyclic slice of the
-    // distribution, so tabulate p (and the sub-tile latency / scatter
-    // stall it implies) once per distribution value and distinct tile
-    // geometry, with prefix sums; each window then costs O(1) lookups
-    // plus a bulk cyclic append of its tile lengths.  Falls back to
-    // the straight draw loop when the distribution is longer than the
-    // draw count (tabulating would cost more than drawing).
-    const std::vector<double> &dist = *psi.dist();
-    const size_t S = dist.size();
-    size_t c = psi.cursor();
-
-    if (static_cast<uint64_t>(S) > total_draws) {
-        for (int64_t mt = 0; mt < m_tiles; ++mt) {
-            const int mi = (mbn == 2 && mt == m_tiles - 1) ? 1 : 0;
-            const int64_t m_rows = mb[mi].size;
-            const double md = static_cast<double>(m_rows);
-            const uint64_t matcher = gather_out
-                ? ceilDiv<uint64_t>(
-                      8ull * static_cast<uint64_t>(m_rows),
-                      matcher_den)
-                : 0;
-            for (int64_t nt = 0; nt < n_tiles; ++nt) {
-                const int64_t n_eff =
-                    (nbn == 2 && nt == n_tiles - 1) ? nb[1].size
-                                                    : nb[0].size;
-                const uint64_t scatter = ceilDiv<uint64_t>(
-                    static_cast<uint64_t>(m_rows) * n_eff,
-                    scatter_den);
-                uint64_t sum_sub = 0;
-                uint64_t stall = 0;
-                int64_t p_sum = 0;
-                int64_t p_last = 0;
-                for (int64_t ks = 0; ks < k_subs; ++ks) {
-                    const double f = clamp(dist[c], 0.0, 1.0);
-                    c = c + 1 == S ? 0 : c + 1;
-                    const int64_t p = std::max<int64_t>(
-                        1, static_cast<int64_t>(
-                               std::llround(f * md)));
-                    t.tile_lengths.push_back(p);
-                    p_sum += p;
-                    p_last = p;
-                    const uint64_t compute =
-                        static_cast<uint64_t>(p) + fill;
-                    if (scatter > compute) {
-                        stall += scatter - compute;
-                        sum_sub += scatter;
-                    } else {
-                        sum_sub += compute;
-                    }
-                }
-                t.scatter_ops += md * n_eff * k_subs;
-                t.stall_scatter += stall;
-                t.mac_ops += static_cast<double>(
-                    (p_sum - p_last) * b + p_last * last_k_eff) *
-                    n_eff;
-                uint64_t tile_cycles =
-                    static_cast<uint64_t>(b) + sum_sub;
-                if (gather_out) {
-                    t.matcher_ops += 8.0 * md * n_eff;
-                    if (matcher > tile_cycles) {
-                        t.stall_matcher += matcher - tile_cycles;
-                        tile_cycles = matcher;
-                    }
-                }
-                t.cycles += tile_cycles;
-            }
-        }
-        psi.advance(total_draws);
-        return t;
-    }
+    psi.advance(draws - T);
 
     // p and prefix(p) per m-band; prefix(sub-tile latency) per
-    // (m-band, n-band).  The scatter stall needs no table of its own:
-    // per sub-tile stall = sub - compute, so a window's stall is
-    // sum(sub) - (sum(p) + len * fill), exactly, in integers.
+    // (m-band, n-band).
     std::vector<int64_t> p_tab[2];
     std::vector<int64_t> pre_p[2];
     std::vector<uint64_t> pre_sub[2][2];
     for (int mi = 0; mi < mbn; ++mi) {
-        const int64_t m_rows = mb[mi].size;
-        const double md = static_cast<double>(m_rows);
-        p_tab[mi].resize(S);
-        pre_p[mi].assign(S + 1, 0);
-        for (size_t j = 0; j < S; ++j) {
-            const double f = clamp(dist[j], 0.0, 1.0);
+        const double md = static_cast<double>(mb[mi].size);
+        p_tab[mi].resize(T);
+        pre_p[mi].assign(T + 1, 0);
+        for (size_t j = 0; j < T; ++j) {
             const int64_t p = std::max<int64_t>(
-                1, static_cast<int64_t>(std::llround(f * md)));
+                1, static_cast<int64_t>(std::llround(frac[j] * md)));
             p_tab[mi][j] = p;
             pre_p[mi][j + 1] = pre_p[mi][j] + p;
         }
         for (int ni = 0; ni < nbn; ++ni) {
             const uint64_t scatter = ceilDiv<uint64_t>(
-                static_cast<uint64_t>(m_rows) * nb[ni].size,
-                scatter_den);
-            pre_sub[mi][ni].assign(S + 1, 0);
-            for (size_t j = 0; j < S; ++j) {
+                static_cast<uint64_t>(mb[mi].size) * nb[ni].size,
+                static_cast<uint64_t>(cfg.scatter_accumulators));
+            pre_sub[mi][ni].assign(T + 1, 0);
+            for (size_t j = 0; j < T; ++j) {
                 const uint64_t compute =
                     static_cast<uint64_t>(p_tab[mi][j]) + fill;
                 pre_sub[mi][ni][j + 1] = pre_sub[mi][ni][j] +
@@ -344,29 +204,26 @@ timeGemm(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
         }
     }
 
+    const uint64_t len = static_cast<uint64_t>(k_subs);
+    size_t c = 0; // table position of the window's first draw
     for (int64_t mt = 0; mt < m_tiles; ++mt) {
         const int mi = (mbn == 2 && mt == m_tiles - 1) ? 1 : 0;
-        const int64_t m_rows = mb[mi].size;
-        const double md = static_cast<double>(m_rows);
+        const std::vector<int64_t> &p_of = p_tab[mi];
+        const double md = static_cast<double>(mb[mi].size);
         const uint64_t matcher = gather_out
-            ? ceilDiv<uint64_t>(8ull * static_cast<uint64_t>(m_rows),
-                                matcher_den)
+            ? ceilDiv<uint64_t>(
+                  8ull * static_cast<uint64_t>(mb[mi].size), matcher_den)
             : 0;
         for (int64_t nt = 0; nt < n_tiles; ++nt) {
             const int ni = (nbn == 2 && nt == n_tiles - 1) ? 1 : 0;
             const int64_t n_eff = nb[ni].size;
-            const uint64_t sum_sub = cyclicRangeSum(
-                pre_sub[mi][ni], c, static_cast<uint64_t>(k_subs));
-            const int64_t p_sum = cyclicRangeSum(
-                pre_p[mi], c, static_cast<uint64_t>(k_subs));
+            const uint64_t sum_sub =
+                cyclicRangeSum(pre_sub[mi][ni], c, len);
+            const int64_t p_sum = cyclicRangeSum(pre_p[mi], c, len);
+            const int64_t p_last = p_of[(c + len - 1) % T];
             t.stall_scatter += sum_sub -
                 (static_cast<uint64_t>(p_sum) +
-                 static_cast<uint64_t>(k_subs) *
-                     static_cast<uint64_t>(fill));
-            const int64_t p_last =
-                p_tab[mi][(c + static_cast<size_t>(k_subs) - 1) % S];
-            appendCyclic(t.tile_lengths, p_tab[mi], c,
-                         static_cast<uint64_t>(k_subs));
+                 len * static_cast<uint64_t>(fill));
             t.scatter_ops += md * n_eff * k_subs;
             t.mac_ops += static_cast<double>(
                 (p_sum - p_last) * b + p_last * last_k_eff) * n_eff;
@@ -379,10 +236,19 @@ timeGemm(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
                 }
             }
             t.cycles += tile_cycles;
-            c = (c + static_cast<size_t>(k_subs)) % S;
+
+            // Fig. 13 log: the window's p, in walk order, up to the cap.
+            const size_t have = tile_lengths.size();
+            const size_t take = static_cast<size_t>(std::min<uint64_t>(
+                len, kTileLengthCap - std::min(have, kTileLengthCap)));
+            tile_lengths.resize(have + take);
+            for (size_t i = 0, j = c; i < take; ++i) {
+                tile_lengths[have + i] = p_of[j];
+                j = j + 1 == T ? 0 : j + 1;
+            }
+            c = (c + len) % T;
         }
     }
-    psi.advance(total_draws);
     return t;
 }
 

@@ -23,89 +23,77 @@
  * Sec. VI-A), in which case extra matchers or a stall apply.
  *
  * timeGemm evaluates that model in closed form rather than tile by
- * tile: dense (non-SIC) GEMMs are costed over the <= 2x2 distinct
- * (m-rows, n-cols) edge-tile bands — every per-sub-tile quantity is
- * affine in the tile counts, and all op counters are integer-valued
- * doubles, so the aggregated sums are bit-identical to a per-tile walk
- * for any total below 2^53 (far above paper scale).  SIC GEMMs are
- * data-dependent — one psi draw per sub-tile — but a round-robin
- * sampler makes every draw window a cyclic slice of the distribution,
- * so the per-value arithmetic (p, sub-tile latency, scatter stall) is
- * tabulated once per distinct tile geometry and each window reduces
- * to prefix-sum lookups plus a bulk tile-length append; a mean-backed
- * sampler collapses to closed form outright.  The draw consumption
- * order (m-tile, n-tile, k-sub-tile, exactly one draw per sub-tile) is
- * the walk's.  `tests/test_sim_equiv.cc` asserts all of it bit for
- * bit against the per-tile reference walk in
- * `tests/reference/sim_walk.h`.
+ * tile.  Dense (non-SIC) GEMMs are costed over the <= 2x2 distinct
+ * (m-rows, n-cols) edge-tile bands: every per-sub-tile quantity is
+ * affine in the tile counts.  SIC GEMMs take one psi draw per
+ * sub-tile, in the walk's order (m-tile, n-tile, k-sub-tile); the
+ * round-robin sampler makes each tile's draws a cyclic slice of the
+ * positions the GEMM draws, so p and the sub-tile latency are
+ * tabulated once per position and tile geometry and each tile costs
+ * O(1) prefix-sum lookups.  Cycle and stall sums are integers and
+ * every op-counter addend is an integer-valued double, so both forms
+ * are bit-identical to a per-tile walk for any total below 2^53 (far
+ * above paper scale).  Each SIC sub-tile's p goes to the caller's
+ * Fig. 13 log, in walk order, until the log holds kTileLengthCap
+ * entries.  `tests/test_sim_equiv.cc` asserts all of it against the
+ * reference walk in `tests/reference/sim_walk.h`.
  */
 
 #ifndef FOCUS_SIM_SYSTOLIC_H
 #define FOCUS_SIM_SYSTOLIC_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.h"
 #include "sim/accel_config.h"
 
 namespace focus
 {
 
 /**
- * Round-robin sampler over an empirical unique-fraction distribution;
- * falls back to a fixed mean when no distribution is available.
+ * Round-robin sampler over a non-empty unique-fraction distribution.
+ * Built without one (a null or empty @p fracs), it holds the
+ * one-value distribution {mean}.  Not copyable: that one value lives
+ * in the sampler itself.
  */
 class FracSampler
 {
   public:
     FracSampler(const std::vector<double> *fracs, double mean)
-        : fracs_(fracs && !fracs->empty() ? fracs : nullptr),
-          mean_(mean), cursor_(0)
+        : mean_(mean)
     {
+        if (fracs != nullptr && !fracs->empty()) {
+            vals_ = fracs->data();
+            size_ = fracs->size();
+        }
     }
+
+    FracSampler(const FracSampler &) = delete;
+    FracSampler &operator=(const FracSampler &) = delete;
 
     double
     next()
     {
-        if (!fracs_) {
-            return mean_;
-        }
-        const double v = (*fracs_)[cursor_];
-        cursor_ = (cursor_ + 1) % fracs_->size();
+        const double v = vals_[cursor_];
+        cursor_ = (cursor_ + 1) % size_;
         return v;
     }
 
-    /**
-     * Skip @p n draws (cursor advance only).  Lets timeGemm consume a
-     * whole draw window through precomputed per-value tables while
-     * leaving the sampler in exactly the state @p n next() calls would
-     * have (the sampler-order invariant).
-     */
-    void
-    advance(uint64_t n)
-    {
-        if (fracs_) {
-            cursor_ = (cursor_ + n) % fracs_->size();
-        }
-    }
+    /** Skip @p n draws: the state @p n next() calls would leave. */
+    void advance(uint64_t n) { cursor_ = (cursor_ + n) % size_; }
 
-    /** True when drawing from an empirical distribution (stateful). */
-    bool empirical() const { return fracs_ != nullptr; }
+    /** Distribution length S (1 when built from a mean). */
+    size_t size() const { return size_; }
 
-    /** The empirical distribution (nullptr when mean-backed). */
-    const std::vector<double> *dist() const { return fracs_; }
-
-    /** The fallback mean next() returns without a distribution. */
-    double mean() const { return mean_; }
-
-    /** Current round-robin position (0 when mean-backed). */
+    /** Current round-robin position. */
     size_t cursor() const { return cursor_; }
 
   private:
-    const std::vector<double> *fracs_;
     double mean_;
-    size_t cursor_;
+    const double *vals_ = &mean_;
+    size_t size_ = 1;
+    size_t cursor_ = 0;
 };
 
 /** Timing/activity result for one GEMM. */
@@ -119,12 +107,12 @@ struct GemmTiming
     double scatter_ops = 0.0;     ///< accumulator element operations
     double matcher_ops = 0.0;     ///< similarity compare element ops
 
-    /** Tile lengths (p per input sub-tile) observed, for Fig. 13. */
-    std::vector<int64_t> tile_lengths;
-
     /** PE utilization = mac_ops / (cycles * a * b). */
     double utilization(const AccelConfig &cfg) const;
 };
+
+/** Entries a Fig. 13 tile-length log keeps (one run's sample). */
+constexpr size_t kTileLengthCap = 200000;
 
 /**
  * Time one logical GEMM of @p m x @p k x @p n (already including any
@@ -135,17 +123,20 @@ struct GemmTiming
  * simulateAccelerator).
  *
  * @param psi      sampler for per-(m-tile, k-subtile) input unique
- *                 fractions (1.0 when the input is dense)
+ *                 fractions, drawn only when @p sic_input
  * @param gather_out whether the output stream passes the matcher
+ * @param tile_lengths Fig. 13 log: each SIC sub-tile's p is appended
+ *                 in walk order while it holds < kTileLengthCap
  */
 GemmTiming timeGemm(const AccelConfig &cfg, int64_t m, int64_t k,
                     int64_t n, FracSampler &psi, bool sic_input,
-                    bool gather_out);
+                    bool gather_out, std::vector<int64_t> &tile_lengths);
 
 /** A GEMM cycle model with timeGemm's signature and contract. */
 using GemmTimer = GemmTiming (*)(const AccelConfig &cfg, int64_t m,
                                  int64_t k, int64_t n, FracSampler &psi,
-                                 bool sic_input, bool gather_out);
+                                 bool sic_input, bool gather_out,
+                                 std::vector<int64_t> &tile_lengths);
 
 /**
  * SEC schedule check (Sec. V-B): cycles of the top-k sorter

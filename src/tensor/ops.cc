@@ -107,23 +107,6 @@ cosineSimilarityPrenorm(const float *a, float norm_a,
 }
 
 double
-relativeError(const Tensor &a, const Tensor &b)
-{
-    if (!a.sameShape(b)) {
-        panic("relativeError: shape mismatch");
-    }
-    double num = 0.0, den = 0.0;
-    const float *pa = a.data();
-    const float *pb = b.data();
-    for (int64_t i = 0; i < a.numel(); ++i) {
-        num += std::abs(static_cast<double>(pa[i]) -
-                        static_cast<double>(pb[i]));
-        den += std::abs(static_cast<double>(pb[i]));
-    }
-    return den == 0.0 ? num : num / den;
-}
-
-double
 maxAbsDiff(const Tensor &a, const Tensor &b)
 {
     if (!a.sameShape(b)) {

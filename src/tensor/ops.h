@@ -67,9 +67,6 @@ float cosineSimilarity(const float *a, const float *b, int64_t n);
 float cosineSimilarityPrenorm(const float *a, float norm_a,
                               const float *b, float norm_b, int64_t n);
 
-/** Mean absolute relative error between two same-shape tensors. */
-double relativeError(const Tensor &a, const Tensor &b);
-
 /** Max absolute difference between two same-shape tensors. */
 double maxAbsDiff(const Tensor &a, const Tensor &b);
 

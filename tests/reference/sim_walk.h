@@ -6,7 +6,9 @@
  *
  * The model is the one documented in sim/systolic.h, evaluated the
  * obvious way: one loop iteration per (m-tile, n-tile, k-sub-tile),
- * one FracSampler draw per SIC-input sub-tile, in that order.
+ * one FracSampler draw per SIC-input sub-tile, in that order, each
+ * draw's p appended to the Fig. 13 log until it holds
+ * kTileLengthCap entries.
  */
 
 #ifndef FOCUS_TESTS_REFERENCE_SIM_WALK_H
@@ -15,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/math_util.h"
 #include "sim/systolic.h"
@@ -27,7 +30,8 @@ namespace reference
 /** timeGemm, one tile at a time (same signature and contract). */
 inline GemmTiming
 timeGemmWalk(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
-             FracSampler &psi, bool sic_input, bool gather_out)
+             FracSampler &psi, bool sic_input, bool gather_out,
+             std::vector<int64_t> &tile_lengths)
 {
     GemmTiming t;
     if (m <= 0 || k <= 0 || n <= 0) {
@@ -56,7 +60,9 @@ timeGemmWalk(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
                     const double f = clamp(psi.next(), 0.0, 1.0);
                     p = std::max<int64_t>(1, static_cast<int64_t>(
                         std::llround(f * static_cast<double>(m_rows))));
-                    t.tile_lengths.push_back(p);
+                    if (tile_lengths.size() < kTileLengthCap) {
+                        tile_lengths.push_back(p);
+                    }
                 }
                 const uint64_t compute =
                     static_cast<uint64_t>(p) + fill;

@@ -257,8 +257,8 @@ capOvershootTrace()
 
 TEST(AccelModel, TileLengthRecordingStopsExactlyAtCap)
 {
-    // A whole-batch insert used to overshoot the cap by up to one
-    // GEMM's worth of entries; the insert must now truncate exactly.
+    // The trace's one SIC GEMM draws past the cap; the log must stop
+    // exactly at it.
     const WorkloadTrace tr = capOvershootTrace();
     const RunMetrics rm = simulateAccelerator(AccelConfig::focus(), tr);
     EXPECT_EQ(rm.tile_lengths.size(), 200000u);

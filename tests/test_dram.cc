@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the DDR4 DRAM model: row-buffer behaviour, address
- * mapping, stream-mode calibration, energy accounting.
+ * Tests for the DDR4 DRAM model: row-buffer behaviour and address
+ * mapping of the request-mode reference, stream-mode calibration
+ * against it, energy accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include "reference/dram_requests.h"
 #include "sim/dram.h"
 
 namespace focus
@@ -16,7 +18,7 @@ namespace
 TEST(Dram, RowHitCheaperThanMiss)
 {
     DramConfig cfg;
-    DramModel dram(cfg);
+    reference::DramRequests dram(cfg);
     const uint64_t first = dram.access(0, 64, false);   // row miss
     const uint64_t second = dram.access(64 * 4, 64, false); // same row?
     // First access activates; cost includes tRCD.
@@ -30,7 +32,7 @@ TEST(Dram, RowHitCheaperThanMiss)
 TEST(Dram, ConsecutiveBurstsInterleaveChannels)
 {
     DramConfig cfg;
-    DramModel dram(cfg);
+    reference::DramRequests dram(cfg);
     dram.access(0, 64, false);
     dram.access(64, 64, false);
     dram.access(128, 64, false);
@@ -43,7 +45,7 @@ TEST(Dram, ConsecutiveBurstsInterleaveChannels)
 TEST(Dram, RowMissAfterConflict)
 {
     DramConfig cfg;
-    DramModel dram(cfg);
+    reference::DramRequests dram(cfg);
     // Same channel and bank, different row: row_bytes * channels *
     // banks apart.
     const uint64_t stride = static_cast<uint64_t>(cfg.row_bytes) *
@@ -81,7 +83,7 @@ TEST(Dram, StreamModeConsistentWithRequestMode)
     // (request mode serializes what stream mode overlaps; compare
     // per-channel occupancy).
     DramConfig cfg;
-    DramModel req(cfg);
+    reference::DramRequests req(cfg);
     const uint64_t bytes = 512 * 1024;
     uint64_t busy = 0;
     for (uint64_t a = 0; a < bytes; a += 64) {
@@ -117,7 +119,7 @@ TEST(Dram, BackgroundEnergyScalesWithTime)
 TEST(Dram, ResetClearsState)
 {
     DramConfig cfg;
-    DramModel dram(cfg);
+    reference::DramRequests dram(cfg);
     dram.access(0, 4096, true);
     dram.reset();
     EXPECT_EQ(dram.totalBytes(), 0u);

