@@ -55,6 +55,14 @@ Rng::next()
     return result;
 }
 
+void
+Rng::discard(uint64_t n)
+{
+    for (uint64_t i = 0; i < n; ++i) {
+        next();
+    }
+}
+
 double
 Rng::uniform()
 {

@@ -31,6 +31,12 @@ class Rng
     /** Next raw 64-bit output. */
     uint64_t next();
 
+    /**
+     * Advance the stream by @p n raw outputs, as n next() calls do.
+     * A cached Box-Muller value is left as it is.
+     */
+    void discard(uint64_t n);
+
     /** Uniform double in [0, 1). */
     double uniform();
 
@@ -40,7 +46,12 @@ class Rng
     /** Uniform integer in [0, n). Requires n > 0. */
     uint64_t uniformInt(uint64_t n);
 
-    /** Standard normal via Box-Muller (cached pair). */
+    /**
+     * Standard normal via Box-Muller (cached pair).  Each pair costs
+     * exactly two raw outputs (there is no rejection step), so 2k
+     * gaussian() calls from an empty cache advance the stream by 2k,
+     * and discard(2k) reaches the state they leave.
+     */
     double gaussian();
 
     /** Normal with given mean and standard deviation. */

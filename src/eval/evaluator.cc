@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 
 #include "common/logging.h"
 #include "obs/trace_span.h"
@@ -10,20 +9,6 @@
 
 namespace focus
 {
-
-/**
- * Lazily computed per-Evaluator state.  Heap-allocated behind a
- * shared_ptr so Evaluator stays copyable (copies share the memo) and
- * const member functions can fill it under the mutex.
- */
-struct EvalMemos
-{
-    std::mutex mu;
-    bool samples_ready = false;
-    std::vector<VideoSample> samples;
-    bool dense_ready = false;
-    double dense_macs = 0.0;
-};
 
 Evaluator::Evaluator(const std::string &model_name,
                      const std::string &dataset_name,
@@ -35,34 +20,17 @@ Evaluator::Evaluator(const std::string &model_name,
            opts.seed ^ mp_.seed_salt ^
                (std::hash<std::string>{}(dataset_name) * 0x9e37ull)),
       model_(mp_, (opts.seed ^ 0x1234567890abcdefull) + mp_.seed_salt),
-      memos_(std::make_shared<EvalMemos>())
+      samples_(static_cast<size_t>(std::max(0, opts.samples))),
+      // buildDenseTrace is a pure function of (mp_, dp_).
+      dense_macs_(buildDenseTrace(mp_, dp_).totalMacs())
 {
-}
-
-const std::vector<VideoSample> &
-Evaluator::cachedSamples() const
-{
-    std::lock_guard<std::mutex> lock(memos_->mu);
-    if (!memos_->samples_ready) {
-        memos_->samples.reserve(static_cast<size_t>(opts_.samples));
-        for (int s = 0; s < opts_.samples; ++s) {
-            memos_->samples.push_back(
-                gen_.sample(static_cast<uint64_t>(s)));
-        }
-        memos_->samples_ready = true;
-    }
-    return memos_->samples;
-}
-
-double
-Evaluator::denseTraceMacs() const
-{
-    std::lock_guard<std::mutex> lock(memos_->mu);
-    if (!memos_->dense_ready) {
-        memos_->dense_macs = buildDenseTrace(mp_, dp_).totalMacs();
-        memos_->dense_ready = true;
-    }
-    return memos_->dense_macs;
+    // VideoGenerator::sample(s) is a pure function of s, and each
+    // task writes only its own slot.
+    ThreadPool::global().parallelFor(
+        static_cast<int64_t>(samples_.size()), [&](int64_t s) {
+            samples_[static_cast<size_t>(s)] =
+                gen_.sample(static_cast<uint64_t>(s));
+        });
 }
 
 MethodEval
@@ -88,7 +56,7 @@ Evaluator::runFunctional(const MethodConfig &method,
     // thread keeps the fan-out saturated.  Aggregation then runs
     // serially in sample order, so every floating-point sum is
     // evaluated in one fixed order.
-    const std::vector<VideoSample> &samples = cachedSamples();
+    const std::vector<VideoSample> &samples = samples_;
     const int64_t n = static_cast<int64_t>(samples.size());
     ThreadPool &tp = pool ? *pool : ThreadPool::global();
     constexpr int64_t kPackedRowBudget = 512;
@@ -238,10 +206,8 @@ Evaluator::traceSparsity(const MethodConfig &method,
                          const MethodEval &eval) const
 {
     const WorkloadTrace tr = buildFullTrace(method, eval);
-    // buildDenseTrace is a pure function of (mp_, dp_): memoize its
-    // MAC total instead of rebuilding the dense trace per call.
-    const double dense_macs = denseTraceMacs();
-    return dense_macs <= 0.0 ? 0.0 : 1.0 - tr.totalMacs() / dense_macs;
+    return dense_macs_ <= 0.0 ? 0.0
+                              : 1.0 - tr.totalMacs() / dense_macs_;
 }
 
 double

@@ -9,7 +9,6 @@
 #define FOCUS_EVAL_EVALUATOR_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,7 +21,6 @@
 namespace focus
 {
 class ThreadPool;
-struct EvalMemos;
 }
 
 namespace focus
@@ -46,17 +44,24 @@ struct MethodEval
 
 /**
  * Runs methods on a fixed (model, dataset) pair; all methods see the
- * same samples and the same model weights.
+ * same samples and the same model weights.  Immutable once built, so
+ * any number of threads may run its const members at once.
  */
 class Evaluator
 {
   public:
+    /**
+     * Builds the model weights (VlmModel) and synthesizes all
+     * opts.samples QA samples, both fanned across ThreadPool::global();
+     * every weight and sample is bit-identical at every pool width.
+     * Accepts samples <= 0 (no samples); runFunctional then panics.
+     */
     Evaluator(const std::string &model_name,
               const std::string &dataset_name, const EvalOptions &opts);
 
     /**
      * Functional run: accuracy, sparsity, per-layer aggregates.  The
-     * samples (generated once per Evaluator) run through
+     * samples built with the Evaluator run through
      * VlmModel::forwardBatch in locality-sized chunks fanned across
      * @p pool (the global pool when null); aggregates are
      * bit-identical at every thread count.  Nothing is memoized
@@ -128,23 +133,15 @@ class Evaluator
     EvalOptions opts_;
     VideoGenerator gen_;
     VlmModel model_;
-
-    /**
-     * Per-Evaluator memos (generated samples, dense-trace MACs),
-     * shared across copies; defined in evaluator.cc.
-     */
-    std::shared_ptr<EvalMemos> memos_;
+    /** All opts_.samples QA samples, gen_.sample(0 .. samples - 1). */
+    std::vector<VideoSample> samples_;
+    /** MAC total of the dense full-scale trace (traceSparsity). */
+    double dense_macs_ = 0.0;
 
     /** Serial sample-order aggregation of the forward results. */
     MethodEval
     aggregateForwards(const MethodConfig &method,
                       const std::vector<ForwardResult> &forwards) const;
-
-    /** All opts_.samples QA samples, generated once per Evaluator. */
-    const std::vector<VideoSample> &cachedSamples() const;
-
-    /** Dense-trace MACs, computed once per Evaluator. */
-    double denseTraceMacs() const;
 
     double opsAtKeep(double keep) const;
 };

@@ -32,10 +32,9 @@ ExperimentGrid::evaluator(const std::string &model,
 std::vector<ExperimentResult>
 ExperimentGrid::run(ThreadPool &pool)
 {
-    // Materialize every Evaluator up front (serially, in first-use
-    // order): construction seeds model weights and the sample
-    // generator, and doing it here keeps the parallel phase strictly
-    // read-only on shared state.
+    // Materialize every Evaluator up front, one at a time in
+    // first-use order (each fans its weights and samples across the
+    // global pool), so the cells only read immutable Evaluators.
     for (const ExperimentCell &cell : cells_) {
         evaluator(cell.model, cell.dataset);
     }
@@ -49,9 +48,9 @@ ExperimentGrid::run(ThreadPool &pool)
                 std::make_pair(cell.model, cell.dataset));
             ExperimentResult &r = results[static_cast<size_t>(i)];
             r.cell = cell;
-            // The sample layer nests on the same pool: inside a
-            // worker it runs inline; at pool width 1 the whole grid
-            // (cells and samples) is genuinely serial.
+            // The sample layer nests on the same pool, where idle
+            // workers help it; at pool width 1 the whole grid (cells
+            // and samples) is genuinely serial.
             r.eval = ev.runFunctional(cell.method, &pool);
             if (cell.simulate || cell.keep_trace) {
                 WorkloadTrace trace =

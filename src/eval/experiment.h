@@ -10,8 +10,8 @@
  * synthetic samples, same model weights — exactly as the hand-rolled
  * bench loops did.  run() computes every cell and returns results in
  * insertion order, so output is deterministic regardless of how the
- * pool schedules the cells; per-cell work itself nests its per-sample
- * parallelFor, which the pool serializes inside workers.
+ * pool schedules the cells; per-cell work nests its per-sample
+ * parallelFor on the same pool, where idle workers help it.
  */
 
 #ifndef FOCUS_EVAL_EXPERIMENT_H

@@ -1,5 +1,6 @@
 #include "runtime/thread_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <system_error>
@@ -14,7 +15,24 @@ namespace focus
 namespace
 {
 
-thread_local bool tls_in_parallel = false;
+/** The pool whose task the calling thread runs; null outside tasks. */
+thread_local ThreadPool *tls_pool = nullptr;
+
+/** Sets tls_pool for one scope and restores it on exit. */
+class PoolScope
+{
+  public:
+    explicit PoolScope(ThreadPool *pool) : saved_(tls_pool)
+    {
+        tls_pool = pool;
+    }
+    ~PoolScope() { tls_pool = saved_; }
+    PoolScope(const PoolScope &) = delete;
+    PoolScope &operator=(const PoolScope &) = delete;
+
+  private:
+    ThreadPool *saved_;
+};
 
 std::mutex g_pool_mutex;
 std::unique_ptr<ThreadPool> g_pool;
@@ -59,44 +77,51 @@ ThreadPool::stopWorkers()
     }
 }
 
+ThreadPool::Job *
+ThreadPool::openJob() const
+{
+    for (Job *job : jobs_) {
+        if (job->cursor.load(std::memory_order_relaxed) < job->n) {
+            return job;
+        }
+    }
+    return nullptr;
+}
+
 void
 ThreadPool::workerLoop()
 {
-    uint64_t seen = 0;
+    std::unique_lock<std::mutex> lk(m_);
     for (;;) {
         Job *job = nullptr;
-        {
-            std::unique_lock<std::mutex> lk(m_);
-            cv_job_.wait(lk,
-                         [&] { return stop_ || epoch_ != seen; });
-            if (stop_) {
-                return;
-            }
-            seen = epoch_;
-            job = job_;
-            if (!job) {
-                // The job finished before this worker woke up.
-                continue;
-            }
-            ++job->active;
+        ++idle_;
+        cv_job_.wait(lk, [&] {
+            job = openJob();
+            return stop_ || job != nullptr;
+        });
+        --idle_;
+        if (stop_) {
+            return;
         }
+        // Counted under the same lock the caller takes to unpublish
+        // the job, so the caller's join waits for this worker.
+        ++job->helpers;
+        lk.unlock();
         {
             obs::TraceSpan span("pool.worker.job");
             runJob(*job);
         }
-        {
-            std::lock_guard<std::mutex> lk(m_);
-            --job->active;
+        lk.lock();
+        if (--job->helpers == 0) {
+            cv_done_.notify_all();
         }
-        cv_done_.notify_all();
     }
 }
 
 void
 ThreadPool::runJob(Job &job)
 {
-    const bool was_nested = tls_in_parallel;
-    tls_in_parallel = true;
+    PoolScope scope(this);
     for (;;) {
         const int64_t i =
             job.cursor.fetch_add(1, std::memory_order_relaxed);
@@ -115,7 +140,6 @@ ThreadPool::runJob(Job &job)
             job.cursor.store(job.n, std::memory_order_relaxed);
         }
     }
-    tls_in_parallel = was_nested;
 }
 
 void
@@ -139,29 +163,22 @@ ThreadPool::parallelFor(int64_t n,
         tasks.add(static_cast<uint64_t>(n));
     }
     obs::TraceSpan span("pool.parallelFor");
-    if (threads_ == 1 || tls_in_parallel) {
-        // Serial fallback: no threads, no cursor, exceptions
-        // propagate directly.  The region is still marked so that a
-        // nested parallelFor — even on a wider pool — stays inline:
-        // the outermost parallelFor decides the parallelism.
-        const bool was_nested = tls_in_parallel;
-        tls_in_parallel = true;
-        try {
-            for (int64_t i = 0; i < n; ++i) {
-                fn(i);
-            }
-        } catch (...) {
-            tls_in_parallel = was_nested;
-            throw;
+    if (threads_ == 1 || (tls_pool != nullptr && tls_pool != this)) {
+        // Serial: no threads, no cursor, exceptions propagate
+        // directly.  The region is marked as this pool's, so a
+        // parallelFor nested in it on any other pool (a wider global
+        // pool under a one-thread probe pool, say) stays inline too.
+        PoolScope scope(this);
+        for (int64_t i = 0; i < n; ++i) {
+            fn(i);
         }
-        tls_in_parallel = was_nested;
         return;
     }
     if (n == 1) {
-        // A single index carries no outer parallelism, so run it
-        // inline *without* marking the region: a nested parallelFor
-        // (e.g. the per-sample layer under a one-cell experiment
-        // grid) may still fan out across this pool.
+        // A single index carries no parallelism of its own, so run
+        // it without publishing a job and without marking a region:
+        // at top level, a nested parallelFor (e.g. the per-sample
+        // layer under a one-cell experiment grid) still fans out.
         fn(0);
         return;
     }
@@ -169,18 +186,23 @@ ThreadPool::parallelFor(int64_t n,
     Job job;
     job.fn = &fn;
     job.n = n;
+    int wake = 0;
     {
         std::lock_guard<std::mutex> lk(m_);
-        job_ = &job;
-        ++epoch_;
+        jobs_.push_back(&job);
+        wake = static_cast<int>(
+            std::min<int64_t>(idle_, n - 1));
     }
-    cv_job_.notify_all();
+    for (int w = 0; w < wake; ++w) {
+        cv_job_.notify_one();
+    }
 
-    runJob(job); // the caller is worker 0
+    runJob(job); // the caller runs its own indices, then only waits
 
     std::unique_lock<std::mutex> lk(m_);
-    job_ = nullptr; // no new worker may join past this point
-    cv_done_.wait(lk, [&] { return job.active == 0; });
+    // Unpublish first: no worker may join past this point.
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+    cv_done_.wait(lk, [&] { return job.helpers == 0; });
     if (job.error) {
         std::rethrow_exception(job.error);
     }
@@ -189,7 +211,7 @@ ThreadPool::parallelFor(int64_t n,
 bool
 ThreadPool::inParallelRegion()
 {
-    return tls_in_parallel;
+    return tls_pool != nullptr;
 }
 
 int

@@ -3,9 +3,9 @@
  * Deterministic fork-join thread pool.
  *
  * The pool is intentionally work-stealing-free: parallelFor(n, fn)
- * feeds indices 0..n-1 to the workers through a single atomic cursor,
- * runs every index exactly once, and blocks until all of them
- * completed.  The determinism contract is:
+ * publishes a job whose indices 0..n-1 are handed out through a
+ * single atomic cursor, runs every index exactly once, and blocks
+ * until all of them completed.  The determinism contract is:
  *
  *  - tasks write their results only into per-index slots, and
  *  - any order-sensitive reduction (floating-point sums in
@@ -13,13 +13,24 @@
  *    order.
  *
  * Under that contract results are bit-identical for every thread
- * count, including the serial threads=1 configuration, which never
- * spawns a thread and simply runs the loop inline.
+ * count and every assignment of indices to threads, including the
+ * serial threads=1 configuration, which never spawns a thread and
+ * simply runs the loop inline.
  *
- * parallelFor called from inside a pool task executes inline
- * (serially) on the calling worker, so two parallel layers — e.g.
- * experiment-grid cells over QA samples — compose without deadlock or
- * oversubscription; the outermost parallelFor wins.
+ * Nesting.  A parallelFor called from a task of the same pool
+ * publishes its job like any other, so two parallel layers — e.g.
+ * experiment-grid cells over QA samples over GEMM M-blocks — share
+ * the pool: a worker with no task on its stack takes indices from the
+ * oldest published job that still has some (the outermost layer
+ * first), and once that runs dry it helps a running task's inner
+ * regions.  The caller of a parallelFor runs its own job's indices,
+ * then waits at the join without running any other job's indices.
+ * That keeps its thread-local scratch (the GEMM's packed B panel,
+ * which helpers read while the job is open) untouched until the join.
+ * A parallelFor called from a task of a *different* pool runs inline
+ * on the calling thread, as does every parallelFor on a one-thread
+ * pool and a top-level one of a single index (which marks no region,
+ * so its nested regions still fan out).
  *
  * The process-wide pool (ThreadPool::global()) sizes itself from the
  * FOCUS_THREADS environment variable, falling back to the hardware
@@ -96,13 +107,16 @@ class ThreadPool
         const std::function<void(int64_t)> *fn = nullptr;
         int64_t n = 0;
         std::atomic<int64_t> cursor{0};
-        int active = 0;           ///< workers inside runJob (guarded by m_)
+        int helpers = 0;          ///< workers inside runJob (guarded by m_)
         std::exception_ptr error; ///< guarded by m_
         int64_t error_index = -1; ///< guarded by m_
     };
 
     void workerLoop();
+    /** Run @p job's indices until its cursor runs dry. */
     void runJob(Job &job);
+    /** Oldest published job with indices left, or null (m_ held). */
+    Job *openJob() const;
     /** Stop and join every started worker. */
     void stopWorkers();
 
@@ -110,10 +124,10 @@ class ThreadPool
     std::vector<std::thread> workers_;
 
     std::mutex m_;
-    std::condition_variable cv_job_;  ///< workers wait here for a job
-    std::condition_variable cv_done_; ///< caller waits here for the join
-    Job *job_ = nullptr;
-    uint64_t epoch_ = 0;
+    std::condition_variable cv_job_;  ///< idle workers wait here
+    std::condition_variable cv_done_; ///< callers wait here for a join
+    std::vector<Job *> jobs_;         ///< published, oldest first
+    int idle_ = 0;                    ///< workers waiting on cv_job_
     bool stop_ = false;
 };
 

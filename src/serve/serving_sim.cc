@@ -98,8 +98,9 @@ ServingSimulator::calibrate(ThreadPool *pool)
             internCombo(c.model, c.dataset, MethodConfig::dense()));
     }
 
-    // Evaluators (model weights, sample generators) build serially;
-    // combos sharing a (model, dataset) pair share one instance.
+    // Evaluators build one at a time, each fanning its weights and
+    // samples across the global pool; combos sharing a (model,
+    // dataset) pair share one instance.
     std::vector<std::string> model_names;
     for (Combo &c : combos_) {
         evaluatorFor(c.model, c.dataset);
@@ -112,7 +113,7 @@ ServingSimulator::calibrate(ThreadPool *pool)
     }
 
     // Functional calibration fans across the pool, one slot per
-    // combo; per-sample parallelism nests inline inside workers.
+    // combo; per-sample parallelism nests on the same pool.
     ThreadPool &p = pool ? *pool : ThreadPool::global();
     p.parallelFor(
         static_cast<int64_t>(combos_.size()), [&](int64_t i) {
@@ -324,6 +325,10 @@ ServingSimulator::simulateBatch(const std::vector<size_t> &comp,
         cost.interconnect_bytes += rm.interconnect_bytes;
         if (rm.seconds() > worst) {
             worst = rm.seconds();
+            // The memo keeps these metrics for the whole run, and no
+            // serving code reads the Fig. 13 tile-length log (up to
+            // kTileLengthCap entries per composition).
+            rm.tile_lengths = std::vector<int64_t>();
             cost.metrics =
                 std::make_shared<const RunMetrics>(std::move(rm));
         }

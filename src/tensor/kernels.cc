@@ -719,8 +719,9 @@ simDot1(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b,
  * Fan independent rows of a (rows x cols) block across the pool when
  * the block is large enough to amortize the dispatch.  Each task owns
  * a disjoint row range and each row's result depends only on its own
- * data, so output is bit-identical at every thread count (a call
- * from inside a pool task executes inline on that worker).
+ * data, so output is bit-identical at every thread count and
+ * whichever thread runs a range (idle workers join the call even from
+ * inside a pool task).
  */
 template <typename RowRangeFn>
 void
@@ -983,9 +984,11 @@ gemmF32(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
 
     // Fan M blocks across the pool when the product is big enough to
     // amortize the dispatch.  Each block writes a disjoint C row
-    // range, so results are bit-identical at every thread count; a
-    // call from inside a pool task (e.g. under runFunctional's
-    // per-sample fan-out) executes inline on that worker.
+    // range, so results are bit-identical at every thread count.
+    // Idle workers join the call even from inside a pool task (e.g.
+    // under runFunctional's per-sample fan-out) and read this
+    // thread's bpack_tls: the pool never runs another job's indices
+    // on a caller waiting at its join, so nothing repacks it first.
     constexpr int64_t kParallelFlopCut = 1 << 21;
     ThreadPool &pool = ThreadPool::global();
     if (mblocks > 1 && pool.threads() > 1 &&

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "focus/sec.h"
 #include "focus/sic.h"
+#include "runtime/thread_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
@@ -75,58 +76,85 @@ initBlockLocalWeight(Rng &rng, int64_t rows, int64_t cols, double ident,
     return w;
 }
 
-/** Round-trip all weights through int8 (per-row symmetric). */
-Tensor
-weightInt8(const Tensor &w)
+/** One decoder weight matrix: its shape and how it is drawn. */
+struct WeightDraw
 {
-    return int8RoundTrip(w);
-}
+    Tensor VlmModel::LayerWeights::*member;
+    int64_t rows;
+    int64_t cols;
+    double ident;
+    double noise;        ///< initWeight's noise, or the in-band noise
+    bool band_local;     ///< drawn by initBlockLocalWeight
+    double global_noise; ///< cross-band noise when band_local
+};
 
 } // namespace
 
 VlmModel::VlmModel(const ModelProfile &profile, uint64_t seed)
-    : prof_(profile)
+    : prof_(profile), layers_(static_cast<size_t>(profile.layers)),
+      layers_int8_(static_cast<size_t>(profile.layers))
 {
     const int64_t d = prof_.hidden;
     const int64_t inner = prof_.ffnInner();
-    Rng rng(seed ^ 0xfeedc0dedeadbeefull);
+    // One layer's matrices in draw order.  Identity-heavy Q/K keep
+    // cross-modal attention grounded in the input semantics (prompt
+    // prototype vs. scene content).
+    const WeightDraw draws[] = {
+        {&LayerWeights::wq, d, d, 1.6, 0.5, false, 0.0},
+        {&LayerWeights::wk, d, d, 1.6, 0.5, false, 0.0},
+        {&LayerWeights::wv, d, d, 0.7, 0.3, false, 0.0},
+        {&LayerWeights::wo, d, d, 0.25, 0.35, true, 0.12},
+        {&LayerWeights::wg, d, inner, 0.0, 1.0, true, 0.30},
+        {&LayerWeights::wu, d, inner, 0.0, 1.0, true, 0.30},
+        {&LayerWeights::wd, inner, d, 0.0, 0.45, true, 0.15},
+    };
+    constexpr int64_t kDraws = sizeof(draws) / sizeof(draws[0]);
 
-    layers_.reserve(static_cast<size_t>(prof_.layers));
+    // Every matrix draws from one stream, matrix after matrix.  Walk
+    // a copy of it to each matrix's start state, so the matrices can
+    // fill in parallel from the states the serial draw would reach.
+    // A Box-Muller pair costs exactly two raw outputs, so a matrix of
+    // an even element count starts on a pair boundary (no cached
+    // gaussian in its start state) and advances the stream by its
+    // element count.
+    Rng rng(seed ^ 0xfeedc0dedeadbeefull);
+    std::vector<Rng> starts;
+    starts.reserve(static_cast<size_t>(prof_.layers * kDraws));
     for (int l = 0; l < prof_.layers; ++l) {
-        LayerWeights w;
-        // Identity-heavy Q/K keep cross-modal attention grounded in
-        // the input semantics (prompt prototype vs. scene content).
-        w.wq = initWeight(rng, d, d, 1.6, 0.5);
-        w.wk = initWeight(rng, d, d, 1.6, 0.5);
-        w.wv = initWeight(rng, d, d, 0.7, 0.3);
-        w.wo = initBlockLocalWeight(rng, d, d, 0.25, 0.35, 0.12,
-                                    kNumGroups);
-        w.wg = initBlockLocalWeight(rng, d, inner, 0.0, 1.0, 0.30,
-                                    kNumGroups);
-        w.wu = initBlockLocalWeight(rng, d, inner, 0.0, 1.0, 0.30,
-                                    kNumGroups);
-        w.wd = initBlockLocalWeight(rng, inner, d, 0.0, 0.45, 0.15,
-                                    kNumGroups);
+        for (const WeightDraw &w : draws) {
+            const int64_t count = w.rows * w.cols;
+            if (count % 2 != 0) {
+                panic("VlmModel: a %" PRId64 " x %" PRId64 " weight "
+                      "matrix has an odd element count, so the next "
+                      "matrix would not start on a Box-Muller pair "
+                      "boundary", w.rows, w.cols);
+            }
+            starts.push_back(rng);
+            rng.discard(static_cast<uint64_t>(count));
+        }
+    }
+    ThreadPool::global().parallelFor(
+        static_cast<int64_t>(starts.size()), [&](int64_t t) {
+            const WeightDraw &w = draws[t % kDraws];
+            const size_t l = static_cast<size_t>(t / kDraws);
+            Rng r = starts[static_cast<size_t>(t)];
+            Tensor &dst = layers_[l].*w.member;
+            dst = w.band_local
+                ? initBlockLocalWeight(r, w.rows, w.cols, w.ident,
+                                       w.noise, w.global_noise,
+                                       kNumGroups)
+                : initWeight(r, w.rows, w.cols, w.ident, w.noise);
+            // Per-row symmetric int8 (the MethodConfig::int8 variant).
+            layers_int8_[l].*w.member = int8RoundTrip(dst);
+        });
+    for (size_t l = 0; l < layers_.size(); ++l) {
+        LayerWeights &w = layers_[l];
         w.n1 = Tensor(d);
         w.n2 = Tensor(d);
         w.n1.fill(1.0f);
         w.n2.fill(1.0f);
-        layers_.push_back(std::move(w));
-    }
-
-    layers_int8_.reserve(layers_.size());
-    for (const LayerWeights &w : layers_) {
-        LayerWeights q;
-        q.wq = weightInt8(w.wq);
-        q.wk = weightInt8(w.wk);
-        q.wv = weightInt8(w.wv);
-        q.wo = weightInt8(w.wo);
-        q.wg = weightInt8(w.wg);
-        q.wu = weightInt8(w.wu);
-        q.wd = weightInt8(w.wd);
-        q.n1 = w.n1;
-        q.n2 = w.n2;
-        layers_int8_.push_back(std::move(q));
+        layers_int8_[l].n1 = w.n1;
+        layers_int8_[l].n2 = w.n2;
     }
 }
 

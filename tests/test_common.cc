@@ -179,6 +179,41 @@ TEST(Rng, ForkDeterministic)
     EXPECT_EQ(a.next(), b.next());
 }
 
+TEST(Rng, DiscardEqualsRepeatedNext)
+{
+    for (const uint64_t n : {0u, 1u, 2u, 7u, 1000u}) {
+        Rng stepped(77), discarded(77);
+        for (uint64_t i = 0; i < n; ++i) {
+            stepped.next();
+        }
+        discarded.discard(n);
+        for (int i = 0; i < 16; ++i) {
+            EXPECT_EQ(stepped.next(), discarded.next()) << "n = " << n;
+        }
+    }
+}
+
+TEST(Rng, GaussianStreamResumesFromDiscardedCopy)
+{
+    // 2k gaussian() calls from an empty cache consume 2k raw outputs
+    // and leave the cache empty, so a copy stepped by discard(2k)
+    // continues the serial stream (how VlmModel fills its matrices
+    // in parallel).
+    for (const uint64_t k : {0u, 1u, 5u, 4096u}) {
+        Rng serial(2024);
+        Rng resumed = serial;
+        for (uint64_t i = 0; i < 2 * k; ++i) {
+            serial.gaussian(0.0, 0.3);
+        }
+        resumed.discard(2 * k);
+        for (int i = 0; i < 64; ++i) {
+            EXPECT_EQ(serial.gaussian(0.0, 0.3),
+                      resumed.gaussian(0.0, 0.3))
+                << "k = " << k << ", draw " << i;
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // Stats
 // ---------------------------------------------------------------

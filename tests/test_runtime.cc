@@ -1,16 +1,22 @@
 /**
  * @file
  * Tests for the parallel execution runtime: pool lifecycle,
- * parallelFor index coverage, exception propagation, nesting, the
- * strict FOCUS_THREADS override, and the determinism contract —
- * evaluator and experiment-grid results must be bit-identical at
- * every thread count.
+ * parallelFor index coverage, exception propagation, nesting (idle
+ * workers helping nested regions of their own pool), the strict
+ * FOCUS_THREADS override, and the determinism contract — model
+ * weights, evaluator and experiment-grid results must be
+ * bit-identical at every thread count.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,7 +24,9 @@
 
 #include "eval/evaluator.h"
 #include "eval/experiment.h"
+#include "reference/model_init.h"
 #include "runtime/thread_pool.h"
+#include "workload/profiles.h"
 
 namespace focus
 {
@@ -191,7 +199,7 @@ TEST(ThreadPool, ExceptionPropagatesFromSerialFallback)
                  std::runtime_error);
 }
 
-TEST(ThreadPool, NestedParallelForRunsInline)
+TEST(ThreadPool, NestedParallelForRunsEveryIndexInsideTheRegion)
 {
     ThreadPool p(4);
     std::atomic<int> calls{0};
@@ -202,6 +210,154 @@ TEST(ThreadPool, NestedParallelForRunsInline)
     });
     EXPECT_FALSE(ThreadPool::inParallelRegion());
     EXPECT_EQ(calls.load(), 64);
+}
+
+/** How long a nested region's caller waits for a helper to join. */
+constexpr std::chrono::seconds kHelpTimeout{10};
+
+/**
+ * Blocks a nested region's caller until a thread other than the
+ * caller has run one of the region's indices, so a pool that runs the
+ * region inline fails after kHelpTimeout instead of hanging.
+ */
+class HelpLatch
+{
+  public:
+    /** Called from every index; true on a helper thread. */
+    bool
+    arrive(std::thread::id caller)
+    {
+        std::unique_lock<std::mutex> lk(mu_);
+        if (std::this_thread::get_id() != caller) {
+            helped_ = true;
+            cv_.notify_all();
+            return true;
+        }
+        if (!timed_out_ &&
+            !cv_.wait_for(lk, kHelpTimeout, [&] { return helped_; })) {
+            timed_out_ = true;
+        }
+        return false;
+    }
+
+    bool
+    helped()
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return helped_;
+    }
+
+    bool
+    timedOut()
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return timed_out_;
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool helped_ = false;
+    bool timed_out_ = false;
+};
+
+TEST(ThreadPool, IdleWorkersRunNestedIndicesOfTheSamePool)
+{
+    ThreadPool p(4);
+    HelpLatch latch;
+    std::atomic<int> calls{0};
+    // Outer index 1 returns at once, so its thread (or an idle
+    // worker) is free to help outer index 0's nested region.
+    p.parallelFor(2, [&](int64_t outer) {
+        if (outer != 0) {
+            return;
+        }
+        const std::thread::id caller = std::this_thread::get_id();
+        p.parallelFor(8, [&](int64_t) {
+            calls.fetch_add(1);
+            latch.arrive(caller);
+        });
+    });
+    EXPECT_FALSE(latch.timedOut());
+    EXPECT_TRUE(latch.helped());
+    EXPECT_EQ(calls.load(), 8);
+}
+
+TEST(ThreadPool, NestedCallOnAnotherPoolRunsInline)
+{
+    ThreadPool outer(4);
+    for (const int width : {1, 4}) {
+        ThreadPool other(width);
+        std::vector<std::thread::id> outer_ids(8), inner_ids(32);
+        outer.parallelFor(8, [&](int64_t o) {
+            outer_ids[static_cast<size_t>(o)] =
+                std::this_thread::get_id();
+            other.parallelFor(4, [&](int64_t i) {
+                inner_ids[static_cast<size_t>(o * 4 + i)] =
+                    std::this_thread::get_id();
+            });
+        });
+        for (size_t i = 0; i < inner_ids.size(); ++i) {
+            EXPECT_EQ(inner_ids[i], outer_ids[i / 4])
+                << "width " << width << " index " << i;
+        }
+    }
+}
+
+TEST(ThreadPool, HelpedNestedRegionRethrowsLowestIndex)
+{
+    ThreadPool p(4);
+    HelpLatch latch;
+    std::mutex mu;
+    std::vector<int64_t> thrown; // indices that threw, guarded by mu
+    std::string caught;
+    p.parallelFor(2, [&](int64_t outer) {
+        if (outer != 0) {
+            return;
+        }
+        const std::thread::id caller = std::this_thread::get_id();
+        try {
+            p.parallelFor(16, [&](int64_t i) {
+                if (latch.arrive(caller)) {
+                    std::lock_guard<std::mutex> lk(mu);
+                    thrown.push_back(i);
+                    throw std::runtime_error(std::to_string(i));
+                }
+            });
+        } catch (const std::runtime_error &e) {
+            caught = e.what();
+        }
+    });
+    ASSERT_FALSE(latch.timedOut());
+    ASSERT_FALSE(thrown.empty());
+    EXPECT_EQ(caught,
+              std::to_string(
+                  *std::min_element(thrown.begin(), thrown.end())));
+    // The pool stays usable after a helped region threw.
+    std::atomic<int> calls{0};
+    p.parallelFor(64, [&](int64_t) { calls.fetch_add(1); });
+    EXPECT_EQ(calls.load(), 64);
+}
+
+TEST(ThreadPool, ThreeNestedLevelsRunEveryIndexOnce)
+{
+    ThreadPool p(4);
+    constexpr int64_t a = 4, b = 5, c = 6;
+    for (int rep = 0; rep < 20; ++rep) {
+        std::vector<std::atomic<int>> hits(a * b * c);
+        p.parallelFor(a, [&](int64_t i) {
+            p.parallelFor(b, [&](int64_t j) {
+                p.parallelFor(c, [&](int64_t k) {
+                    hits[static_cast<size_t>((i * b + j) * c + k)]
+                        .fetch_add(1);
+                });
+            });
+        });
+        for (size_t i = 0; i < hits.size(); ++i) {
+            ASSERT_EQ(hits[i].load(), 1) << "rep " << rep << " index "
+                                         << i;
+        }
+    }
 }
 
 TEST(ThreadPool, SetGlobalThreadsResizesGlobalPool)
@@ -215,6 +371,29 @@ TEST(ThreadPool, SetGlobalThreadsResizesGlobalPool)
               ThreadPool::defaultThreads());
 }
 
+/** Every MethodEval aggregate, compared bit for bit. */
+void
+expectSameEval(const MethodEval &a, const MethodEval &b)
+{
+    EXPECT_EQ(a.method, b.method);
+    EXPECT_EQ(a.accuracy, b.accuracy);
+    EXPECT_EQ(a.sparsity, b.sparsity);
+    EXPECT_EQ(a.agg.samples, b.agg.samples);
+    ASSERT_EQ(a.agg.keep_in.size(), b.agg.keep_in.size());
+    ASSERT_EQ(a.agg.tile_fracs.size(), b.agg.tile_fracs.size());
+    for (size_t l = 0; l < a.agg.keep_in.size(); ++l) {
+        EXPECT_EQ(a.agg.keep_in[l], b.agg.keep_in[l]);
+        EXPECT_EQ(a.agg.keep_out[l], b.agg.keep_out[l]);
+        EXPECT_EQ(a.agg.psi_qkv[l], b.agg.psi_qkv[l]);
+        EXPECT_EQ(a.agg.psi_oproj[l], b.agg.psi_oproj[l]);
+        EXPECT_EQ(a.agg.psi_ffn[l], b.agg.psi_ffn[l]);
+        EXPECT_EQ(a.agg.psi_down[l], b.agg.psi_down[l]);
+    }
+    for (size_t i = 0; i < a.agg.tile_fracs.size(); ++i) {
+        EXPECT_EQ(a.agg.tile_fracs[i], b.agg.tile_fracs[i]);
+    }
+}
+
 // The acceptance contract of the refactor: MethodEval aggregates are
 // bit-identical between the serial pool and a parallel pool.
 TEST(Determinism, RunFunctionalBitIdenticalAcrossThreadCounts)
@@ -223,30 +402,79 @@ TEST(Determinism, RunFunctionalBitIdenticalAcrossThreadCounts)
 
     ThreadPool serial_pool(1);
     ThreadPool parallel_pool(4);
-    const MethodEval serial =
-        ev.runFunctional(MethodConfig::focusFull(), &serial_pool);
-    const MethodEval parallel =
-        ev.runFunctional(MethodConfig::focusFull(), &parallel_pool);
+    expectSameEval(
+        ev.runFunctional(MethodConfig::focusFull(), &serial_pool),
+        ev.runFunctional(MethodConfig::focusFull(), &parallel_pool));
+}
 
-    EXPECT_EQ(serial.method, parallel.method);
-    EXPECT_EQ(serial.accuracy, parallel.accuracy);
-    EXPECT_EQ(serial.sparsity, parallel.sparsity);
-    EXPECT_EQ(serial.agg.samples, parallel.agg.samples);
-    ASSERT_EQ(serial.agg.keep_in.size(), parallel.agg.keep_in.size());
-    ASSERT_EQ(serial.agg.tile_fracs.size(),
-              parallel.agg.tile_fracs.size());
-    for (size_t l = 0; l < serial.agg.keep_in.size(); ++l) {
-        EXPECT_EQ(serial.agg.keep_in[l], parallel.agg.keep_in[l]);
-        EXPECT_EQ(serial.agg.keep_out[l], parallel.agg.keep_out[l]);
-        EXPECT_EQ(serial.agg.psi_qkv[l], parallel.agg.psi_qkv[l]);
-        EXPECT_EQ(serial.agg.psi_oproj[l],
-                  parallel.agg.psi_oproj[l]);
-        EXPECT_EQ(serial.agg.psi_ffn[l], parallel.agg.psi_ffn[l]);
-        EXPECT_EQ(serial.agg.psi_down[l], parallel.agg.psi_down[l]);
+/** Same shape and the same bits in every element. */
+void
+expectSameBits(const Tensor &got, const Tensor &want, const char *what)
+{
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<size_t>(want.numel()) *
+                              sizeof(float)),
+              0)
+        << what;
+}
+
+void
+expectSameWeights(const std::vector<VlmModel::LayerWeights> &got,
+                  const std::vector<VlmModel::LayerWeights> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t l = 0; l < want.size(); ++l) {
+        SCOPED_TRACE("layer " + std::to_string(l));
+        expectSameBits(got[l].wq, want[l].wq, "wq");
+        expectSameBits(got[l].wk, want[l].wk, "wk");
+        expectSameBits(got[l].wv, want[l].wv, "wv");
+        expectSameBits(got[l].wo, want[l].wo, "wo");
+        expectSameBits(got[l].wg, want[l].wg, "wg");
+        expectSameBits(got[l].wu, want[l].wu, "wu");
+        expectSameBits(got[l].wd, want[l].wd, "wd");
+        expectSameBits(got[l].n1, want[l].n1, "n1");
+        expectSameBits(got[l].n2, want[l].n2, "n2");
     }
-    for (size_t i = 0; i < serial.agg.tile_fracs.size(); ++i) {
-        EXPECT_EQ(serial.agg.tile_fracs[i],
-                  parallel.agg.tile_fracs[i]);
+}
+
+// VlmModel fills its matrices in parallel from start states it walks
+// to with Rng::discard; every weight must equal the serial draw.
+TEST(ParallelSetup, ModelWeightsMatchSerialOracleAtEveryWidth)
+{
+    std::vector<std::string> models = videoModelNames();
+    models.push_back("Qwen2.5-VL");
+    const uint64_t seed = 0x5eed;
+    for (const std::string &name : models) {
+        SCOPED_TRACE(name);
+        const ModelProfile prof = modelProfile(name);
+        const reference::ModelWeights want =
+            reference::modelWeights(prof, seed);
+        for (const int width : {1, 4}) {
+            SCOPED_TRACE("width " + std::to_string(width));
+            ThreadPool::setGlobalThreads(width);
+            const VlmModel model(prof, seed);
+            expectSameWeights(model.weights(false), want.fp32);
+            expectSameWeights(model.weights(true), want.int8);
+        }
+    }
+    ThreadPool::setGlobalThreads(0);
+}
+
+TEST(ParallelSetup, RunFunctionalSameForEvaluatorsBuiltAtWidth1And4)
+{
+    ThreadPool::setGlobalThreads(1);
+    const Evaluator serial("Llava-OV", "VQAv2", quick(6));
+    ThreadPool::setGlobalThreads(4);
+    const Evaluator parallel("Llava-OV", "VQAv2", quick(6));
+    ThreadPool::setGlobalThreads(0);
+
+    ThreadPool pool(4);
+    for (const MethodConfig &m :
+         {MethodConfig::dense(), MethodConfig::focusFull()}) {
+        SCOPED_TRACE(m.name());
+        expectSameEval(serial.runFunctional(m, &pool),
+                       parallel.runFunctional(m, &pool));
     }
 }
 
