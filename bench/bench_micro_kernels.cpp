@@ -3,7 +3,8 @@
  * Micro-kernel throughput benchmarks (google-benchmark): the hot
  * functional kernels underneath the reproduction — GEMM (square and at
  * the forward pass's shapes), fp16 activation rounding, the causal
- * attention interior (QK^T, softmax, P*V), cosine similarity
+ * attention interior (QK^T, softmax, P*V, and the streamed two-head
+ * interior the forward pass runs), cosine similarity
  * matching, similarity gather, streaming top-k, and the cycle model
  * (one GEMM, and whole dense and Focus traces).
  */
@@ -12,6 +13,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "common/parse.h"
 #include "common/rng.h"
@@ -124,10 +126,12 @@ BENCHMARK(BM_Softmax)->Arg(64)->Arg(256);
 
 // ---- causal attention interior ----
 //
-// One head at the forwardBatch layout: head dim 32 inside packed
-// two-head activations (row stride 64), at the video (810) and image
-// (206) grid prompt lengths.  QK^T and P*V report MAC/s over the
-// causal triangle; the softmax reports live (unmasked) entries/s.
+// The forwardBatch layout: head dim 32 inside packed two-head
+// activations (row stride 64), at the video (810) and image (206)
+// grid prompt lengths.  The whole-matrix kernels time one head each,
+// BM_CausalAttention both heads' streamed interior.  QK^T and P*V
+// report MAC/s over the causal triangle; the softmax reports live
+// (unmasked) entries/s.
 
 constexpr int64_t kAttnHd = 32;
 constexpr int64_t kAttnLd = 64;
@@ -208,6 +212,50 @@ BM_PvCausal(benchmark::State &state)
         benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_PvCausal)->Arg(206)->Arg(810);
+
+void
+BM_CausalAttention(benchmark::State &state)
+{
+    // The forward pass's whole two-head interior for one sample, as
+    // forwardBatch runs it at a layer without SEC pruning: both key
+    // panels, the text rows (the last 8, every profile's prompt
+    // length), then the streamed blocks over every output row.
+    // Reports causal QK^T + P*V MAC/s over both heads.
+    const int64_t rows = state.range(0);
+    constexpr int64_t kText = 8;
+    Rng rng(13);
+    const Tensor q = randomTensor(rng, rows, kAttnLd);
+    const Tensor k = randomTensor(rng, rows, kAttnLd);
+    const Tensor v = randomTensor(rng, rows, kAttnLd);
+    kernels::CausalHeads att;
+    att.q = q.data();
+    att.k = k.data();
+    att.v = v.data();
+    att.ld = kAttnLd;
+    att.rows = rows;
+    att.heads = kAttnLd / kAttnHd;
+    att.hd = kAttnHd;
+    att.scale = 0.17677669f;
+    std::vector<float> panels(
+        static_cast<size_t>(kernels::keyPanelsSize(att)));
+    Tensor text0(kText, rows), text1(kText, rows);
+    float *text[] = {text0.data(), text1.data()};
+    Tensor out(rows, kAttnLd);
+    const int64_t s = rows - kText;
+    for (auto _ : state) {
+        kernels::packKeyPanelsF32(att, panels.data());
+        kernels::causalTextRowsF32(att, panels.data(), s, text, rows);
+        kernels::causalAttentionF32(att, panels.data(), s, text, rows,
+                                    nullptr, rows, out.data(), kAttnLd);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["MAC/s"] = benchmark::Counter(
+        2.0 * static_cast<double>(att.heads) * causalEntries(rows) *
+            kAttnHd,
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_CausalAttention)->Arg(206)->Arg(810);
 
 void
 BM_Silu(benchmark::State &state)

@@ -48,11 +48,12 @@ Evaluator::runFunctional(const MethodConfig &method,
     // batch split, so neither the chunk count nor the thread count
     // ever changes a result.  The chunk size is locality-aware:
     // packed projection panels cost ~1 KiB per token row across
-    // xp/qp/kp/vp, and each sample's per-head probability matrices
-    // already claim most of L2, so batching pays off only while the
-    // added panel rows stay under a small budget.  Video samples
-    // (hundreds of rows) thus run near batch 1, while short image
-    // samples pack several per GEMM.  At least one chunk per pool
+    // xp/qp/kp/vp, so batching pays off only while the added panel
+    // rows stay under a small budget (perfbench's probeGrid copies
+    // this rule).  Video samples (hundreds of rows) thus run near
+    // batch 1, while short image samples pack several per GEMM.  The
+    // attention interior is per sample and streams small row blocks,
+    // so it sizes nothing here.  At least one chunk per pool
     // thread keeps the fan-out saturated.  Aggregation then runs
     // serially in sample order, so every floating-point sum is
     // evaluated in one fixed order.

@@ -10,23 +10,23 @@ namespace focus
 {
 
 std::vector<float>
-secImportance(const std::vector<Tensor> &attn, int64_t num_image,
+secImportance(const std::vector<Tensor> &text_probs, int64_t num_image,
               int64_t num_text)
 {
-    if (attn.empty()) {
+    if (text_probs.empty()) {
         panic("secImportance: no attention heads");
     }
-    const int64_t total = num_image + num_text;
     std::vector<float> importance(static_cast<size_t>(num_image),
                                   -std::numeric_limits<float>::infinity());
-    for (const Tensor &head : attn) {
-        if (head.rows() != total || head.cols() != total) {
-            panic("secImportance: head shape %" PRId64 "x%" PRId64
-                  ", expected %" PRId64 "x%" PRId64,
-                  head.rows(), head.cols(), total, total);
+    for (const Tensor &head : text_probs) {
+        if (head.rank() != 2 || head.rows() != num_text ||
+            head.cols() < num_image) {
+            panic("secImportance: head text rows %" PRId64 "x%" PRId64
+                  ", expected %" PRId64 "x(>= %" PRId64 ")",
+                  head.rows(), head.cols(), num_text, num_image);
         }
-        // Text-to-Image block: rows M..M+T-1, columns 0..M-1.
-        for (int64_t i = num_image; i < total; ++i) {
+        // Text-to-Image block: every row, columns 0..M-1.
+        for (int64_t i = 0; i < num_text; ++i) {
             const float *row = head.row(i);
             for (int64_t j = 0; j < num_image; ++j) {
                 importance[static_cast<size_t>(j)] =

@@ -17,19 +17,23 @@ namespace focus
 {
 
 /**
- * Compute per-image-token importance from per-head attention maps.
+ * Compute per-image-token importance from the text rows of per-head
+ * attention maps.
  *
- * @param attn  vector of per-head softmax(QK^T) matrices, each of
- *              shape ((M+T) x (M+T)) with image tokens first.
+ * @param text_probs  per-head softmax(QK^T) text rows: tensor h holds
+ *                    rows M..M+T-1 of head h's ((M+T) x (M+T)) map,
+ *                    image tokens first, so its shape is (T x >= M).
  * @param num_image  M, number of image tokens (columns 0..M-1).
- * @param num_text   T, number of text tokens (rows M..M+T-1).
+ * @param num_text   T, number of text tokens.
  * @return length-M importance vector:
- *         s_j = max over heads and text rows of attn[h](text_i, j).
+ *         s_j = max over heads and text rows of text_probs[h](i, j).
  *
- * This is the streaming importance analyzer of Fig. 5(2); the
+ * This is the streaming importance analyzer of Fig. 5(2): it reads
+ * only the text-to-image block, so the forward pass scores the text
+ * rows first and selects before any image row is scored.  The
  * functional result is exact (max-reduction order does not matter).
  */
-std::vector<float> secImportance(const std::vector<Tensor> &attn,
+std::vector<float> secImportance(const std::vector<Tensor> &text_probs,
                                  int64_t num_image, int64_t num_text);
 
 /**

@@ -323,22 +323,36 @@ gemmBlock(int64_t i0, int64_t mb, int64_t n, int64_t k, const float *a,
 // the same lane split.
 // -----------------------------------------------------------------
 
-/** Single-row remainder of dot4 (same lane split as `dot`). */
+/**
+ * Four floats as one GNU vector (an xmm), loaded with std::memcpy.
+ * dot1 keeps its four lanes in one: as a float[4] array GCC 12
+ * unrolled the v4 clone's lane loop into scalar adds.
+ */
+using Vec4 = float __attribute__((vector_size(4 * sizeof(float))));
+
+/**
+ * Single-row remainder of dot4 (same lane split as `dot`): lane e
+ * accumulates k = e, e+4, ... by a rounded multiply and an add, the
+ * k % 4 tail folds into lane 0, and the result is (l0+l1)+(l2+l3).
+ */
 FOCUS_KERNEL_CLONES float
 dot1(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b,
      int64_t k)
 {
-    float l[4] = {};
-    int64_t p = 0;
-    for (; p + 4 <= k; p += 4) {
-        for (int64_t e = 0; e < 4; ++e) {
-            l[e] += q[p + e] * b[p + e];
-        }
+    Vec4 l = {}, qv, bv;
+    const int64_t full = k & ~int64_t{3};
+    for (int64_t p = 0; p < full; p += 4) {
+        std::memcpy(&qv, q + p, sizeof(qv));
+        std::memcpy(&bv, b + p, sizeof(bv));
+        l += qv * bv;
     }
-    for (; p < k; ++p) {
-        l[0] += q[p] * b[p];
+    // At most three tail terms: with the count bounded GCC 12 keeps
+    // this loop scalar instead of adding a vectorized copy.
+    float l0 = l[0];
+    for (int64_t p = 0; p < (k & 3); ++p) {
+        l0 += q[full + p] * b[full + p];
     }
-    return (l[0] + l[1]) + (l[2] + l[3]);
+    return (l0 + l[1]) + (l[2] + l[3]);
 }
 
 /**
@@ -442,41 +456,23 @@ qkBlock(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT kt,
     }
 }
 
-/**
- * Causal scores from a transposed key panel (see qkScoresCausalF32).
- * Per row i the dotRowsScaled split is kept: the 4-aligned prefix
- * [0, (i+1) & ~3) runs dot4 arithmetic in 16- and 8-key blocks, the
- * ragged tail runs dot1 on the untransposed keys.  A last partial
- * 8-block (4 keys) is scored into a temporary tile, so nothing past the
- * diagonal is written; the panel is padded to kQkPad columns, so every
- * block reads inside it.
- */
-FOCUS_KERNEL_CLONES void
-qkScoresPanel(const float *q, int64_t ldq, const float *kt, int64_t ldt,
-              const float *keys, int64_t ldk, int64_t rows, int64_t k,
-              float scale, float *out, int64_t ldo)
+/** Query rows per key-block-outer group of qkScoresRowsF32. */
+constexpr int64_t kQkGroup = 16;
+
+/** qkScoresRowsF32 over the consecutive query rows [i0, i1). */
+void
+qkScoresRange(const float *q, int64_t ldq, const float *kt, int64_t ldt,
+              const float *keys, int64_t ldk, int64_t i0, int64_t i1,
+              int64_t k, float scale, float *out, int64_t ldo)
 {
-    for (int64_t i = 0; i < rows; ++i) {
-        const float *qi = q + i * ldq;
-        float *orow = out + i * ldo;
-        const int64_t count = i + 1;
-        const int64_t full4 = count & ~int64_t{3};
-        int64_t j = 0;
-        for (; j + 16 <= full4; j += 16) {
-            qkBlock<16>(qi, kt + j, ldt, k, scale, orow + j);
+    int64_t src[kQkGroup];
+    for (int64_t g0 = i0; g0 < i1; g0 += kQkGroup) {
+        const int64_t n = std::min(kQkGroup, i1 - g0);
+        for (int64_t r = 0; r < n; ++r) {
+            src[r] = g0 + r;
         }
-        if (j + 8 <= full4) {
-            qkBlock<8>(qi, kt + j, ldt, k, scale, orow + j);
-            j += 8;
-        }
-        if (j < full4) {
-            float tile[8];
-            qkBlock<8>(qi, kt + j, ldt, k, scale, tile);
-            std::copy(tile, tile + (full4 - j), orow + j);
-        }
-        for (j = full4; j < count; ++j) {
-            orow[j] = dot1(qi, keys + j * ldk, k) * scale;
-        }
+        qkScoresRowsF32(q, ldq, keys, ldk, kt, ldt, src, n, k, scale,
+                        out + (g0 - i0) * ldo, ldo);
     }
 }
 
@@ -489,6 +485,12 @@ qkScoresPanel(const float *q, int64_t ldq, const float *kt, int64_t ldt,
 // -----------------------------------------------------------------
 
 constexpr int64_t kPvCols = 32; ///< P*V tile width (4 ymm per row)
+
+/**
+ * Output rows per block of causalAttentionF32.  Even, so the P*V row
+ * pairs of a block are the pairs of one call over every row.
+ */
+constexpr int64_t kStreamBlock = 16;
 
 /** orow[c] += p[j] * v[j][c] for j in [j0, j1), c in [c0, c1). */
 FOCUS_ALWAYS_INLINE void
@@ -602,23 +604,28 @@ expfPoly(float x)
     return x != x ? x : out; // propagate NaN
 }
 
-/** Fused max/exp/normalize with 8-lane reductions. */
+/**
+ * Fused max/exp/normalize with 8-lane reductions.  The lane maxima are
+ * one Vec8: as a float[8] array GCC 12 kept the select
+ * `v > m ? v : m` scalar in every clone, a compare and a cmov per
+ * element.  The vector select picks per lane exactly as the scalar
+ * one does, NaN included.
+ */
 FOCUS_KERNEL_CLONES void
 softmaxRowVector(float *FOCUS_RESTRICT row, int64_t n)
 {
     constexpr float ninf = -std::numeric_limits<float>::infinity();
-    float m[8] = {ninf, ninf, ninf, ninf, ninf, ninf, ninf, ninf};
+    Vec8 m = {ninf, ninf, ninf, ninf, ninf, ninf, ninf, ninf};
+    Vec8 x;
     int64_t j = 0;
     for (; j + 8 <= n; j += 8) {
-        for (int64_t e = 0; e < 8; ++e) {
-            const float v = row[j + e];
-            m[e] = v > m[e] ? v : m[e];
-        }
-    }
-    for (; j < n; ++j) {
-        m[0] = row[j] > m[0] ? row[j] : m[0];
+        std::memcpy(&x, row + j, sizeof(x));
+        m = x > m ? x : m;
     }
     float mx = m[0];
+    for (; j < n; ++j) {
+        mx = row[j] > mx ? row[j] : mx;
+    }
     for (int64_t e = 1; e < 8; ++e) {
         mx = m[e] > mx ? m[e] : mx;
     }
@@ -812,29 +819,31 @@ softmaxRowsF32(int64_t rows, int64_t cols, float *x, int64_t ld)
 }
 
 void
+softmaxCausalRowF32(float *row, int64_t i, int64_t rows)
+{
+    constexpr float kMasked = -1e30f;
+    const int64_t live = i + 1;
+    // The live prefix rounded up to whole 8-lane blocks, or the full
+    // row once that would pass its trailing partial block: either way
+    // every live term lands in the lane the full-row pass gives it,
+    // and the masked slots add exact zeros.
+    const int64_t width = std::min((live + 7) & ~int64_t{7}, rows);
+    std::fill(row + live, row + width, kMasked);
+    softmaxRowVector(row, width);
+}
+
+void
 softmaxCausalF32(int64_t rows, float *x, int64_t ld)
 {
     if (rows <= 0) {
         return;
     }
     countSoftmaxRows(rows);
-    constexpr float kMasked = -1e30f;
     forRowRanges(rows, rows, [&](int64_t i0, int64_t i1) {
         for (int64_t i = i0; i < i1; ++i) {
             float *row = x + i * ld;
-            const int64_t live = i + 1;
-            // The live prefix rounded up to whole 8-lane blocks, or
-            // the full row once that would pass its trailing partial
-            // block: either way every live term lands in the lane the
-            // full-row pass gives it, and the masked slots add exact
-            // zeros.
-            int64_t width = (live + 7) & ~int64_t{7};
-            if (width > rows) {
-                width = rows;
-            }
-            std::fill(row + live, row + width, kMasked);
-            softmaxRowVector(row, width);
-            std::fill(row + live, row + rows, 0.0f);
+            softmaxCausalRowF32(row, i, rows);
+            std::fill(row + i + 1, row + rows, 0.0f);
         }
     });
 }
@@ -1016,21 +1025,17 @@ dotRowsScaled(const float *q, const float *b, int64_t ldb, int64_t rows,
     }
 }
 
-void
-qkScoresCausalF32(const float *q, int64_t ldq, const float *keys,
-                  int64_t ldk, int64_t rows, int64_t k, float scale,
-                  float *out, int64_t ldo)
+int64_t
+keyPanelStride(int64_t rows)
 {
-    if (rows <= 0) {
-        return;
-    }
-    // Transposed key panel, padded so every 8- or 16-key block of the
-    // last row group reads inside it (pad columns are zero and never
-    // reach an output).
-    static thread_local std::vector<float> panel;
-    const int64_t ldt = (rows + kQkPad - 1) / kQkPad * kQkPad;
-    panel.resize(static_cast<size_t>(k * ldt));
-    float *kt = panel.data();
+    return (rows + kQkPad - 1) / kQkPad * kQkPad;
+}
+
+void
+packKeyPanelF32(const float *keys, int64_t ldk, int64_t rows, int64_t k,
+                float *kt)
+{
+    const int64_t ldt = keyPanelStride(rows);
     for (int64_t p = 0; p < k; ++p) {
         std::fill(kt + p * ldt + rows, kt + (p + 1) * ldt, 0.0f);
     }
@@ -1040,21 +1045,89 @@ qkScoresCausalF32(const float *q, int64_t ldq, const float *keys,
             kt[p * ldt + j] = krow[p];
         }
     }
-    qkScoresPanel(q, ldq, kt, ldt, keys, ldk, rows, k, scale, out, ldo);
+}
+
+/**
+ * Per row the dotRowsScaled split is kept: the 4-aligned prefix
+ * [0, (i+1) & ~3) runs dot4 arithmetic in 16- and 8-key blocks, the
+ * ragged tail runs dot1 on the untransposed keys.  A group's shared
+ * 16-key blocks, [0, min over its rows of (i+1) & ~15), run key block
+ * outer; each row then starts its own loop where they end.  A last
+ * partial 8-block (4 keys) is scored into a temporary tile, so nothing
+ * past the diagonal is written; the panel is padded to kQkPad
+ * columns, so every block reads inside it.
+ */
+FOCUS_KERNEL_CLONES void
+qkScoresRowsF32(const float *q, int64_t ldq, const float *keys,
+                int64_t ldk, const float *kt, int64_t ldt,
+                const int64_t *src, int64_t n, int64_t k, float scale,
+                float *out, int64_t ldo)
+{
+    for (int64_t g0 = 0; g0 < n; g0 += kQkGroup) {
+        const int64_t g1 = std::min(n, g0 + kQkGroup);
+        int64_t shared = (src[g0] + 1) & ~int64_t{15};
+        for (int64_t r = g0 + 1; r < g1; ++r) {
+            shared = std::min(shared, (src[r] + 1) & ~int64_t{15});
+        }
+        for (int64_t j = 0; j < shared; j += 16) {
+            for (int64_t r = g0; r < g1; ++r) {
+                qkBlock<16>(q + src[r] * ldq, kt + j, ldt, k, scale,
+                            out + r * ldo + j);
+            }
+        }
+        for (int64_t r = g0; r < g1; ++r) {
+            const float *qi = q + src[r] * ldq;
+            float *orow = out + r * ldo;
+            const int64_t count = src[r] + 1;
+            const int64_t full4 = count & ~int64_t{3};
+            int64_t j = shared;
+            for (; j + 16 <= full4; j += 16) {
+                qkBlock<16>(qi, kt + j, ldt, k, scale, orow + j);
+            }
+            if (j + 8 <= full4) {
+                qkBlock<8>(qi, kt + j, ldt, k, scale, orow + j);
+                j += 8;
+            }
+            if (j < full4) {
+                float tile[8];
+                qkBlock<8>(qi, kt + j, ldt, k, scale, tile);
+                std::copy(tile, tile + (full4 - j), orow + j);
+            }
+            for (j = full4; j < count; ++j) {
+                orow[j] = dot1(qi, keys + j * ldk, k) * scale;
+            }
+        }
+    }
+}
+
+void
+qkScoresCausalF32(const float *q, int64_t ldq, const float *keys,
+                  int64_t ldk, int64_t rows, int64_t k, float scale,
+                  float *out, int64_t ldo)
+{
+    if (rows <= 0) {
+        return;
+    }
+    static thread_local std::vector<float> panel;
+    const int64_t ldt = keyPanelStride(rows);
+    panel.resize(static_cast<size_t>(k * ldt));
+    packKeyPanelF32(keys, ldk, rows, k, panel.data());
+    qkScoresRange(q, ldq, panel.data(), ldt, keys, ldk, 0, rows, k,
+                  scale, out, ldo);
 }
 
 FOCUS_KERNEL_CLONES void
-pvCausalF32(int64_t m, int64_t n, const float *p, int64_t ldp,
-            const int64_t *rowmap, const float *v, int64_t ldv,
-            float *out, int64_t ldo)
+pvCausalRowsF32(int64_t m, int64_t n, const float *const *prows,
+                const int64_t *src, const float *v, int64_t ldv,
+                float *out, int64_t ldo)
 {
     const int64_t full = n / kPvCols * kPvCols;
     int64_t r = 0;
     for (; r + 2 <= m; r += 2) {
-        const int64_t src0 = rowmap ? rowmap[r] : r;
-        const int64_t src1 = rowmap ? rowmap[r + 1] : r + 1;
-        const float *prow0 = p + src0 * ldp;
-        const float *prow1 = p + src1 * ldp;
+        const int64_t src0 = src[r];
+        const int64_t src1 = src[r + 1];
+        const float *prow0 = prows[r];
+        const float *prow1 = prows[r + 1];
         float *orow0 = out + r * ldo;
         float *orow1 = orow0 + ldo;
         const int64_t shared = std::min(src0, src1) + 1;
@@ -1072,8 +1145,130 @@ pvCausalF32(int64_t m, int64_t n, const float *p, int64_t ldp,
         }
     }
     if (r < m) {
-        const int64_t src = rowmap ? rowmap[r] : r;
-        pvRow(p + src * ldp, src + 1, v, ldv, out + r * ldo, 0, n);
+        pvRow(prows[r], src[r] + 1, v, ldv, out + r * ldo, 0, n);
+    }
+}
+
+void
+pvCausalF32(int64_t m, int64_t n, const float *p, int64_t ldp,
+            const int64_t *rowmap, const float *v, int64_t ldv,
+            float *out, int64_t ldo)
+{
+    // Row pointers a chunk at a time.  The chunk is even, so the
+    // row pairs are the ones a single call over all m rows takes.
+    constexpr int64_t kChunk = 64;
+    const float *prows[kChunk];
+    int64_t src[kChunk];
+    for (int64_t r0 = 0; r0 < m; r0 += kChunk) {
+        const int64_t mc = std::min(kChunk, m - r0);
+        for (int64_t r = 0; r < mc; ++r) {
+            src[r] = rowmap != nullptr ? rowmap[r0 + r] : r0 + r;
+            prows[r] = p + src[r] * ldp;
+        }
+        pvCausalRowsF32(mc, n, prows, src, v, ldv, out + r0 * ldo, ldo);
+    }
+}
+
+// -----------------------------------------------------------------
+// Streamed multi-head causal attention
+// -----------------------------------------------------------------
+
+int64_t
+keyPanelsSize(const CausalHeads &a)
+{
+    return a.heads * a.hd * keyPanelStride(a.rows);
+}
+
+void
+packKeyPanelsF32(const CausalHeads &a, float *panels)
+{
+    const int64_t size = a.hd * keyPanelStride(a.rows);
+    for (int64_t h = 0; h < a.heads; ++h) {
+        packKeyPanelF32(a.k + h * a.hd, a.ld, a.rows, a.hd,
+                        panels + h * size);
+    }
+}
+
+void
+causalTextRowsF32(const CausalHeads &a, const float *panels, int64_t s,
+                  float *const *text, int64_t ldx)
+{
+    const int64_t t = a.rows - s;
+    if (t <= 0 || a.heads <= 0) {
+        return;
+    }
+    countSoftmaxRows(t * a.heads);
+    const int64_t ldt = keyPanelStride(a.rows);
+    for (int64_t h = 0; h < a.heads; ++h) {
+        const int64_t c0 = h * a.hd;
+        qkScoresRange(a.q + c0, a.ld, panels + c0 * ldt, ldt, a.k + c0,
+                      a.ld, s, a.rows, a.hd, a.scale, text[h], ldx);
+        for (int64_t i = 0; i < t; ++i) {
+            softmaxCausalRowF32(text[h] + i * ldx, s + i, a.rows);
+        }
+    }
+}
+
+void
+causalAttentionF32(const CausalHeads &a, const float *panels, int64_t s,
+                   const float *const *text, int64_t ldx,
+                   const int64_t *rowmap, int64_t m, float *out,
+                   int64_t ldo)
+{
+    if (m <= 0 || a.heads <= 0) {
+        return;
+    }
+    int64_t scored = 0;
+    for (int64_t r = 0; r < m; ++r) {
+        scored += (rowmap != nullptr ? rowmap[r] : r) < s ? 1 : 0;
+    }
+    if (scored > 0) {
+        countSoftmaxRows(scored * a.heads);
+    }
+    const int64_t ldt = keyPanelStride(a.rows);
+    const int64_t blocks = (m + kStreamBlock - 1) / kStreamBlock;
+    // One task per (head, block of output rows).  A task scores and
+    // normalizes its block's non-text source rows into this thread's
+    // block buffer, then runs P*V over them and the text rows' P.
+    // Tasks write disjoint (rows x head columns) slices of out.
+    auto run = [&](int64_t task) {
+        static thread_local std::vector<float> pbuf;
+        pbuf.resize(static_cast<size_t>(kStreamBlock * ldt));
+        const int64_t h = task / blocks;
+        const int64_t r0 = task % blocks * kStreamBlock;
+        const int64_t mb = std::min(kStreamBlock, m - r0);
+        const int64_t c0 = h * a.hd;
+        int64_t src[kStreamBlock];
+        int64_t scored_src[kStreamBlock];
+        const float *prows[kStreamBlock];
+        int64_t nv = 0;
+        for (int64_t r = 0; r < mb; ++r) {
+            src[r] = rowmap != nullptr ? rowmap[r0 + r] : r0 + r;
+            if (src[r] < s) {
+                prows[r] = pbuf.data() + nv * ldt;
+                scored_src[nv++] = src[r];
+            } else {
+                prows[r] = text[h] + (src[r] - s) * ldx;
+            }
+        }
+        qkScoresRowsF32(a.q + c0, a.ld, a.k + c0, a.ld,
+                        panels + c0 * ldt, ldt, scored_src, nv, a.hd,
+                        a.scale, pbuf.data(), ldt);
+        for (int64_t r = 0; r < nv; ++r) {
+            softmaxCausalRowF32(pbuf.data() + r * ldt, scored_src[r],
+                                a.rows);
+        }
+        pvCausalRowsF32(mb, a.hd, prows, src, a.v + c0, a.ld,
+                        out + r0 * ldo + c0, ldo);
+    };
+    const int64_t tasks = a.heads * blocks;
+    ThreadPool &pool = ThreadPool::global();
+    if (tasks > 1 && pool.threads() > 1) {
+        pool.parallelFor(tasks, run);
+    } else {
+        for (int64_t t = 0; t < tasks; ++t) {
+            run(t);
+        }
     }
 }
 

@@ -170,6 +170,13 @@ void gemmF32(int64_t m, int64_t n, int64_t k, const float *a,
 void dotRowsScaled(const float *q, const float *b, int64_t ldb,
                    int64_t rows, int64_t k, float scale, float *out);
 
+// ---------------------------------------------------------------
+// Causal attention interior (docs/KERNELS.md, "Causal attention
+// interior").  The forward pass runs the streamed multi-head form at
+// the end of this section; the three whole-matrix kernels below are
+// wrappers over the same row bodies, kept for the microbenchmarks.
+// ---------------------------------------------------------------
+
 /**
  * Causal attention scores for one head slice:
  * out[i*ldo + j] = dot(q + i*ldq, keys + j*ldk, k) * scale for
@@ -179,11 +186,8 @@ void dotRowsScaled(const float *q, const float *b, int64_t ldb,
  * dot4/dot1 lane split with groups of four key rows aligned to
  * j = 0), so a row computed here is bit-identical to a
  * `dotRowsScaled(q_i, keys, ldk, i+1, ...)` call.  The keys are
- * packed once into a thread-local transposed (k x rows) panel, and
- * each query is scored against 16- and 8-key register tiles of it
- * with dot4's four lane accumulators per key; only the ragged
- * (i+1) % 4 tail keys run dot1 (docs/KERNELS.md, "Causal attention
- * interior").
+ * packed once into a thread-local transposed panel
+ * (packKeyPanelF32), and 16-row ranges run qkScoresRowsF32.
  */
 void qkScoresCausalF32(const float *q, int64_t ldq, const float *keys,
                        int64_t ldk, int64_t rows, int64_t k,
@@ -197,11 +201,9 @@ void qkScoresCausalF32(const float *q, int64_t ldq, const float *keys,
  * Bit-identical to setting the entries above the diagonal to -1e30
  * and running softmaxRowsF32 over full rows: a masked entry adds an
  * exact zero to every sum and leaves every max unchanged.  Each row
- * runs over its live prefix rounded up to whole 8-lane blocks (slack
- * slots masked), or over the full row once that would pass its
- * trailing partial block, so every term keeps its lane.  Counted
- * under the same `kernels.softmax.*` counters as softmaxRowsF32 and
- * row-parallel like it.
+ * runs softmaxCausalRowF32, then the rest of the row is zeroed.
+ * Counted under the same `kernels.softmax.*` counters as
+ * softmaxRowsF32 and row-parallel like it.
  */
 void softmaxCausalF32(int64_t rows, float *x, int64_t ld);
 
@@ -217,16 +219,136 @@ void softmaxCausalF32(int64_t rows, float *x, int64_t ld);
  * every skipped p[src][j] (j > src) is exactly +-0 and the full-range
  * gemmF32 product adds only exact zeros beyond the limit (the same
  * argument that makes the naive reference's zero-skip bit-identical).
- * Skipping them halves the PV MACs and avoids packing the (rows x
- * rows) probability matrix entirely.  Output rows are taken in pairs
- * as 2 x 32 register tiles over the pair's shared causal range, then
- * each row adds its remaining keys in memory; column edges and an odd
- * last row run the single-row loop.  None of this changes an
- * element's accumulation order.
+ * Runs pvCausalRowsF32 with P row pointers p + src*ldp.
  */
 void pvCausalF32(int64_t m, int64_t n, const float *p, int64_t ldp,
                  const int64_t *rowmap, const float *v, int64_t ldv,
                  float *out, int64_t ldo);
+
+/**
+ * Column stride of a transposed key panel of @p rows keys: @p rows
+ * rounded up to whole 16-key blocks, so every score block reads
+ * inside the panel.
+ */
+int64_t keyPanelStride(int64_t rows);
+
+/**
+ * Transposed key panel of one head slice:
+ * kt[p*ldt + j] = keys[j*ldk + p] for p in [0, k), j in [0, rows),
+ * with ldt = keyPanelStride(rows) and the pad columns [rows, ldt)
+ * zero.  The pad never reaches an output.
+ */
+void packKeyPanelF32(const float *keys, int64_t ldk, int64_t rows,
+                     int64_t k, float *kt);
+
+/**
+ * Causal scores of @p n query rows against a packed key panel: row r
+ * scores query src[r],
+ *
+ *   out[r*ldo + j] = dot(q + src[r]*ldq, keys + j*ldk, k) * scale
+ *
+ * for j in [0, src[r]+1), with nothing past the diagonal written —
+ * bit for bit row src[r] of qkScoresCausalF32.  The 4-aligned prefix
+ * of each row runs dot4's lane split in 16- and 8-key blocks of the
+ * panel, the ragged (src+1) % 4 tail keys run dot1 on @p keys.
+ * Groups of up to 16 rows run key-block outer: the 16-key blocks
+ * every row of the group needs are scored for the whole group while
+ * the panel slice sits in L1, then each row scores the rest of its
+ * prefix alone.  Neither loop order changes an element's arithmetic.
+ */
+void qkScoresRowsF32(const float *q, int64_t ldq, const float *keys,
+                     int64_t ldk, const float *kt, int64_t ldt,
+                     const int64_t *src, int64_t n, int64_t k,
+                     float scale, float *out, int64_t ldo);
+
+/**
+ * Causal softmax of row @p i of a (rows x rows) score block:
+ * normalizes the i+1 live entries and writes [0, w) with
+ * w = min(round8(i+1), rows) — the probabilities, then +0 for finite
+ * rows — and nothing past w.  The live prefix runs in whole 8-lane
+ * blocks with slack slots masked to -1e30, or over the full row once
+ * that would pass its trailing partial block, so every live term
+ * keeps the lane the full-row softmaxRowsF32 pass gives it.  The row
+ * body of softmaxCausalF32; not counted (its callers count rows).
+ */
+void softmaxCausalRowF32(float *row, int64_t i, int64_t rows);
+
+/**
+ * P*V with one probability row pointer per output row: for r in
+ * [0, m), out[r*ldo + c] = sum_{j=0}^{src[r]} prows[r][j] * v[j*ldv + c]
+ * in ascending j with one accumulator per element.  Output rows are
+ * taken in pairs as 2 x 32 register tiles over the pair's shared
+ * causal range, then each row adds its remaining keys in memory;
+ * column edges and an odd last row run the single-row loop.  None of
+ * this changes an element's accumulation order.
+ */
+void pvCausalRowsF32(int64_t m, int64_t n, const float *const *prows,
+                     const int64_t *src, const float *v, int64_t ldv,
+                     float *out, int64_t ldo);
+
+/**
+ * One sample's multi-head causal attention in the forward pass's
+ * layout: @p rows rows of queries, keys and values with row stride
+ * @p ld, head h owning columns [h*hd, (h+1)*hd) of each (and of the
+ * output).  Rows [s, rows) are the text rows, the only ones SEC
+ * reads.
+ */
+struct CausalHeads
+{
+    const float *q = nullptr;
+    const float *k = nullptr;
+    const float *v = nullptr;
+    int64_t ld = 0;
+    int64_t rows = 0;
+    int64_t heads = 0;
+    int64_t hd = 0;
+    float scale = 1.0f;
+};
+
+/** Floats of every head's key panel: heads * hd * keyPanelStride(rows). */
+int64_t keyPanelsSize(const CausalHeads &a);
+
+/**
+ * packKeyPanelF32 for every head: head h's panel at
+ * panels + h*hd*keyPanelStride(rows).  The caller owns the panels;
+ * causalTextRowsF32 and causalAttentionF32 (and the pool workers
+ * that help it) only read them.
+ */
+void packKeyPanelsF32(const CausalHeads &a, float *panels);
+
+/**
+ * Causal probabilities of rows [s, rows) of every head: head h's row
+ * s+i lands at text[h] + i*ldx (ldx >= rows), QK^T scores then the
+ * causal softmax, each entry bit for bit the full-matrix
+ * qkScoresCausalF32 + softmaxCausalF32 value, written as far as
+ * softmaxCausalRowF32 writes.  Counted as (rows - s) * heads softmax
+ * rows.
+ */
+void causalTextRowsF32(const CausalHeads &a, const float *panels,
+                       int64_t s, float *const *text, int64_t ldx);
+
+/**
+ * The streamed interior: for output row r in [0, m) and head h, with
+ * src = rowmap ? rowmap[r] : r,
+ *
+ *   out[r*ldo + h*hd + c] = sum_{j=0}^{src} P_h[src][j] * V_h[j][c],
+ *
+ * P_h the head's causal softmax(scale * Q K^T), with no (rows x rows)
+ * matrix anywhere.  Text sources (src >= s) read P from @p text
+ * (causalTextRowsF32's layout).  Every other source row is scored
+ * and normalized in a thread-local block buffer, a block of output
+ * rows at a time, right before its P*V: one pool task per (head,
+ * block), so each block's P rows are still in L1/L2 when P*V reads
+ * them.  Source rows no output row names are never scored.  Each
+ * element keeps the qkScoresCausalF32 / softmaxCausalF32 /
+ * pvCausalF32 arithmetic, so the output is bit-identical to those
+ * three over full matrices, at every pool width.  Counts the rows it
+ * normalizes as softmax rows.
+ */
+void causalAttentionF32(const CausalHeads &a, const float *panels,
+                        int64_t s, const float *const *text,
+                        int64_t ldx, const int64_t *rowmap, int64_t m,
+                        float *out, int64_t ldo);
 
 } // namespace kernels
 } // namespace focus

@@ -183,7 +183,6 @@ struct BatchState
     int64_t m_orig = 0;
 
     Tensor xn; ///< per-phase normed/rounded activations
-    std::vector<Tensor> head_probs;
     Tensor attn_out;
     std::vector<int64_t> retained;
     std::vector<int64_t> pv_rows;
@@ -194,23 +193,30 @@ struct BatchState
 };
 
 /**
- * One head's causal attention probabilities into @p p (rows x rows):
- * scaled Q.K^T over the causal range, then a causal row softmax that
- * leaves +0 above the diagonal (bit-identical to masking with -1e30
- * and a full-row softmax, the tests/reference/forward.h oracle).
+ * Pack every head's key panel of @p att into @p panels, then score
+ * and normalize the text rows [s, rows) of every head into @p text,
+ * one (rows - s) x rows tensor per head (reshaped when needed).
  * Stream order is [visual ; text], so text queries see every visual
- * key.
+ * key.  Returns the text row pointers causalAttentionF32 reads.
  */
-void
-causalHeadProbs(const float *q, int64_t ldq, const float *k, int64_t ldk,
-                int64_t rows, int64_t hd, float scale, Tensor &p)
+std::vector<float *>
+scoreTextRows(const kernels::CausalHeads &att, int64_t s,
+              std::vector<float> &panels, std::vector<Tensor> &text)
 {
-    if (p.rank() != 2 || p.rows() != rows || p.cols() != rows) {
-        p = Tensor(rows, rows);
+    panels.resize(static_cast<size_t>(kernels::keyPanelsSize(att)));
+    kernels::packKeyPanelsF32(att, panels.data());
+    text.resize(static_cast<size_t>(att.heads));
+    std::vector<float *> rows(text.size());
+    for (size_t h = 0; h < text.size(); ++h) {
+        if (text[h].rank() != 2 || text[h].rows() != att.rows - s ||
+            text[h].cols() != att.rows) {
+            text[h] = Tensor(att.rows - s, att.rows);
+        }
+        rows[h] = text[h].data();
     }
-    kernels::qkScoresCausalF32(q, ldq, k, ldk, rows, hd, scale, p.data(),
-                               p.cols());
-    kernels::softmaxCausalF32(rows, p.data(), p.cols());
+    kernels::causalTextRowsF32(att, panels.data(), s, rows.data(),
+                               att.rows);
+    return rows;
 }
 
 } // namespace
@@ -343,14 +349,15 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
             2.0 * rows0 * rows0 * d + 1.0 * rows0 * d * d +
             2.0 * rows0 * d * inner + 1.0 * rows0 * inner * d;
         st.res.dense_ops = dense_layer_ops * prof_.layers;
-        st.head_probs.assign(static_cast<size_t>(prof_.heads),
-                             Tensor());
     }
 
     const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
     // Packed buffers, reused across layers (gemm() reallocates its
     // output only on shape change).
     Tensor xp, qp, kp, vp, aop, op, gatep, upp, downp;
+    // One sample's key panels and text-row probabilities at a time.
+    std::vector<float> panels;
+    std::vector<Tensor> text_probs;
     std::vector<int64_t> off(static_cast<size_t>(count));
     std::vector<int64_t> offa(static_cast<size_t>(count));
 
@@ -399,11 +406,12 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
         gemm(xp, w.wv, vp);
 
         // ---- per-sample attention interior ----
-        // Scores, softmax, SEC and PV run in one pass per sample so
-        // the probability matrices stay cache-hot from the softmax
-        // into secImportance and pvCausalF32 (splitting these into
-        // separate batch sweeps round-trips every sample's (rows x
-        // rows) P through memory and erases the kernel wins).
+        // No (rows x rows) probability matrix exists: the text rows of
+        // every head are scored first, SEC selects from them, and
+        // causalAttentionF32 then streams the output rows through
+        // QK^T, softmax and P*V a small block at a time, never scoring
+        // a visual row SEC prunes.  Only the model's op count still
+        // charges the full QK^T triangle.
         for (int64_t bi = 0; bi < count; ++bi) {
             BatchState &st = states[static_cast<size_t>(bi)];
             const int64_t rows = st.s_cur + st.t_count;
@@ -411,18 +419,23 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
             st.res.ops += 3.0 * static_cast<double>(rows) * d * d *
                 st.rec.psi_qkv;
             st.res.ops += static_cast<double>(rows) * rows * d;
-            for (int h = 0; h < prof_.heads; ++h) {
-                const int64_t c0 = static_cast<int64_t>(h) * hd;
-                causalHeadProbs(qp.row(o) + c0, qp.cols(), kp.row(o) + c0,
-                                kp.cols(), rows, hd, inv_sqrt,
-                                st.head_probs[static_cast<size_t>(h)]);
-            }
+            kernels::CausalHeads att;
+            att.q = qp.row(o);
+            att.k = kp.row(o);
+            att.v = vp.row(o);
+            att.ld = d;
+            att.rows = rows;
+            att.heads = prof_.heads;
+            att.hd = hd;
+            att.scale = inv_sqrt;
+            const std::vector<float *> text_rows =
+                scoreTextRows(att, st.s_cur, panels, text_probs);
 
             st.retained.clear();
             st.pruned = false;
             if (sec_on && prof_.pruneAtLayer(l, prof_.layers)) {
                 const std::vector<float> importance = secImportance(
-                    st.head_probs, st.s_cur, st.t_count);
+                    text_probs, st.s_cur, st.t_count);
                 switch (method.focus.sec.select) {
                   case SecSelect::TopK: {
                     const double ratio = prof_.retentionAfterLayer(
@@ -471,15 +484,10 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                 st.attn_out.cols() != d) {
                 st.attn_out = Tensor(st.rows_after, d);
             }
-            for (int h = 0; h < prof_.heads; ++h) {
-                const Tensor &p = st.head_probs[static_cast<size_t>(h)];
-                const int64_t c0 = static_cast<int64_t>(h) * hd;
-                kernels::pvCausalF32(
-                    st.rows_after, hd, p.data(), p.cols(), pv_map,
-                    vp.row(off[static_cast<size_t>(bi)]) + c0,
-                    vp.cols(), st.attn_out.data() + c0,
-                    st.attn_out.cols());
-            }
+            kernels::causalAttentionF32(att, panels.data(), st.s_cur,
+                                        text_rows.data(), rows, pv_map,
+                                        st.rows_after, st.attn_out.data(),
+                                        st.attn_out.cols());
             st.res.ops +=
                 static_cast<double>(st.rows_after) * rows * d;
 
@@ -732,15 +740,18 @@ VlmModel::attentionHeatmap(const VideoSample &sample) const
     Tensor q, k;
     gemm(x, layers_.front().wq, q);
     gemm(x, layers_.front().wk, k);
-    const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
-    std::vector<Tensor> head_probs(static_cast<size_t>(prof_.heads));
-    for (int h = 0; h < prof_.heads; ++h) {
-        const int64_t c0 = static_cast<int64_t>(h) * hd;
-        causalHeadProbs(q.row(0) + c0, q.cols(), k.row(0) + c0, k.cols(),
-                        m + t, hd, inv_sqrt,
-                        head_probs[static_cast<size_t>(h)]);
-    }
-    return secImportance(head_probs, m, t);
+    kernels::CausalHeads att;
+    att.q = q.data();
+    att.k = k.data();
+    att.ld = d;
+    att.rows = m + t;
+    att.heads = prof_.heads;
+    att.hd = hd;
+    att.scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    std::vector<float> panels;
+    std::vector<Tensor> text_probs;
+    scoreTextRows(att, m, panels, text_probs);
+    return secImportance(text_probs, m, t);
 }
 
 } // namespace focus

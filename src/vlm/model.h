@@ -112,14 +112,17 @@ class VlmModel
      * Run a batch of samples under one method, packing the samples'
      * rows through the projection / FFN / readout GEMMs of the
      * kernel tier (tensor/kernels.h) so per-sample small GEMMs
-     * become a few large ones, with the attention interiors on the
-     * query-row-tiled causal kernels.  Results are bit-identical at
-     * every batch split, and to the per-sample reference forward pass
-     * in tests/reference/forward.h: GEMM output rows are independent
-     * (per-element ascending-k accumulation), the causal QK^T/PV
-     * kernels preserve the per-element dot4/PV order, and everything
-     * per-sample (softmax, SEC, SIC, readout) runs on per-sample
-     * buffers.
+     * become a few large ones.  Each sample's attention interior
+     * scores its text rows first, lets SEC select from them, then
+     * streams the surviving rows through QK^T, softmax and P*V in
+     * small blocks (kernels::causalAttentionF32), with no (rows x
+     * rows) probability matrix.  Results are bit-identical at every
+     * batch split, and to the per-sample reference forward pass in
+     * tests/reference/forward.h: GEMM output rows are independent
+     * (per-element ascending-k accumulation), the streamed interior
+     * preserves the per-element dot4/softmax/PV arithmetic, and
+     * everything per-sample (softmax, SEC, SIC, readout) runs on
+     * per-sample buffers.
      */
     std::vector<ForwardResult>
     forwardBatch(const VideoSample *const *samples, int64_t count,
@@ -142,6 +145,7 @@ class VlmModel
      * Compute the cross-modal attention heatmap of the *first* layer
      * for a sample: returns per-visual-token max attention received
      * from any text token, any head (the Fig. 2(a) visualization).
+     * Only the text rows are scored.
      */
     std::vector<float> attentionHeatmap(const VideoSample &sample) const;
 

@@ -233,8 +233,13 @@ forward(const VlmModel &model, const VideoSample &sample,
         std::vector<int64_t> retained;
         bool pruned = false;
         if (sec_on && prof.pruneAtLayer(l, prof.layers)) {
+            // secImportance reads the text rows of each full map.
+            std::vector<Tensor> text_probs;
+            for (const Tensor &p : head_probs) {
+                text_probs.push_back(p.sliceRows(s_cur, rows));
+            }
             const std::vector<float> importance =
-                secImportance(head_probs, s_cur, t_count);
+                secImportance(text_probs, s_cur, t_count);
             switch (method.focus.sec.select) {
               case SecSelect::TopK: {
                 const double ratio =

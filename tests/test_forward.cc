@@ -7,13 +7,15 @@
  * through it in thread-count-dependent chunks.  These tests pin both
  * against the per-sample reference pass in tests/reference/forward.h
  * with exact (EXPECT_EQ) floating-point comparisons: every batch
- * split, every method family including INT8, and 1 and 4 threads.
+ * split, every method family including INT8, every SEC selection rule,
+ * and 1 and 4 threads.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -159,57 +161,101 @@ referenceEval(const Evaluator &ev, const MethodConfig &method)
     return e;
 }
 
+/**
+ * forwardBatch against @p ref (the reference pass of each of the three
+ * @p samples) at every way of splitting them into consecutive
+ * batches.
+ */
+void
+expectBatchMatchesAtEverySplit(const Evaluator &ev, const MethodConfig &m,
+                               const std::vector<VideoSample> &samples,
+                               const std::vector<ForwardResult> &ref)
+{
+    const std::vector<std::vector<int>> splits = {
+        {3}, {1, 2}, {2, 1}, {1, 1, 1}};
+    for (const std::vector<int> &split : splits) {
+        std::vector<ForwardResult> got;
+        std::size_t off = 0;
+        for (int chunk : split) {
+            std::vector<const VideoSample *> ptrs;
+            for (int i = 0; i < chunk; ++i) {
+                ptrs.push_back(&samples[off + i]);
+            }
+            std::vector<ForwardResult> part = ev.model().forwardBatch(
+                ptrs.data(), chunk, m, ev.generator().bank());
+            ASSERT_EQ(part.size(), static_cast<std::size_t>(chunk));
+            for (ForwardResult &r : part) {
+                got.push_back(std::move(r));
+            }
+            off += chunk;
+        }
+        ASSERT_EQ(got.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            expectForwardBitEqual(ref[i], got[i]);
+        }
+    }
+}
+
+/** One method on one evaluator's first three samples. */
+struct ForwardCase
+{
+    const Evaluator *ev;
+    MethodConfig method;
+};
+
 // forwardBatch must match the reference sample by sample, for every
-// way of splitting the batch, including the INT8 variant; forward()
-// is the split into batches of one.
+// way of splitting the batch: every SEC selection rule, SEC and SIC on
+// their own, the INT8 variant, a token-merging baseline, and a
+// single-frame SIC window on an image profile, whose schedule keeps
+// more rows.  Both pool widths run inside the test, so the streamed
+// attention fan-out and the pool workers that help it run whatever
+// FOCUS_THREADS says.  forward() is the split into batches of one.
+// The image profile's 206-row samples keep the list cheap enough for
+// the sanitizer builds.
 TEST(Forward, BatchMatchesReferenceAtEverySplit)
 {
-    const Evaluator ev("MiniCPM", "MVBench", quick(4));
-    const VideoGenerator &gen = ev.generator();
+    const Evaluator video("MiniCPM", "MVBench", quick(3));
+    const Evaluator image("Qwen2.5-VL", "VQAv2", quick(3));
 
     MethodConfig focus_q = MethodConfig::focusFull();
     focus_q.int8 = true;
+    MethodConfig top_p = MethodConfig::focusFull();
+    top_p.focus.sec.select = SecSelect::TopP;
+    MethodConfig threshold = MethodConfig::focusFull();
+    threshold.focus.sec.select = SecSelect::Threshold;
+    MethodConfig single_frame = MethodConfig::focusFull();
+    single_frame.focus.sic.block_f = 1;
 
-    std::vector<VideoSample> samples;
-    for (uint64_t i = 0; i < 4; ++i) {
-        samples.push_back(gen.sample(i));
-    }
-
-    for (const MethodConfig &m :
-         {MethodConfig::focusFull(), focus_q,
-          MethodConfig::adaptivBaseline()}) {
+    const ForwardCase cases[] = {
+        {&video, MethodConfig::focusFull()},
+        {&video, focus_q},
+        {&video, MethodConfig::adaptivBaseline()},
+        {&image, single_frame},
+        {&image, top_p},
+        {&image, threshold},
+        {&image, MethodConfig::focusSecOnly()},
+        {&image, MethodConfig::focusSicOnly()},
+    };
+    for (const ForwardCase &c : cases) {
+        const VideoGenerator &gen = c.ev->generator();
+        SCOPED_TRACE(c.method.name() + " on " + c.ev->modelProfile().name);
+        std::vector<VideoSample> samples;
         std::vector<ForwardResult> ref;
-        for (const VideoSample &s : samples) {
-            ref.push_back(
-                reference::forward(ev.model(), s, m, gen.bank()));
+        for (uint64_t i = 0; i < 3; ++i) {
+            samples.push_back(gen.sample(i));
+            ref.push_back(reference::forward(c.ev->model(), samples.back(),
+                                             c.method, gen.bank()));
         }
-
-        const std::vector<std::vector<int>> splits = {
-            {4}, {1, 3}, {2, 2}, {1, 1, 1, 1}};
-        for (const std::vector<int> &split : splits) {
-            std::vector<ForwardResult> got;
-            std::size_t off = 0;
-            for (int chunk : split) {
-                std::vector<const VideoSample *> ptrs;
-                for (int i = 0; i < chunk; ++i) {
-                    ptrs.push_back(&samples[off + i]);
-                }
-                std::vector<ForwardResult> part = ev.model().forwardBatch(
-                    ptrs.data(), chunk, m, gen.bank());
-                ASSERT_EQ(part.size(), static_cast<std::size_t>(chunk));
-                for (ForwardResult &r : part) {
-                    got.push_back(std::move(r));
-                }
-                off += chunk;
-            }
-            ASSERT_EQ(got.size(), ref.size());
-            for (std::size_t i = 0; i < ref.size(); ++i) {
-                expectForwardBitEqual(ref[i], got[i]);
-            }
+        for (int threads : {1, 4}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads");
+            ThreadPool::setGlobalThreads(threads);
+            expectBatchMatchesAtEverySplit(*c.ev, c.method, samples, ref);
         }
+        ThreadPool::setGlobalThreads(0);
         for (std::size_t i = 0; i < samples.size(); ++i) {
             expectForwardBitEqual(
-                ref[i], ev.model().forward(samples[i], m, gen.bank()));
+                ref[i], c.ev->model().forward(samples[i], c.method,
+                                              gen.bank()));
         }
     }
 }

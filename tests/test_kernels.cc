@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -732,4 +733,227 @@ TEST(KernelsAttention, ThreadCountBitIdentity)
         return p;
     };
     EXPECT_TRUE(bitsEqual(run(1), run(4)));
+}
+
+// -----------------------------------------------------------------
+// Row-range pieces of the streamed interior, each against the
+// whole-matrix kernel, bit for bit.
+// -----------------------------------------------------------------
+
+TEST(KernelsAttention, QkScoresRowRangesMatchFullTriangle)
+{
+    // Ranges starting at every i0 mod 16 (so also off the 4-aligned
+    // dot4 groups), of lengths inside one 16-row group and across
+    // several, plus a scattered (pruned) row list, against the rows
+    // qkScoresCausalF32 writes; entries past the diagonal must keep
+    // their sentinel.
+    Rng rng(55);
+    const HeadSlice &hs = kHeadSlices[1];
+    for (int64_t rows : {40, 206, 811}) {
+        const std::vector<float> q = randomBuf(rng, rows * hs.ld);
+        const std::vector<float> k = randomBuf(rng, rows * hs.ld);
+        const float scale = 0.17677669f;
+        const int64_t ldo = rows + 3;
+        std::vector<float> full(static_cast<size_t>(rows * ldo),
+                                kSentinel);
+        kernels::qkScoresCausalF32(q.data() + hs.c0, hs.ld,
+                                   k.data() + hs.c0, hs.ld, rows, hs.hd,
+                                   scale, full.data(), ldo);
+        const int64_t ldt = kernels::keyPanelStride(rows);
+        std::vector<float> kt(static_cast<size_t>(hs.hd * ldt));
+        kernels::packKeyPanelF32(k.data() + hs.c0, hs.ld, rows, hs.hd,
+                                 kt.data());
+
+        std::vector<std::vector<int64_t>> lists;
+        for (int64_t base : {int64_t{0}, rows / 2, rows - 33}) {
+            for (int64_t off = 0; off < 16; ++off) {
+                for (int64_t len : {1, 5, 16, 23}) {
+                    const int64_t i0 = base + off;
+                    const int64_t i1 = std::min(rows, i0 + len);
+                    std::vector<int64_t> src;
+                    for (int64_t i = i0; i < i1; ++i) {
+                        src.push_back(i);
+                    }
+                    if (!src.empty()) {
+                        lists.push_back(src);
+                    }
+                }
+            }
+        }
+        std::vector<int64_t> pruned;
+        for (int64_t i = 0; i < rows; ++i) {
+            if (rng.uniform() < 0.4) {
+                pruned.push_back(i);
+            }
+        }
+        lists.push_back(pruned);
+
+        for (const std::vector<int64_t> &src : lists) {
+            const int64_t n = static_cast<int64_t>(src.size());
+            std::vector<float> got(static_cast<size_t>(n * ldo),
+                                   kSentinel);
+            kernels::qkScoresRowsF32(q.data() + hs.c0, hs.ld,
+                                     k.data() + hs.c0, hs.ld, kt.data(),
+                                     ldt, src.data(), n, hs.hd, scale,
+                                     got.data(), ldo);
+            for (int64_t r = 0; r < n; ++r) {
+                ASSERT_EQ(std::memcmp(got.data() + r * ldo,
+                                      full.data() + src[r] * ldo,
+                                      static_cast<size_t>(ldo) *
+                                          sizeof(float)),
+                          0)
+                    << "rows=" << rows << " first=" << src.front()
+                    << " n=" << n << " row " << src[r];
+            }
+        }
+    }
+}
+
+TEST(KernelsAttention, PvRowPointersMatchRowMap)
+{
+    // pvCausalRowsF32 with P rows spread over two buffers (as the
+    // stream reads scored rows from its block and text rows from the
+    // text buffer) against pvCausalF32 with the same row map.
+    Rng rng(56);
+    for (int64_t n : {32, 20}) {
+        for (int64_t rows : {1, 2, 17, 206, 811}) {
+            const std::vector<float> p = causalProbs(rng, rows);
+            const std::vector<float> p_copy = p;
+            const int64_t ldv = n + 16;
+            const std::vector<float> v = randomBuf(rng, rows * ldv);
+            std::vector<int64_t> map;
+            for (int64_t r = 0; r < rows; ++r) {
+                if (r + 1 == rows || rng.uniform() < 0.6) {
+                    map.push_back(r);
+                }
+            }
+            const int64_t m = static_cast<int64_t>(map.size());
+            std::vector<const float *> prows;
+            for (int64_t r = 0; r < m; ++r) {
+                const std::vector<float> &buf = r % 3 == 0 ? p_copy : p;
+                prows.push_back(buf.data() + map[r] * rows);
+            }
+            const int64_t ldo = n + 5;
+            std::vector<float> got(static_cast<size_t>(m * ldo),
+                                   kSentinel);
+            std::vector<float> want = got;
+            kernels::pvCausalRowsF32(m, n, prows.data(), map.data(),
+                                     v.data(), ldv, got.data(), ldo);
+            kernels::pvCausalF32(m, n, p.data(), rows, map.data(),
+                                 v.data(), ldv, want.data(), ldo);
+            EXPECT_TRUE(bitsEqual(got, want))
+                << "rows=" << rows << " n=" << n;
+        }
+    }
+}
+
+TEST(KernelsAttention, SoftmaxCausalRowMatchesFullPass)
+{
+    // Each row alone against the whole-block pass on every live entry;
+    // the row writes only up to min(round8(i+1), rows).
+    Rng rng(57);
+    for (int64_t rows : attentionRowCounts()) {
+        const std::vector<float> scores =
+            scoreBlock(rng, rows, rows, kSentinel);
+        std::vector<float> want = scores;
+        kernels::softmaxCausalF32(rows, want.data(), rows);
+        for (int64_t i = 0; i < rows; ++i) {
+            std::vector<float> row(scores.begin() + i * rows,
+                                   scores.begin() + (i + 1) * rows);
+            kernels::softmaxCausalRowF32(row.data(), i, rows);
+            const int64_t width = std::min((i + 8) / 8 * 8, rows);
+            ASSERT_EQ(std::memcmp(row.data(), want.data() + i * rows,
+                                  static_cast<size_t>(i + 1) *
+                                      sizeof(float)),
+                      0)
+                << "rows=" << rows << " row " << i;
+            for (int64_t j = width; j < rows; ++j) {
+                ASSERT_EQ(row[static_cast<size_t>(j)], kSentinel)
+                    << "rows=" << rows << " row " << i << " col " << j;
+            }
+        }
+    }
+}
+
+TEST(KernelsAttention, StreamedInteriorMatchesWholeMatricesAtEveryWidth)
+{
+    // Two heads of 811 rows, 8 text rows, with the identity map and a
+    // pruned one (ascending visual rows, then every text row): the
+    // streamed interior against qkScoresCausalF32 + softmaxCausalF32 +
+    // pvCausalF32 over full matrices, at pool widths 1 and 4.
+    Rng rng(58);
+    const int64_t rows = 811, hd = 32, heads = 2, ld = heads * hd;
+    const int64_t text_rows = 8, s = rows - text_rows;
+    const std::vector<float> q = randomBuf(rng, rows * ld);
+    const std::vector<float> k = randomBuf(rng, rows * ld);
+    const std::vector<float> v = randomBuf(rng, rows * ld);
+    const float scale = 0.17677669f;
+    std::vector<int64_t> pruned;
+    for (int64_t r = 0; r < s; ++r) {
+        if (rng.uniform() < 0.3) {
+            pruned.push_back(r);
+        }
+    }
+    for (int64_t r = s; r < rows; ++r) {
+        pruned.push_back(r);
+    }
+
+    std::vector<std::vector<float>> probs;
+    for (int64_t h = 0; h < heads; ++h) {
+        std::vector<float> p(static_cast<size_t>(rows * rows));
+        kernels::qkScoresCausalF32(q.data() + h * hd, ld, k.data() + h * hd,
+                                   ld, rows, hd, scale, p.data(), rows);
+        kernels::softmaxCausalF32(rows, p.data(), rows);
+        probs.push_back(std::move(p));
+    }
+
+    kernels::CausalHeads att;
+    att.q = q.data();
+    att.k = k.data();
+    att.v = v.data();
+    att.ld = ld;
+    att.rows = rows;
+    att.heads = heads;
+    att.hd = hd;
+    att.scale = scale;
+    for (const std::vector<int64_t> *map :
+         {static_cast<const std::vector<int64_t> *>(nullptr),
+          static_cast<const std::vector<int64_t> *>(&pruned)}) {
+        const int64_t m =
+            map != nullptr ? static_cast<int64_t>(map->size()) : rows;
+        const int64_t *rowmap = map != nullptr ? map->data() : nullptr;
+        std::vector<float> want(static_cast<size_t>(m * ld));
+        for (int64_t h = 0; h < heads; ++h) {
+            kernels::pvCausalF32(m, hd, probs[h].data(), rows, rowmap,
+                                 v.data() + h * hd, ld,
+                                 want.data() + h * hd, ld);
+        }
+        for (int threads : {1, 4}) {
+            ThreadPool::setGlobalThreads(threads);
+            std::vector<float> panels(
+                static_cast<size_t>(kernels::keyPanelsSize(att)));
+            kernels::packKeyPanelsF32(att, panels.data());
+            std::vector<float> text0(static_cast<size_t>(text_rows * rows));
+            std::vector<float> text1 = text0;
+            float *text[] = {text0.data(), text1.data()};
+            kernels::causalTextRowsF32(att, panels.data(), s, text, rows);
+            for (int64_t h = 0; h < heads; ++h) {
+                for (int64_t i = 0; i < text_rows; ++i) {
+                    ASSERT_EQ(std::memcmp(text[h] + i * rows,
+                                          probs[h].data() + (s + i) * rows,
+                                          static_cast<size_t>(s + i + 1) *
+                                              sizeof(float)),
+                              0)
+                        << "head " << h << " text row " << i;
+                }
+            }
+            std::vector<float> got(static_cast<size_t>(m * ld), kSentinel);
+            kernels::causalAttentionF32(att, panels.data(), s, text, rows,
+                                        rowmap, m, got.data(), ld);
+            ThreadPool::setGlobalThreads(0);
+            EXPECT_TRUE(bitsEqual(got, want))
+                << (map != nullptr ? "pruned" : "identity") << " at "
+                << threads << " threads";
+        }
+    }
 }

@@ -33,7 +33,8 @@ TEST(SecImportance, MaxOverTextRowsAndHeads)
     h0(2, 1) = 0.05f;
     h1(3, 1) = 0.6f;
     h1(2, 0) = 0.2f;
-    const auto imp = secImportance({h0, h1}, m, t);
+    const auto imp = secImportance(
+        {h0.sliceRows(m, total), h1.sliceRows(m, total)}, m, t);
     ASSERT_EQ(imp.size(), 2u);
     EXPECT_FLOAT_EQ(imp[0], 0.3f);
     EXPECT_FLOAT_EQ(imp[1], 0.6f);
@@ -45,7 +46,7 @@ TEST(SecImportance, IgnoresImageToImageBlock)
     Tensor h(m + t, m + t);
     h(0, 1) = 0.99f; // image-to-image; must not count
     h(2, 1) = 0.10f;
-    const auto imp = secImportance({h}, m, t);
+    const auto imp = secImportance({h.sliceRows(m, m + t)}, m, t);
     EXPECT_FLOAT_EQ(imp[0], 0.0f);
     EXPECT_FLOAT_EQ(imp[1], 0.10f);
 }
