@@ -311,23 +311,6 @@ BM_SicGather(benchmark::State &state)
 BENCHMARK(BM_SicGather);
 
 void
-BM_StreamingTopK(benchmark::State &state)
-{
-    const int64_t m = state.range(0);
-    Rng rng(5);
-    std::vector<float> imp(static_cast<size_t>(m));
-    for (auto &v : imp) {
-        v = static_cast<float>(rng.uniform());
-    }
-    StreamingTopK sorter(32, m / 4);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sorter.select(imp));
-    }
-    state.SetItemsProcessed(state.iterations() * m);
-}
-BENCHMARK(BM_StreamingTopK)->Arg(800)->Arg(6400);
-
-void
 BM_TimeGemmModel(benchmark::State &state)
 {
     // One Focus O-proj-sized SIC GEMM (87,808 draws from a sampler

@@ -160,14 +160,6 @@ Evaluator::buildFullTrace(const MethodConfig &method,
     return buildTrace(mp_, dp_, method, eval.agg);
 }
 
-WorkloadTrace
-Evaluator::buildPrefixCachedTrace(const MethodConfig &method,
-                                  const MethodEval &eval) const
-{
-    obs::TraceSpan span("eval.trace.prefix_cached");
-    return applyPrefixCache(buildTrace(mp_, dp_, method, eval.agg));
-}
-
 RunMetrics
 Evaluator::simulate(const MethodConfig &method, const AccelConfig &accel,
                     MethodEval *out_eval) const
@@ -179,27 +171,6 @@ Evaluator::simulate(const MethodConfig &method, const AccelConfig &accel,
     }
     obs::TraceSpan span("eval.simulate");
     return simulateAccelerator(accel, tr);
-}
-
-RunMetrics
-Evaluator::simulateBatch(const std::vector<MethodConfig> &methods,
-                         const AccelConfig &accel) const
-{
-    if (methods.empty()) {
-        panic("Evaluator::simulateBatch: empty method batch");
-    }
-    std::vector<WorkloadTrace> traces;
-    traces.reserve(methods.size());
-    for (const MethodConfig &m : methods) {
-        const MethodEval ev = runFunctional(m);
-        traces.push_back(buildFullTrace(m, ev));
-    }
-    std::vector<const WorkloadTrace *> parts;
-    parts.reserve(traces.size());
-    for (const WorkloadTrace &t : traces) {
-        parts.push_back(&t);
-    }
-    return simulateAccelerator(accel, fuseTraces(parts));
 }
 
 double

@@ -74,33 +74,10 @@ class Evaluator
     WorkloadTrace buildFullTrace(const MethodConfig &method,
                                  const MethodEval &eval) const;
 
-    /**
-     * Build the prefix-cache-*hit* variant of the full-scale trace:
-     * the retained visual rows are restored from the serving prefix
-     * cache (serve/prefix_cache.h) instead of recomputed, so only the
-     * text rows flow through the backbone while the cached rows serve
-     * as attention context (sim/trace.h applyPrefixCache).  This is
-     * the serve -> cache -> eval seam: the serving simulator costs a
-     * hit with this trace and a miss with buildFullTrace's.
-     */
-    WorkloadTrace buildPrefixCachedTrace(const MethodConfig &method,
-                                         const MethodEval &eval) const;
-
     /** Functional + trace + accelerator simulation in one step. */
     RunMetrics simulate(const MethodConfig &method,
                         const AccelConfig &accel,
                         MethodEval *out_eval = nullptr) const;
-
-    /**
-     * Batch-aware simulation: run the functional model per method,
-     * fuse the per-method full-scale traces into one multi-query
-     * batch trace (sim/trace.h fuseTraces) and cost it in a single
-     * accelerator pass.  With one method this is bit-identical to
-     * simulate().  The serving layer (src/serve/) builds on the same
-     * seam for request streams across (model, dataset) pairs.
-     */
-    RunMetrics simulateBatch(const std::vector<MethodConfig> &methods,
-                             const AccelConfig &accel) const;
 
     /**
      * Full-scale computation sparsity: 1 - trace MACs / dense trace

@@ -49,12 +49,6 @@ enum class SecSelect
 /** Semantic Concentrator (SEC) configuration. */
 struct SecConfig
 {
-    /**
-     * Number of parallel max units / sorter lanes ("a" in the paper);
-     * equals the PE array width.
-     */
-    int lanes = 32;
-
     /** Selection rule at each scheduled pruning layer. */
     SecSelect select = SecSelect::TopK;
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Semantic Concentrator (SEC): prompt-aware token importance,
- * streaming top-k selection, and offset encoding (Sec. V).
+ * Semantic Concentrator (SEC): prompt-aware token importance and
+ * top-k / top-p / threshold selection (Sec. V).
  */
 
 #ifndef FOCUS_FOCUS_SEC_H
@@ -63,34 +63,6 @@ std::vector<int64_t> secTopP(const std::vector<float> &importance,
  */
 std::vector<int64_t> secThreshold(const std::vector<float> &importance,
                                   double theta);
-
-/**
- * Cycle-faithful emulation of the a-way streaming bubble sorter of
- * Fig. 5(4).
- *
- * The hardware chains `a` max units into a pipelined bubble-sort lane
- * and makes ceil(k/a) passes over the M candidates, extracting `a`
- * more of the top-k per pass (M*k/a cycles total).  This class
- * reproduces that pass structure so tests can verify it selects
- * exactly the same set as secTopK, and so the timing model can read
- * off its cycle count.
- */
-class StreamingTopK
-{
-  public:
-    StreamingTopK(int lanes, int64_t k);
-
-    /** Run the selection over the full importance vector. */
-    std::vector<int64_t> select(const std::vector<float> &importance);
-
-    /** Cycles consumed by the last select() call: passes * M. */
-    uint64_t cycles() const { return cycles_; }
-
-  private:
-    int lanes_;
-    int64_t k_;
-    uint64_t cycles_;
-};
 
 } // namespace focus
 

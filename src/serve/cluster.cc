@@ -302,7 +302,7 @@ ClusterSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
         std::vector<RequestOutcome> sub_out;
         std::vector<BatchRecord> sub_batches;
         if (!sub.empty()) {
-            rs.interconnect_bytes = base_.replayOpenLoop(
+            rs.interconnect_bytes = base_.replay(
                 scheduler, sub, pool, sub_out, sub_batches, &cache,
                 cfg_.tensor_parallel, cfg_.continuous_theta);
         }

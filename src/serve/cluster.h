@@ -16,13 +16,15 @@
  *    solo service) rejects arrivals once the backlog exceeds
  *    shed_backlog_s — the open-loop overload-regime admission policy.
  *  - *Replay*: each replica's admitted sub-stream goes through
- *    ServingSimulator::replayOpenLoop, the single box's own replay,
+ *    ServingSimulator::replay, the single box's own replay,
  *    with the replica's tensor-parallel degree (sim/trace.h
  *    splitTensorParallel — per-shard cycle/DRAM accounting plus the
  *    ring-collective interconnect term in sim/accel_model.cc; batch
  *    service time is the slowest shard's) and continuous-batching
- *    knee (continuous_theta > 0: the next batch launches where SEC
- *    has shrunk the active set and pays only the residual tail).
+ *    knee.  At continuous_theta <= 0 the replay plans serial batches;
+ *    above it the replay's pick-time loop (the one the single box's
+ *    closed loop runs) launches the next batch where SEC has shrunk
+ *    the active set, and that batch pays only the residual tail.
  *    The cluster itself only routes, sheds and merges.
  *
  * Bit-identity contract: a cluster of one replica with default knobs

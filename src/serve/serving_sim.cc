@@ -6,6 +6,7 @@
 #include <queue>
 
 #include "common/logging.h"
+#include "eval/experiment.h"
 #include "obs/trace_span.h"
 #include "runtime/thread_pool.h"
 
@@ -42,21 +43,6 @@ ServingSimulator::internCombo(const std::string &model,
     combos_.push_back(std::move(c));
     combo_index_.emplace(key, combos_.size() - 1);
     return combos_.size() - 1;
-}
-
-const Evaluator &
-ServingSimulator::evaluatorFor(const std::string &model,
-                               const std::string &dataset)
-{
-    const auto key = std::make_pair(model, dataset);
-    auto it = evaluators_.find(key);
-    if (it == evaluators_.end()) {
-        it = evaluators_
-                 .emplace(key, std::make_shared<const Evaluator>(
-                                   model, dataset, eval_))
-                 .first;
-    }
-    return *it->second;
 }
 
 ServingSimulator
@@ -98,12 +84,16 @@ ServingSimulator::calibrate(ThreadPool *pool)
             internCombo(c.model, c.dataset, MethodConfig::dense()));
     }
 
-    // Evaluators build one at a time, each fanning its weights and
-    // samples across the global pool; combos sharing a (model,
-    // dataset) pair share one instance.
+    // One grid cell per combo on this simulator's accelerator.  The
+    // grid builds each (model, dataset) pair's Evaluator once, in
+    // first-use order, fans the cells across the pool (per-sample
+    // parallelism nests on it) and frees the Evaluators on return.
+    ExperimentGrid grid(eval_);
     std::vector<std::string> model_names;
     for (Combo &c : combos_) {
-        evaluatorFor(c.model, c.dataset);
+        ExperimentCell cell(c.model, c.dataset, c.method, accel_);
+        cell.keep_trace = true;
+        grid.add(cell);
         const auto it = std::find(model_names.begin(),
                                   model_names.end(), c.model);
         c.model_id = static_cast<int>(it - model_names.begin());
@@ -111,19 +101,13 @@ ServingSimulator::calibrate(ThreadPool *pool)
             model_names.push_back(c.model);
         }
     }
-
-    // Functional calibration fans across the pool, one slot per
-    // combo; per-sample parallelism nests on the same pool.
-    ThreadPool &p = pool ? *pool : ThreadPool::global();
-    p.parallelFor(
-        static_cast<int64_t>(combos_.size()), [&](int64_t i) {
-            Combo &c = combos_[static_cast<size_t>(i)];
-            const Evaluator &ev =
-                *evaluators_.at(std::make_pair(c.model, c.dataset));
-            c.eval = ev.runFunctional(c.method, &p);
-            c.trace = ev.buildFullTrace(c.method, c.eval);
-            c.solo = simulateAccelerator(accel_, c.trace);
-        });
+    std::vector<ExperimentResult> results =
+        grid.run(pool ? *pool : ThreadPool::global());
+    for (size_t i = 0; i < combos_.size(); ++i) {
+        combos_[i].eval = std::move(results[i].eval);
+        combos_[i].trace = std::move(results[i].trace);
+        combos_[i].solo = std::move(results[i].metrics);
+    }
     calibrated_ = true;
 }
 
@@ -139,9 +123,7 @@ ServingSimulator::ensureHitTraces(ThreadPool *pool)
     p.parallelFor(
         static_cast<int64_t>(combos_.size()), [&](int64_t i) {
             Combo &c = combos_[static_cast<size_t>(i)];
-            const Evaluator &ev =
-                *evaluators_.at(std::make_pair(c.model, c.dataset));
-            c.hit_trace = ev.buildPrefixCachedTrace(c.method, c.eval);
+            c.hit_trace = applyPrefixCache(c.trace);
             c.hit_solo = simulateAccelerator(accel_, c.hit_trace);
         });
     hit_traces_ready_ = true;
@@ -150,26 +132,14 @@ ServingSimulator::ensureHitTraces(ThreadPool *pool)
 const RunMetrics &
 ServingSimulator::classSolo(int class_id)
 {
-    calibrate();
-    if (class_id < 0 ||
-        static_cast<size_t>(class_id) >= class_combo_.size()) {
-        panic("ServingSimulator::classSolo: class %d out of range",
-              class_id);
-    }
-    return combos_[class_combo_[static_cast<size_t>(class_id)]].solo;
+    return combos_[classCombo(class_id)].solo;
 }
 
 const RunMetrics &
 ServingSimulator::classHitSolo(int class_id)
 {
     ensureHitTraces(nullptr);
-    if (class_id < 0 ||
-        static_cast<size_t>(class_id) >= class_combo_.size()) {
-        panic("ServingSimulator::classHitSolo: class %d out of range",
-              class_id);
-    }
-    return combos_[class_combo_[static_cast<size_t>(class_id)]]
-        .hit_solo;
+    return combos_[classCombo(class_id)].hit_solo;
 }
 
 size_t
@@ -440,12 +410,12 @@ batchKnee(const std::vector<const WorkloadTrace *> &parts,
 } // namespace
 
 uint64_t
-ServingSimulator::replayOpenLoop(
-    const BatchScheduler &scheduler,
-    const std::vector<ServeRequest> &stream, ThreadPool *pool,
-    std::vector<RequestOutcome> &outcomes,
-    std::vector<BatchRecord> &batches, PrefixCache *cache, int tp,
-    double theta)
+ServingSimulator::replay(const BatchScheduler &scheduler,
+                         const std::vector<ServeRequest> &stream,
+                         ThreadPool *pool,
+                         std::vector<RequestOutcome> &outcomes,
+                         std::vector<BatchRecord> &batches,
+                         PrefixCache *cache, int tp, double theta)
 {
     calibrate(pool);
     const bool caching = cache != nullptr && cache->enabled();
@@ -457,15 +427,10 @@ ServingSimulator::replayOpenLoop(
     outcomes.assign(n, RequestOutcome{});
     batches.clear();
 
+    const std::vector<BatchKey> keys = batchKeys(stream);
     std::vector<size_t> req_code(n);
-    std::vector<BatchKey> keys(n);
     for (size_t i = 0; i < n; ++i) {
-        const size_t combo =
-            class_combo_[static_cast<size_t>(stream[i].class_id)];
-        req_code[i] = comboCode(combo, false);
-        keys[i] = BatchKey{combos_[combo].model_id,
-                           combos_[combo].trace.retainedRows()};
-        outcomes[i].arrival_s = stream[i].arrival_s;
+        req_code[i] = comboCode(classCombo(stream[i].class_id), false);
     }
     const auto compOf = [&](const std::vector<size_t> &members) {
         std::vector<size_t> comp;
@@ -477,25 +442,50 @@ ServingSimulator::replayOpenLoop(
     };
     uint64_t interconnect_bytes = 0;
 
-    if (theta > 0.0) {
-        // Continuous batching: launch the next batch at the previous
-        // batch's knee, serializing its residual tail occupancy
-        // (which drains linearly between knee and finish) ahead of
-        // the new batch's own service.  Batches form at pick time,
-        // so the cache resolves there too.
-        size_t next = 0;
+    const bool closed = queue_.process == ArrivalProcess::ClosedLoop;
+    if (closed || theta > 0.0) {
+        // Pick-time batching: each batch forms from whatever is
+        // pending when the engine releases, so the cache resolves
+        // there too.  Requests not yet pending wait in a min-heap of
+        // (arrival, stream index).  An open-loop stream enters whole;
+        // a closed loop starts with each client's first request at
+        // its think time, and request i's finish issues request
+        // i + clients think_s later.
+        using Arrival = std::pair<double, size_t>;
+        std::priority_queue<Arrival, std::vector<Arrival>,
+                            std::greater<Arrival>>
+            arrivals;
+        const size_t clients =
+            closed ? static_cast<size_t>(queue_.clients) : n;
+        for (size_t i = 0; i < std::min(clients, n); ++i) {
+            arrivals.push(
+                {closed ? stream[i].think_s : stream[i].arrival_s, i});
+        }
+        // Under continuous batching (theta > 0) the engine releases
+        // at the previous batch's knee, and the next batch serializes
+        // its residual tail occupancy (which drains linearly between
+        // knee and finish) ahead of its own service.  Otherwise the
+        // knee is the finish and no tail carries over.
         std::vector<size_t> pending;
         double release_t = 0.0;
         double knee_abs = 0.0, finish_abs = 0.0, tail_work = 0.0;
-        while (next < n || !pending.empty()) {
+        size_t done = 0;
+        while (done < n) {
             double t = release_t;
             if (pending.empty()) {
-                t = std::max(t, stream[next].arrival_s);
+                if (arrivals.empty()) {
+                    panic("ServingSimulator: closed loop starved "
+                          "with %zu/%zu requests done", done, n);
+                }
+                t = std::max(t, arrivals.top().first);
             }
-            while (next < n && stream[next].arrival_s <= t) {
-                pending.push_back(next++);
+            while (!arrivals.empty() && arrivals.top().first <= t) {
+                outcomes[arrivals.top().second].arrival_s =
+                    arrivals.top().first;
+                pending.push_back(arrivals.top().second);
+                arrivals.pop();
             }
-            obs::TraceSpan step_span("cluster.continuous.step");
+            obs::TraceSpan step_span("serve.replay.pick");
             const std::vector<size_t> picked =
                 scheduler.pickPending(pending, keys);
             if (caching) {
@@ -505,29 +495,36 @@ ServingSimulator::replayOpenLoop(
             const std::vector<size_t> comp = compOf(picked);
             const BatchCost &cost = batchCost(comp, tp);
             const double own_s = cost.metrics->seconds();
-            const Knee knee = batchKnee(compositionTraces(comp),
-                                        *cost.metrics, own_s, theta);
+            const Knee knee = theta > 0.0
+                ? batchKnee(compositionTraces(comp), *cost.metrics,
+                            own_s, theta)
+                : Knee{own_s, 0.0};
 
             double carry = 0.0;
             if (finish_abs > knee_abs && t < finish_abs) {
                 carry = tail_work * (finish_abs - t) /
                     (finish_abs - knee_abs);
             }
-            const double start = t;
-            const double service = carry + own_s;
-            recordBatch(stream, outcomes, batches, picked, t, start,
-                        service, cost.metrics);
+            const double finish =
+                recordBatch(stream, outcomes, batches, picked, t, t,
+                            carry + own_s, cost.metrics);
             interconnect_bytes += cost.interconnect_bytes;
 
-            release_t = start + carry + knee.knee_s;
+            release_t = t + carry + knee.knee_s;
             knee_abs = release_t;
-            finish_abs = start + service;
+            finish_abs = finish;
             tail_work = (own_s - knee.knee_s) * knee.tail_frac;
 
             for (const size_t i : picked) {
                 pending.erase(
                     std::find(pending.begin(), pending.end(), i));
+                if (closed && i + clients < n) {
+                    arrivals.push(
+                        {finish + stream[i + clients].think_s,
+                         i + clients});
+                }
             }
+            done += picked.size();
         }
         return interconnect_bytes;
     }
@@ -536,6 +533,9 @@ ServingSimulator::replayOpenLoop(
     // when caching: batch membership must not depend on cache state,
     // so an enabled cache changes what a batch costs but never which
     // batches form.
+    for (size_t i = 0; i < n; ++i) {
+        outcomes[i].arrival_s = stream[i].arrival_s;
+    }
     const std::vector<PlannedBatch> plans =
         scheduler.planOpenLoop(stream, keys);
 
@@ -590,107 +590,15 @@ ServingReport
 ServingSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
 {
     obs::TraceSpan span("serve.run");
-    calibrate(pool);
+    const BatchScheduler scheduler(sched);
     // Fresh cache per replay: runs never see each other's residency,
     // so budget sweeps on one simulator stay order-independent.
     PrefixCache cache(pcache_);
-    const bool caching = cache.enabled();
-    if (caching) {
-        ensureHitTraces(pool);
-    }
-    const BatchScheduler scheduler(sched);
     const std::vector<ServeRequest> stream =
         RequestQueue(queue_).generate();
-    const size_t n = stream.size();
-
-    std::vector<RequestOutcome> outcomes(n);
+    std::vector<RequestOutcome> outcomes;
     std::vector<BatchRecord> batches;
-
-    if (queue_.process == ArrivalProcess::OpenPoisson) {
-        replayOpenLoop(scheduler, stream, pool, outcomes, batches,
-                       &cache, 1, 0.0);
-    } else {
-        std::vector<size_t> req_code(n);
-        std::vector<BatchKey> keys(n);
-        for (size_t i = 0; i < n; ++i) {
-            const size_t combo =
-                class_combo_[static_cast<size_t>(stream[i].class_id)];
-            req_code[i] = comboCode(combo, false);
-            keys[i] = BatchKey{combos_[combo].model_id,
-                               combos_[combo].trace.retainedRows()};
-        }
-        // Closed loop: arrivals depend on completions, so the event
-        // loop is serial; compositions still hit the shared cache.
-        std::vector<double> arr(n, 0.0);
-        using Arrival = std::pair<double, int64_t>;
-        std::priority_queue<Arrival, std::vector<Arrival>,
-                            std::greater<Arrival>>
-            heap;
-        const size_t clients =
-            static_cast<size_t>(queue_.clients);
-        for (size_t c = 0; c < clients && c < n; ++c) {
-            arr[c] = stream[c].think_s;
-            heap.push({arr[c], static_cast<int64_t>(c)});
-        }
-
-        std::vector<size_t> pending;
-        const auto admitUpTo = [&](double t) {
-            while (!heap.empty() && heap.top().first <= t) {
-                pending.push_back(
-                    static_cast<size_t>(heap.top().second));
-                heap.pop();
-            }
-        };
-
-        double free_t = 0.0;
-        size_t completed = 0;
-        while (completed < n) {
-            if (pending.empty()) {
-                if (heap.empty()) {
-                    panic("ServingSimulator: closed loop starved "
-                          "with %zu/%zu requests done", completed, n);
-                }
-                admitUpTo(heap.top().first);
-            }
-            const double start =
-                std::max(free_t, arr[pending.front()]);
-            admitUpTo(start);
-
-            const std::vector<size_t> picked =
-                scheduler.pickPending(pending, keys);
-            // Closed loop is already a serial event loop, so the
-            // cache resolves at pick time.
-            if (caching) {
-                resolvePrefixCache(cache, stream, picked, req_code,
-                                   outcomes);
-            }
-            std::vector<size_t> comp;
-            comp.reserve(picked.size());
-            for (const size_t i : picked) {
-                comp.push_back(req_code[i]);
-            }
-            const BatchCost &cost = batchCost(comp, 1);
-            for (const size_t i : picked) {
-                outcomes[i].arrival_s = arr[i];
-            }
-            const double finish = recordBatch(
-                stream, outcomes, batches, picked, start, start,
-                cost.metrics->seconds(), cost.metrics);
-            free_t = finish;
-
-            for (const size_t i : picked) {
-                pending.erase(std::find(pending.begin(),
-                                        pending.end(), i));
-                const size_t next = i + clients;
-                if (next < n) {
-                    arr[next] = finish + stream[next].think_s;
-                    heap.push({arr[next],
-                               static_cast<int64_t>(next)});
-                }
-            }
-            completed += picked.size();
-        }
-    }
+    replay(scheduler, stream, pool, outcomes, batches, &cache, 1, 0.0);
 
     ServingReport rep = assemble(sched, stream, std::move(outcomes),
                                  std::move(batches));

@@ -8,20 +8,22 @@
  *
  *  - calibrate() runs the functional model once per distinct
  *    (model, dataset, method) combo in the mix (plus a dense
- *    reference per (model, dataset) pair for accuracy deltas), fans
- *    the work across the runtime thread pool, and builds each
- *    combo's full-scale trace and batch-of-1 metrics.  Combos are
+ *    reference per (model, dataset) pair for accuracy deltas) as one
+ *    ExperimentGrid on the runtime thread pool, keeping each combo's
+ *    full-scale trace and batch-of-1 metrics.  Combos are
  *    deduplicated by method *name*: two classes whose methods share
  *    a name share a calibration.
- *  - run(policy) replays the stream under a scheduler policy.
- *    Open-loop plans are a pure function of arrivals, so every
- *    distinct batch composition is fused and simulated across the
- *    pool before a serial timeline pass assigns start/finish times.
- *    Closed-loop replay is a serial event loop (arrivals depend on
- *    completions) over the same composition cache.
- *  - replayOpenLoop() is the one open-loop replay: run() calls it on
- *    an unsplit engine with serial batch boundaries, and the cluster
- *    layer (serve/cluster.h) calls it once per replica with that
+ *  - replay() is the only timeline code, with one way to form
+ *    batches per rule.  An open-loop stream with serial batch
+ *    boundaries is planned up front (a pure function of arrivals),
+ *    every distinct batch composition is fused and simulated across
+ *    the pool, and a serial FIFO pass assigns start/finish times.
+ *    Continuous batching and the closed-loop client population
+ *    instead form each batch at pick time, when the engine releases,
+ *    in one serial loop over the same composition memo.
+ *  - run(policy) generates the stream and replays it on an unsplit
+ *    engine with serial boundaries; the cluster layer
+ *    (serve/cluster.h) calls replay() once per replica with that
  *    replica's tensor-parallel degree and continuous-batching knee.
  *
  * Determinism: for a fixed QueueConfig seed every report is
@@ -153,7 +155,9 @@ class ServingSimulator
 
     /**
      * One-time functional calibration (idempotent); run() calls it
-     * on demand.  Fans combos across @p pool (global when null).
+     * on demand.  Runs one ExperimentGrid cell per combo on @p pool
+     * (global when null); the grid's Evaluators are freed when it
+     * returns.
      */
     void calibrate(ThreadPool *pool = nullptr);
 
@@ -165,7 +169,8 @@ class ServingSimulator
      * A simulator for another stream of the same mix: it replays
      * @p queue on this simulator's calibration, hit traces and
      * composition cache (all functions of the mix, accelerator and
-     * evaluation options alone), so it skips the functional pass.
+     * evaluation options alone), so it skips the functional pass; a
+     * copy of a calibrated simulator needs no Evaluator.
      * Panics unless @p queue's mix has this one's class labels, in
      * order.
      */
@@ -195,42 +200,47 @@ class ServingSimulator
 
     // ---- building blocks shared with the cluster layer ----
     // (serve/cluster.h routes sub-streams of the same arrival trace
-    // to replicas and replays each through replayOpenLoop, so a
-    // cluster of one replica is bit-identical to run() by
-    // construction.)
+    // to replicas and replays each through replay(), so a cluster of
+    // one replica is bit-identical to run() by construction.)
 
     /**
-     * The open-loop replay: @p stream — any arrival-sorted subset of
-     * the generated stream — under @p scheduler on one engine split
-     * @p tp ways (tensor parallel; 1 = whole engine).  @p outcomes
-     * and @p batches are overwritten, indexed by position in
-     * @p stream / execution order; the timeline starts at t = 0.
-     * Returns the interconnect bytes of every executed batch, summed
-     * over all shards.  Calibrates on demand.
+     * The replay: @p stream under @p scheduler on one engine split
+     * @p tp ways (tensor parallel; 1 = whole engine).  For an
+     * open-loop queueConfig() @p stream is any arrival-sorted subset
+     * of the generated stream; for a closed-loop one it must be the
+     * whole generated stream, because request i's client issues
+     * request i + clients.  @p outcomes and @p batches are
+     * overwritten, indexed by position in @p stream / execution
+     * order; the timeline starts at t = 0.  Returns the interconnect
+     * bytes of every executed batch, summed over all shards.
+     * Calibrates on demand.
      *
-     * With @p theta <= 0 batch boundaries are serial: the planned
-     * schedule's distinct compositions are costed across @p pool,
-     * then a serial FIFO pass assigns start/finish times.  With
-     * 0 < @p theta < 1 batching is continuous: the next batch
-     * launches at the previous batch's SEC knee (the first layer
-     * whose active rows have shrunk to theta * layer-0 rows), its
-     * membership re-formed from whatever is pending then, and pays
-     * the residual tail occupancy ahead of its own service.
+     * An open-loop stream with @p theta <= 0 has serial batch
+     * boundaries: the planned schedule's distinct compositions are
+     * costed across @p pool, then a serial FIFO pass assigns
+     * start/finish times.  Every other replay forms batches at pick
+     * time, in one serial loop: when the engine releases, the next
+     * batch takes whatever is pending (pickPending).  With
+     * 0 < @p theta < 1 batching is continuous: the engine releases
+     * at the previous batch's SEC knee (the first layer whose active
+     * rows have shrunk to theta * layer-0 rows), and the new batch
+     * pays the residual tail occupancy ahead of its own service.
+     * Otherwise it releases when the batch finishes; a closed-loop
+     * client then issues its next request think_s later.
      *
      * When @p cache is non-null and enabled, prefix keys resolve
      * serially in execution order through the batch protocol (per
-     * planned batch in a pre-pass, or at pick time under continuous
-     * batching); hits swap in the combo's prefix-cached trace.
-     * Batch *membership* is identical either way — batches key on
-     * the base trace, so an enabled cache changes only what each
-     * batch costs.
+     * planned batch in a pre-pass, or at pick time); hits swap in
+     * the combo's prefix-cached trace.  Batch *membership* is
+     * identical either way — batches key on the base trace, so an
+     * enabled cache changes only what each batch costs.
      */
-    uint64_t replayOpenLoop(const BatchScheduler &scheduler,
-                            const std::vector<ServeRequest> &stream,
-                            ThreadPool *pool,
-                            std::vector<RequestOutcome> &outcomes,
-                            std::vector<BatchRecord> &batches,
-                            PrefixCache *cache, int tp, double theta);
+    uint64_t replay(const BatchScheduler &scheduler,
+                    const std::vector<ServeRequest> &stream,
+                    ThreadPool *pool,
+                    std::vector<RequestOutcome> &outcomes,
+                    std::vector<BatchRecord> &batches,
+                    PrefixCache *cache, int tp, double theta);
 
     /** Batching keys (model id, retained rows) for @p stream. */
     std::vector<BatchKey>
@@ -268,7 +278,8 @@ class ServingSimulator
     SlabSpec comboSlabSpec(size_t combo, const std::string &key) const;
 
     /**
-     * Build each combo's prefix-cached trace + solo metrics
+     * Derive each combo's prefix-cached trace from its calibrated
+     * trace (applyPrefixCache) and simulate its solo metrics
      * (idempotent; fans across @p pool; calibrates on demand).
      * Deferred off the calibration path so cache-disabled runs do no
      * hit-trace work; replays with an enabled cache call it first.
@@ -356,8 +367,6 @@ class ServingSimulator
     size_t internCombo(const std::string &model,
                        const std::string &dataset,
                        const MethodConfig &method);
-    const Evaluator &evaluatorFor(const std::string &model,
-                                  const std::string &dataset);
 
     QueueConfig queue_;
     AccelConfig accel_;
@@ -366,10 +375,6 @@ class ServingSimulator
     bool calibrated_ = false;
     bool hit_traces_ready_ = false;
 
-    /** Shared with the copies withQueue() makes. */
-    std::map<std::pair<std::string, std::string>,
-             std::shared_ptr<const Evaluator>>
-        evaluators_;
     std::vector<Combo> combos_;
     std::map<std::string, size_t> combo_index_;
     std::vector<size_t> class_combo_; ///< mix class -> combo

@@ -41,7 +41,6 @@ struct DramConfig
     // Timing in accelerator cycles (2 ns at 500 MHz).
     int t_rcd = 7;  ///< ACT -> column command
     int t_rp = 7;   ///< PRE -> ACT
-    int t_cl = 7;   ///< CAS latency
     int t_bl = 2;   ///< data beats per 64 B burst at channel rate
 
     /** Refresh / maintenance bandwidth derate. */
@@ -90,14 +89,6 @@ struct AccelConfig
     double link_bytes_per_cycle = 128.0;
     /** Per-hop ring-step latency in accelerator cycles (~1 us). */
     int64_t link_hop_cycles = 500;
-
-    /**
-     * Weight-traffic amortization factor: effective batch over which
-     * streamed weights are reused (images/clips processed per weight
-     * fetch).  The paper's traffic accounting is activation-dominated;
-     * this factor makes that accounting explicit and configurable.
-     */
-    double weight_batch = 8.0;
 
     int64_t totalBufferBytes() const
     {

@@ -129,28 +129,17 @@ packB(const float *b, int64_t ldb, int64_t k, int64_t n,
 }
 
 void
-packA(const float *a, int64_t lda, const int64_t *a_rows, int64_t i0,
-      int64_t mb, int64_t k0, int64_t kc, float *FOCUS_RESTRICT dst)
+packA(const float *a, int64_t lda, int64_t i0, int64_t mb, int64_t k0,
+      int64_t kc, float *FOCUS_RESTRICT dst)
 {
     const int64_t full = (mb / kMr) * kMr;
     int64_t iq = 0;
     // Full quads: branch-free 4-row interleave.
     for (; iq < full; iq += kMr, dst += kMr * kc) {
-        const float *FOCUS_RESTRICT r0;
-        const float *FOCUS_RESTRICT r1;
-        const float *FOCUS_RESTRICT r2;
-        const float *FOCUS_RESTRICT r3;
-        if (a_rows != nullptr) {
-            r0 = a + a_rows[i0 + iq] * lda + k0;
-            r1 = a + a_rows[i0 + iq + 1] * lda + k0;
-            r2 = a + a_rows[i0 + iq + 2] * lda + k0;
-            r3 = a + a_rows[i0 + iq + 3] * lda + k0;
-        } else {
-            r0 = a + (i0 + iq) * lda + k0;
-            r1 = r0 + lda;
-            r2 = r1 + lda;
-            r3 = r2 + lda;
-        }
+        const float *FOCUS_RESTRICT r0 = a + (i0 + iq) * lda + k0;
+        const float *FOCUS_RESTRICT r1 = r0 + lda;
+        const float *FOCUS_RESTRICT r2 = r1 + lda;
+        const float *FOCUS_RESTRICT r3 = r2 + lda;
         for (int64_t p = 0; p < kc; ++p) {
             dst[p * kMr] = r0[p];
             dst[p * kMr + 1] = r1[p];
@@ -162,9 +151,8 @@ packA(const float *a, int64_t lda, const int64_t *a_rows, int64_t i0,
     if (iq < mb) {
         std::fill(dst, dst + kMr * kc, 0.0f);
         for (int64_t r = 0; iq + r < mb; ++r) {
-            const int64_t i = i0 + iq + r;
-            const int64_t src_row = a_rows != nullptr ? a_rows[i] : i;
-            const float *FOCUS_RESTRICT src = a + src_row * lda + k0;
+            const float *FOCUS_RESTRICT src =
+                a + (i0 + iq + r) * lda + k0;
             for (int64_t p = 0; p < kc; ++p) {
                 dst[p * kMr + r] = src[p];
             }
@@ -284,19 +272,18 @@ microEdge(int64_t kc, const float *ap, const float *bp, float *c,
  */
 void
 gemmBlock(int64_t i0, int64_t mb, int64_t n, int64_t k, const float *a,
-          int64_t lda, const int64_t *a_rows, const float *bpack,
-          float *c, int64_t ldc, bool accumulate)
+          int64_t lda, const float *bpack, float *c, int64_t ldc)
 {
     static thread_local std::vector<float> apack;
     const int64_t mbp = ((mb + kMr - 1) / kMr) * kMr;
     const int64_t panels = (n + kNr - 1) / kNr;
     for (int64_t k0 = 0; k0 < k; k0 += kKc) {
         const int64_t kc = std::min(kKc, k - k0);
-        // The first K block starts accumulators at zero unless the
-        // caller asked to accumulate into existing C.
-        const bool load_c = accumulate || k0 > 0;
+        // The first K block starts its accumulators at zero; later
+        // ones accumulate onto the partial C tile.
+        const bool load_c = k0 > 0;
         apack.resize(static_cast<size_t>(mbp * kc));
-        packA(a, lda, a_rows, i0, mb, k0, kc, apack.data());
+        packA(a, lda, i0, mb, k0, kc, apack.data());
         for (int64_t jp = 0; jp < panels; ++jp) {
             const int64_t nr = std::min(kNr, n - jp * kNr);
             const float *bp = bpack + jp * (k * kNr) + k0 * kNr;
@@ -949,19 +936,15 @@ roundFp16F32(float *x, int64_t n)
 
 void
 gemmF32(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
-        const float *b, int64_t ldb, float *c, int64_t ldc,
-        const int64_t *a_rows, bool accumulate)
+        const float *b, int64_t ldb, float *c, int64_t ldc)
 {
     if (m <= 0 || n <= 0) {
         return;
     }
     if (k <= 0) {
-        // Empty reduction: a plain product is all-zero, an
-        // accumulation is a no-op.
-        if (!accumulate) {
-            for (int64_t i = 0; i < m; ++i) {
-                std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
-            }
+        // Empty reduction: the product is all-zero.
+        for (int64_t i = 0; i < m; ++i) {
+            std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
         }
         return;
     }
@@ -988,7 +971,7 @@ gemmF32(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
     auto run_block = [&](int64_t bi) {
         const int64_t i0 = bi * kMc;
         const int64_t mb = std::min(kMc, m - i0);
-        gemmBlock(i0, mb, n, k, a, lda, a_rows, bpack, c, ldc, accumulate);
+        gemmBlock(i0, mb, n, k, a, lda, bpack, c, ldc);
     };
 
     // Fan M blocks across the pool when the product is big enough to

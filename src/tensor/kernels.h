@@ -142,16 +142,12 @@ inline constexpr int64_t kMc = 64;  ///< rows per M block = parallel grain
 inline constexpr int64_t kKc = 256; ///< depth per packed K block
 
 /**
- * C = A * B (or C += A * B with @p accumulate) on raw row-major
- * buffers — the portable blocked path.
+ * C = A * B on raw row-major buffers — the portable blocked path.
  *
  * A is (m x k) with row stride @p lda, B is (k x n) with row stride
- * @p ldb, C is (m x n) with row stride @p ldc.  With @p accumulate
- * false (the default) C's prior contents are ignored: the first K
- * block starts its accumulators at zero, so callers need not zero C.
- * @p a_rows, when non-null, is an m-entry gather map:
- * logical A row i reads from a + a_rows[i]*lda (used for the
- * post-prune P*V product).
+ * @p ldb, C is (m x n) with row stride @p ldc.  C's prior contents
+ * are ignored: the first K block starts its accumulators at zero, so
+ * callers need not zero C.
  *
  * Per output element the accumulation order is ascending k with a
  * single accumulator — bit-identical to the naive reference
@@ -159,8 +155,7 @@ inline constexpr int64_t kKc = 256; ///< depth per packed K block
  */
 void gemmF32(int64_t m, int64_t n, int64_t k, const float *a,
              int64_t lda, const float *b, int64_t ldb, float *c,
-             int64_t ldc, const int64_t *a_rows = nullptr,
-             bool accumulate = false);
+             int64_t ldc);
 
 /**
  * out[j] = dot(q, b + j*ldb, k) * scale for j in [0, rows) — the

@@ -273,8 +273,10 @@ forward(const VlmModel &model, const VideoSample &sample,
         // ---- P x V, computed only for surviving rows ----
         Tensor attn_out(rows_after, d);
         const int64_t hd = prof.headDim();
+        // A pruned layer multiplies only the retained visual rows and
+        // the text rows of each head's P, copied densely first.
         std::vector<int64_t> pv_rows;
-        const int64_t *pv_map = nullptr;
+        Tensor p_kept;
         if (pruned) {
             pv_rows.resize(static_cast<size_t>(rows_after));
             for (int64_t r = 0; r < rows_after; ++r) {
@@ -282,15 +284,21 @@ forward(const VlmModel &model, const VideoSample &sample,
                     ? retained[static_cast<size_t>(r)]
                     : s_cur + (r - s_next);
             }
-            pv_map = pv_rows.data();
+            p_kept = Tensor(rows_after, rows);
         }
         for (int h = 0; h < prof.heads; ++h) {
-            const Tensor &p = head_probs[static_cast<size_t>(h)];
+            const Tensor *p = &head_probs[static_cast<size_t>(h)];
+            if (pruned) {
+                for (int64_t r = 0; r < rows_after; ++r) {
+                    std::copy_n(p->row(pv_rows[static_cast<size_t>(r)]),
+                                rows, p_kept.row(r));
+                }
+                p = &p_kept;
+            }
             const int64_t c0 = static_cast<int64_t>(h) * hd;
-            kernels::gemmF32(rows_after, hd, rows, p.data(), p.cols(),
+            kernels::gemmF32(rows_after, hd, rows, p->data(), p->cols(),
                              v.data() + c0, v.cols(),
-                             attn_out.data() + c0, attn_out.cols(),
-                             pv_map);
+                             attn_out.data() + c0, attn_out.cols());
         }
         res.ops += static_cast<double>(rows_after) * rows * d; // PV
 

@@ -7,18 +7,21 @@
  * metric exactly, at every thread count and under both cycle-model
  * backends.  Around it sit property tests for the consistent-hash
  * ring (balance, minimal remapping, history independence), the
- * interconnect term's exact-zero-at-split-1 guarantee, and behaviour
- * tests for shedding, continuous batching and replica scaling.
+ * interconnect term's exact-zero-at-split-1 guarantee, behaviour
+ * tests for shedding, continuous batching and replica scaling, and
+ * fleet invariants over randomized configs.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "runtime/thread_pool.h"
 #include "serve/cluster.h"
 #include "sim/systolic.h"
@@ -649,6 +652,130 @@ TEST(Cluster, BatchesOfOneCompositionShareOneMetricsEntry)
         }
         EXPECT_GT(repeats, 0); // the stream repeats a composition
     }
+}
+
+// ---- randomized fleet invariants ----
+
+TEST(ClusterProperty, RandomConfigsKeepFleetInvariants)
+{
+    // One calibration serves every draw (withQueue carries it and the
+    // batch-cost memo to each new stream of the same mix).
+    ServingSimulator sim(smallOpenConfig(), AccelConfig::focus(),
+                         smallEval());
+    int64_t slab_bytes = 0;
+    for (const int cls : {0, 1}) {
+        const SlabSpec spec =
+            sim.comboSlabSpec(sim.classCombo(cls), "slab");
+        slab_bytes = std::max(slab_bytes, (spec.bytes() + 63) / 64 * 64);
+    }
+    const BatchPolicy policies[] = {BatchPolicy::Single,
+                                    BatchPolicy::FixedSize,
+                                    BatchPolicy::Timeout,
+                                    BatchPolicy::ConcAware};
+    Rng rng(2513);
+    int shed_total = 0, single_box = 0;
+    for (int i = 0; i < 40; ++i) {
+        SCOPED_TRACE("draw " + std::to_string(i));
+        // 0.01 to 2 requests per second.
+        QueueConfig q =
+            smallOpenConfig(1 + static_cast<int>(rng.uniformInt(20)),
+                            std::pow(10.0, rng.uniform(-2.0, 0.3)));
+        q.seed = rng.next();
+        for (RequestClass &c : q.mix) {
+            c.prefix_cardinality = 1 + static_cast<int>(rng.uniformInt(4));
+        }
+        SchedulerConfig sched;
+        sched.policy = policies[i % 4];
+        sched.max_batch = 1 + static_cast<int>(rng.uniformInt(8));
+        sched.timeout_s = rng.uniform(0.0, 200.0);
+
+        ClusterConfig cfg;
+        cfg.replicas = 1 + static_cast<int>(rng.uniformInt(8));
+        cfg.tensor_parallel = 1 + static_cast<int>(rng.uniformInt(2));
+        cfg.continuous_theta =
+            rng.bernoulli(0.5) ? rng.uniform(0.0, 0.9) : 0.0;
+        cfg.shed_backlog_s =
+            rng.bernoulli(0.5) ? rng.uniform(0.0, 200.0) : 0.0;
+        if (rng.bernoulli(0.5)) {
+            cfg.prefix_cache.budget_bytes = slab_bytes *
+                (1 + static_cast<int64_t>(rng.uniformInt(4)));
+        }
+        if (i % 8 == 0) {
+            // The single-box shape, checked against run() below.
+            cfg.replicas = 1;
+            cfg.tensor_parallel = 1;
+            cfg.continuous_theta = 0.0;
+            cfg.shed_backlog_s = 0.0;
+        }
+
+        sim = sim.withQueue(q);
+        const ClusterReport rep = ClusterSimulator(sim, cfg).run(sched);
+        const size_t n = static_cast<size_t>(q.num_requests);
+        ASSERT_EQ(rep.merged.outcomes.size(), n);
+        EXPECT_EQ(rep.admitted + rep.shed, static_cast<int>(n));
+        EXPECT_EQ(rep.merged.shed, rep.shed);
+        shed_total += rep.shed;
+
+        std::vector<int> seen(n, 0);
+        std::vector<int> batches_of(static_cast<size_t>(cfg.replicas), 0);
+        std::vector<const BatchRecord *> last(
+            static_cast<size_t>(cfg.replicas), nullptr);
+        for (size_t b = 0; b < rep.merged.batches.size(); ++b) {
+            const BatchRecord &batch = rep.merged.batches[b];
+            ASSERT_GE(batch.replica, 0);
+            ASSERT_LT(batch.replica, cfg.replicas);
+            const size_t r = static_cast<size_t>(batch.replica);
+            batches_of[r] += 1;
+            for (const int64_t id : batch.request_ids) {
+                ASSERT_LT(static_cast<size_t>(id), n);
+                seen[static_cast<size_t>(id)] += 1;
+                const RequestOutcome &o =
+                    rep.merged.outcomes[static_cast<size_t>(id)];
+                EXPECT_FALSE(o.shed);
+                EXPECT_EQ(o.batch_id, static_cast<int>(b));
+                EXPECT_EQ(o.start_s, batch.start_s);
+                EXPECT_EQ(o.finish_s, batch.start_s + batch.service_s);
+                EXPECT_GE(o.start_s, o.arrival_s);
+            }
+            // Each replica's batches start in order; with serial
+            // boundaries they never overlap either.
+            if (last[r] != nullptr) {
+                EXPECT_GE(batch.start_s, last[r]->start_s);
+                if (cfg.continuous_theta <= 0.0) {
+                    EXPECT_GE(batch.start_s,
+                              last[r]->start_s + last[r]->service_s);
+                }
+            }
+            last[r] = &batch;
+        }
+        for (size_t j = 0; j < n; ++j) {
+            EXPECT_EQ(seen[j], rep.merged.outcomes[j].shed ? 0 : 1)
+                << "request " << j;
+        }
+        int routed = 0;
+        for (const ReplicaStats &rs : rep.replicas) {
+            EXPECT_EQ(rs.batches,
+                      batches_of[static_cast<size_t>(rs.replica)]);
+            routed += rs.routed;
+        }
+        EXPECT_EQ(routed, static_cast<int>(n));
+        EXPECT_LE(rep.merged.latency.p50, rep.merged.latency.p95);
+        EXPECT_LE(rep.merged.latency.p95, rep.merged.latency.p99);
+        EXPECT_LE(rep.merged.latency.p99, rep.merged.latency.max);
+        EXPECT_GE(rep.merged.slo_attainment, 0.0);
+        EXPECT_LE(rep.merged.slo_attainment, 1.0);
+
+        if (cfg.replicas == 1 && cfg.tensor_parallel == 1 &&
+            cfg.continuous_theta <= 0.0 && cfg.shed_backlog_s <= 0.0) {
+            sim.setPrefixCache(cfg.prefix_cache);
+            const ServingReport box = sim.run(sched);
+            expectReportsIdentical(box, rep.merged);
+            EXPECT_EQ(box.prefix_cache.hits, rep.prefix_cache.hits);
+            single_box += 1;
+        }
+    }
+    EXPECT_GT(shed_total, 0);   // the sweep exercises shedding
+    EXPECT_GE(single_box, 5);   // and the cluster-of-one contract
 }
 
 } // namespace

@@ -2,9 +2,9 @@
  * @file
  * Blocked GEMM kernel layer (tensor/kernels.h): bit-exactness of the
  * blocked kernels against the naive reference across
- * odd/prime/degenerate shapes, the row gather map, accumulate mode,
- * the tensor/ops.h entry point, and thread-count bit-identity (raw
- * kernels and through Evaluator::runFunctional).
+ * odd/prime/degenerate shapes, the tensor/ops.h entry point, and
+ * thread-count bit-identity (raw kernels and through
+ * Evaluator::runFunctional).
  *
  * SFU tier (SfuKernels.*): tolerance vs the scalar libm loops of
  * tests/reference/sfu.h (polynomial expf, fused softmax, SiLU,
@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -107,49 +106,6 @@ TEST(KernelsGemm, KZeroYieldsZeroOutput)
     for (float v : c) {
         EXPECT_EQ(v, 0.0f);
     }
-}
-
-TEST(KernelsGemm, RowGatherMapMatchesMaterializedGather)
-{
-    Rng rng(14);
-    const int64_t src_rows = 12, m = 7, n = 19, k = 23;
-    const std::vector<float> a = randomBuf(rng, src_rows * k);
-    const std::vector<float> b = randomBuf(rng, k * n);
-    const int64_t map[] = {3, 0, 11, 5, 5, 9, 1};
-
-    std::vector<float> c_map(static_cast<size_t>(m * n));
-    kernels::gemmF32(m, n, k, a.data(), k, b.data(), n, c_map.data(),
-                     n, map);
-
-    std::vector<float> gathered(static_cast<size_t>(m * k));
-    for (int64_t i = 0; i < m; ++i) {
-        std::memcpy(&gathered[static_cast<size_t>(i * k)],
-                    &a[static_cast<size_t>(map[i] * k)],
-                    static_cast<size_t>(k) * sizeof(float));
-    }
-    std::vector<float> c_ref(static_cast<size_t>(m * n));
-    kernels::gemmF32(m, n, k, gathered.data(), k, b.data(), n,
-                     c_ref.data(), n);
-    EXPECT_TRUE(bitsEqual(c_map, c_ref));
-}
-
-TEST(KernelsGemm, AccumulateAddsOntoExistingC)
-{
-    Rng rng(15);
-    const int64_t m = 33, n = 41, k = 29;
-    const std::vector<float> a = randomBuf(rng, m * k);
-    const std::vector<float> b = randomBuf(rng, k * n);
-    const std::vector<float> seed_c = randomBuf(rng, m * n);
-
-    std::vector<float> c_acc = seed_c;
-    kernels::gemmF32(m, n, k, a.data(), k, b.data(), n, c_acc.data(),
-                     n, nullptr, /*accumulate=*/true);
-
-    // Naive reference accumulates into whatever C holds.
-    std::vector<float> c_ref = seed_c;
-    reference::gemmNaiveF32(m, n, k, a.data(), k, b.data(), n,
-                          c_ref.data(), n);
-    EXPECT_TRUE(bitsEqual(c_acc, c_ref));
 }
 
 TEST(KernelsGemm, ThreadCountBitIdentity)
@@ -678,8 +634,15 @@ TEST(KernelsAttention, PvMatchesGemmOverCausalP)
                 std::vector<float> want = got;
                 kernels::pvCausalF32(m, n, p.data(), rows, rowmap,
                                      v.data(), ldv, got.data(), ldo);
-                kernels::gemmF32(m, n, rows, p.data(), rows, v.data(),
-                                 ldv, want.data(), ldo, rowmap);
+                // The GEMM reads the mapped P rows copied densely.
+                std::vector<float> p_rows(static_cast<size_t>(m * rows));
+                for (int64_t r = 0; r < m; ++r) {
+                    const int64_t src = rowmap != nullptr ? rowmap[r] : r;
+                    std::copy_n(&p[static_cast<size_t>(src * rows)], rows,
+                                &p_rows[static_cast<size_t>(r * rows)]);
+                }
+                kernels::gemmF32(m, n, rows, p_rows.data(), rows, v.data(),
+                                 ldv, want.data(), ldo);
                 EXPECT_TRUE(bitsEqual(got, want))
                     << "rows=" << rows << " n=" << n
                     << (map != nullptr ? " pruned" : " identity");

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the Semantic Concentrator: importance analysis, top-k
- * selection (exact and streaming-sorter emulation), and the offset
- * encoding model of tests/reference/offset_encoding.h.
+ * selection (exact, and the streaming-sorter model of
+ * tests/reference/streaming_topk.h), and the offset encoding model of
+ * tests/reference/offset_encoding.h.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "common/rng.h"
 #include "focus/sec.h"
 #include "reference/offset_encoding.h"
+#include "reference/streaming_topk.h"
 
 namespace focus
 {
@@ -19,6 +21,7 @@ namespace
 {
 
 using reference::OffsetEncoding;
+using reference::StreamingTopK;
 using reference::decodeOffsets;
 using reference::encodeOffsets;
 

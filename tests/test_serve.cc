@@ -2,8 +2,8 @@
  * @file
  * Tests for the serving layer: request-stream determinism, batch
  * formation policies, the batch-of-1 bit-identity contract against
- * Evaluator::simulate, and thread-count determinism of the full
- * serving simulation.
+ * Evaluator::simulate, thread-count determinism of the full serving
+ * simulation, and replay invariants over randomized configs.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/rng.h"
 #include "eval/evaluator.h"
 #include "runtime/thread_pool.h"
 #include "serve/serving_sim.h"
@@ -451,33 +452,38 @@ TEST(ServingSim, ReportStatsAreConsistent)
     EXPECT_EQ(rep.classes[1].accuracyDelta(), 0.0);
 }
 
-TEST(ServingSim, EvaluatorSimulateBatchMatchesSeam)
+TEST(ServingSim, FusedTraceBatchMatchesSeam)
 {
     EvalOptions opts;
     opts.samples = 1;
     const Evaluator ev("Llava-Vid", "VideoMME", opts);
+    const MethodConfig focus = MethodConfig::focusFull();
+    const MethodConfig dense = MethodConfig::dense();
+    const WorkloadTrace focus_trace =
+        ev.buildFullTrace(focus, ev.runFunctional(focus));
+    const WorkloadTrace dense_trace =
+        ev.buildFullTrace(dense, ev.runFunctional(dense));
 
     // Singleton batch: bit-identical to the unbatched entry point.
-    const RunMetrics solo =
-        ev.simulate(MethodConfig::focusFull(), AccelConfig::focus());
-    const RunMetrics batch1 = ev.simulateBatch(
-        {MethodConfig::focusFull()}, AccelConfig::focus());
+    const RunMetrics solo = ev.simulate(focus, AccelConfig::focus());
+    const RunMetrics batch1 = simulateAccelerator(
+        AccelConfig::focus(), fuseTraces({&focus_trace}));
     EXPECT_EQ(batch1.cycles, solo.cycles);
     EXPECT_EQ(batch1.energy.total(), solo.energy.total());
 
     // Two-method batch: per-query quadratic terms sum (never
     // (r1+r2)^2), and shared-weight fusion plus DMA overlap make the
     // fused pass cheaper than back-to-back runs.
-    const RunMetrics dense =
-        ev.simulate(MethodConfig::dense(), AccelConfig::focus());
-    const RunMetrics fused = ev.simulateBatch(
-        {MethodConfig::focusFull(), MethodConfig::dense()},
-        AccelConfig::focus());
-    EXPECT_EQ(fused.sfu_ops, solo.sfu_ops + dense.sfu_ops);
-    EXPECT_EQ(fused.sec_ops, solo.sec_ops + dense.sec_ops);
-    EXPECT_LT(fused.cycles, solo.cycles + dense.cycles);
+    const RunMetrics dense_solo =
+        ev.simulate(dense, AccelConfig::focus());
+    const RunMetrics fused =
+        simulateAccelerator(AccelConfig::focus(),
+                            fuseTraces({&focus_trace, &dense_trace}));
+    EXPECT_EQ(fused.sfu_ops, solo.sfu_ops + dense_solo.sfu_ops);
+    EXPECT_EQ(fused.sec_ops, solo.sec_ops + dense_solo.sec_ops);
+    EXPECT_LT(fused.cycles, solo.cycles + dense_solo.cycles);
     EXPECT_LT(fused.dram_weights,
-              solo.dram_weights + dense.dram_weights);
+              solo.dram_weights + dense_solo.dram_weights);
 }
 
 // ---- long-video profile roster ----
@@ -522,6 +528,174 @@ TEST(ServingWorkloads, StandardMixUsesHeavyTokenRegime)
         has_long = has_long || c.dataset == "MLVU-Long";
     }
     EXPECT_TRUE(has_long);
+}
+
+// ---- randomized replay invariants ----
+
+/** One random serving config over smallOpenConfig's two classes. */
+struct ServeDraw
+{
+    QueueConfig queue;
+    SchedulerConfig sched;
+    PrefixCacheConfig cache;
+};
+
+/**
+ * Draw @p i of the property sweep: the policy cycles through every
+ * BatchPolicy and the arrival process alternates every four draws;
+ * everything else comes from @p rng.  A nonzero cache budget holds at
+ * least one @p slab_bytes slab.
+ */
+ServeDraw
+drawServeConfig(Rng &rng, int i, int64_t slab_bytes)
+{
+    ServeDraw d;
+    d.queue = smallOpenConfig(1 + static_cast<int>(rng.uniformInt(20)));
+    d.queue.seed = rng.next();
+    if ((i / 4) % 2 == 1) {
+        d.queue.process = ArrivalProcess::ClosedLoop;
+        d.queue.clients = 1 + static_cast<int>(rng.uniformInt(6));
+        d.queue.think_mean_s = rng.uniform(0.0, 60.0);
+    } else {
+        // 0.01 to 1 request per second: from an idle engine to a
+        // deep queue.
+        d.queue.arrival_rate_rps = std::pow(10.0, rng.uniform(-2.0, 0.0));
+    }
+    for (RequestClass &c : d.queue.mix) {
+        // Few prefixes, so repeats reach the cache.
+        c.prefix_cardinality = 1 + static_cast<int>(rng.uniformInt(4));
+    }
+    const BatchPolicy policies[] = {BatchPolicy::Single,
+                                    BatchPolicy::FixedSize,
+                                    BatchPolicy::Timeout,
+                                    BatchPolicy::ConcAware};
+    d.sched.policy = policies[i % 4];
+    d.sched.max_batch = 1 + static_cast<int>(rng.uniformInt(8));
+    d.sched.timeout_s = rng.uniform(0.0, 200.0);
+    if (rng.bernoulli(0.5)) {
+        d.cache.budget_bytes =
+            slab_bytes * (1 + static_cast<int64_t>(rng.uniformInt(4)));
+    }
+    return d;
+}
+
+/** Invariants every single-box report must keep. */
+void
+expectReplayInvariants(const ServingReport &rep, const QueueConfig &q,
+                       const SchedulerConfig &sched)
+{
+    const size_t n = static_cast<size_t>(q.num_requests);
+    ASSERT_EQ(rep.outcomes.size(), n);
+    std::vector<int> seen(n, 0);
+    for (size_t b = 0; b < rep.batches.size(); ++b) {
+        const BatchRecord &batch = rep.batches[b];
+        ASSERT_FALSE(batch.request_ids.empty());
+        EXPECT_LE(batch.request_ids.size(),
+                  static_cast<size_t>(sched.max_batch));
+        for (const int64_t id : batch.request_ids) {
+            ASSERT_GE(id, 0);
+            ASSERT_LT(static_cast<size_t>(id), n);
+            seen[static_cast<size_t>(id)] += 1;
+            const RequestOutcome &o = rep.outcomes[static_cast<size_t>(id)];
+            EXPECT_EQ(o.batch_id, static_cast<int>(b));
+            EXPECT_EQ(o.batch_size,
+                      static_cast<int>(batch.request_ids.size()));
+            EXPECT_EQ(o.start_s, batch.start_s);
+            EXPECT_EQ(o.finish_s, batch.start_s + batch.service_s);
+        }
+        EXPECT_GE(batch.start_s, batch.ready_s);
+        // One engine: a batch starts once the previous one finished.
+        if (b > 0) {
+            const BatchRecord &prev = rep.batches[b - 1];
+            EXPECT_GE(batch.start_s, prev.start_s + prev.service_s);
+        }
+    }
+    int64_t hits = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const RequestOutcome &o = rep.outcomes[i];
+        EXPECT_EQ(seen[i], 1) << "request " << i;
+        EXPECT_EQ(o.id, static_cast<int64_t>(i));
+        EXPECT_GE(o.start_s, o.arrival_s);
+        hits += o.prefix_hit ? 1 : 0;
+    }
+    EXPECT_EQ(hits, rep.prefix_cache.hits);
+    if (q.process == ArrivalProcess::ClosedLoop) {
+        // Client i % clients issues request i + clients only after
+        // request i finished.
+        const size_t clients = static_cast<size_t>(q.clients);
+        for (size_t i = 0; i + clients < n; ++i) {
+            EXPECT_GE(rep.outcomes[i + clients].arrival_s,
+                      rep.outcomes[i].finish_s);
+        }
+    }
+    EXPECT_LE(rep.latency.p50, rep.latency.p95);
+    EXPECT_LE(rep.latency.p95, rep.latency.p99);
+    EXPECT_LE(rep.latency.p99, rep.latency.max);
+    EXPECT_GE(rep.slo_attainment, 0.0);
+    EXPECT_LE(rep.slo_attainment, 1.0);
+    EXPECT_GT(rep.mean_occupancy, 0.0);
+    EXPECT_LE(rep.mean_occupancy, 1.0);
+}
+
+/** Two replays of one config agree on every timeline field. */
+void
+expectSameReplay(const ServingReport &a, const ServingReport &b)
+{
+    ASSERT_EQ(a.batches.size(), b.batches.size());
+    for (size_t i = 0; i < a.batches.size(); ++i) {
+        EXPECT_EQ(a.batches[i].request_ids, b.batches[i].request_ids);
+        EXPECT_EQ(a.batches[i].ready_s, b.batches[i].ready_s);
+        EXPECT_EQ(a.batches[i].start_s, b.batches[i].start_s);
+        EXPECT_EQ(a.batches[i].service_s, b.batches[i].service_s);
+    }
+    ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+    for (size_t i = 0; i < a.outcomes.size(); ++i) {
+        EXPECT_EQ(a.outcomes[i].arrival_s, b.outcomes[i].arrival_s);
+        EXPECT_EQ(a.outcomes[i].finish_s, b.outcomes[i].finish_s);
+        EXPECT_EQ(a.outcomes[i].prefix_hit, b.outcomes[i].prefix_hit);
+    }
+    EXPECT_EQ(a.latency.mean, b.latency.mean);
+    EXPECT_EQ(a.latency.p99, b.latency.p99);
+    EXPECT_EQ(a.slo_attainment, b.slo_attainment);
+    EXPECT_EQ(a.mean_occupancy, b.mean_occupancy);
+    EXPECT_EQ(a.prefix_cache.hits, b.prefix_cache.hits);
+}
+
+TEST(ServingProperty, RandomConfigsKeepReplayInvariants)
+{
+    // One calibration serves every draw: withQueue carries it (and
+    // the batch-cost memo) to each new stream of the same mix.
+    ServingSimulator sim(smallOpenConfig(), AccelConfig::focus(),
+                         smallEval());
+    int64_t slab_bytes = 0;
+    for (const int cls : {0, 1}) {
+        const SlabSpec spec =
+            sim.comboSlabSpec(sim.classCombo(cls), "slab");
+        slab_bytes = std::max(slab_bytes, (spec.bytes() + 63) / 64 * 64);
+    }
+    ThreadPool p1(1), p4(4);
+    Rng rng(2512);
+    int64_t hits = 0;
+    for (int i = 0; i < 40; ++i) {
+        const ServeDraw d = drawServeConfig(rng, i, slab_bytes);
+        SCOPED_TRACE("draw " + std::to_string(i));
+        sim = sim.withQueue(d.queue);
+        sim.setPrefixCache(d.cache);
+        // Every tenth draw also replays on a copy taken first, which
+        // costs the draw's new compositions itself on 4 workers.
+        ServingReport wide;
+        if (i % 10 == 3) {
+            ServingSimulator copy = sim;
+            wide = copy.run(d.sched, &p4);
+        }
+        const ServingReport rep = sim.run(d.sched, &p1);
+        expectReplayInvariants(rep, d.queue, d.sched);
+        if (i % 10 == 3) {
+            expectSameReplay(wide, rep);
+        }
+        hits += rep.prefix_cache.hits;
+    }
+    EXPECT_GT(hits, 0); // the sweep exercises the cache
 }
 
 } // namespace
