@@ -119,9 +119,9 @@ main(int argc, char **argv)
                 AccelConfig cfg = AccelConfig::focus();
                 cfg.sic_matchers = matchers;
                 FracSampler psi(nullptr, 1.0);
-                std::vector<int64_t> dense_log; // stays empty
+                TileLengthHistogram dense; // stays empty
                 const GemmTiming gt = timeGemm(cfg, 1024, k, 32, psi,
-                                               false, true, dense_log);
+                                               false, true, dense);
                 t.addRow({std::to_string(k),
                           std::to_string(matchers),
                           std::to_string(gt.stall_matcher),

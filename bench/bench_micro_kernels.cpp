@@ -313,16 +313,15 @@ BENCHMARK(BM_SicGather);
 void
 BM_TimeGemmModel(benchmark::State &state)
 {
-    // One Focus O-proj-sized SIC GEMM (87,808 draws from a sampler
-    // holding psi 0.5) into an empty Fig. 13 log, as a run's first
-    // SIC GEMM sees it.
+    // One Focus O-proj-sized SIC GEMM: 87,808 draws from a sampler
+    // holding psi 0.5, counted into the Fig. 13 histogram from its
+    // one-position p table.
     const AccelConfig cfg = AccelConfig::focus();
     FracSampler psi(nullptr, 0.5);
-    std::vector<int64_t> log;
+    TileLengthHistogram hist;
     for (auto _ : state) {
-        log.clear();
         benchmark::DoNotOptimize(
-            timeGemm(cfg, 6381, 3584, 3584, psi, true, true, log)
+            timeGemm(cfg, 6381, 3584, 3584, psi, true, true, hist)
                 .cycles);
     }
 }

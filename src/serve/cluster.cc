@@ -48,27 +48,15 @@ HashRing::HashRing(int replicas)
         fatal("HashRing: at least one replica required (got %d)",
               replicas);
     }
-    members_.reserve(static_cast<size_t>(replicas));
-    for (int r = 0; r < replicas; ++r) {
-        members_.push_back(r);
-    }
-    rebuild();
-}
-
-void
-HashRing::rebuild()
-{
-    ring_.clear();
-    ring_.reserve(members_.size() * static_cast<size_t>(kVnodes));
-    for (const int id : members_) {
+    ring_.reserve(static_cast<size_t>(replicas) *
+                  static_cast<size_t>(kVnodes));
+    for (int id = 0; id < replicas; ++id) {
         for (int v = 0; v < kVnodes; ++v) {
             ring_.emplace_back(vnodePosition(id, v), id);
         }
     }
-    // Sorting (position, id) pairs makes placement independent of
-    // the order members were added in; a position collision (already
-    // astronomically unlikely) resolves by the lower id on both
-    // lookup and rebuild.
+    // A position collision (already astronomically unlikely)
+    // resolves by the lower id.
     std::sort(ring_.begin(), ring_.end());
 }
 
@@ -91,31 +79,6 @@ int
 HashRing::route(const std::string &key) const
 {
     return route(hashKey(key));
-}
-
-int
-HashRing::addReplica()
-{
-    const int id = members_.empty() ? 0 : members_.back() + 1;
-    members_.push_back(id);
-    rebuild();
-    return id;
-}
-
-void
-HashRing::removeReplica(int replica)
-{
-    const auto it =
-        std::find(members_.begin(), members_.end(), replica);
-    if (it == members_.end()) {
-        fatal("HashRing: cannot remove unknown replica %d", replica);
-    }
-    if (members_.size() == 1) {
-        fatal("HashRing: cannot remove the last replica (%d)",
-              replica);
-    }
-    members_.erase(it);
-    rebuild();
 }
 
 uint64_t

@@ -50,11 +50,11 @@ namespace focus
 /**
  * Consistent-hash ring with virtual nodes.
  *
- * Each member replica owns kVnodes pseudo-random positions on a
- * 64-bit ring (a splitmix64-style mix of the replica id and vnode
- * index — no RNG state, so placement is a pure function of the
- * member set, independent of insertion order).  A key routes to the
- * owner of the first vnode at or clockwise after its hash.
+ * Each replica owns kVnodes pseudo-random positions on a 64-bit ring
+ * (a splitmix64-style mix of the replica id and vnode index — no RNG
+ * state, so a replica's positions do not depend on the ring's size).
+ * A key routes to the owner of the first vnode at or clockwise after
+ * its hash.
  */
 class HashRing
 {
@@ -62,18 +62,12 @@ class HashRing
     /** Ring over replica ids 0..replicas-1 (fatal when empty). */
     explicit HashRing(int replicas);
 
-    int replicas() const { return static_cast<int>(members_.size()); }
-    const std::vector<int> &members() const { return members_; }
+    int replicas() const { return static_cast<int>(ring_.size()) / kVnodes; }
 
     /** Owning replica id of a 64-bit key hash. */
     int route(uint64_t key_hash) const;
     /** Owning replica id of a string key (FNV-1a hashed). */
     int route(const std::string &key) const;
-
-    /** Add a replica under the next unused id; returns it. */
-    int addReplica();
-    /** Remove a member (fatal on unknown id or emptying the ring). */
-    void removeReplica(int replica);
 
     /**
      * FNV-1a 64-bit hash of @p key with a splitmix64 finalizer (the
@@ -86,9 +80,6 @@ class HashRing
     static constexpr int kVnodes = 64;
 
   private:
-    void rebuild();
-
-    std::vector<int> members_; ///< ascending replica ids
     /** (ring position, replica id), sorted ascending. */
     std::vector<std::pair<uint64_t, int>> ring_;
 };

@@ -295,10 +295,6 @@ ServingSimulator::simulateBatch(const std::vector<size_t> &comp,
         cost.interconnect_bytes += rm.interconnect_bytes;
         if (rm.seconds() > worst) {
             worst = rm.seconds();
-            // The memo keeps these metrics for the whole run, and no
-            // serving code reads the Fig. 13 tile-length log (up to
-            // kTileLengthCap entries per composition).
-            rm.tile_lengths = std::vector<int64_t>();
             cost.metrics =
                 std::make_shared<const RunMetrics>(std::move(rm));
         }

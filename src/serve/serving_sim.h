@@ -268,8 +268,7 @@ class ServingSimulator
      * Fused metrics of a batch composition (sequence of composition
      * codes in member order) on a @p tp-way tensor-parallel engine:
      * the slowest shard's, which sets the batch's service time.
-     * Memoized in the batch-cost memo shared with every replay; the
-     * memoized metrics carry no Fig. 13 log (tile_lengths is empty).
+     * Memoized in the batch-cost memo shared with every replay.
      */
     const RunMetrics &costComposition(const std::vector<size_t> &comp,
                                       int tp = 1);

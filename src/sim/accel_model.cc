@@ -308,10 +308,6 @@ simulateAccelerator(const AccelConfig &cfg, const WorkloadTrace &trace,
         rm.cycles += layer_total;
     }
 
-    // Drop the log's growth slack: RunMetrics objects are stored
-    // long-term (serving composition cache, grid results).
-    rm.tile_lengths.shrink_to_fit();
-
     rm.mean_input_frac = input_frac_den > 0.0
         ? input_frac_sum / input_frac_den : 1.0;
 

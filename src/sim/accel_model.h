@@ -86,11 +86,10 @@ struct RunMetrics
     double utilization = 0.0;
 
     /**
-     * Concentrated tile lengths (Fig. 13): p of the run's first
-     * kTileLengthCap SIC sub-tiles, in walk order; empty unless SIC
-     * ran.
+     * Concentrated tile lengths (Fig. 13): every SIC sub-tile of the
+     * run, binned by p; size() is 0 unless SIC ran.
      */
-    std::vector<int64_t> tile_lengths;
+    TileLengthHistogram tile_lengths;
 
     /** Mean input-matrix size relative to dense (Fig. 12(b)). */
     double mean_input_frac = 1.0;

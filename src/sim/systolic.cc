@@ -97,7 +97,7 @@ GemmTiming::utilization(const AccelConfig &cfg) const
 GemmTiming
 timeGemm(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
          FracSampler &psi, bool sic_input, bool gather_out,
-         std::vector<int64_t> &tile_lengths)
+         TileLengthHistogram &tile_lengths)
 {
     validateTimingConfig(cfg);
     GemmTiming t;
@@ -176,12 +176,19 @@ timeGemm(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
     psi.advance(draws - T);
 
     // p and prefix(p) per m-band; prefix(sub-tile latency) per
-    // (m-band, n-band).
+    // (m-band, n-band).  Fig. 13: the full m-tiles, then the edge
+    // tile, draw one contiguous run of the cycle each, so position j
+    // is drawn run / T times, plus once if it is among the run % T
+    // positions from the run's start.
     std::vector<int64_t> p_tab[2];
     std::vector<int64_t> pre_p[2];
     std::vector<uint64_t> pre_sub[2][2];
+    size_t start = 0;
     for (int mi = 0; mi < mbn; ++mi) {
         const double md = static_cast<double>(mb[mi].size);
+        const uint64_t run = static_cast<uint64_t>(mb[mi].count) *
+            static_cast<uint64_t>(n_tiles) *
+            static_cast<uint64_t>(k_subs);
         p_tab[mi].resize(T);
         pre_p[mi].assign(T + 1, 0);
         for (size_t j = 0; j < T; ++j) {
@@ -189,7 +196,12 @@ timeGemm(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
                 1, static_cast<int64_t>(std::llround(frac[j] * md)));
             p_tab[mi][j] = p;
             pre_p[mi][j + 1] = pre_p[mi][j] + p;
+            const size_t from_start = j >= start ? j - start
+                                                 : j + T - start;
+            tile_lengths.counts[TileLengthHistogram::bin(p, cfg.m_tile)] +=
+                run / T + (from_start < run % T ? 1 : 0);
         }
+        start = (start + run) % T;
         for (int ni = 0; ni < nbn; ++ni) {
             const uint64_t scatter = ceilDiv<uint64_t>(
                 static_cast<uint64_t>(mb[mi].size) * nb[ni].size,
@@ -236,16 +248,6 @@ timeGemm(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
                 }
             }
             t.cycles += tile_cycles;
-
-            // Fig. 13 log: the window's p, in walk order, up to the cap.
-            const size_t have = tile_lengths.size();
-            const size_t take = static_cast<size_t>(std::min<uint64_t>(
-                len, kTileLengthCap - std::min(have, kTileLengthCap)));
-            tile_lengths.resize(have + take);
-            for (size_t i = 0, j = c; i < take; ++i) {
-                tile_lengths[have + i] = p_of[j];
-                j = j + 1 == T ? 0 : j + 1;
-            }
             c = (c + len) % T;
         }
     }

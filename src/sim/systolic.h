@@ -33,15 +33,18 @@
  * O(1) prefix-sum lookups.  Cycle and stall sums are integers and
  * every op-counter addend is an integer-valued double, so both forms
  * are bit-identical to a per-tile walk for any total below 2^53 (far
- * above paper scale).  Each SIC sub-tile's p goes to the caller's
- * Fig. 13 log, in walk order, until the log holds kTileLengthCap
- * entries.  `tests/test_sim_equiv.cc` asserts all of it against the
- * reference walk in `tests/reference/sim_walk.h`.
+ * above paper scale).  Each SIC sub-tile's p is counted in the
+ * caller's Fig. 13 histogram: an m-band's draws are one contiguous run
+ * of the cycle, so each table position's count is known without
+ * visiting the draws.  `tests/test_sim_equiv.cc` asserts all of it
+ * against the reference walk in `tests/reference/sim_walk.h`.
  */
 
 #ifndef FOCUS_SIM_SYSTOLIC_H
 #define FOCUS_SIM_SYSTOLIC_H
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -111,8 +114,36 @@ struct GemmTiming
     double utilization(const AccelConfig &cfg) const;
 };
 
-/** Entries a Fig. 13 tile-length log keeps (one run's sample). */
-constexpr size_t kTileLengthCap = 200000;
+/**
+ * Fig. 13 histogram of concentrated tile lengths: SIC sub-tiles
+ * counted by their p, in 16 bins of m_tile / 16 rows (p = m_tile
+ * falls in the last bin).
+ */
+struct TileLengthHistogram
+{
+    static constexpr int64_t kBins = 16;
+
+    /** Bin of a sub-tile streaming @p p of an @p m_tile-row tile. */
+    static size_t
+    bin(int64_t p, int64_t m_tile)
+    {
+        return static_cast<size_t>(
+            std::min(kBins - 1, p * kBins / m_tile));
+    }
+
+    /** Sub-tiles counted. */
+    uint64_t
+    size() const
+    {
+        uint64_t n = 0;
+        for (const uint64_t c : counts) {
+            n += c;
+        }
+        return n;
+    }
+
+    std::array<uint64_t, kBins> counts{};
+};
 
 /**
  * Time one logical GEMM of @p m x @p k x @p n (already including any
@@ -125,18 +156,18 @@ constexpr size_t kTileLengthCap = 200000;
  * @param psi      sampler for per-(m-tile, k-subtile) input unique
  *                 fractions, drawn only when @p sic_input
  * @param gather_out whether the output stream passes the matcher
- * @param tile_lengths Fig. 13 log: each SIC sub-tile's p is appended
- *                 in walk order while it holds < kTileLengthCap
+ * @param tile_lengths Fig. 13 histogram: each SIC sub-tile's p is
+ *                 counted once
  */
 GemmTiming timeGemm(const AccelConfig &cfg, int64_t m, int64_t k,
                     int64_t n, FracSampler &psi, bool sic_input,
-                    bool gather_out, std::vector<int64_t> &tile_lengths);
+                    bool gather_out, TileLengthHistogram &tile_lengths);
 
 /** A GEMM cycle model with timeGemm's signature and contract. */
 using GemmTimer = GemmTiming (*)(const AccelConfig &cfg, int64_t m,
                                  int64_t k, int64_t n, FracSampler &psi,
                                  bool sic_input, bool gather_out,
-                                 std::vector<int64_t> &tile_lengths);
+                                 TileLengthHistogram &tile_lengths);
 
 /**
  * SEC schedule check (Sec. V-B): cycles of the top-k sorter

@@ -23,9 +23,7 @@ gemm(const Tensor &a, const Tensor &b, Tensor &c)
         panic("gemm: inner dims mismatch (%" PRId64 " vs %" PRId64 ")",
               k, b.rows());
     }
-    if (c.rank() != 2 || c.rows() != m || c.cols() != n) {
-        c = Tensor(m, n);
-    }
+    c.resize(m, n);
     kernels::gemmF32(m, n, k, a.data(), k, b.data(), n, c.data(), n);
 }
 

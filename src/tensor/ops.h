@@ -16,7 +16,8 @@ namespace focus
 {
 
 /**
- * C = A * B.  A is (M x K), B is (K x N), C is (M x N).
+ * C = A * B.  A is (M x K), B is (K x N), C is (M x N), reshaped in
+ * place (Tensor::resize) and every element overwritten.
  *
  * Accumulation is float (FP32), matching the PE array.  The forward
  * pass rounds activations through binary16 before they get here

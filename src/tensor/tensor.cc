@@ -132,6 +132,14 @@ Tensor::reshaped(const std::vector<int64_t> &new_shape) const
     return out;
 }
 
+void
+Tensor::resize(int64_t rows, int64_t cols)
+{
+    shape_ = {rows, cols};
+    data_.resize(static_cast<size_t>(rows * cols));
+    initStrides();
+}
+
 Tensor
 Tensor::sliceRows(int64_t r0, int64_t r1) const
 {

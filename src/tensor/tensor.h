@@ -67,6 +67,13 @@ class Tensor
     /** Reinterpret with a new shape of identical element count. */
     Tensor reshaped(const std::vector<int64_t> &new_shape) const;
 
+    /**
+     * Reshape to rank-2 @p rows x @p cols in place, keeping the
+     * storage's capacity: kept elements hold their old values, new
+     * ones are zero.
+     */
+    void resize(int64_t rows, int64_t cols);
+
     /** Rank-2 slice of rows [r0, r1). */
     Tensor sliceRows(int64_t r0, int64_t r1) const;
 

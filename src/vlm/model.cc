@@ -195,7 +195,7 @@ struct BatchState
 /**
  * Pack every head's key panel of @p att into @p panels, then score
  * and normalize the text rows [s, rows) of every head into @p text,
- * one (rows - s) x rows tensor per head (reshaped when needed).
+ * one (rows - s) x rows tensor per head (reshaped in place).
  * Stream order is [visual ; text], so text queries see every visual
  * key.  Returns the text row pointers causalAttentionF32 reads.
  */
@@ -208,10 +208,7 @@ scoreTextRows(const kernels::CausalHeads &att, int64_t s,
     text.resize(static_cast<size_t>(att.heads));
     std::vector<float *> rows(text.size());
     for (size_t h = 0; h < text.size(); ++h) {
-        if (text[h].rank() != 2 || text[h].rows() != att.rows - s ||
-            text[h].cols() != att.rows) {
-            text[h] = Tensor(att.rows - s, att.rows);
-        }
+        text[h].resize(att.rows - s, att.rows);
         rows[h] = text[h].data();
     }
     kernels::causalTextRowsF32(att, panels.data(), s, rows.data(),
@@ -352,12 +349,18 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
     }
 
     const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
-    // Packed buffers, reused across layers (gemm() reallocates its
-    // output only on shape change).
-    Tensor xp, qp, kp, vp, aop, op, gatep, upp, downp;
-    // One sample's key panels and text-row probabilities at a time.
-    std::vector<float> panels;
-    std::vector<Tensor> text_probs;
+    // Packed buffers, one sample's key panels and text-row
+    // probabilities, and the down-input gather copy: kept per thread
+    // across layers and calls (Tensor::resize keeps their storage), as
+    // the GEMM's packed B is.  Reuse cannot change a bit.  Every
+    // element is written before it is read: the packed copies and
+    // GEMM outputs cover their whole shape, and SEC and P*V read only
+    // the text-row entries causalTextRowsF32 writes.  And the pool
+    // never re-enters forwardBatch on a thread, because a caller
+    // waiting at its join runs no other job's indices.
+    thread_local Tensor xp, qp, kp, vp, aop, op, gatep, upp, downp, gs;
+    thread_local std::vector<float> panels;
+    thread_local std::vector<Tensor> text_probs;
     std::vector<int64_t> off(static_cast<size_t>(count));
     std::vector<int64_t> offa(static_cast<size_t>(count));
 
@@ -392,9 +395,7 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
         }
 
         // ---- QKV projections, all samples packed as rows ----
-        if (xp.rank() != 2 || xp.rows() != total || xp.cols() != d) {
-            xp = Tensor(total, d);
-        }
+        xp.resize(total, d);
         for (int64_t bi = 0; bi < count; ++bi) {
             const BatchState &st = states[static_cast<size_t>(bi)];
             const int64_t rows = st.s_cur + st.t_count;
@@ -479,11 +480,7 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                 }
                 pv_map = st.pv_rows.data();
             }
-            if (st.attn_out.rank() != 2 ||
-                st.attn_out.rows() != st.rows_after ||
-                st.attn_out.cols() != d) {
-                st.attn_out = Tensor(st.rows_after, d);
-            }
+            st.attn_out.resize(st.rows_after, d);
             kernels::causalAttentionF32(att, panels.data(), st.s_cur,
                                         text_rows.data(), rows, pv_map,
                                         st.rows_after, st.attn_out.data(),
@@ -542,10 +539,7 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
             offa[static_cast<size_t>(bi)] = total_after;
             total_after += states[static_cast<size_t>(bi)].rows_after;
         }
-        if (aop.rank() != 2 || aop.rows() != total_after ||
-            aop.cols() != d) {
-            aop = Tensor(total_after, d);
-        }
+        aop.resize(total_after, d);
         for (int64_t bi = 0; bi < count; ++bi) {
             const BatchState &st = states[static_cast<size_t>(bi)];
             std::copy(st.attn_out.data(),
@@ -587,10 +581,7 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                     g.tile_slice_unique_frac.end());
             }
         }
-        if (xp.rank() != 2 || xp.rows() != total_after ||
-            xp.cols() != d) {
-            xp = Tensor(total_after, d);
-        }
+        xp.resize(total_after, d);
         for (int64_t bi = 0; bi < count; ++bi) {
             const BatchState &st = states[static_cast<size_t>(bi)];
             std::copy(st.xn.data(),
@@ -612,7 +603,10 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
             for (int64_t bi = 0; bi < count; ++bi) {
                 BatchState &st = states[static_cast<size_t>(bi)];
                 const int64_t o = offa[static_cast<size_t>(bi)];
-                Tensor gs = gatep.sliceRows(o, o + st.rows_after);
+                gs.resize(st.rows_after, inner);
+                std::copy(gatep.row(o),
+                          gatep.row(o) + st.rows_after * inner,
+                          gs.data());
                 SicResult g = sicGather(gs, gather_coords(st),
                                         method.focus.sic);
                 st.rec.psi_down = g.uniqueFrac();

@@ -7,8 +7,7 @@
  * The model is the one documented in sim/systolic.h, evaluated the
  * obvious way: one loop iteration per (m-tile, n-tile, k-sub-tile),
  * one FracSampler draw per SIC-input sub-tile, in that order, each
- * draw's p appended to the Fig. 13 log until it holds
- * kTileLengthCap entries.
+ * draw's p counted in its Fig. 13 histogram bin.
  */
 
 #ifndef FOCUS_TESTS_REFERENCE_SIM_WALK_H
@@ -17,7 +16,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "common/math_util.h"
 #include "sim/systolic.h"
@@ -31,7 +29,7 @@ namespace reference
 inline GemmTiming
 timeGemmWalk(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
              FracSampler &psi, bool sic_input, bool gather_out,
-             std::vector<int64_t> &tile_lengths)
+             TileLengthHistogram &tile_lengths)
 {
     GemmTiming t;
     if (m <= 0 || k <= 0 || n <= 0) {
@@ -60,9 +58,8 @@ timeGemmWalk(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
                     const double f = clamp(psi.next(), 0.0, 1.0);
                     p = std::max<int64_t>(1, static_cast<int64_t>(
                         std::llround(f * static_cast<double>(m_rows))));
-                    if (tile_lengths.size() < kTileLengthCap) {
-                        tile_lengths.push_back(p);
-                    }
+                    tile_lengths.counts[TileLengthHistogram::bin(
+                        p, cfg.m_tile)] += 1;
                 }
                 const uint64_t compute =
                     static_cast<uint64_t>(p) + fill;

@@ -139,10 +139,10 @@ TEST(AccelModel, TileLengthsRecordedOnlyForSic)
     Traces t;
     const RunMetrics sa = simulateAccelerator(
         AccelConfig::systolicArray(), t.dense);
-    EXPECT_TRUE(sa.tile_lengths.empty());
+    EXPECT_EQ(sa.tile_lengths.size(), 0u);
     const RunMetrics fo =
         simulateAccelerator(AccelConfig::focus(), t.focus);
-    EXPECT_FALSE(fo.tile_lengths.empty());
+    EXPECT_GT(fo.tile_lengths.size(), 0u);
 }
 
 TEST(AccelModel, SecStallZeroAtPaperScale)
@@ -225,12 +225,12 @@ TEST(Area, BreakdownSharesMatchFig9c)
 }
 
 /**
- * Hand-built single-layer trace whose one SIC GEMM draws more tile
- * lengths than the Fig. 13 recording cap (204,800 > 200,000 for the
- * Focus geometry: 2 m-tiles x 3200 n-tiles x 32 k-sub-tiles).
+ * Hand-built single-layer trace whose one SIC GEMM draws 204,800 tile
+ * lengths on the Focus geometry (2 m-tiles x 3200 n-tiles x 32
+ * k-sub-tiles) from a 3-value distribution.
  */
 WorkloadTrace
-capOvershootTrace()
+oneSicGemmTrace()
 {
     WorkloadTrace tr;
     tr.method = "focus";
@@ -255,13 +255,17 @@ capOvershootTrace()
     return tr;
 }
 
-TEST(AccelModel, TileLengthRecordingStopsExactlyAtCap)
+TEST(AccelModel, TileLengthHistogramCountsEveryDraw)
 {
-    // The trace's one SIC GEMM draws past the cap; the log must stop
-    // exactly at it.
-    const WorkloadTrace tr = capOvershootTrace();
+    // Every draw is counted: 204,800 = 3 x 68,266 + 2, so the first
+    // two distribution values (p 307 and 717 of 1024) are drawn once
+    // more than the third (p 512).
+    const WorkloadTrace tr = oneSicGemmTrace();
     const RunMetrics rm = simulateAccelerator(AccelConfig::focus(), tr);
-    EXPECT_EQ(rm.tile_lengths.size(), 200000u);
+    EXPECT_EQ(rm.tile_lengths.size(), 2u * 3200u * 32u);
+    EXPECT_EQ(rm.tile_lengths.counts[4], 68267u);
+    EXPECT_EQ(rm.tile_lengths.counts[11], 68267u);
+    EXPECT_EQ(rm.tile_lengths.counts[8], 68266u);
 }
 
 TEST(AccelModelDeathTest, PanicsOnNonPositiveConfigDimensions)

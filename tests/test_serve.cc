@@ -337,24 +337,6 @@ TEST(ServingSim, BatchOfOneIsBitIdenticalToEvaluatorSimulate)
     }
 }
 
-TEST(ServingSim, MemoizedCompositionMetricsCarryNoTileLog)
-{
-    QueueConfig q = smallOpenConfig(3);
-    q.mix.resize(1); // Focus class only
-    ServingSimulator sim(q, AccelConfig::focus(), smallEval());
-    const size_t code =
-        ServingSimulator::comboCode(sim.classCombo(0), false);
-
-    const RunMetrics fresh =
-        simulateAccelerator(AccelConfig::focus(), sim.codeTrace(code));
-    ASSERT_FALSE(fresh.tile_lengths.empty()); // a Focus run logs tiles
-    const RunMetrics &memo = sim.costComposition({code});
-    EXPECT_TRUE(memo.tile_lengths.empty());
-    EXPECT_EQ(memo.cycles, fresh.cycles);
-    EXPECT_EQ(memo.energy.total(), fresh.energy.total());
-    EXPECT_EQ(memo.dramTotalBytes(), fresh.dramTotalBytes());
-}
-
 TEST(ServingSim, DeterministicAcrossThreadCounts)
 {
     const QueueConfig q = smallOpenConfig(6);

@@ -3,12 +3,11 @@
  * Equivalence harness for the cycle model: timeGemm's closed-form
  * costing, alone and through simulateAccelerator, must reproduce the
  * per-tile reference walk (tests/reference/sim_walk.h)
- * bit for bit — cycles, stalls, op counters, DRAM bytes, tile
- * lengths, sampler state — over randomized and degenerate GEMM
- * shapes, every architecture, empty and non-empty psi distributions
- * (lengths straddling a GEMM's draw count), and whole traces
- * (including fused batches and a log cut at the cap inside one
- * GEMM), at 1 and 4 threads.
+ * bit for bit — cycles, stalls, op counters, DRAM bytes, Fig. 13
+ * tile-length bins, sampler state — over randomized and degenerate
+ * GEMM shapes, every architecture, empty and non-empty psi
+ * distributions (lengths straddling a GEMM's draw count), and whole
+ * traces (including fused batches), at 1 and 4 threads.
  */
 
 #include <gtest/gtest.h>
@@ -43,20 +42,19 @@ expectTimingEq(const GemmTiming &w, const GemmTiming &f,
 }
 
 void
-expectLogEq(const std::vector<int64_t> &w, const std::vector<int64_t> &f,
-            const char *what)
+expectHistEq(const TileLengthHistogram &w, const TileLengthHistogram &f,
+             const char *what)
 {
-    ASSERT_EQ(w.size(), f.size()) << what;
-    for (size_t i = 0; i < w.size(); ++i) {
-        ASSERT_EQ(w[i], f[i]) << what << " tile_lengths[" << i << "]";
+    for (size_t i = 0; i < w.counts.size(); ++i) {
+        EXPECT_EQ(w.counts[i], f.counts[i]) << what << " bin " << i;
     }
 }
 
 /**
  * Run one shape through timeGemm and the reference walk with
  * independently-seeded samplers over the same distribution, both
- * starting @p start draws in, and assert bit-identical results, logs
- * and final sampler cursors.
+ * starting @p start draws in, and assert bit-identical results,
+ * histograms and final sampler cursors.
  */
 void
 checkShape(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
@@ -67,11 +65,11 @@ checkShape(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
     FracSampler psi_f(dist, mean);
     psi_w.advance(start);
     psi_f.advance(start);
-    std::vector<int64_t> log_w, log_f;
+    TileLengthHistogram hist_w, hist_f;
     const GemmTiming w = reference::timeGemmWalk(
-        cfg, m, k, n, psi_w, sic_input, gather_out, log_w);
+        cfg, m, k, n, psi_w, sic_input, gather_out, hist_w);
     const GemmTiming f =
-        timeGemm(cfg, m, k, n, psi_f, sic_input, gather_out, log_f);
+        timeGemm(cfg, m, k, n, psi_f, sic_input, gather_out, hist_f);
     char what[160];
     std::snprintf(what, sizeof(what),
                   "m=%lld k=%lld n=%lld sic=%d gather=%d dist=%zu "
@@ -81,7 +79,7 @@ checkShape(const AccelConfig &cfg, int64_t m, int64_t k, int64_t n,
                   gather_out ? 1 : 0, dist != nullptr ? dist->size() : 0,
                   static_cast<unsigned long long>(start));
     expectTimingEq(w, f, what);
-    expectLogEq(log_w, log_f, what);
+    expectHistEq(hist_w, hist_f, what);
     EXPECT_EQ(psi_w.cursor(), psi_f.cursor()) << what;
 }
 
@@ -160,14 +158,14 @@ TEST(SimEquiv, SamplerCursorContinuesAcrossCalls)
                {50, 32, 32, false},
                {1025, 3584, 33, true},
                {7, 7, 7, true}};
-    std::vector<int64_t> log_w, log_f;
+    TileLengthHistogram hist_w, hist_f;
     for (const auto &s : seq) {
         const GemmTiming w = reference::timeGemmWalk(
-            cfg, s.m, s.k, s.n, psi_w, s.sic, false, log_w);
+            cfg, s.m, s.k, s.n, psi_w, s.sic, false, hist_w);
         const GemmTiming f =
-            timeGemm(cfg, s.m, s.k, s.n, psi_f, s.sic, false, log_f);
+            timeGemm(cfg, s.m, s.k, s.n, psi_f, s.sic, false, hist_f);
         expectTimingEq(w, f, "sequence step");
-        expectLogEq(log_w, log_f, "sequence step");
+        expectHistEq(hist_w, hist_f, "sequence step");
         ASSERT_EQ(psi_w.cursor(), psi_f.cursor());
     }
 }
@@ -180,10 +178,13 @@ TEST(SimEquiv, TableBoundaryAroundDrawCount)
     // the one-value distribution) from two cursor starts.
     // 2500 x 100 x 97 on a 32x32 array with 1024-row m-tiles: 3
     // m-tiles x 4 n-tiles x 4 k-sub-tiles, every one with an edge.
+    // The full m-tiles draw a run of 32, the edge tile one of 16; S = 7
+    // divides neither, so the histogram's per-band remainders count.
     const AccelConfig cfg = AccelConfig::focus();
     const int64_t m = 2500, k = 100, n = 97;
     const uint64_t draws = 3 * 4 * 4;
-    for (const uint64_t S : {uint64_t{1}, draws - 1, draws, draws + 1}) {
+    for (const uint64_t S :
+         {uint64_t{1}, uint64_t{7}, draws - 1, draws, draws + 1}) {
         std::vector<double> fracs(static_cast<size_t>(S));
         for (size_t i = 0; i < fracs.size(); ++i) {
             fracs[i] = 0.07 + 0.9 * static_cast<double>((i * 7) % S) /
@@ -196,10 +197,10 @@ TEST(SimEquiv, TableBoundaryAroundDrawCount)
             }
             FracSampler psi(&fracs, 1.0);
             psi.advance(start);
-            std::vector<int64_t> log;
-            timeGemm(cfg, m, k, n, psi, true, false, log);
+            TileLengthHistogram hist;
+            timeGemm(cfg, m, k, n, psi, true, false, hist);
             EXPECT_EQ(psi.cursor(), (start + draws) % S) << S;
-            EXPECT_EQ(log.size(), draws) << S;
+            EXPECT_EQ(hist.size(), draws) << S;
         }
     }
 }
@@ -246,11 +247,7 @@ expectRunEq(const RunMetrics &w, const RunMetrics &f)
     EXPECT_EQ(w.utilization, f.utilization);
     EXPECT_EQ(w.mean_input_frac, f.mean_input_frac);
     EXPECT_EQ(w.energy.total(), f.energy.total());
-    ASSERT_EQ(w.tile_lengths.size(), f.tile_lengths.size());
-    for (size_t i = 0; i < w.tile_lengths.size(); ++i) {
-        ASSERT_EQ(w.tile_lengths[i], f.tile_lengths[i])
-            << "tile_lengths[" << i << "]";
-    }
+    expectHistEq(w.tile_lengths, f.tile_lengths, "run");
 }
 
 void
@@ -313,42 +310,6 @@ TEST_P(SimEquivThreads, FusedTraceEquivalence)
     b.tile_fracs = {0.4, 0.9};
     const WorkloadTrace fused = fuseTraces({&a, &b});
     checkTrace(AccelConfig::focus(), fused);
-}
-
-TEST_P(SimEquivThreads, TileLengthLogCutAtCapInsideOneGemm)
-{
-    // The run's Fig. 13 log is the per-GEMM walk logs, concatenated
-    // and cut at the cap.  On this trace the cut falls inside one
-    // SIC GEMM (layer 0's gate/up), so the cap must stop a GEMM's
-    // appends part-way, not only between GEMMs.
-    const ModelProfile mp = modelProfile("Llava-Vid");
-    const DatasetProfile dp = datasetProfile("VideoMME");
-    WorkloadTrace fo = buildTrace(mp, dp, MethodConfig::focusFull(),
-                                  flatAggregate(mp.layers, 1.0, 0.5));
-    fo.tile_fracs = {0.12, 0.93, 0.47, 0.71, 0.25, 0.66, 0.38};
-    const AccelConfig cfg = AccelConfig::focus();
-
-    FracSampler psi(&fo.tile_fracs, 1.0);
-    std::vector<int64_t> expect;
-    bool cut_inside_gemm = false;
-    for (const LayerEvents &layer : fo.layers) {
-        for (const GemmEvent &g : layer.gemms) {
-            if (g.psi_in >= 1.0 || expect.size() >= kTileLengthCap) {
-                continue;
-            }
-            std::vector<int64_t> log;
-            reference::timeGemmWalk(cfg, g.m, g.k, g.n, psi, true,
-                                    g.gather_out, log);
-            cut_inside_gemm = cut_inside_gemm ||
-                expect.size() + log.size() > kTileLengthCap;
-            expect.insert(expect.end(), log.begin(), log.end());
-        }
-    }
-    ASSERT_TRUE(cut_inside_gemm);
-    expect.resize(kTileLengthCap);
-
-    const RunMetrics rm = simulateAccelerator(cfg, fo);
-    expectLogEq(expect, rm.tile_lengths, "run log");
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SimEquivThreads,

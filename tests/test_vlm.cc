@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <thread>
 
+#include "runtime/thread_pool.h"
 #include "vlm/model.h"
 #include "workload/video_gen.h"
 
@@ -35,6 +37,45 @@ TEST(VlmModel, ForwardIsDeterministic)
         fx.model.forward(s, MethodConfig::dense(), fx.gen.bank());
     EXPECT_EQ(a.predicted_color, b.predicted_color);
     EXPECT_DOUBLE_EQ(a.ops, b.ops);
+}
+
+TEST(VlmModel, ThreadLocalBuffersKeepBits)
+{
+    // forwardBatch keeps its working buffers per thread.  An image
+    // sample run after a video sample on the same thread finds them
+    // sized and filled by the video; it must match the same image
+    // sample on a fresh thread, whose buffers start empty.
+    ThreadPool::setGlobalThreads(1);
+    Fixture fx;
+    const ModelProfile mp = modelProfile("Qwen2.5-VL");
+    const VideoGenerator gen(datasetProfile("VQAv2"), mp, 61);
+    const VlmModel model(mp, 62);
+    const VideoSample img = gen.sample(0);
+    const MethodConfig focus = MethodConfig::focusFull();
+
+    fx.model.forward(fx.gen.sample(0), focus, fx.gen.bank());
+    const ForwardResult reused = model.forward(img, focus, gen.bank());
+    ForwardResult fresh;
+    std::thread([&] {
+        fresh = model.forward(img, focus, gen.bank());
+    }).join();
+    ThreadPool::setGlobalThreads(0);
+
+    EXPECT_EQ(reused.predicted_color, fresh.predicted_color);
+    EXPECT_EQ(reused.ops, fresh.ops);
+    EXPECT_EQ(reused.readout_attention, fresh.readout_attention);
+    EXPECT_EQ(reused.active_original, fresh.active_original);
+    ASSERT_EQ(reused.layers.size(), fresh.layers.size());
+    for (size_t l = 0; l < reused.layers.size(); ++l) {
+        const LayerRecord &a = reused.layers[l];
+        const LayerRecord &b = fresh.layers[l];
+        EXPECT_EQ(a.visual_out, b.visual_out) << "layer " << l;
+        EXPECT_EQ(a.psi_qkv, b.psi_qkv) << "layer " << l;
+        EXPECT_EQ(a.psi_oproj, b.psi_oproj) << "layer " << l;
+        EXPECT_EQ(a.psi_ffn, b.psi_ffn) << "layer " << l;
+        EXPECT_EQ(a.psi_down, b.psi_down) << "layer " << l;
+        EXPECT_EQ(a.tile_fracs, b.tile_fracs) << "layer " << l;
+    }
 }
 
 TEST(VlmModel, DenseOpsEqualMethodOpsForDense)
