@@ -88,21 +88,115 @@ namespace
 {
 
 // -----------------------------------------------------------------
-// Packing
+// The register tile and the single-row loop
 //
-// B is packed once per gemm call into column panels of kNr: panel jp
-// holds, for each depth step p, the kNr values b[p][jp*kNr .. +kNr),
-// zero-padded past n.  The microkernel then streams one contiguous
-// kNr-wide panel slice per K block.  A is packed per (M block, K
-// block) into row quads of kMr: quad iq holds, for each depth step p,
-// the kMr values a[iq*kMr .. +kMr)[p], zero-padded past m.
+// Shared by the GEMM and the causal P*V.  Each output element has one
+// accumulator that starts at +0 and takes one std::fma per depth step
+// in ascending order, whichever of the two runs it, so a tile and the
+// single-row loop agree bit for bit with each other and with
+// tests/reference/gemm.h.
+// -----------------------------------------------------------------
+
+constexpr int64_t kLanes = 8;              ///< one ymm of floats
+constexpr int64_t kNrBlocks = kNr / kLanes; ///< 8-lane blocks per tile row
+
+/**
+ * One row's accumulator blocks out to memory.  Rows are stored one at
+ * a time: stores interleaved across rows make GCC 12 add a run-time
+ * check for overlapping rows (row stride < kNr).
+ */
+FOCUS_ALWAYS_INLINE void
+storeRow(const float (&acc)[kNrBlocks][kLanes], float *FOCUS_RESTRICT o)
+{
+    for (int64_t b = 0; b < kNrBlocks; ++b) {
+        for (int64_t e = 0; e < kLanes; ++e) {
+            o[b * kLanes + e] = acc[b][e];
+        }
+    }
+}
+
+/**
+ * kMr x kNr tile: o_r[c] = sum_{p < depth} x_r[p] * b[p*ldb + c] for
+ * rows r in [0, 4) and c in [0, kNr).  The x_r are A rows (or P rows)
+ * read in place; b is a packed B panel (ldb = kNr) or V in place.
+ * Each depth step is four broadcasts times kNr B values: eight zmm
+ * FMAs in the x86-64-v4 clone, enough independent chains for two FMA
+ * ports at four cycles of latency.  Each row keeps its own array of
+ * 8-lane blocks: with one acc[r][b][e] array GCC 12 interchanges the
+ * loops and stores the accumulators at every depth step.
+ */
+FOCUS_ALWAYS_INLINE void
+tile4x32(const float *FOCUS_RESTRICT x0, const float *FOCUS_RESTRICT x1,
+         const float *FOCUS_RESTRICT x2, const float *FOCUS_RESTRICT x3,
+         int64_t depth, const float *FOCUS_RESTRICT b, int64_t ldb,
+         float *FOCUS_RESTRICT o0, float *FOCUS_RESTRICT o1,
+         float *FOCUS_RESTRICT o2, float *FOCUS_RESTRICT o3)
+{
+    float a0[kNrBlocks][kLanes] = {}, a1[kNrBlocks][kLanes] = {};
+    float a2[kNrBlocks][kLanes] = {}, a3[kNrBlocks][kLanes] = {};
+    for (int64_t p = 0; p < depth; ++p) {
+        const float s0 = x0[p], s1 = x1[p], s2 = x2[p], s3 = x3[p];
+        const float *FOCUS_RESTRICT brow = b + p * ldb;
+        for (int64_t blk = 0; blk < kNrBlocks; ++blk) {
+            for (int64_t e = 0; e < kLanes; ++e) {
+                const float bv = brow[blk * kLanes + e];
+                a0[blk][e] = std::fma(s0, bv, a0[blk][e]);
+                a1[blk][e] = std::fma(s1, bv, a1[blk][e]);
+                a2[blk][e] = std::fma(s2, bv, a2[blk][e]);
+                a3[blk][e] = std::fma(s3, bv, a3[blk][e]);
+            }
+        }
+    }
+    storeRow(a0, o0);
+    storeRow(a1, o1);
+    storeRow(a2, o2);
+    storeRow(a3, o3);
+}
+
+/** orow[c] += x[j] * b[j][c] for j in [j0, j1), c in [c0, c1). */
+FOCUS_ALWAYS_INLINE void
+pvAccumulate(const float *FOCUS_RESTRICT x, int64_t j0, int64_t j1,
+             const float *FOCUS_RESTRICT b, int64_t ldb,
+             float *FOCUS_RESTRICT orow, int64_t c0, int64_t c1)
+{
+    for (int64_t j = j0; j < j1; ++j) {
+        const float xj = x[j];
+        const float *FOCUS_RESTRICT brow = b + j * ldb;
+        for (int64_t c = c0; c < c1; ++c) {
+            orow[c] = std::fma(xj, brow[c], orow[c]);
+        }
+    }
+}
+
+/**
+ * The single-row loop: orow[c] = sum_{j < depth} x[j] * b[j][c] over
+ * columns [c0, c1), accumulated in memory.  Runs the rows and columns
+ * no full tile covers.
+ */
+FOCUS_ALWAYS_INLINE void
+pvRow(const float *FOCUS_RESTRICT x, int64_t depth,
+      const float *FOCUS_RESTRICT b, int64_t ldb,
+      float *FOCUS_RESTRICT orow, int64_t c0, int64_t c1)
+{
+    for (int64_t c = c0; c < c1; ++c) {
+        orow[c] = 0.0f;
+    }
+    pvAccumulate(x, 0, depth, b, ldb, orow, c0, c1);
+}
+
+// -----------------------------------------------------------------
+// GEMM
+//
+// B is packed once per gemm call into its full column panels of kNr:
+// panel jp holds, for each depth step p, the kNr values
+// b[p][jp*kNr .. +kNr).  A is read in place.
 // -----------------------------------------------------------------
 
 void
 packB(const float *b, int64_t ldb, int64_t k, int64_t n,
       float *FOCUS_RESTRICT dst)
 {
-    const int64_t full = (n / kNr) * kNr;
+    const int64_t full = n / kNr * kNr;
     const int64_t panel_stride = k * kNr;
     // Row-major pass over B: each source row is read once
     // sequentially and scattered into the per-panel slots for depth
@@ -110,194 +204,41 @@ packB(const float *b, int64_t ldb, int64_t k, int64_t n,
     for (int64_t p = 0; p < k; ++p) {
         const float *FOCUS_RESTRICT src = b + p * ldb;
         float *out = dst + p * kNr;
-        int64_t j0 = 0;
-        for (; j0 < full; j0 += kNr, out += panel_stride) {
+        for (int64_t j0 = 0; j0 < full; j0 += kNr, out += panel_stride) {
             for (int64_t j = 0; j < kNr; ++j) {
                 out[j] = src[j0 + j];
             }
         }
-        if (j0 < n) {
-            const int64_t nr = n - j0;
-            for (int64_t j = 0; j < nr; ++j) {
-                out[j] = src[j0 + j];
-            }
-            for (int64_t j = nr; j < kNr; ++j) {
-                out[j] = 0.0f;
-            }
-        }
-    }
-}
-
-void
-packA(const float *a, int64_t lda, int64_t i0, int64_t mb, int64_t k0,
-      int64_t kc, float *FOCUS_RESTRICT dst)
-{
-    const int64_t full = (mb / kMr) * kMr;
-    int64_t iq = 0;
-    // Full quads: branch-free 4-row interleave.
-    for (; iq < full; iq += kMr, dst += kMr * kc) {
-        const float *FOCUS_RESTRICT r0 = a + (i0 + iq) * lda + k0;
-        const float *FOCUS_RESTRICT r1 = r0 + lda;
-        const float *FOCUS_RESTRICT r2 = r1 + lda;
-        const float *FOCUS_RESTRICT r3 = r2 + lda;
-        for (int64_t p = 0; p < kc; ++p) {
-            dst[p * kMr] = r0[p];
-            dst[p * kMr + 1] = r1[p];
-            dst[p * kMr + 2] = r2[p];
-            dst[p * kMr + 3] = r3[p];
-        }
-    }
-    // Trailing partial quad: zero-fill, then copy the valid rows.
-    if (iq < mb) {
-        std::fill(dst, dst + kMr * kc, 0.0f);
-        for (int64_t r = 0; iq + r < mb; ++r) {
-            const float *FOCUS_RESTRICT src =
-                a + (i0 + iq + r) * lda + k0;
-            for (int64_t p = 0; p < kc; ++p) {
-                dst[p * kMr + r] = src[p];
-            }
-        }
-    }
-}
-
-// -----------------------------------------------------------------
-// Microkernels
-//
-// micro4x16: the register tile.  ap is a packed kMr-row quad (kMr
-// values per depth step), bp a packed kNr-wide panel slice.  On the
-// first K block (load_c false) the accumulators start at zero —
-// folding the output zeroing into the kernel; later K blocks load the
-// partial C tile first and accumulation across K blocks stays
-// strictly sequential in k per element — the bit-exactness invariant.
-// -----------------------------------------------------------------
-
-constexpr int64_t kLanes = 8;              ///< one ymm of floats
-constexpr int64_t kNrBlocks = kNr / kLanes; ///< ymm blocks per tile row
-
-/** One tile row of C into its accumulator blocks. */
-FOCUS_ALWAYS_INLINE void
-loadRow(const float *FOCUS_RESTRICT c, float (&acc)[kNrBlocks][kLanes])
-{
-    for (int64_t b = 0; b < kNrBlocks; ++b) {
-        for (int64_t e = 0; e < kLanes; ++e) {
-            acc[b][e] = c[b * kLanes + e];
-        }
     }
 }
 
 /**
- * One row's accumulator blocks back into C.  Rows are stored one at a
- * time: stores interleaved across rows make GCC 12 add a run-time
- * check for overlapping rows (ldc < kNr).
- */
-FOCUS_ALWAYS_INLINE void
-storeRow(const float (&acc)[kNrBlocks][kLanes], float *FOCUS_RESTRICT c)
-{
-    for (int64_t b = 0; b < kNrBlocks; ++b) {
-        for (int64_t e = 0; e < kLanes; ++e) {
-            c[b * kLanes + e] = acc[b][e];
-        }
-    }
-}
-
-/**
- * 4 x 16 tile: each depth step is four broadcasts of A times two
- * 8-lane B blocks, so the eight ymm accumulators cover two FMA ports
- * at four cycles of latency.  Each row keeps its own array of 8-lane
- * blocks: with one acc[r][b][e] array GCC 12 interchanges the loops
- * and stores the accumulators at every depth step.
+ * One M block, C rows [i0, i0+mb): panels outer and 4-row groups
+ * inner, so a panel slice stays in L1 while every group of the block
+ * reads it.  Rows past the last group and columns past the last full
+ * panel run the single-row loop on unpacked B.  Writes only its own C
+ * rows, so concurrent blocks never overlap.
  */
 FOCUS_KERNEL_CLONES void
-micro4x16(int64_t kc, const float *FOCUS_RESTRICT ap,
-          const float *FOCUS_RESTRICT bp, float *FOCUS_RESTRICT c,
-          int64_t ldc, bool load_c)
-{
-    float a0[kNrBlocks][kLanes] = {}, a1[kNrBlocks][kLanes] = {};
-    float a2[kNrBlocks][kLanes] = {}, a3[kNrBlocks][kLanes] = {};
-    float *FOCUS_RESTRICT c0 = c;
-    float *FOCUS_RESTRICT c1 = c0 + ldc;
-    float *FOCUS_RESTRICT c2 = c1 + ldc;
-    float *FOCUS_RESTRICT c3 = c2 + ldc;
-    if (load_c) {
-        loadRow(c0, a0);
-        loadRow(c1, a1);
-        loadRow(c2, a2);
-        loadRow(c3, a3);
-    }
-    for (int64_t p = 0; p < kc; ++p) {
-        const float x0 = ap[0], x1 = ap[1], x2 = ap[2], x3 = ap[3];
-        for (int64_t b = 0; b < kNrBlocks; ++b) {
-            for (int64_t e = 0; e < kLanes; ++e) {
-                const float bv = bp[b * kLanes + e];
-                a0[b][e] = std::fma(x0, bv, a0[b][e]);
-                a1[b][e] = std::fma(x1, bv, a1[b][e]);
-                a2[b][e] = std::fma(x2, bv, a2[b][e]);
-                a3[b][e] = std::fma(x3, bv, a3[b][e]);
-            }
-        }
-        ap += kMr;
-        bp += kNr;
-    }
-    storeRow(a0, c0);
-    storeRow(a1, c1);
-    storeRow(a2, c2);
-    storeRow(a3, c3);
-}
-
-/**
- * Edge tile (mr < kMr rows or nr < kNr columns): the full tile runs
- * over the zero-padded packed panels into a stack tile, and only the
- * valid mr x nr part is copied out, so every valid element gets the
- * full tile's arithmetic.
- */
-void
-microEdge(int64_t kc, const float *ap, const float *bp, float *c,
-          int64_t ldc, int64_t mr, int64_t nr, bool load_c)
-{
-    float tile[kMr * kNr] = {};
-    if (load_c) {
-        for (int64_t r = 0; r < mr; ++r) {
-            std::copy(c + r * ldc, c + r * ldc + nr, tile + r * kNr);
-        }
-    }
-    micro4x16(kc, ap, bp, tile, kNr, load_c);
-    for (int64_t r = 0; r < mr; ++r) {
-        std::copy(tile + r * kNr, tile + r * kNr + nr, c + r * ldc);
-    }
-}
-
-/**
- * One M block: pack A per K block and run the panel microkernels.
- * Writes only C rows [i0, i0+mb), so concurrent blocks never overlap.
- */
-void
 gemmBlock(int64_t i0, int64_t mb, int64_t n, int64_t k, const float *a,
-          int64_t lda, const float *bpack, float *c, int64_t ldc)
+          int64_t lda, const float *b, int64_t ldb, const float *bpack,
+          float *c, int64_t ldc)
 {
-    static thread_local std::vector<float> apack;
-    const int64_t mbp = ((mb + kMr - 1) / kMr) * kMr;
-    const int64_t panels = (n + kNr - 1) / kNr;
-    for (int64_t k0 = 0; k0 < k; k0 += kKc) {
-        const int64_t kc = std::min(kKc, k - k0);
-        // The first K block starts its accumulators at zero; later
-        // ones accumulate onto the partial C tile.
-        const bool load_c = k0 > 0;
-        apack.resize(static_cast<size_t>(mbp * kc));
-        packA(a, lda, i0, mb, k0, kc, apack.data());
-        for (int64_t jp = 0; jp < panels; ++jp) {
-            const int64_t nr = std::min(kNr, n - jp * kNr);
-            const float *bp = bpack + jp * (k * kNr) + k0 * kNr;
-            for (int64_t iq = 0; iq < mb; iq += kMr) {
-                const int64_t mr = std::min(kMr, mb - iq);
-                const float *ap =
-                    apack.data() + (iq / kMr) * (kc * kMr);
-                float *cp = c + (i0 + iq) * ldc + jp * kNr;
-                if (mr == kMr && nr == kNr) {
-                    micro4x16(kc, ap, bp, cp, ldc, load_c);
-                } else {
-                    microEdge(kc, ap, bp, cp, ldc, mr, nr, load_c);
-                }
-            }
+    const int64_t rows = mb / kMr * kMr;
+    const int64_t cols = n / kNr * kNr;
+    for (int64_t j0 = 0; j0 < cols; j0 += kNr) {
+        const float *bp = bpack + j0 * k;
+        for (int64_t i = i0; i < i0 + rows; i += kMr) {
+            const float *x = a + i * lda;
+            float *o = c + i * ldc + j0;
+            tile4x32(x, x + lda, x + 2 * lda, x + 3 * lda, k, bp, kNr, o,
+                     o + ldc, o + 2 * ldc, o + 3 * ldc);
+        }
+    }
+    for (int64_t i = i0; i < i0 + mb; ++i) {
+        const int64_t c0 = i < i0 + rows ? cols : 0;
+        if (c0 < n) {
+            pvRow(a + i * lda, k, b, ldb, c + i * ldc, c0, n);
         }
     }
 }
@@ -463,80 +404,11 @@ qkScoresRange(const float *q, int64_t ldq, const float *kt, int64_t ldt,
     }
 }
 
-// -----------------------------------------------------------------
-// P*V register tile
-//
-// Unlike the QK^T tiles these fuse: each element has one accumulator,
-// updated by one fma per key in ascending j, so the tile and the
-// in-memory single-row loop agree bit for bit.
-// -----------------------------------------------------------------
-
-constexpr int64_t kPvCols = 32; ///< P*V tile width (4 ymm per row)
-
 /**
- * Output rows per block of causalAttentionF32.  Even, so the P*V row
- * pairs of a block are the pairs of one call over every row.
+ * Output rows per block of causalAttentionF32.  A multiple of kMr, so
+ * every P*V row group of a full block is a full tile.
  */
 constexpr int64_t kStreamBlock = 16;
-
-/** orow[c] += p[j] * v[j][c] for j in [j0, j1), c in [c0, c1). */
-FOCUS_ALWAYS_INLINE void
-pvAccumulate(const float *FOCUS_RESTRICT prow, int64_t j0, int64_t j1,
-             const float *FOCUS_RESTRICT v, int64_t ldv,
-             float *FOCUS_RESTRICT orow, int64_t c0, int64_t c1)
-{
-    for (int64_t j = j0; j < j1; ++j) {
-        const float pj = prow[j];
-        const float *FOCUS_RESTRICT vrow = v + j * ldv;
-        for (int64_t c = c0; c < c1; ++c) {
-            orow[c] = std::fma(pj, vrow[c], orow[c]);
-        }
-    }
-}
-
-/** pvCausalF32's single-row loop over columns [c0, c1). */
-FOCUS_ALWAYS_INLINE void
-pvRow(const float *FOCUS_RESTRICT prow, int64_t lim,
-      const float *FOCUS_RESTRICT v, int64_t ldv,
-      float *FOCUS_RESTRICT orow, int64_t c0, int64_t c1)
-{
-    for (int64_t c = c0; c < c1; ++c) {
-        orow[c] = 0.0f;
-    }
-    pvAccumulate(prow, 0, lim, v, ldv, orow, c0, c1);
-}
-
-/**
- * Two output rows x kPvCols columns over their shared key range
- * [0, shared): both rows' accumulators stay in registers and every V
- * row slice loaded feeds two rows.  The accumulators are blocks of
- * kLanes: with one flat 32-wide array per row GCC 12 keeps them on
- * the stack instead.
- */
-FOCUS_ALWAYS_INLINE void
-pvTile2(const float *FOCUS_RESTRICT p0, const float *FOCUS_RESTRICT p1,
-        int64_t shared, const float *FOCUS_RESTRICT v, int64_t ldv,
-        float *FOCUS_RESTRICT o0, float *FOCUS_RESTRICT o1)
-{
-    constexpr int64_t kBlocks = kPvCols / kLanes;
-    float a0[kBlocks][kLanes] = {}, a1[kBlocks][kLanes] = {};
-    for (int64_t j = 0; j < shared; ++j) {
-        const float x0 = p0[j], x1 = p1[j];
-        const float *FOCUS_RESTRICT vrow = v + j * ldv;
-        for (int64_t b = 0; b < kBlocks; ++b) {
-            for (int64_t c = 0; c < kLanes; ++c) {
-                a0[b][c] = std::fma(x0, vrow[b * kLanes + c], a0[b][c]);
-                a1[b][c] = std::fma(x1, vrow[b * kLanes + c], a1[b][c]);
-            }
-        }
-    }
-    for (int64_t b = 0; b < kBlocks; ++b) {
-        for (int64_t c = 0; c < kLanes; ++c) {
-            o0[b * kLanes + c] = a0[b][c];
-            o1[b * kLanes + c] = a1[b][c];
-        }
-    }
-}
 
 // -----------------------------------------------------------------
 // SFU tier internals
@@ -638,21 +510,28 @@ softmaxRowVector(float *FOCUS_RESTRICT row, int64_t n)
     }
 }
 
+/**
+ * The 8-lane sums of rmsNormRowVector, l2NormVector and simDot1 are
+ * one Vec8 updated by a per-lane std::fma: as a float[8] array GCC 12
+ * kept the update scalar, eight vfmadd231ss per block.
+ */
 FOCUS_KERNEL_CLONES void
 rmsNormRowVector(float *FOCUS_RESTRICT row, int64_t n,
                  const float *FOCUS_RESTRICT gain, float eps)
 {
-    float s[8] = {};
+    Vec8 s = {}, x;
     int64_t j = 0;
     for (; j + 8 <= n; j += 8) {
+        std::memcpy(&x, row + j, sizeof(x));
         for (int64_t e = 0; e < 8; ++e) {
-            s[e] = std::fma(row[j + e], row[j + e], s[e]);
+            s[e] = std::fma(x[e], x[e], s[e]);
         }
     }
+    float s0 = s[0];
     for (; j < n; ++j) {
-        s[0] += row[j] * row[j];
+        s0 += row[j] * row[j];
     }
-    float ms = ((s[0] + s[1]) + (s[2] + s[3])) +
+    float ms = ((s0 + s[1]) + (s[2] + s[3])) +
         ((s[4] + s[5]) + (s[6] + s[7]));
     ms /= static_cast<float>(n);
     const float inv = 1.0f / std::sqrt(ms + eps);
@@ -670,17 +549,19 @@ rmsNormRowVector(float *FOCUS_RESTRICT row, int64_t n,
 FOCUS_KERNEL_CLONES float
 l2NormVector(const float *FOCUS_RESTRICT v, int64_t n)
 {
-    float s[8] = {};
+    Vec8 s = {}, x;
     int64_t j = 0;
     for (; j + 8 <= n; j += 8) {
+        std::memcpy(&x, v + j, sizeof(x));
         for (int64_t e = 0; e < 8; ++e) {
-            s[e] = std::fma(v[j + e], v[j + e], s[e]);
+            s[e] = std::fma(x[e], x[e], s[e]);
         }
     }
+    float s0 = s[0];
     for (; j < n; ++j) {
-        s[0] += v[j] * v[j];
+        s0 += v[j] * v[j];
     }
-    return std::sqrt(((s[0] + s[1]) + (s[2] + s[3])) +
+    return std::sqrt(((s0 + s[1]) + (s[2] + s[3])) +
                      ((s[4] + s[5]) + (s[6] + s[7])));
 }
 
@@ -695,17 +576,20 @@ FOCUS_KERNEL_CLONES float
 simDot1(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b,
         int64_t n)
 {
-    float l[8] = {};
+    Vec8 l = {}, qv, bv;
     int64_t p = 0;
     for (; p + 8 <= n; p += 8) {
+        std::memcpy(&qv, q + p, sizeof(qv));
+        std::memcpy(&bv, b + p, sizeof(bv));
         for (int64_t e = 0; e < 8; ++e) {
-            l[e] = std::fma(q[p + e], b[p + e], l[e]);
+            l[e] = std::fma(qv[e], bv[e], l[e]);
         }
     }
+    float l0 = l[0];
     for (; p < n; ++p) {
-        l[0] += q[p] * b[p];
+        l0 += q[p] * b[p];
     }
-    return ((l[0] + l[1]) + (l[2] + l[3])) +
+    return ((l0 + l[1]) + (l[2] + l[3])) +
         ((l[4] + l[5]) + (l[6] + l[7]));
 }
 
@@ -962,8 +846,7 @@ gemmF32(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
                  static_cast<uint64_t>(n) * static_cast<uint64_t>(k));
     }
     static thread_local std::vector<float> bpack_tls;
-    const int64_t panels = (n + kNr - 1) / kNr;
-    bpack_tls.resize(static_cast<size_t>(panels * kNr * k));
+    bpack_tls.resize(static_cast<size_t>(n / kNr * kNr * k));
     float *bpack = bpack_tls.data();
     packB(b, ldb, k, n, bpack);
 
@@ -971,7 +854,7 @@ gemmF32(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
     auto run_block = [&](int64_t bi) {
         const int64_t i0 = bi * kMc;
         const int64_t mb = std::min(kMc, m - i0);
-        gemmBlock(i0, mb, n, k, a, lda, bpack, c, ldc);
+        gemmBlock(i0, mb, n, k, a, lda, b, ldb, bpack, c, ldc);
     };
 
     // Fan M blocks across the pool when the product is big enough to
@@ -1104,30 +987,28 @@ pvCausalRowsF32(int64_t m, int64_t n, const float *const *prows,
                 const int64_t *src, const float *v, int64_t ldv,
                 float *out, int64_t ldo)
 {
-    const int64_t full = n / kPvCols * kPvCols;
+    const int64_t cols = n / kNr * kNr;
     int64_t r = 0;
-    for (; r + 2 <= m; r += 2) {
-        const int64_t src0 = src[r];
-        const int64_t src1 = src[r + 1];
-        const float *prow0 = prows[r];
-        const float *prow1 = prows[r + 1];
-        float *orow0 = out + r * ldo;
-        float *orow1 = orow0 + ldo;
-        const int64_t shared = std::min(src0, src1) + 1;
-        for (int64_t c0 = 0; c0 < full; c0 += kPvCols) {
-            pvTile2(prow0, prow1, shared, v + c0, ldv, orow0 + c0,
-                    orow1 + c0);
-            pvAccumulate(prow0, shared, src0 + 1, v, ldv, orow0, c0,
-                         c0 + kPvCols);
-            pvAccumulate(prow1, shared, src1 + 1, v, ldv, orow1, c0,
-                         c0 + kPvCols);
+    for (; r + kMr <= m; r += kMr) {
+        const float *const *x = prows + r;
+        float *o = out + r * ldo;
+        const int64_t shared =
+            std::min({src[r], src[r + 1], src[r + 2], src[r + 3]}) + 1;
+        for (int64_t c0 = 0; c0 < cols; c0 += kNr) {
+            tile4x32(x[0], x[1], x[2], x[3], shared, v + c0, ldv, o + c0,
+                     o + ldo + c0, o + 2 * ldo + c0, o + 3 * ldo + c0);
+            for (int64_t q = 0; q < kMr; ++q) {
+                pvAccumulate(x[q], shared, src[r + q] + 1, v, ldv,
+                             o + q * ldo, c0, c0 + kNr);
+            }
         }
-        if (full < n) {
-            pvRow(prow0, src0 + 1, v, ldv, orow0, full, n);
-            pvRow(prow1, src1 + 1, v, ldv, orow1, full, n);
+        if (cols < n) {
+            for (int64_t q = 0; q < kMr; ++q) {
+                pvRow(x[q], src[r + q] + 1, v, ldv, o + q * ldo, cols, n);
+            }
         }
     }
-    if (r < m) {
+    for (; r < m; ++r) {
         pvRow(prows[r], src[r] + 1, v, ldv, out + r * ldo, 0, n);
     }
 }
@@ -1137,8 +1018,8 @@ pvCausalF32(int64_t m, int64_t n, const float *p, int64_t ldp,
             const int64_t *rowmap, const float *v, int64_t ldv,
             float *out, int64_t ldo)
 {
-    // Row pointers a chunk at a time.  The chunk is even, so the
-    // row pairs are the ones a single call over all m rows takes.
+    // Row pointers a chunk at a time, a multiple of kMr so every row
+    // group of a full chunk is a full tile.
     constexpr int64_t kChunk = 64;
     const float *prows[kChunk];
     int64_t src[kChunk];

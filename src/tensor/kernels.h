@@ -6,14 +6,16 @@
  * This is the compute substrate under `tensor/ops.h` (`gemm`,
  * softmax, RMSNorm, SiLU), the attention inner loops of
  * `vlm/model.cc`, and the SIC similarity gather of `focus/sic.cc`.
- * The GEMM is B-panel packing + a 4x16 register tile (eight 8-lane
- * accumulators, four 16-lane ones in the x86-64-v4 clone; edge tiles
- * run it into a stack tile) with M-blocks fanned across the
- * `runtime/thread_pool.h` pool.  It is
- * bit-identical to the naive reference loops in tests/reference/gemm.h
- * — per output element the accumulation order is exactly the
- * reference order (ascending k with a single accumulator, one std::fma
- * per step) — at every thread count.  The attention interiors
+ * The GEMM packs B into 32-wide panels and reads A in place; a 4x32
+ * register tile (eight zmm accumulators in the x86-64-v4 clone,
+ * sixteen ymm in the x86-64-v3 one) covers every full 4-row group and
+ * panel, and the causal P*V runs the same tile.  Rows and columns no
+ * full tile covers run a single-row loop.  M-blocks fan across the
+ * `runtime/thread_pool.h` pool.  The GEMM is bit-identical to the
+ * naive reference loops in tests/reference/gemm.h — per output
+ * element the accumulation order is exactly the reference order
+ * (ascending k with a single accumulator from +0, one std::fma per
+ * step) — at every thread count.  The attention interiors
  * (`dotRowsScaled`, the causal QK^T/P*V products) pin their
  * accumulation order the same way.
  *
@@ -136,18 +138,17 @@ void roundFp16F32(float *x, int64_t n);
 // ---------------------------------------------------------------
 // Blocking geometry (exposed for tests and docs/KERNELS.md).
 // ---------------------------------------------------------------
-inline constexpr int64_t kMr = 4;   ///< microkernel rows (A panel)
-inline constexpr int64_t kNr = 16;  ///< microkernel cols (B panel)
-inline constexpr int64_t kMc = 64;  ///< rows per M block = parallel grain
-inline constexpr int64_t kKc = 256; ///< depth per packed K block
+inline constexpr int64_t kMr = 4;  ///< register tile rows (A or P rows)
+inline constexpr int64_t kNr = 32; ///< register tile cols (B panel, V slice)
+inline constexpr int64_t kMc = 64; ///< rows per M block = parallel grain
 
 /**
  * C = A * B on raw row-major buffers — the portable blocked path.
  *
  * A is (m x k) with row stride @p lda, B is (k x n) with row stride
  * @p ldb, C is (m x n) with row stride @p ldc.  C's prior contents
- * are ignored: the first K block starts its accumulators at zero, so
- * callers need not zero C.
+ * are ignored: every element's accumulator starts at zero, so callers
+ * need not zero C.
  *
  * Per output element the accumulation order is ascending k with a
  * single accumulator — bit-identical to the naive reference
@@ -272,10 +273,11 @@ void softmaxCausalRowF32(float *row, int64_t i, int64_t rows);
  * P*V with one probability row pointer per output row: for r in
  * [0, m), out[r*ldo + c] = sum_{j=0}^{src[r]} prows[r][j] * v[j*ldv + c]
  * in ascending j with one accumulator per element.  Output rows are
- * taken in pairs as 2 x 32 register tiles over the pair's shared
- * causal range, then each row adds its remaining keys in memory;
- * column edges and an odd last row run the single-row loop.  None of
- * this changes an element's accumulation order.
+ * taken in groups of kMr as the GEMM's kMr x kNr register tile over
+ * the group's shared causal range, then each row adds its remaining
+ * keys in memory; column edges and the last m % kMr rows run the
+ * single-row loop.  None of this changes an element's accumulation
+ * order.
  */
 void pvCausalRowsF32(int64_t m, int64_t n, const float *const *prows,
                      const int64_t *src, const float *v, int64_t ldv,

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -196,11 +197,63 @@ expectBatchMatchesAtEverySplit(const Evaluator &ev, const MethodConfig &m,
     }
 }
 
-/** One method on one evaluator's first three samples. */
+/**
+ * One method on one profile's first three samples.  @p name labels
+ * the case in the test name, so each case is its own ctest entry.
+ */
 struct ForwardCase
 {
-    const Evaluator *ev;
+    const char *name;
+    bool image;
     MethodConfig method;
+};
+
+void
+PrintTo(const ForwardCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+/**
+ * Each evaluator is built once per process, by the first case that
+ * needs it: ctest runs every case in its own process.
+ */
+const Evaluator &
+evaluatorFor(bool image)
+{
+    if (image) {
+        static const Evaluator image_ev("Qwen2.5-VL", "VQAv2", quick(3));
+        return image_ev;
+    }
+    static const Evaluator video_ev("MiniCPM", "MVBench", quick(3));
+    return video_ev;
+}
+
+std::vector<ForwardCase>
+forwardCases()
+{
+    MethodConfig focus_q = MethodConfig::focusFull();
+    focus_q.int8 = true;
+    MethodConfig top_p = MethodConfig::focusFull();
+    top_p.focus.sec.select = SecSelect::TopP;
+    MethodConfig threshold = MethodConfig::focusFull();
+    threshold.focus.sec.select = SecSelect::Threshold;
+    MethodConfig single_frame = MethodConfig::focusFull();
+    single_frame.focus.sic.block_f = 1;
+    return {
+        {"FocusVideo", false, MethodConfig::focusFull()},
+        {"FocusInt8Video", false, focus_q},
+        {"AdaptivVideo", false, MethodConfig::adaptivBaseline()},
+        {"SingleFrameSicImage", true, single_frame},
+        {"TopPImage", true, top_p},
+        {"ThresholdImage", true, threshold},
+        {"SecOnlyImage", true, MethodConfig::focusSecOnly()},
+        {"SicOnlyImage", true, MethodConfig::focusSicOnly()},
+    };
+}
+
+class ForwardBatch : public ::testing::TestWithParam<ForwardCase>
+{
 };
 
 // forwardBatch must match the reference sample by sample, for every
@@ -212,53 +265,36 @@ struct ForwardCase
 // FOCUS_THREADS says.  forward() is the split into batches of one.
 // The image profile's 206-row samples keep the list cheap enough for
 // the sanitizer builds.
-TEST(Forward, BatchMatchesReferenceAtEverySplit)
+TEST_P(ForwardBatch, MatchesReferenceAtEverySplit)
 {
-    const Evaluator video("MiniCPM", "MVBench", quick(3));
-    const Evaluator image("Qwen2.5-VL", "VQAv2", quick(3));
-
-    MethodConfig focus_q = MethodConfig::focusFull();
-    focus_q.int8 = true;
-    MethodConfig top_p = MethodConfig::focusFull();
-    top_p.focus.sec.select = SecSelect::TopP;
-    MethodConfig threshold = MethodConfig::focusFull();
-    threshold.focus.sec.select = SecSelect::Threshold;
-    MethodConfig single_frame = MethodConfig::focusFull();
-    single_frame.focus.sic.block_f = 1;
-
-    const ForwardCase cases[] = {
-        {&video, MethodConfig::focusFull()},
-        {&video, focus_q},
-        {&video, MethodConfig::adaptivBaseline()},
-        {&image, single_frame},
-        {&image, top_p},
-        {&image, threshold},
-        {&image, MethodConfig::focusSecOnly()},
-        {&image, MethodConfig::focusSicOnly()},
-    };
-    for (const ForwardCase &c : cases) {
-        const VideoGenerator &gen = c.ev->generator();
-        SCOPED_TRACE(c.method.name() + " on " + c.ev->modelProfile().name);
-        std::vector<VideoSample> samples;
-        std::vector<ForwardResult> ref;
-        for (uint64_t i = 0; i < 3; ++i) {
-            samples.push_back(gen.sample(i));
-            ref.push_back(reference::forward(c.ev->model(), samples.back(),
-                                             c.method, gen.bank()));
-        }
-        for (int threads : {1, 4}) {
-            SCOPED_TRACE(std::to_string(threads) + " threads");
-            ThreadPool::setGlobalThreads(threads);
-            expectBatchMatchesAtEverySplit(*c.ev, c.method, samples, ref);
-        }
-        ThreadPool::setGlobalThreads(0);
-        for (std::size_t i = 0; i < samples.size(); ++i) {
-            expectForwardBitEqual(
-                ref[i], c.ev->model().forward(samples[i], c.method,
-                                              gen.bank()));
-        }
+    const ForwardCase &c = GetParam();
+    const Evaluator &ev = evaluatorFor(c.image);
+    const VideoGenerator &gen = ev.generator();
+    SCOPED_TRACE(c.method.name() + " on " + ev.modelProfile().name);
+    std::vector<VideoSample> samples;
+    std::vector<ForwardResult> ref;
+    for (uint64_t i = 0; i < 3; ++i) {
+        samples.push_back(gen.sample(i));
+        ref.push_back(reference::forward(ev.model(), samples.back(),
+                                         c.method, gen.bank()));
+    }
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        ThreadPool::setGlobalThreads(threads);
+        expectBatchMatchesAtEverySplit(ev, c.method, samples, ref);
+    }
+    ThreadPool::setGlobalThreads(0);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        expectForwardBitEqual(
+            ref[i], ev.model().forward(samples[i], c.method, gen.bank()));
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Methods, ForwardBatch, ::testing::ValuesIn(forwardCases()),
+    [](const ::testing::TestParamInfo<ForwardCase> &param) {
+        return std::string(param.param.name);
+    });
 
 // runFunctional's chunked, pool-fanned evaluation must equal the
 // reference aggregate for every method family at 1 and 4 threads,

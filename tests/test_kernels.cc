@@ -57,32 +57,46 @@ bitsEqual(const std::vector<float> &a, const std::vector<float> &b)
                     a.size() * sizeof(float)) == 0;
 }
 
-// Shapes chosen to hit every dispatch edge: unit dims, primes off the
-// 4x16 tile grid, every m % 4 edge row count, n % 16 edge columns
-// (one full panel plus 7 in {6, 23, 19}), exact tile multiples,
-// one-off sizes around the kMc=64 M-block boundary, and k=300 >
-// kKc=256 to exercise the multi-K-block C reload path, on full tiles
-// and on edge tiles ({66, 40, 300}: two edge rows, 8 edge columns).
-// The last three are the forward pass's own projection shapes
-// (gate/up, QKV/O-proj, down) at packed-batch row counts.
 struct Shape
 {
     int64_t m, n, k;
 };
 
+// Shapes chosen to hit every path of the 4 x 32 tile: unit dims and
+// shapes narrower than one panel (n < 32: every column runs the
+// single-row loop), primes off the tile grid, exact tile multiples,
+// one-off sizes around the kMc=64 M-block boundary, and k = 1024, a
+// single accumulation run deeper than any block size.  gemmShapes()
+// adds n one below, at and one past one and three full panels against
+// every m % 4 edge row count, inside one M block and across two.  The
+// last three listed are the forward pass's own projection shapes
+// (gate/up, QKV/O-proj, down) at packed-batch row counts.
 const Shape kShapes[] = {
     {1, 1, 1},      {1, 16, 3},     {5, 1, 7},      {7, 9, 5},
     {13, 17, 11},   {31, 29, 37},   {64, 64, 64},   {65, 63, 66},
     {100, 37, 53},  {127, 129, 64}, {40, 24, 300},  {6, 23, 19},
-    {66, 40, 300},  {413, 256, 64}, {206, 64, 64},  {101, 64, 256},
+    {66, 40, 300},  {37, 65, 1024}, {413, 256, 64}, {206, 64, 64},
+    {101, 64, 256},
 };
+
+std::vector<Shape>
+gemmShapes()
+{
+    std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+    for (int64_t m : {4, 9, 66, 71}) {
+        for (int64_t n : {32, 33, 95, 96}) {
+            shapes.push_back({m, n, 37});
+        }
+    }
+    return shapes;
+}
 
 } // namespace
 
 TEST(KernelsGemm, BlockedBitIdenticalToNaive)
 {
     Rng rng(11);
-    for (const Shape &s : kShapes) {
+    for (const Shape &s : gemmShapes()) {
         const std::vector<float> a = randomBuf(rng, s.m * s.k);
         const std::vector<float> b = randomBuf(rng, s.k * s.n);
         std::vector<float> c_blocked(static_cast<size_t>(s.m * s.n),
@@ -111,9 +125,10 @@ TEST(KernelsGemm, KZeroYieldsZeroOutput)
 TEST(KernelsGemm, ThreadCountBitIdentity)
 {
     // Large enough to cross the parallel-dispatch threshold with
-    // several M blocks.
+    // several M blocks, with an edge row (301 % 4) in the last block
+    // and an edge column (97 % 32) in every block.
     Rng rng(16);
-    const int64_t m = 300, n = 96, k = 128;
+    const int64_t m = 301, n = 97, k = 128;
     const std::vector<float> a = randomBuf(rng, m * k);
     const std::vector<float> b = randomBuf(rng, k * n);
     std::vector<float> c1(static_cast<size_t>(m * n));
@@ -605,6 +620,9 @@ TEST(KernelsAttention, QkScoresRowsMatchDotRowsScaled)
     }
 }
 
+// The oracle is the naive reference product, not gemmF32: the GEMM
+// and P*V share their register tile, so a defect in it would pass a
+// comparison of one with the other.
 TEST(KernelsAttention, PvMatchesGemmOverCausalP)
 {
     Rng rng(52);
@@ -634,15 +652,18 @@ TEST(KernelsAttention, PvMatchesGemmOverCausalP)
                 std::vector<float> want = got;
                 kernels::pvCausalF32(m, n, p.data(), rows, rowmap,
                                      v.data(), ldv, got.data(), ldo);
-                // The GEMM reads the mapped P rows copied densely.
+                // The GEMM reads the mapped P rows copied densely and
+                // accumulates onto a zeroed output.
                 std::vector<float> p_rows(static_cast<size_t>(m * rows));
                 for (int64_t r = 0; r < m; ++r) {
                     const int64_t src = rowmap != nullptr ? rowmap[r] : r;
                     std::copy_n(&p[static_cast<size_t>(src * rows)], rows,
                                 &p_rows[static_cast<size_t>(r * rows)]);
+                    std::fill_n(&want[static_cast<size_t>(r * ldo)], n,
+                                0.0f);
                 }
-                kernels::gemmF32(m, n, rows, p_rows.data(), rows, v.data(),
-                                 ldv, want.data(), ldo);
+                reference::gemmNaiveF32(m, n, rows, p_rows.data(), rows,
+                                        v.data(), ldv, want.data(), ldo);
                 EXPECT_TRUE(bitsEqual(got, want))
                     << "rows=" << rows << " n=" << n
                     << (map != nullptr ? " pruned" : " identity");
