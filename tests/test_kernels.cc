@@ -65,8 +65,8 @@ struct Shape
 // Shapes chosen to hit every path of the 4 x 32 tile: unit dims and
 // shapes narrower than one panel (n < 32: every column runs the
 // single-row loop), primes off the tile grid, exact tile multiples,
-// one-off sizes around the kMc=64 M-block boundary, and k = 1024, a
-// single accumulation run deeper than any block size.  gemmShapes()
+// one-off sizes around the kMc=64 M-block boundary, and k = 1024,
+// 1024 steps into each accumulator with no reload.  gemmShapes()
 // adds n one below, at and one past one and three full panels against
 // every m % 4 edge row count, inside one M block and across two.  The
 // last three listed are the forward pass's own projection shapes
