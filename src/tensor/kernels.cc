@@ -987,9 +987,9 @@ pvCausalRowsF32(int64_t m, int64_t n, const float *const *prows,
                 const int64_t *src, const float *v, int64_t ldv,
                 float *out, int64_t ldo)
 {
+    const int64_t rows = m / kMr * kMr;
     const int64_t cols = n / kNr * kNr;
-    int64_t r = 0;
-    for (; r + kMr <= m; r += kMr) {
+    for (int64_t r = 0; r < rows; r += kMr) {
         const float *const *x = prows + r;
         float *o = out + r * ldo;
         const int64_t shared =
@@ -1002,14 +1002,12 @@ pvCausalRowsF32(int64_t m, int64_t n, const float *const *prows,
                              o + q * ldo, c0, c0 + kNr);
             }
         }
-        if (cols < n) {
-            for (int64_t q = 0; q < kMr; ++q) {
-                pvRow(x[q], src[r + q] + 1, v, ldv, o + q * ldo, cols, n);
-            }
-        }
     }
-    for (; r < m; ++r) {
-        pvRow(prows[r], src[r] + 1, v, ldv, out + r * ldo, 0, n);
+    for (int64_t r = 0; r < m; ++r) {
+        const int64_t c0 = r < rows ? cols : 0;
+        if (c0 < n) {
+            pvRow(prows[r], src[r] + 1, v, ldv, out + r * ldo, c0, n);
+        }
     }
 }
 
