@@ -258,19 +258,21 @@ BM_CausalAttention(benchmark::State &state)
 BENCHMARK(BM_CausalAttention)->Arg(206)->Arg(810);
 
 void
-BM_Silu(benchmark::State &state)
+BM_Swiglu(benchmark::State &state)
 {
+    // The FFN's SwiGLU combine over an (n x n) gate and up.
     const int64_t n = state.range(0);
     Rng rng(8);
     const Tensor base = randomTensor(rng, n, n);
+    const Tensor up = randomTensor(rng, n, n);
     for (auto _ : state) {
         Tensor t = base;
-        siluInPlace(t);
+        kernels::swigluF32(t.data(), up.data(), t.numel());
         benchmark::DoNotOptimize(t.data());
     }
     state.SetItemsProcessed(state.iterations() * n * n);
 }
-BENCHMARK(BM_Silu)->Arg(256);
+BENCHMARK(BM_Swiglu)->Arg(256);
 
 void
 BM_CosineSimilarity(benchmark::State &state)

@@ -10,18 +10,7 @@
 #include "common/half.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
-
-// The kernels need GCC or Clang: the QK^T tile keeps its lane sets in
-// GNU vector types, and the helpers below are GNU attributes.
-//
-// Restrict qualifier: the microkernels rely on it so the compiler can
-// vectorize the packed-panel loops without alias checks.
-#define FOCUS_RESTRICT __restrict__
-
-// Tile helpers are forced inline into their FOCUS_KERNEL_CLONES
-// caller, so each clone compiles them with its own ISA: out of line
-// they would run the default target's SSE2 code.
-#define FOCUS_ALWAYS_INLINE inline __attribute__((always_inline))
+#include "tensor/qk_tile.h"
 
 // Function multi-versioning for the hot FP kernels: on x86-64 the
 // loader picks, by CPUID, the x86-64-v4 clone (AVX-512) or the
@@ -31,11 +20,14 @@
 // contracts a mul+add (-ffp-contract=off), and every fused
 // multiply-add is a std::fma in the source, which the v3 and v4 clones
 // emit as one FMA instruction and the baseline clone as a call to
-// libm's correctly rounded fmaf (docs/KERNELS.md).  cloneName() names
-// the body the host runs by repeating the resolver's CPU-level checks,
-// so it must list the same levels as this attribute.  TSan builds
-// compile one body: its runtime is not up yet when the ifunc resolvers
-// run.
+// libm's correctly rounded fmaf (docs/KERNELS.md).  The QK^T rows
+// (qkScoresRows) are three target() versions of one function instead,
+// one per level, because only the v4 one takes the wide tile; the
+// loader's resolver picks among them by the same levels.  cloneName()
+// names the body the host runs by repeating the resolver's CPU-level
+// checks, so it must list the same levels as this attribute.  TSan
+// builds compile one body: its runtime is not up yet when the ifunc
+// resolvers run.
 #ifndef __has_attribute
 #define __has_attribute(x) 0
 #endif
@@ -66,6 +58,8 @@ namespace focus
 namespace kernels
 {
 
+using namespace detail;
+
 const char *
 cloneName()
 {
@@ -84,6 +78,30 @@ cloneName()
 #endif
 }
 
+/**
+ * dot1 (qk_tile.h) keeps its four lanes as one Vec4: as a float[4]
+ * array GCC 12 unrolled the v4 clone's lane loop into scalar adds.
+ */
+FOCUS_KERNEL_CLONES float
+detail::dot1(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b,
+             int64_t k)
+{
+    Vec4 l = {}, qv, bv;
+    const int64_t full = k & ~int64_t{3};
+    for (int64_t p = 0; p < full; p += 4) {
+        std::memcpy(&qv, q + p, sizeof(qv));
+        std::memcpy(&bv, b + p, sizeof(bv));
+        l += qv * bv;
+    }
+    // At most three tail terms: with the count bounded GCC 12 keeps
+    // this loop scalar instead of adding a vectorized copy.
+    float l0 = l[0];
+    for (int64_t p = 0; p < (k & 3); ++p) {
+        l0 += q[full + p] * b[full + p];
+    }
+    return (l0 + l[1]) + (l[2] + l[3]);
+}
+
 namespace
 {
 
@@ -97,7 +115,6 @@ namespace
 // tests/reference/gemm.h.
 // -----------------------------------------------------------------
 
-constexpr int64_t kLanes = 8;              ///< one ymm of floats
 constexpr int64_t kNrBlocks = kNr / kLanes; ///< 8-lane blocks per tile row
 
 /**
@@ -252,38 +269,6 @@ gemmBlock(int64_t i0, int64_t mb, int64_t n, int64_t k, const float *a,
 // -----------------------------------------------------------------
 
 /**
- * Four floats as one GNU vector (an xmm), loaded with std::memcpy.
- * dot1 keeps its four lanes in one: as a float[4] array GCC 12
- * unrolled the v4 clone's lane loop into scalar adds.
- */
-using Vec4 = float __attribute__((vector_size(4 * sizeof(float))));
-
-/**
- * Single-row remainder of dot4 (same lane split as `dot`): lane e
- * accumulates k = e, e+4, ... by a rounded multiply and an add, the
- * k % 4 tail folds into lane 0, and the result is (l0+l1)+(l2+l3).
- */
-FOCUS_KERNEL_CLONES float
-dot1(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b,
-     int64_t k)
-{
-    Vec4 l = {}, qv, bv;
-    const int64_t full = k & ~int64_t{3};
-    for (int64_t p = 0; p < full; p += 4) {
-        std::memcpy(&qv, q + p, sizeof(qv));
-        std::memcpy(&bv, b + p, sizeof(bv));
-        l += qv * bv;
-    }
-    // At most three tail terms: with the count bounded GCC 12 keeps
-    // this loop scalar instead of adding a vectorized copy.
-    float l0 = l[0];
-    for (int64_t p = 0; p < (k & 3); ++p) {
-        l0 += q[full + p] * b[full + p];
-    }
-    return (l0 + l[1]) + (l[2] + l[3]);
-}
-
-/**
  * Four-row dot microkernel preserving ops.h `dot`'s 4-way lane split:
  * per output, lane L accumulates terms k = L, L+4, L+8, ... and the
  * tail (k % 4 leftovers) folds into lane 0; the final sum is
@@ -319,73 +304,57 @@ dot4(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b0,
     out[3] = ((l3[0] + l3[1]) + (l3[2] + l3[3])) * scale;
 }
 
-/** Column padding of the transposed key panel: the widest QK^T block. */
-constexpr int64_t kQkPad = 16;
-
 /**
- * Eight floats as one GNU vector: a ymm in the v3 and v4 clones, two
- * xmm in the baseline clone.  Loaded and stored with std::memcpy, so
- * no alignment is assumed.
+ * qkScoresRowsF32's body, one version per x86-64 level (qk_tile.h).
+ * The x86-64-v4 version scores four rows at a time with qkTile4x16:
+ * sixteen zmm accumulators, half its register file.  The v3 and
+ * baseline versions keep one row per 16-key block: there the same
+ * tile is 32 ymm or 64 xmm accumulators and spills every step (2.9-3.1
+ * against 10.8-11.8 GMAC/s in v3-only builds; docs/KERNELS.md).  A
+ * build without clones compiles one version for its own ISA.
  */
-using Vec8 = float __attribute__((vector_size(kLanes * sizeof(float))));
-
-/**
- * One query against W consecutive keys of a transposed key panel
- * (kt[p*ldt + c] is component p of key c): out[c] gets exactly dot4's
- * per-element arithmetic — lane e accumulates k = e, e+4, ...; the
- * scalar tail folds into lane 0; the result is (l0+l1)+(l2+l3) times
- * scale.  The transposed layout turns each depth step into one
- * broadcast of q times a contiguous W-wide key row.  The four lane
- * sets are vectors of 8 keys, so every add of the final combine is a
- * vector add too: with plain float arrays GCC 12 combines (l2 + l3)
- * in scalar adds and lane shuffles.  Always inlined: a body compiled
- * on its own would carry the default target's codegen into every
- * clone of the caller.
- */
-template <int64_t W>
-FOCUS_ALWAYS_INLINE void
-qkBlock(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT kt,
-        int64_t ldt, int64_t k, float scale, float *FOCUS_RESTRICT out)
+#if FOCUS_HAS_KERNEL_CLONES
+__attribute__((target("default"))) void
+qkScoresRows(const float *q, int64_t ldq, const float *keys, int64_t ldk,
+             const float *kt, int64_t ldt, const int64_t *src, int64_t n,
+             int64_t k, float scale, float *out, int64_t ldo)
 {
-    constexpr int64_t kBlocks = W / kLanes;
-    Vec8 l0[kBlocks] = {}, l1[kBlocks] = {};
-    Vec8 l2[kBlocks] = {}, l3[kBlocks] = {};
-    Vec8 kv = {};
-    int64_t p = 0;
-    for (; p + 4 <= k; p += 4) {
-        const float q0 = q[p], q1 = q[p + 1];
-        const float q2 = q[p + 2], q3 = q[p + 3];
-        const float *FOCUS_RESTRICT k0 = kt + p * ldt;
-        const float *FOCUS_RESTRICT k1 = k0 + ldt;
-        const float *FOCUS_RESTRICT k2 = k1 + ldt;
-        const float *FOCUS_RESTRICT k3 = k2 + ldt;
-        for (int64_t b = 0; b < kBlocks; ++b) {
-            std::memcpy(&kv, k0 + b * kLanes, sizeof(kv));
-            l0[b] += q0 * kv;
-            std::memcpy(&kv, k1 + b * kLanes, sizeof(kv));
-            l1[b] += q1 * kv;
-            std::memcpy(&kv, k2 + b * kLanes, sizeof(kv));
-            l2[b] += q2 * kv;
-            std::memcpy(&kv, k3 + b * kLanes, sizeof(kv));
-            l3[b] += q3 * kv;
-        }
-    }
-    for (; p < k; ++p) {
-        const float qv = q[p];
-        const float *FOCUS_RESTRICT krow = kt + p * ldt;
-        for (int64_t b = 0; b < kBlocks; ++b) {
-            std::memcpy(&kv, krow + b * kLanes, sizeof(kv));
-            l0[b] += qv * kv;
-        }
-    }
-    for (int64_t b = 0; b < kBlocks; ++b) {
-        const Vec8 r = ((l0[b] + l1[b]) + (l2[b] + l3[b])) * scale;
-        std::memcpy(out + b * kLanes, &r, sizeof(r));
-    }
+    qkScoresRowsBody<1>(q, ldq, keys, ldk, kt, ldt, src, n, k, scale, out,
+                        ldo);
 }
 
-/** Query rows per key-block-outer group of qkScoresRowsF32. */
-constexpr int64_t kQkGroup = 16;
+__attribute__((target("arch=x86-64-v3"))) void
+qkScoresRows(const float *q, int64_t ldq, const float *keys, int64_t ldk,
+             const float *kt, int64_t ldt, const int64_t *src, int64_t n,
+             int64_t k, float scale, float *out, int64_t ldo)
+{
+    qkScoresRowsBody<1>(q, ldq, keys, ldk, kt, ldt, src, n, k, scale, out,
+                        ldo);
+}
+
+__attribute__((target("arch=x86-64-v4"))) void
+qkScoresRows(const float *q, int64_t ldq, const float *keys, int64_t ldk,
+             const float *kt, int64_t ldt, const int64_t *src, int64_t n,
+             int64_t k, float scale, float *out, int64_t ldo)
+{
+    qkScoresRowsBody<4>(q, ldq, keys, ldk, kt, ldt, src, n, k, scale, out,
+                        ldo);
+}
+#else
+void
+qkScoresRows(const float *q, int64_t ldq, const float *keys, int64_t ldk,
+             const float *kt, int64_t ldt, const int64_t *src, int64_t n,
+             int64_t k, float scale, float *out, int64_t ldo)
+{
+#ifdef __AVX512F__
+    qkScoresRowsBody<4>(q, ldq, keys, ldk, kt, ldt, src, n, k, scale, out,
+                        ldo);
+#else
+    qkScoresRowsBody<1>(q, ldq, keys, ldk, kt, ldt, src, n, k, scale, out,
+                        ldo);
+#endif
+}
+#endif
 
 /** qkScoresRowsF32 over the consecutive query rows [i0, i1). */
 void
@@ -488,22 +457,40 @@ softmaxRowVector(float *FOCUS_RESTRICT row, int64_t n)
     for (int64_t e = 1; e < 8; ++e) {
         mx = m[e] > mx ? m[e] : mx;
     }
-    float s[8] = {};
+    // The exp pass runs 16 elements per step (one zmm in the v4
+    // clone), then adds their low and then their high 8 to the one
+    // Vec8 sum, so lane e still sums j = e, e+8, ... in ascending
+    // order.  The halves are read back from the row: through a
+    // 16-float temporary the v3 clone paid stack round trips
+    // (BM_SoftmaxCausal 0.86-0.90x of the 8-wide pass in v3-only
+    // builds, against 0.98-1.00x this way).
+    Vec8 s = {}, lo, hi;
     j = 0;
-    for (; j + 8 <= n; j += 8) {
-        for (int64_t e = 0; e < 8; ++e) {
-            const float v = expfPoly(row[j + e] - mx);
-            row[j + e] = v;
-            s[e] += v;
+    for (; j + 2 * kLanes <= n; j += 2 * kLanes) {
+        for (int64_t e = 0; e < 2 * kLanes; ++e) {
+            row[j + e] = expfPoly(row[j + e] - mx);
         }
+        std::memcpy(&lo, row + j, sizeof(lo));
+        std::memcpy(&hi, row + j + kLanes, sizeof(hi));
+        s += lo;
+        s += hi;
     }
+    if (j + kLanes <= n) {
+        for (int64_t e = 0; e < kLanes; ++e) {
+            row[j + e] = expfPoly(row[j + e] - mx);
+        }
+        std::memcpy(&lo, row + j, sizeof(lo));
+        s += lo;
+        j += kLanes;
+    }
+    float s0 = s[0];
     for (; j < n; ++j) {
-        const float v = expfPoly(row[j] - mx);
-        row[j] = v;
-        s[0] += v;
+        const float t = expfPoly(row[j] - mx);
+        row[j] = t;
+        s0 += t;
     }
     const float sum =
-        ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+        ((s0 + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
     const float inv = 1.0f / sum;
     for (j = 0; j < n; ++j) {
         row[j] *= inv;
@@ -741,10 +728,12 @@ expBiasedSumF32(float *FOCUS_RESTRICT x, int64_t n, float bias)
 }
 
 FOCUS_KERNEL_CLONES void
-siluF32(float *FOCUS_RESTRICT x, int64_t n)
+swigluF32(float *FOCUS_RESTRICT gate, const float *FOCUS_RESTRICT up,
+          int64_t n)
 {
     for (int64_t i = 0; i < n; ++i) {
-        x[i] = x[i] / (1.0f + expfPoly(-x[i]));
+        const float g = gate[i];
+        gate[i] = g / (1.0f + expfPoly(-g)) * up[i];
     }
 }
 
@@ -913,57 +902,13 @@ packKeyPanelF32(const float *keys, int64_t ldk, int64_t rows, int64_t k,
     }
 }
 
-/**
- * Per row the dotRowsScaled split is kept: the 4-aligned prefix
- * [0, (i+1) & ~3) runs dot4 arithmetic in 16- and 8-key blocks, the
- * ragged tail runs dot1 on the untransposed keys.  A group's shared
- * 16-key blocks, [0, min over its rows of (i+1) & ~15), run key block
- * outer; each row then starts its own loop where they end.  A last
- * partial 8-block (4 keys) is scored into a temporary tile, so nothing
- * past the diagonal is written; the panel is padded to kQkPad
- * columns, so every block reads inside it.
- */
-FOCUS_KERNEL_CLONES void
+void
 qkScoresRowsF32(const float *q, int64_t ldq, const float *keys,
                 int64_t ldk, const float *kt, int64_t ldt,
                 const int64_t *src, int64_t n, int64_t k, float scale,
                 float *out, int64_t ldo)
 {
-    for (int64_t g0 = 0; g0 < n; g0 += kQkGroup) {
-        const int64_t g1 = std::min(n, g0 + kQkGroup);
-        int64_t shared = (src[g0] + 1) & ~int64_t{15};
-        for (int64_t r = g0 + 1; r < g1; ++r) {
-            shared = std::min(shared, (src[r] + 1) & ~int64_t{15});
-        }
-        for (int64_t j = 0; j < shared; j += 16) {
-            for (int64_t r = g0; r < g1; ++r) {
-                qkBlock<16>(q + src[r] * ldq, kt + j, ldt, k, scale,
-                            out + r * ldo + j);
-            }
-        }
-        for (int64_t r = g0; r < g1; ++r) {
-            const float *qi = q + src[r] * ldq;
-            float *orow = out + r * ldo;
-            const int64_t count = src[r] + 1;
-            const int64_t full4 = count & ~int64_t{3};
-            int64_t j = shared;
-            for (; j + 16 <= full4; j += 16) {
-                qkBlock<16>(qi, kt + j, ldt, k, scale, orow + j);
-            }
-            if (j + 8 <= full4) {
-                qkBlock<8>(qi, kt + j, ldt, k, scale, orow + j);
-                j += 8;
-            }
-            if (j < full4) {
-                float tile[8];
-                qkBlock<8>(qi, kt + j, ldt, k, scale, tile);
-                std::copy(tile, tile + (full4 - j), orow + j);
-            }
-            for (j = full4; j < count; ++j) {
-                orow[j] = dot1(qi, keys + j * ldk, k) * scale;
-            }
-        }
-    }
+    qkScoresRows(q, ldq, keys, ldk, kt, ldt, src, n, k, scale, out, ldo);
 }
 
 void

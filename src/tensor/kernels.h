@@ -4,35 +4,39 @@
  * register-tiled portable microkernels.
  *
  * This is the compute substrate under `tensor/ops.h` (`gemm`,
- * softmax, RMSNorm, SiLU), the attention inner loops of
- * `vlm/model.cc`, and the SIC similarity gather of `focus/sic.cc`.
- * The GEMM packs B into 32-wide panels and reads A in place; a 4x32
- * register tile (eight zmm accumulators in the x86-64-v4 clone,
- * sixteen ymm in the x86-64-v3 one) covers every full 4-row group and
- * panel, and the causal P*V runs the same tile.  Rows and columns no
- * full tile covers run a single-row loop.  M-blocks fan across the
- * `runtime/thread_pool.h` pool.  The GEMM is bit-identical to the
- * naive reference loops in tests/reference/gemm.h — per output
- * element the accumulation order is exactly the reference order
- * (ascending k with a single accumulator from +0, one std::fma per
- * step) — at every thread count.  The attention interiors
- * (`dotRowsScaled`, the causal QK^T/P*V products) pin their
- * accumulation order the same way.
+ * softmax, RMSNorm), the attention inner loops and the FFN's SwiGLU
+ * combine of `vlm/model.cc`, and the SIC similarity gather of
+ * `focus/sic.cc`.  The GEMM packs B into 32-wide panels and reads A
+ * in place; a 4x32 register tile (eight zmm accumulators in the
+ * x86-64-v4 clone, sixteen ymm in the x86-64-v3 one) covers every
+ * full 4-row group and panel, and the causal P*V runs the same tile.
+ * Rows and columns no full tile covers run a single-row loop.
+ * M-blocks fan across the `runtime/thread_pool.h` pool.  The GEMM is
+ * bit-identical to the naive reference loops in
+ * tests/reference/gemm.h — per output element the accumulation order
+ * is exactly the reference order (ascending k with a single
+ * accumulator from +0, one std::fma per step) — at every thread
+ * count.  The attention interiors (`dotRowsScaled`, the causal
+ * QK^T/P*V products) pin their accumulation order the same way; the
+ * QK^T rows score four queries per 16-key tile in the x86-64-v4 body
+ * and one query per 16-key block in the others (tensor/qk_tile.h),
+ * with the same arithmetic per score.
  *
  * The build never contracts a mul+add (-ffp-contract=off); every
  * fused multiply-add is a std::fma in kernels.cc.  So the kernels'
  * bits depend on the source and the inputs only, not on which
- * target_clones body the host runs (docs/KERNELS.md, "Vectorization
- * and determinism").
+ * multi-versioned body the host runs (docs/KERNELS.md,
+ * "Vectorization and determinism").
  *
- * The SFU tier (softmax/exp, SiLU, RMSNorm, the SIC similarity
+ * The SFU tier (softmax/exp, SwiGLU, RMSNorm, the SIC similarity
  * gather) has one implementation: a branch-free polynomial `expf`
  * (Cephes-style degree-6, relative error ~2 ulp over the clamped
  * range) and 8-lane reductions under the same `target_clones` scheme
- * as the GEMM microkernels.  It calls no libm transcendental, so its
- * bits do not depend on the host: the tests match them to
- * baseline-ISA restatements (tests/reference/sfu.h) bit for bit, and
- * bound them against libm (`*TracksLibm`).  Per-row work is
+ * as the GEMM microkernels (the softmax exponentiates 16 elements per
+ * step and still sums them in 8 lanes).  It calls no libm
+ * transcendental, so its bits do not depend on the host: the tests
+ * match them to baseline-ISA restatements (tests/reference/sfu.h) bit
+ * for bit, and bound them against libm (`*TracksLibm`).  Per-row work is
  * data-parallel with no cross-row reduction, so results are
  * bit-identical at every thread count (`SfuKernels.*` tests).
  */
@@ -48,17 +52,22 @@ namespace kernels
 {
 
 /**
- * The body of the FOCUS_KERNEL_CLONES kernels this host runs:
+ * The body of the multi-versioned kernels this host runs:
  * "x86-64-v4", "x86-64-v3" or "baseline", by the same CPU-level checks
- * the loader's clone resolver makes, or "single body" in a build
- * without clones (TSan, non-x86-64).  Every body computes the same
- * bits; the name says which one a timing measured.
+ * the loader's resolvers make — for the FOCUS_KERNEL_CLONES kernels
+ * and for the per-level versions of the QK^T rows alike (only
+ * "x86-64-v4" runs the 4-query QK^T tile) — or "single body" in a
+ * build without clones (TSan, non-x86-64), whose QK^T rows take the
+ * 4-query tile only when the build targets AVX-512.  Every body
+ * computes the same bits; the name says which one a timing measured.
+ * A copy built with a level removed from the clone lists still names
+ * the host's level.
  */
 const char *cloneName();
 
 // ---------------------------------------------------------------
-// SFU / vector-math tier (softmax, exp, SiLU, RMSNorm, SIC similarity
-// gather).  See the file comment for the arithmetic.
+// SFU / vector-math tier (softmax, exp, SwiGLU, RMSNorm, SIC
+// similarity gather).  See the file comment for the arithmetic.
 // ---------------------------------------------------------------
 
 // perfbench/main.cc still names the math backend; only a change to
@@ -90,8 +99,13 @@ void softmaxRowsF32(int64_t rows, int64_t cols, float *x, int64_t ld);
  */
 float expBiasedSumF32(float *x, int64_t n, float bias);
 
-/** x[i] = x[i] * sigmoid(x[i]) (SiLU/swish), element-wise over n. */
-void siluF32(float *x, int64_t n);
+/**
+ * The SwiGLU combine of the FFN, element-wise over n, in one pass:
+ * gate[i] = gate[i] / (1 + exp(-gate[i])) * up[i] — SiLU (swish) of
+ * the gate, rounded, then times up, rounded.  @p up may not alias
+ * @p gate.
+ */
+void swigluF32(float *gate, const float *up, int64_t n);
 
 /**
  * RMSNorm over each row of a (rows x cols) block with row stride
@@ -249,8 +263,12 @@ void packKeyPanelF32(const float *keys, int64_t ldk, int64_t rows,
  * panel, the ragged (src+1) % 4 tail keys run dot1 on @p keys.
  * Groups of up to 16 rows run key-block outer: the 16-key blocks
  * every row of the group needs are scored for the whole group while
- * the panel slice sits in L1, then each row scores the rest of its
- * prefix alone.  Neither loop order changes an element's arithmetic.
+ * the panel slice sits in L1 — four rows at a time in a 4 x 16
+ * register tile on an x86-64-v4 host, one row at a time elsewhere —
+ * then each row scores the rest of its prefix alone.  Neither loop
+ * order nor tile changes an element's arithmetic.  A plain function
+ * over one internal function with a version per x86-64 level
+ * (kernels.cc, qkScoresRows).
  */
 void qkScoresRowsF32(const float *q, int64_t ldq, const float *keys,
                      int64_t ldk, const float *kt, int64_t ldt,

@@ -58,12 +58,6 @@ rmsNormRows(Tensor &t, const Tensor &gain, float eps)
                             eps);
 }
 
-void
-siluInPlace(Tensor &t)
-{
-    kernels::siluF32(t.data(), t.numel());
-}
-
 float
 dot(const float *a, const float *b, int64_t n)
 {

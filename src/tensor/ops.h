@@ -1,8 +1,9 @@
 /**
  * @file
  * Numeric kernels for the functional VLM model: GEMM, softmax,
- * RMSNorm, activation functions, and the vector-similarity primitives
- * used by the concentration algorithms.
+ * RMSNorm, and the vector-similarity primitives used by the
+ * concentration algorithms.  The FFN's SwiGLU combine is
+ * `kernels::swigluF32`.
  */
 
 #ifndef FOCUS_TENSOR_OPS_H
@@ -45,9 +46,6 @@ void softmaxRows(Tensor &t);
  * Runs `kernels::rmsNormRowsF32`.
  */
 void rmsNormRows(Tensor &t, const Tensor &gain, float eps = 1e-6f);
-
-/** SiLU (swish), element-wise, through `kernels::siluF32`. */
-void siluInPlace(Tensor &t);
 
 /** Dot product of two length-n float vectors. */
 float dot(const float *a, const float *b, int64_t n);

@@ -595,10 +595,7 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
             st.res.ops += 2.0 * static_cast<double>(st.rows_after) *
                 d * inner * st.rec.psi_ffn;
         }
-        siluInPlace(gatep);
-        for (int64_t i = 0; i < gatep.numel(); ++i) {
-            gatep.data()[i] *= upp.data()[i];
-        }
+        kernels::swigluF32(gatep.data(), upp.data(), gatep.numel());
         if (sic_on) {
             for (int64_t bi = 0; bi < count; ++bi) {
                 BatchState &st = states[static_cast<size_t>(bi)];

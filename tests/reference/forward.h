@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sfu.h"
 #include "common/half.h"
 #include "focus/sec.h"
 #include "focus/sic.h"
@@ -363,7 +364,7 @@ forward(const VlmModel &model, const VideoSample &sample,
         gemm(xn2, w.wu, up);
         res.ops += 2.0 * static_cast<double>(rows_after) * d * inner *
             rec.psi_ffn;
-        siluInPlace(gate);
+        reference::siluVector(gate.data(), gate.numel());
         for (int64_t i = 0; i < gate.numel(); ++i) {
             gate.data()[i] *= up.data()[i];
         }

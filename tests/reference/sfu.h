@@ -109,7 +109,7 @@ expBiasedSumVector(float *x, int64_t n, float bias)
     return sumLanes8(s);
 }
 
-/** siluF32. */
+/** SiLU, the first rounding of swigluF32 (the multiply by up follows). */
 inline void
 siluVector(float *x, int64_t n)
 {

@@ -13,7 +13,9 @@
  *
  * Cross-clone oracles (*MatchesOracleBitwise): each SFU kernel and
  * dotRowsScaled against its restatement in tests/reference/sfu.h,
- * compiled without clones at the baseline ISA.
+ * compiled without clones at the baseline ISA.  Both QK^T tile
+ * geometries (tensor/qk_tile.h) are instantiated here at this file's
+ * ISA, so every host checks the one its kernels do not run.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +32,7 @@
 #include "runtime/thread_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
+#include "tensor/qk_tile.h"
 #include "tensor/tensor.h"
 
 using namespace focus;
@@ -328,16 +331,19 @@ TEST(SfuKernels, SoftmaxDegenerateShapesAreNoops)
     EXPECT_EQ(sentinel[0], 1.0f);
 }
 
-TEST(SfuKernels, SiluTracksLibm)
+TEST(SfuKernels, SwigluTracksLibm)
 {
+    // up = 1 exactly, so the product rounds nothing and the kernel's
+    // SiLU is compared with libm's alone.
     Rng rng(35);
     std::vector<float> base = randomBuf(rng, 513);
     base.push_back(30.0f); // deep saturation both sides
     base.push_back(-30.0f);
     const int64_t n = static_cast<int64_t>(base.size());
+    const std::vector<float> up(base.size(), 1.0f);
     std::vector<float> libm = base, vec = base;
     reference::siluLibm(libm.data(), n);
-    kernels::siluF32(vec.data(), n);
+    kernels::swigluF32(vec.data(), up.data(), n);
     for (size_t i = 0; i < base.size(); ++i) {
         const double tol =
             1e-6 * (1.0 + std::abs(static_cast<double>(base[i])));
@@ -444,12 +450,15 @@ const int64_t kOracleLengths[] = {1,  3,  7,  8,  13, 16,  17,
 
 TEST(SfuKernels, SoftmaxMatchesOracleBitwise)
 {
+    // 16 rows per length: a swapped pair of adds in a lane sum changes
+    // about one row in five, so three rows could miss it.
+    constexpr int64_t kRows = 16;
     Rng rng(42);
     for (int64_t n : kOracleLengths) {
-        std::vector<float> got = randomBuf(rng, 3 * n, 3.0);
+        std::vector<float> got = randomBuf(rng, kRows * n, 3.0);
         std::vector<float> want = got;
-        kernels::softmaxRowsF32(3, n, got.data(), n);
-        for (int64_t i = 0; i < 3; ++i) {
+        kernels::softmaxRowsF32(kRows, n, got.data(), n);
+        for (int64_t i = 0; i < kRows; ++i) {
             reference::softmaxRowVector(want.data() + i * n, n);
         }
         EXPECT_TRUE(bitsEqual(got, want)) << "n=" << n;
@@ -470,15 +479,21 @@ TEST(SfuKernels, ExpBiasedSumMatchesOracleBitwise)
     }
 }
 
-TEST(SfuKernels, SiluMatchesOracleBitwise)
+TEST(SfuKernels, SwigluMatchesOracleBitwise)
 {
+    // The oracle is the forward pass's old two steps: SiLU of the
+    // gate, then the multiply by up.
     Rng rng(44);
     for (int64_t n : kOracleLengths) {
-        std::vector<float> silu = randomBuf(rng, n, 3.0);
-        std::vector<float> silu_ref = silu;
-        kernels::siluF32(silu.data(), n);
-        reference::siluVector(silu_ref.data(), n);
-        EXPECT_TRUE(bitsEqual(silu, silu_ref)) << "n=" << n;
+        std::vector<float> gate = randomBuf(rng, n, 3.0);
+        const std::vector<float> up = randomBuf(rng, n);
+        std::vector<float> want = gate;
+        kernels::swigluF32(gate.data(), up.data(), n);
+        reference::siluVector(want.data(), n);
+        for (size_t i = 0; i < want.size(); ++i) {
+            want[i] *= up[i];
+        }
+        EXPECT_TRUE(bitsEqual(gate, want)) << "n=" << n;
     }
 }
 
@@ -562,6 +577,24 @@ const HeadSlice kHeadSlices[] = {{32, 32, 0}, {32, 64, 32}, {30, 37, 5}};
 
 constexpr float kSentinel = 12345.0f;
 
+/** The QK^T row bodies of both geometries (qk_tile.h), at this file's ISA. */
+constexpr int64_t kQkTileRows[] = {1, 4};
+
+void
+qkRowsBody(int64_t tile_rows, const float *q, int64_t ldq,
+           const float *keys, int64_t ldk, const float *kt, int64_t ldt,
+           const int64_t *src, int64_t n, int64_t k, float scale,
+           float *out, int64_t ldo)
+{
+    if (tile_rows == 4) {
+        kernels::detail::qkScoresRowsBody<4>(q, ldq, keys, ldk, kt, ldt,
+                                             src, n, k, scale, out, ldo);
+    } else {
+        kernels::detail::qkScoresRowsBody<1>(q, ldq, keys, ldk, kt, ldt,
+                                             src, n, k, scale, out, ldo);
+    }
+}
+
 /** Random causal P: finite lower triangle, exact +0 above it. */
 std::vector<float>
 causalProbs(Rng &rng, int64_t rows)
@@ -592,6 +625,8 @@ scoreBlock(Rng &rng, int64_t rows, int64_t ld, float fill)
 
 TEST(KernelsAttention, QkScoresRowsMatchDotRowsScaled)
 {
+    // The whole-matrix kernel (the geometry this host's clone runs),
+    // then each tile geometry's row body over every row at once.
     Rng rng(51);
     for (const HeadSlice &hs : kHeadSlices) {
         for (int64_t rows : attentionRowCounts()) {
@@ -599,22 +634,43 @@ TEST(KernelsAttention, QkScoresRowsMatchDotRowsScaled)
             const std::vector<float> k = randomBuf(rng, rows * hs.ld);
             const float scale = 0.17677669f;
             const int64_t ldo = rows + 3;
-            std::vector<float> got(static_cast<size_t>(rows * ldo),
-                                   kSentinel);
+            std::vector<std::vector<float>> gots;
+            gots.emplace_back(static_cast<size_t>(rows * ldo), kSentinel);
             kernels::qkScoresCausalF32(q.data() + hs.c0, hs.ld,
                                        k.data() + hs.c0, hs.ld, rows,
-                                       hs.hd, scale, got.data(), ldo);
+                                       hs.hd, scale, gots[0].data(), ldo);
+            const int64_t ldt = kernels::keyPanelStride(rows);
+            std::vector<float> kt(static_cast<size_t>(hs.hd * ldt));
+            kernels::packKeyPanelF32(k.data() + hs.c0, hs.ld, rows, hs.hd,
+                                     kt.data());
+            std::vector<int64_t> src(static_cast<size_t>(rows));
+            for (int64_t i = 0; i < rows; ++i) {
+                src[static_cast<size_t>(i)] = i;
+            }
+            for (int64_t tile_rows : kQkTileRows) {
+                gots.emplace_back(static_cast<size_t>(rows * ldo),
+                                  kSentinel);
+                qkRowsBody(tile_rows, q.data() + hs.c0, hs.ld,
+                           k.data() + hs.c0, hs.ld, kt.data(), ldt,
+                           src.data(), rows, hs.hd, scale,
+                           gots.back().data(), ldo);
+            }
             std::vector<float> want(static_cast<size_t>(ldo));
             for (int64_t i = 0; i < rows; ++i) {
                 std::fill(want.begin(), want.end(), kSentinel);
                 kernels::dotRowsScaled(q.data() + i * hs.ld + hs.c0,
                                        k.data() + hs.c0, hs.ld, i + 1,
                                        hs.hd, scale, want.data());
-                ASSERT_EQ(std::memcmp(got.data() + i * ldo, want.data(),
-                                      want.size() * sizeof(float)),
-                          0)
-                    << "rows=" << rows << " hd=" << hs.hd
-                    << " ld=" << hs.ld << " row " << i;
+                for (size_t g = 0; g < gots.size(); ++g) {
+                    ASSERT_EQ(std::memcmp(gots[g].data() + i * ldo,
+                                          want.data(),
+                                          want.size() * sizeof(float)),
+                              0)
+                        << "variant " << g
+                        << " (0: clone, 1: one row, 2: 4 x 16 tile)"
+                        << " rows=" << rows << " hd=" << hs.hd
+                        << " ld=" << hs.ld << " row " << i;
+                }
             }
         }
     }
@@ -728,9 +784,11 @@ TEST(KernelsAttention, QkScoresRowRangesMatchFullTriangle)
 {
     // Ranges starting at every i0 mod 16 (so also off the 4-aligned
     // dot4 groups), of lengths inside one 16-row group and across
-    // several, plus a scattered (pruned) row list, against the rows
+    // several (leaving every n % 4 for qkBlock<16> after the 4-row
+    // tiles), plus a scattered (pruned) row list, against the rows
     // qkScoresCausalF32 writes; entries past the diagonal must keep
-    // their sentinel.
+    // their sentinel.  Each list runs qkScoresRowsF32 (this host's
+    // clone) and both tile geometries' row bodies.
     Rng rng(55);
     const HeadSlice &hs = kHeadSlices[1];
     for (int64_t rows : {40, 206, 811}) {
@@ -751,7 +809,7 @@ TEST(KernelsAttention, QkScoresRowRangesMatchFullTriangle)
         std::vector<std::vector<int64_t>> lists;
         for (int64_t base : {int64_t{0}, rows / 2, rows - 33}) {
             for (int64_t off = 0; off < 16; ++off) {
-                for (int64_t len : {1, 5, 16, 23}) {
+                for (int64_t len : {1, 2, 5, 6, 16, 23}) {
                     const int64_t i0 = base + off;
                     const int64_t i1 = std::min(rows, i0 + len);
                     std::vector<int64_t> src;
@@ -774,20 +832,30 @@ TEST(KernelsAttention, QkScoresRowRangesMatchFullTriangle)
 
         for (const std::vector<int64_t> &src : lists) {
             const int64_t n = static_cast<int64_t>(src.size());
-            std::vector<float> got(static_cast<size_t>(n * ldo),
-                                   kSentinel);
-            kernels::qkScoresRowsF32(q.data() + hs.c0, hs.ld,
-                                     k.data() + hs.c0, hs.ld, kt.data(),
-                                     ldt, src.data(), n, hs.hd, scale,
-                                     got.data(), ldo);
-            for (int64_t r = 0; r < n; ++r) {
-                ASSERT_EQ(std::memcmp(got.data() + r * ldo,
-                                      full.data() + src[r] * ldo,
-                                      static_cast<size_t>(ldo) *
-                                          sizeof(float)),
-                          0)
-                    << "rows=" << rows << " first=" << src.front()
-                    << " n=" << n << " row " << src[r];
+            for (int64_t tile_rows : {int64_t{0}, int64_t{1}, int64_t{4}}) {
+                std::vector<float> got(static_cast<size_t>(n * ldo),
+                                       kSentinel);
+                if (tile_rows == 0) {
+                    kernels::qkScoresRowsF32(
+                        q.data() + hs.c0, hs.ld, k.data() + hs.c0, hs.ld,
+                        kt.data(), ldt, src.data(), n, hs.hd, scale,
+                        got.data(), ldo);
+                } else {
+                    qkRowsBody(tile_rows, q.data() + hs.c0, hs.ld,
+                               k.data() + hs.c0, hs.ld, kt.data(), ldt,
+                               src.data(), n, hs.hd, scale, got.data(),
+                               ldo);
+                }
+                for (int64_t r = 0; r < n; ++r) {
+                    ASSERT_EQ(std::memcmp(got.data() + r * ldo,
+                                          full.data() + src[r] * ldo,
+                                          static_cast<size_t>(ldo) *
+                                              sizeof(float)),
+                              0)
+                        << "tile rows " << tile_rows << " (0: clone)"
+                        << " rows=" << rows << " first=" << src.front()
+                        << " n=" << n << " row " << src[r];
+                }
             }
         }
     }

@@ -10,6 +10,7 @@
 #include <limits>
 
 #include "common/rng.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
 #include "tensor/tensor.h"
@@ -245,25 +246,34 @@ TEST(RmsNorm, DegenerateShapesAreNoops)
     EXPECT_NEAR(one(1, 0), 1.0f, 1e-5);
 }
 
-TEST(Activations, SiluShapes)
+TEST(Activations, SwigluShapes)
 {
-    Tensor t(1, 3);
-    t(0, 0) = 0.0f;
-    t(0, 1) = 10.0f;
-    t(0, 2) = -10.0f;
-    siluInPlace(t);
-    EXPECT_NEAR(t(0, 0), 0.0f, 1e-6);
-    EXPECT_NEAR(t(0, 1), 10.0f, 1e-3);
-    EXPECT_NEAR(t(0, 2), 0.0f, 1e-3);
+    // SiLU of the gate times up: up = 1 leaves SiLU's shape, up = 2
+    // doubles it.
+    Tensor gate(2, 3), up(2, 3);
+    const float g[3] = {0.0f, 10.0f, -10.0f};
+    for (int64_t r = 0; r < 2; ++r) {
+        for (int64_t c = 0; c < 3; ++c) {
+            gate(r, c) = g[c];
+            up(r, c) = static_cast<float>(r + 1);
+        }
+    }
+    kernels::swigluF32(gate.data(), up.data(), gate.numel());
+    for (int64_t r = 0; r < 2; ++r) {
+        const double u = static_cast<double>(r + 1);
+        EXPECT_NEAR(gate(r, 0), 0.0f, 1e-6);
+        EXPECT_NEAR(gate(r, 1), 10.0 * u, 1e-3 * u);
+        EXPECT_NEAR(gate(r, 2), 0.0f, 1e-3 * u);
+    }
 }
 
 TEST(Activations, EmptyTensorsAreNoops)
 {
-    Tensor a(0, 8);
-    siluInPlace(a);
+    Tensor a(0, 8), a_up(0, 8);
+    kernels::swigluF32(a.data(), a_up.data(), a.numel());
     EXPECT_EQ(a.numel(), 0);
-    Tensor b(8, 0);
-    siluInPlace(b);
+    Tensor b(8, 0), b_up(8, 0);
+    kernels::swigluF32(b.data(), b_up.data(), b.numel());
     EXPECT_EQ(b.numel(), 0);
 }
 
