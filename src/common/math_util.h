@@ -21,33 +21,6 @@ ceilDiv(T a, T b)
     return (a + b - 1) / b;
 }
 
-/** Round @p a up to the next multiple of @p b. */
-template <typename T>
-constexpr T
-roundUp(T a, T b)
-{
-    return ceilDiv(a, b) * b;
-}
-
-/** True if @p x is a power of two (x > 0). */
-constexpr bool
-isPow2(uint64_t x)
-{
-    return x != 0 && (x & (x - 1)) == 0;
-}
-
-/** log2 for exact powers of two. */
-constexpr int
-log2Exact(uint64_t x)
-{
-    int n = 0;
-    while (x > 1) {
-        x >>= 1;
-        ++n;
-    }
-    return n;
-}
-
 /** Clamp @p v into [lo, hi]. */
 template <typename T>
 constexpr T

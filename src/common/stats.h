@@ -1,7 +1,6 @@
 /**
  * @file
- * Fixed-bin histograms for the benches' distribution figures
- * (Fig. 2(b), Fig. 13).
+ * Fixed-bin histogram for the Fig. 2(b) similarity CDF bench.
  */
 
 #ifndef FOCUS_COMMON_STATS_H

@@ -48,7 +48,7 @@ Evaluator::runFunctional(const MethodConfig &method,
     // batch split, so neither the chunk count nor the thread count
     // ever changes a result.  The chunk size is locality-aware:
     // packed projection panels cost ~1 KiB per token row across
-    // xp/qp/kp/vp, so batching pays off only while the added panel
+    // xn/qp/kp/vp, so batching pays off only while the added panel
     // rows stay under a small budget (perfbench's probeGrid copies
     // this rule).  Video samples (hundreds of rows) thus run near
     // batch 1, while short image samples pack several per GEMM.  The

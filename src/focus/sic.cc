@@ -1,11 +1,11 @@
 #include "focus/sic.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "common/math_util.h"
 #include "obs/trace_span.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -73,23 +73,18 @@ class CoordIndex
 } // namespace
 
 SicResult
-sicGather(Tensor &x, const std::vector<TokenCoord> &coords,
-          const SicConfig &cfg)
+sicGather(float *x, int64_t rows, int64_t cols, int64_t ld,
+          const std::vector<TokenCoord> &coords, const SicConfig &cfg)
 {
-    if (x.rank() != 2) {
-        panic("sicGather: rank-2 tensor required");
-    }
-    const int64_t rows = x.rows();
-    const int64_t cols = x.cols();
     if (static_cast<int64_t>(coords.size()) != rows) {
-        panic("sicGather: coords size %zu != rows %ld", coords.size(),
-              static_cast<long>(rows));
+        panic("sicGather: coords size %zu != rows %" PRId64,
+              coords.size(), rows);
     }
 
     const int64_t vec = cfg.token_wise ? cols : cfg.vector_size;
     if (vec <= 0 || cols % vec != 0) {
-        panic("sicGather: vector size %ld does not divide cols %ld",
-              static_cast<long>(vec), static_cast<long>(cols));
+        panic("sicGather: vector size %" PRId64 " does not divide "
+              "cols %" PRId64, vec, cols);
     }
     const int64_t slices = cols / vec;
     const int64_t m_tile = std::max<int64_t>(1, cfg.m_tile);
@@ -138,7 +133,7 @@ sicGather(Tensor &x, const std::vector<TokenCoord> &coords,
             orig.resize(static_cast<size_t>(tile_rows * vec));
             norms.resize(static_cast<size_t>(tile_rows));
             for (int64_t i = 0; i < tile_rows; ++i) {
-                const float *src = x.row(tile0 + i) + c0;
+                const float *src = x + (tile0 + i) * ld + c0;
                 std::copy(src, src + vec,
                           orig.begin() + i * vec);
             }
@@ -201,7 +196,7 @@ sicGather(Tensor &x, const std::vector<TokenCoord> &coords,
                         map.compact_index[static_cast<size_t>(root)];
                     const float *rv = orig.data() +
                         static_cast<int64_t>(root) * vec;
-                    std::copy(rv, rv + vec, x.row(gi) + c0);
+                    std::copy(rv, rv + vec, x + gi * ld + c0);
                 } else {
                     rep[static_cast<size_t>(i)] =
                         static_cast<int32_t>(i);
@@ -218,6 +213,16 @@ sicGather(Tensor &x, const std::vector<TokenCoord> &coords,
         }
     }
     return res;
+}
+
+SicResult
+sicGather(Tensor &x, const std::vector<TokenCoord> &coords,
+          const SicConfig &cfg)
+{
+    if (x.rank() != 2) {
+        panic("sicGather: rank-2 tensor required");
+    }
+    return sicGather(x.data(), x.rows(), x.cols(), x.cols(), coords, cfg);
 }
 
 } // namespace focus

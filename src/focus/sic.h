@@ -74,14 +74,15 @@ struct SicResult
 };
 
 /**
- * Similarity Gather over a full activation tensor, in place.
+ * Similarity Gather over a row range of an activation matrix, in
+ * place.
  *
- * @param x       (rows x cols) activations; rows are tokens in FHW
- *                stream order.  Matched vectors are overwritten with
- *                their representative's values, which is numerically
- *                identical to computing the next GEMM on the compact
- *                buffer and scattering partial sums (the hardware
- *                path of Fig. 8).
+ * @param x       @p rows x @p cols activations, row stride @p ld;
+ *                rows are tokens in FHW stream order.  Matched vectors
+ *                are overwritten with their representative's values,
+ *                which is numerically identical to computing the next
+ *                GEMM on the compact buffer and scattering partial
+ *                sums (the hardware path of Fig. 8).
  * @param coords  per-row token coordinate; rows with f < 0 (e.g.
  *                text tokens) are never matched and always unique.
  * @param cfg     SIC configuration (threshold, vector size, block
@@ -89,8 +90,13 @@ struct SicResult
  *
  * Comparisons use the *original* streamed values (the layouter
  * buffer holds raw GEMM outputs), and never cross an m-tile boundary
- * (Fig. 10(a) boundary effect).
+ * (Fig. 10(a) boundary effect).  m tiles start at row 0 of the range.
  */
+SicResult sicGather(float *x, int64_t rows, int64_t cols, int64_t ld,
+                    const std::vector<TokenCoord> &coords,
+                    const SicConfig &cfg);
+
+/** sicGather over every row of a rank-2 tensor. */
 SicResult sicGather(Tensor &x, const std::vector<TokenCoord> &coords,
                     const SicConfig &cfg);
 

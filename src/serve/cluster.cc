@@ -280,13 +280,10 @@ ClusterSimulator::run(const SchedulerConfig &sched, ThreadPool *pool)
         rep.prefix_cache.rejected += cs.rejected;
         rep.prefix_cache.bytes_resident += cs.bytes_resident;
         rep.prefix_cache.bytes_peak += cs.bytes_peak;
-        rep.prefix_cache.full_bytes_resident +=
-            cs.full_bytes_resident;
         rep.prefix_cache.err_sum += cs.err_sum;
         rep.prefix_cache.err_slabs += cs.err_slabs;
         for (BatchRecord &b : sub_batches) {
             b.replica = r;
-            rs.busy_s += b.service_s;
             rs.makespan_s = std::max(rs.makespan_s,
                                      b.start_s + b.service_s);
         }

@@ -134,7 +134,6 @@ struct ReplicaStats
     int routed = 0;  ///< requests the router sent here
     int shed = 0;    ///< rejected at admission
     int batches = 0;
-    double busy_s = 0.0;     ///< sum of batch service times
     double makespan_s = 0.0; ///< last finish on this replica
     uint64_t interconnect_bytes = 0;
     /** This replica's prefix-cache activity (zero when disabled). */

@@ -125,7 +125,6 @@ PrefixCache::evictOne()
     const auto it = entries_.find(key);
     charged_bytes_ -= chargedBytes(it->second.spec);
     stats_.bytes_resident -= it->second.spec.bytes();
-    stats_.full_bytes_resident -= it->second.spec.full_bytes;
     entries_.erase(it);
     lru_.pop_back();
     stats_.evictions += 1;
@@ -203,7 +202,6 @@ PrefixCache::admit(const std::string &key, const SlabSpec &spec)
     stats_.bytes_resident += spec.bytes();
     stats_.bytes_peak =
         std::max(stats_.bytes_peak, stats_.bytes_resident);
-    stats_.full_bytes_resident += spec.full_bytes;
     stats_.err_sum += slabRoundTripError(spec);
     stats_.err_slabs += 1;
     if (obs::countersEnabled()) {

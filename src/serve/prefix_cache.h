@@ -75,17 +75,14 @@ struct PrefixCacheConfig
 };
 
 /**
- * Geometry of one retained-token slab: `rows * cols` fp16 values.
- * `full_bytes` records the *full-scale* fp32 K/V footprint the slab
- * stands in for (the reduced-scale payload mirrors it at a fixed
- * ratio), so reports can quote paper-scale savings.  `seed` makes the
- * synthetic payload deterministic per key.
+ * Geometry of one retained-token slab: `rows * cols` fp16 values, a
+ * reduced-scale mirror of the full-scale K/V set at a fixed ratio.
+ * `seed` makes the synthetic payload deterministic per key.
  */
 struct SlabSpec
 {
     int64_t rows = 0;
     int64_t cols = 0;
-    int64_t full_bytes = 0;
     uint64_t seed = 0;
 
     /** Payload bytes: rows * cols 16-bit values. */
@@ -107,8 +104,6 @@ struct PrefixCacheStats
     /** Payload bytes of the resident slabs / high-water mark. */
     int64_t bytes_resident = 0;
     int64_t bytes_peak = 0;
-    /** Full-scale fp32 K/V bytes the resident slabs stand in for. */
-    int64_t full_bytes_resident = 0;
     /** Sum over admitted slabs of relative RMS round-trip error. */
     double err_sum = 0.0;
     int64_t err_slabs = 0;

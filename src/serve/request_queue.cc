@@ -179,7 +179,6 @@ RequestQueue::generate() const
             clock += exponential(rng, 1.0 / cfg_.arrival_rate_rps);
             r.arrival_s = clock;
         } else {
-            r.client = i % cfg_.clients;
             r.think_s = exponential(rng, cfg_.think_mean_s);
         }
         stream.push_back(r);

@@ -96,7 +96,6 @@ struct ServeRequest
 {
     int64_t id = 0;      ///< position in the stream (0-based)
     int class_id = 0;    ///< index into QueueConfig::mix
-    int client = -1;     ///< issuing client (ClosedLoop only)
     /** Prefix identity in [0, class prefix_cardinality). */
     int64_t prefix_id = 0;
     double arrival_s = 0.0; ///< absolute arrival time (OpenPoisson)

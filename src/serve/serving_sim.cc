@@ -187,13 +187,10 @@ ServingSimulator::comboSlabSpec(size_t combo,
     }
     // The slab payload is a fixed 1/4096 reduced-scale mirror of
     // the full retained K/V set: rows shrink 64x and the 2*hidden
-    // K+V columns shrink 64x (to 16-bit values), while full_bytes
-    // records the paper-scale fp16 K+V footprint the slab stands in
-    // for (visual rows x hidden x 2 tensors x 2 bytes).
+    // K+V columns shrink 64x (to 16-bit values).
     SlabSpec spec;
     spec.rows = (visual + 63) / 64;
     spec.cols = 2 * ((tr.hidden + 63) / 64);
-    spec.full_bytes = visual * tr.hidden * 4;
     spec.seed = prefixKeyHash(key);
     return spec;
 }

@@ -88,7 +88,6 @@ buildTrace(const ModelProfile &model, const DatasetProfile &dataset,
         model.visual_token_scale *
         static_cast<double>(dataset.full_visual_tokens)));
     tr.tile_fracs = agg.tile_fracs;
-    tr.functional_sparsity = agg.sparsity;
 
     const bool is_focus = method.kind == MethodKind::Focus;
     const bool sec_on = is_focus && method.focus.sec_enable;
@@ -358,23 +357,15 @@ fuseTraces(const std::vector<const WorkloadTrace *> &parts)
     tr.ffn_inner = head.ffn_inner;
     tr.batch_size = 0;
 
-    double macs_total = 0.0;
-    double sparsity_weighted = 0.0;
     for (const WorkloadTrace *p : parts) {
         tr.visual0 += p->visual0;
         tr.visual_original += p->visual_original;
         tr.text += p->text;
         tr.batch_size += std::max(1, p->batch_size);
-        const double macs = p->totalMacs();
-        macs_total += macs;
-        sparsity_weighted += p->functional_sparsity * macs;
         tr.tile_fracs.insert(tr.tile_fracs.end(),
                              p->tile_fracs.begin(),
                              p->tile_fracs.end());
     }
-    tr.functional_sparsity =
-        macs_total > 0.0 ? sparsity_weighted / macs_total : 0.0;
-
     const size_t L = head.layers.size();
     tr.layers.reserve(L);
     for (size_t l = 0; l < L; ++l) {
@@ -434,7 +425,6 @@ applyPrefixCache(const WorkloadTrace &trace)
     // SIC never runs on the hit path, so the empirical per-tile
     // distribution must not be sampled (sampler-order invariant).
     tr.tile_fracs.clear();
-    tr.functional_sparsity = 0.0;
 
     for (LayerEvents &le : tr.layers) {
         const int64_t cached = le.visual_in;
@@ -524,7 +514,6 @@ splitTensorParallel(const WorkloadTrace &trace, int tp)
     for (int r = 0; r < tp; ++r) {
         WorkloadTrace sh = trace;
         sh.tp_degree = tp;
-        sh.tp_rank = r;
         // The shard's private head and FFN-inner slices drive the
         // per-shard softmax / swiglu SFU accounting.
         sh.heads = shardShare(trace.heads, r, tp);

@@ -142,9 +142,6 @@ struct WorkloadTrace
      */
     std::vector<double> tile_fracs;
 
-    /** Functional computation sparsity (cross-check). */
-    double functional_sparsity = 0.0;
-
     /** Requests fused into this trace (1 = single query). */
     int batch_size = 1;
 
@@ -155,8 +152,6 @@ struct WorkloadTrace
      * unsplit trace's metrics are bit-identical to pre-split builds.
      */
     int tp_degree = 1;
-    /** Shard index within the tensor-parallel group. */
-    int tp_rank = 0;
 
     /** Total GEMM MACs of the trace. */
     double totalMacs() const;
@@ -297,7 +292,7 @@ TraceWork traceWork(const WorkloadTrace &trace);
  * remainder), so dense MACs and weight bytes sum back to the unsplit
  * totals exactly; token rows replicate — every shard streams the full
  * activation set, which is what the post-layer all-reduce pays for.
- * Shards carry tp_degree/tp_rank so simulateAccelerator adds the
+ * Shards carry tp_degree so simulateAccelerator adds the
  * reduce-scatter + all-gather interconnect term after O-proj and
  * down; tp == 1 returns the input verbatim.
  *

@@ -78,30 +78,6 @@ cloneName()
 #endif
 }
 
-/**
- * dot1 (qk_tile.h) keeps its four lanes as one Vec4: as a float[4]
- * array GCC 12 unrolled the v4 clone's lane loop into scalar adds.
- */
-FOCUS_KERNEL_CLONES float
-detail::dot1(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b,
-             int64_t k)
-{
-    Vec4 l = {}, qv, bv;
-    const int64_t full = k & ~int64_t{3};
-    for (int64_t p = 0; p < full; p += 4) {
-        std::memcpy(&qv, q + p, sizeof(qv));
-        std::memcpy(&bv, b + p, sizeof(bv));
-        l += qv * bv;
-    }
-    // At most three tail terms: with the count bounded GCC 12 keeps
-    // this loop scalar instead of adding a vectorized copy.
-    float l0 = l[0];
-    for (int64_t p = 0; p < (k & 3); ++p) {
-        l0 += q[full + p] * b[full + p];
-    }
-    return (l0 + l[1]) + (l[2] + l[3]);
-}
-
 namespace
 {
 
@@ -865,7 +841,7 @@ gemmF32(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
     }
 }
 
-void
+FOCUS_KERNEL_CLONES void
 dotRowsScaled(const float *q, const float *b, int64_t ldb, int64_t rows,
               int64_t k, float scale, float *out)
 {

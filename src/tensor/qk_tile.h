@@ -66,9 +66,30 @@ constexpr int64_t kQkGroup = 16;
  * Single-row remainder of dot4 (same lane split as `dot`): lane e
  * accumulates k = e, e+4, ... by a rounded multiply and an add, the
  * k % 4 tail folds into lane 0, and the result is (l0+l1)+(l2+l3).
- * Multi-versioned in kernels.cc like the public kernels.
+ * Inlined like the tiles, so each caller's version runs it at that
+ * version's level with no call through an ifunc.  The four lanes are
+ * one Vec4: as a float[4] array GCC 12 unrolled the v4 lane loop
+ * into scalar adds.
  */
-float dot1(const float *q, const float *b, int64_t k);
+FOCUS_ALWAYS_INLINE float
+dot1(const float *FOCUS_RESTRICT q, const float *FOCUS_RESTRICT b,
+     int64_t k)
+{
+    Vec4 l = {}, qv, bv;
+    const int64_t full = k & ~int64_t{3};
+    for (int64_t p = 0; p < full; p += 4) {
+        std::memcpy(&qv, q + p, sizeof(qv));
+        std::memcpy(&bv, b + p, sizeof(bv));
+        l += qv * bv;
+    }
+    // At most three tail terms: with the count bounded GCC 12 keeps
+    // this loop scalar instead of adding a vectorized copy.
+    float l0 = l[0];
+    for (int64_t p = 0; p < (k & 3); ++p) {
+        l0 += q[full + p] * b[full + p];
+    }
+    return (l0 + l[1]) + (l[2] + l[3]);
+}
 
 /**
  * One query against W consecutive keys of a transposed key panel

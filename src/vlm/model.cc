@@ -174,7 +174,6 @@ struct BatchState
 {
     const VideoSample *sample = nullptr;
     ForwardResult res;
-    Tensor x;           ///< working hidden state [visual ; text]
     Tensor readout_emb; ///< input-space content of active tokens
     std::vector<TokenCoord> coords;
     std::vector<int64_t> active_orig;
@@ -182,8 +181,11 @@ struct BatchState
     int64_t t_count = 0;
     int64_t m_orig = 0;
 
-    Tensor xn; ///< per-phase normed/rounded activations
-    Tensor attn_out;
+    /**
+     * First row of the sample's [visual ; text] hidden state in the
+     * batch's packed tensor; SEC moves it down.
+     */
+    int64_t row0 = 0;
     std::vector<int64_t> retained;
     std::vector<int64_t> pv_rows;
     bool pruned = false;
@@ -216,6 +218,54 @@ scoreTextRows(const kernels::CausalHeads &att, int64_t s,
     return rows;
 }
 
+/**
+ * xn = x, RMS-normed by @p gain, then rounded to the method's
+ * activation storage (per-row int8 or fp16).  Each step works row by
+ * row, so the bits do not depend on how the rows are packed.
+ */
+void
+normRound(const Tensor &x, const Tensor &gain, bool int8, Tensor &xn)
+{
+    xn = x;
+    rmsNormRows(xn, gain);
+    if (int8) {
+        xn = int8RoundTrip(xn);
+    } else {
+        xn.roundToFp16();
+    }
+}
+
+/**
+ * SIC-gather one sample's active rows in place: @p x points at its
+ * s_cur visual rows, then its t_count text rows (never matched), each
+ * @p cols wide and packed.  Appends the gather's tile fractions to the
+ * layer record and returns the site's unique fraction (its psi).
+ */
+double
+gatherSic(BatchState &st, float *x, int64_t cols, const SicConfig &cfg)
+{
+    std::vector<TokenCoord> coords = st.coords;
+    coords.resize(static_cast<size_t>(st.s_cur + st.t_count),
+                  TokenCoord{-1, 0, 0});
+    const SicResult g =
+        sicGather(x, st.s_cur + st.t_count, cols, cols, coords, cfg);
+    st.rec.tile_fracs.insert(st.rec.tile_fracs.end(),
+                             g.tile_slice_unique_frac.begin(),
+                             g.tile_slice_unique_frac.end());
+    return g.uniqueFrac();
+}
+
+/** x += y over two same-shape tensors: a residual add. */
+void
+addInPlace(Tensor &x, const Tensor &y)
+{
+    float *xd = x.data();
+    const float *yd = y.data();
+    for (int64_t i = 0; i < x.numel(); ++i) {
+        xd[i] += yd[i];
+    }
+}
+
 } // namespace
 
 std::vector<ForwardResult>
@@ -223,10 +273,12 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                        const MethodConfig &method,
                        const PrototypeBank &bank) const
 {
-    // Everything whose value could depend on evaluation order
-    // (softmax, SEC, SIC, readout sums) stays per-sample on per-sample
-    // buffers, and only the row-independent GEMMs see the packed
-    // batch, so no batch split changes a result.
+    // The batch's hidden state is one packed tensor from the
+    // embeddings to the readout.  Row-wise steps (RMSNorm, rounding,
+    // the GEMMs, the residual adds) run once over all of it; everything
+    // whose value could depend on evaluation order (softmax, SEC, SIC,
+    // readout sums) runs per sample on the sample's own row range, so
+    // no batch split changes a result.
     std::vector<ForwardResult> out;
     if (count <= 0) {
         return out;
@@ -238,21 +290,30 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
     const bool is_focus = method.kind == MethodKind::Focus;
     const bool sec_on = is_focus && method.focus.sec_enable;
     const bool sic_on = is_focus && method.focus.sic_enable;
+    const SicConfig &sic = method.focus.sic;
 
     std::vector<BatchState> states(static_cast<size_t>(count));
 
-    auto gather_coords = [&](const BatchState &st) {
-        std::vector<TokenCoord> gc(st.coords.begin(),
-                                   st.coords.begin() + st.s_cur);
-        gc.resize(static_cast<size_t>(st.s_cur + st.t_count),
-                  TokenCoord{-1, 0, 0});
-        return gc;
-    };
+    // The packed hidden state x, its normed copy xn, the projections,
+    // the attention output ao, the FFN activations, and one sample's
+    // key panels and text-row probabilities: kept per thread across
+    // layers and calls (Tensor::resize keeps their storage), as the
+    // GEMM's packed B is.  Reuse cannot change a bit.  Every element
+    // is written before it is read: the embedding copies, the attention
+    // rows and the GEMM outputs cover their whole shape, and SEC and
+    // P*V read only the text-row entries causalTextRowsF32 writes.
+    // And the pool never re-enters forwardBatch on a thread, because
+    // a caller waiting at its join runs no other job's indices.
+    thread_local Tensor x, xn, qp, kp, vp, ao, op, gatep, upp, downp;
+    thread_local std::vector<float> panels;
+    thread_local std::vector<Tensor> text_probs;
 
     // ------------------------------------------------------------
     // Preprocess every sample: token-level reduction for the merging
-    // baselines, merged-group mean embeddings.
+    // baselines, merged-group mean embeddings, then its rows appended
+    // to the packed state.
     // ------------------------------------------------------------
+    x.resize(0, d);
     for (int64_t bi = 0; bi < count; ++bi) {
         BatchState &st = states[static_cast<size_t>(bi)];
         const VideoSample &sample = *samples[bi];
@@ -286,7 +347,8 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
         const int64_t s0 = static_cast<int64_t>(red.kept.size());
         st.res.visual_initial = s0;
 
-        Tensor visual(s0, d);
+        Tensor &visual = st.readout_emb;
+        visual = Tensor(s0, d);
         st.coords.assign(static_cast<size_t>(s0), TokenCoord{});
         st.active_orig.assign(static_cast<size_t>(s0), 0);
         {
@@ -328,17 +390,13 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
             }
         }
 
-        st.readout_emb = visual;
-        st.x = Tensor(s0 + st.t_count, d);
-        for (int64_t i = 0; i < s0; ++i) {
-            std::copy(visual.row(i), visual.row(i) + d, st.x.row(i));
-        }
-        for (int64_t i = 0; i < st.t_count; ++i) {
-            std::copy(sample.text_tokens.row(i),
-                      sample.text_tokens.row(i) + d,
-                      st.x.row(s0 + i));
-        }
         st.s_cur = s0;
+        st.row0 = x.rows();
+        x.resize(st.row0 + s0 + st.t_count, d);
+        std::copy(visual.data(), visual.data() + s0 * d, x.row(st.row0));
+        std::copy(sample.text_tokens.data(),
+                  sample.text_tokens.data() + st.t_count * d,
+                  x.row(st.row0 + s0));
 
         const double rows0 =
             static_cast<double>(st.m_orig + st.t_count);
@@ -349,62 +407,22 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
     }
 
     const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hd));
-    // Packed buffers, one sample's key panels and text-row
-    // probabilities, and the down-input gather copy: kept per thread
-    // across layers and calls (Tensor::resize keeps their storage), as
-    // the GEMM's packed B is.  Reuse cannot change a bit.  Every
-    // element is written before it is read: the packed copies and
-    // GEMM outputs cover their whole shape, and SEC and P*V read only
-    // the text-row entries causalTextRowsF32 writes.  And the pool
-    // never re-enters forwardBatch on a thread, because a caller
-    // waiting at its join runs no other job's indices.
-    thread_local Tensor xp, qp, kp, vp, aop, op, gatep, upp, downp, gs;
-    thread_local std::vector<float> panels;
-    thread_local std::vector<Tensor> text_probs;
-    std::vector<int64_t> off(static_cast<size_t>(count));
-    std::vector<int64_t> offa(static_cast<size_t>(count));
-
     for (int l = 0; l < prof_.layers; ++l) {
         const LayerWeights &w = layer_weights[static_cast<size_t>(l)];
 
-        // ---- attention block: per-sample norm/round/SIC gather ----
-        int64_t total = 0;
-        for (int64_t bi = 0; bi < count; ++bi) {
-            BatchState &st = states[static_cast<size_t>(bi)];
+        // ---- attention block: norm/round, per-sample SIC, QKV ----
+        normRound(x, w.n1, method.int8, xn);
+        for (BatchState &st : states) {
             st.rec = LayerRecord();
             st.rec.visual_in = st.s_cur;
             st.rec.text = st.t_count;
-            st.xn = st.x;
-            rmsNormRows(st.xn, w.n1);
-            if (method.int8) {
-                st.xn = int8RoundTrip(st.xn);
-            } else {
-                st.xn.roundToFp16();
-            }
             if (sic_on && l > 0) {
-                SicResult g = sicGather(st.xn, gather_coords(st),
-                                        method.focus.sic);
-                st.rec.psi_qkv = g.uniqueFrac();
-                st.rec.tile_fracs.insert(
-                    st.rec.tile_fracs.end(),
-                    g.tile_slice_unique_frac.begin(),
-                    g.tile_slice_unique_frac.end());
+                st.rec.psi_qkv = gatherSic(st, xn.row(st.row0), d, sic);
             }
-            off[static_cast<size_t>(bi)] = total;
-            total += st.s_cur + st.t_count;
         }
-
-        // ---- QKV projections, all samples packed as rows ----
-        xp.resize(total, d);
-        for (int64_t bi = 0; bi < count; ++bi) {
-            const BatchState &st = states[static_cast<size_t>(bi)];
-            const int64_t rows = st.s_cur + st.t_count;
-            std::copy(st.xn.data(), st.xn.data() + rows * d,
-                      xp.row(off[static_cast<size_t>(bi)]));
-        }
-        gemm(xp, w.wq, qp);
-        gemm(xp, w.wk, kp);
-        gemm(xp, w.wv, vp);
+        gemm(xn, w.wq, qp);
+        gemm(xn, w.wk, kp);
+        gemm(xn, w.wv, vp);
 
         // ---- per-sample attention interior ----
         // No (rows x rows) probability matrix exists: the text rows of
@@ -412,18 +430,22 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
         // causalAttentionF32 then streams the output rows through
         // QK^T, softmax and P*V a small block at a time, never scoring
         // a visual row SEC prunes.  Only the model's op count still
-        // charges the full QK^T triangle.
-        for (int64_t bi = 0; bi < count; ++bi) {
-            BatchState &st = states[static_cast<size_t>(bi)];
+        // charges the full QK^T triangle.  Each sample's output lands
+        // in ao at its post-SEC offset, which no later sample's rows
+        // reach, so ao is sized to the rows entering the layer and
+        // shrunk afterwards.
+        ao.resize(x.rows(), d);
+        int64_t rows_out = 0;
+        for (BatchState &st : states) {
+            const int64_t row_in = st.row0;
             const int64_t rows = st.s_cur + st.t_count;
-            const int64_t o = off[static_cast<size_t>(bi)];
             st.res.ops += 3.0 * static_cast<double>(rows) * d * d *
                 st.rec.psi_qkv;
             st.res.ops += static_cast<double>(rows) * rows * d;
             kernels::CausalHeads att;
-            att.q = qp.row(o);
-            att.k = kp.row(o);
-            att.v = vp.row(o);
+            att.q = qp.row(row_in);
+            att.k = kp.row(row_in);
+            att.v = vp.row(row_in);
             att.ld = d;
             att.rows = rows;
             att.heads = prof_.heads;
@@ -469,6 +491,8 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                 ? static_cast<int64_t>(st.retained.size()) : st.s_cur;
             st.rows_after = st.s_next + st.t_count;
             st.rec.visual_out = st.s_next;
+            st.row0 = rows_out;
+            rows_out += st.rows_after;
 
             const int64_t *pv_map = nullptr;
             if (st.pruned) {
@@ -480,17 +504,29 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                 }
                 pv_map = st.pv_rows.data();
             }
-            st.attn_out.resize(st.rows_after, d);
             kernels::causalAttentionF32(att, panels.data(), st.s_cur,
                                         text_rows.data(), rows, pv_map,
-                                        st.rows_after, st.attn_out.data(),
-                                        st.attn_out.cols());
+                                        st.rows_after, ao.row(st.row0),
+                                        d);
             st.res.ops +=
                 static_cast<double>(st.rows_after) * rows * d;
 
-            // ---- shrink the active state if pruned ----
+            // ---- SEC compaction: move the kept rows down ----
+            // Offsets never grow and the kept rows ascend (SEC's list,
+            // then the text rows), so each destination row is at or
+            // below its source and below every source row still to be
+            // read: in place, in ascending order.  A sample that keeps
+            // every row still moves once an earlier sample pruned.
+            if (st.pruned || st.row0 != row_in) {
+                for (int64_t r = 0; r < st.rows_after; ++r) {
+                    const int64_t src = row_in + (pv_map ? pv_map[r] : r);
+                    const int64_t dst = st.row0 + r;
+                    if (src != dst) {
+                        std::copy(x.row(src), x.row(src) + d, x.row(dst));
+                    }
+                }
+            }
             if (st.pruned) {
-                Tensor x2(st.rows_after, d);
                 Tensor ro2(st.s_next, d);
                 std::vector<TokenCoord> c2(
                     static_cast<size_t>(st.s_next));
@@ -499,8 +535,6 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                 for (int64_t r = 0; r < st.s_next; ++r) {
                     const int64_t srcv =
                         st.retained[static_cast<size_t>(r)];
-                    std::copy(st.x.row(srcv), st.x.row(srcv) + d,
-                              x2.row(r));
                     std::copy(st.readout_emb.row(srcv),
                               st.readout_emb.row(srcv) + d,
                               ro2.row(r));
@@ -509,12 +543,6 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                     ao2[static_cast<size_t>(r)] =
                         st.active_orig[static_cast<size_t>(srcv)];
                 }
-                for (int64_t r = 0; r < st.t_count; ++r) {
-                    std::copy(st.x.row(st.s_cur + r),
-                              st.x.row(st.s_cur + r) + d,
-                              x2.row(st.s_next + r));
-                }
-                st.x = std::move(x2);
                 st.readout_emb = std::move(ro2);
                 st.coords = std::move(c2);
                 st.active_orig = std::move(ao2);
@@ -522,137 +550,63 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
             }
 
             if (sic_on) {
-                SicResult g = sicGather(st.attn_out,
-                                        gather_coords(st),
-                                        method.focus.sic);
-                st.rec.psi_oproj = g.uniqueFrac();
-                st.rec.tile_fracs.insert(
-                    st.rec.tile_fracs.end(),
-                    g.tile_slice_unique_frac.begin(),
-                    g.tile_slice_unique_frac.end());
+                st.rec.psi_oproj = gatherSic(st, ao.row(st.row0), d, sic);
             }
-        }
-
-        // ---- O projection, packed ----
-        int64_t total_after = 0;
-        for (int64_t bi = 0; bi < count; ++bi) {
-            offa[static_cast<size_t>(bi)] = total_after;
-            total_after += states[static_cast<size_t>(bi)].rows_after;
-        }
-        aop.resize(total_after, d);
-        for (int64_t bi = 0; bi < count; ++bi) {
-            const BatchState &st = states[static_cast<size_t>(bi)];
-            std::copy(st.attn_out.data(),
-                      st.attn_out.data() + st.rows_after * d,
-                      aop.row(offa[static_cast<size_t>(bi)]));
-        }
-        gemm(aop, w.wo, op);
-        for (int64_t bi = 0; bi < count; ++bi) {
-            BatchState &st = states[static_cast<size_t>(bi)];
             st.res.ops += static_cast<double>(st.rows_after) * d * d *
                 st.rec.psi_oproj;
-            const int64_t o = offa[static_cast<size_t>(bi)];
-            for (int64_t r = 0; r < st.rows_after; ++r) {
-                float *xr = st.x.row(r);
-                const float *orow = op.row(o + r);
-                for (int64_t j = 0; j < d; ++j) {
-                    xr[j] += orow[j];
-                }
-            }
         }
+        x.resize(rows_out, d);
+        ao.resize(rows_out, d);
+
+        // ---- O projection and residual ----
+        gemm(ao, w.wo, op);
+        addInPlace(x, op);
 
         // ---- FFN block ----
-        for (int64_t bi = 0; bi < count; ++bi) {
-            BatchState &st = states[static_cast<size_t>(bi)];
-            st.xn = st.x;
-            rmsNormRows(st.xn, w.n2);
-            if (method.int8) {
-                st.xn = int8RoundTrip(st.xn);
-            } else {
-                st.xn.roundToFp16();
-            }
+        normRound(x, w.n2, method.int8, xn);
+        for (BatchState &st : states) {
             if (sic_on) {
-                SicResult g = sicGather(st.xn, gather_coords(st),
-                                        method.focus.sic);
-                st.rec.psi_ffn = g.uniqueFrac();
-                st.rec.tile_fracs.insert(
-                    st.rec.tile_fracs.end(),
-                    g.tile_slice_unique_frac.begin(),
-                    g.tile_slice_unique_frac.end());
+                st.rec.psi_ffn = gatherSic(st, xn.row(st.row0), d, sic);
             }
-        }
-        xp.resize(total_after, d);
-        for (int64_t bi = 0; bi < count; ++bi) {
-            const BatchState &st = states[static_cast<size_t>(bi)];
-            std::copy(st.xn.data(),
-                      st.xn.data() + st.rows_after * d,
-                      xp.row(offa[static_cast<size_t>(bi)]));
-        }
-        gemm(xp, w.wg, gatep);
-        gemm(xp, w.wu, upp);
-        for (int64_t bi = 0; bi < count; ++bi) {
-            BatchState &st = states[static_cast<size_t>(bi)];
             st.res.ops += 2.0 * static_cast<double>(st.rows_after) *
                 d * inner * st.rec.psi_ffn;
         }
+        gemm(xn, w.wg, gatep);
+        gemm(xn, w.wu, upp);
         kernels::swigluF32(gatep.data(), upp.data(), gatep.numel());
-        if (sic_on) {
-            for (int64_t bi = 0; bi < count; ++bi) {
-                BatchState &st = states[static_cast<size_t>(bi)];
-                const int64_t o = offa[static_cast<size_t>(bi)];
-                gs.resize(st.rows_after, inner);
-                std::copy(gatep.row(o),
-                          gatep.row(o) + st.rows_after * inner,
-                          gs.data());
-                SicResult g = sicGather(gs, gather_coords(st),
-                                        method.focus.sic);
-                st.rec.psi_down = g.uniqueFrac();
-                st.rec.tile_fracs.insert(
-                    st.rec.tile_fracs.end(),
-                    g.tile_slice_unique_frac.begin(),
-                    g.tile_slice_unique_frac.end());
-                std::copy(gs.data(),
-                          gs.data() + st.rows_after * inner,
-                          gatep.row(o));
+        for (BatchState &st : states) {
+            if (sic_on) {
+                st.rec.psi_down =
+                    gatherSic(st, gatep.row(st.row0), inner, sic);
             }
-        }
-        gemm(gatep, w.wd, downp);
-        for (int64_t bi = 0; bi < count; ++bi) {
-            BatchState &st = states[static_cast<size_t>(bi)];
             st.res.ops += static_cast<double>(st.rows_after) * inner *
                 d * st.rec.psi_down;
-            const int64_t o = offa[static_cast<size_t>(bi)];
-            for (int64_t r = 0; r < st.rows_after; ++r) {
-                float *xr = st.x.row(r);
-                const float *dr = downp.row(o + r);
-                for (int64_t j = 0; j < d; ++j) {
-                    xr[j] += dr[j];
-                }
-            }
             st.res.layers.push_back(std::move(st.rec));
         }
+        gemm(gatep, w.wd, downp);
+        addInPlace(x, downp);
     }
 
     // ------------------------------------------------------------
     // Readout: packed query/key projections, per-sample logits.
+    // Only the visual rows go through the key projection.
     // ------------------------------------------------------------
+    xn = x;
+    rmsNormRows(xn, layers_.back().n1);
     int64_t total_vis = 0;
     std::vector<int64_t> offv(static_cast<size_t>(count));
     for (int64_t bi = 0; bi < count; ++bi) {
-        BatchState &st = states[static_cast<size_t>(bi)];
-        st.xn = st.x;
-        rmsNormRows(st.xn, layers_.back().n1);
         offv[static_cast<size_t>(bi)] = total_vis;
-        total_vis += st.s_cur;
+        total_vis += states[static_cast<size_t>(bi)].s_cur;
     }
     Tensor qinp(count, d);
     Tensor visp(total_vis, d);
     for (int64_t bi = 0; bi < count; ++bi) {
         const BatchState &st = states[static_cast<size_t>(bi)];
-        const int64_t qrow_idx = st.s_cur + st.sample->query_token;
-        std::copy(st.xn.row(qrow_idx), st.xn.row(qrow_idx) + d,
-                  qinp.row(bi));
-        std::copy(st.xn.data(), st.xn.data() + st.s_cur * d,
+        const float *rows = xn.row(st.row0);
+        const float *qrow = rows + (st.s_cur + st.sample->query_token) * d;
+        std::copy(qrow, qrow + d, qinp.row(bi));
+        std::copy(rows, rows + st.s_cur * d,
                   visp.row(offv[static_cast<size_t>(bi)]));
     }
     Tensor qvp, kvp;

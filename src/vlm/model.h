@@ -109,20 +109,23 @@ class VlmModel
                           const PrototypeBank &bank) const;
 
     /**
-     * Run a batch of samples under one method, packing the samples'
-     * rows through the projection / FFN / readout GEMMs of the
-     * kernel tier (tensor/kernels.h) so per-sample small GEMMs
-     * become a few large ones.  Each sample's attention interior
-     * scores its text rows first, lets SEC select from them, then
-     * streams the surviving rows through QK^T, softmax and P*V in
-     * small blocks (kernels::causalAttentionF32), with no (rows x
-     * rows) probability matrix.  Results are bit-identical at every
-     * batch split, and to the per-sample reference forward pass in
-     * tests/reference/forward.h: GEMM output rows are independent
-     * (per-element ascending-k accumulation), the streamed interior
-     * preserves the per-element dot4/softmax/PV arithmetic, and
-     * everything per-sample (softmax, SEC, SIC, readout) runs on
-     * per-sample buffers.
+     * Run a batch of samples under one method.  The batch's hidden
+     * state is one packed tensor from the embeddings to the readout,
+     * each sample owning a row range of it: RMSNorm, rounding, the
+     * projection / FFN / readout GEMMs of the kernel tier
+     * (tensor/kernels.h) and the residual adds run once over every
+     * row, so per-sample small GEMMs become a few large ones.  Each
+     * sample's attention interior scores its text rows first, lets
+     * SEC select from them, then streams the surviving rows through
+     * QK^T, softmax and P*V in small blocks
+     * (kernels::causalAttentionF32), with no (rows x rows)
+     * probability matrix.  Results are bit-identical at every batch
+     * split, and to the per-sample reference forward pass in
+     * tests/reference/forward.h: every row-wise step leaves each row
+     * independent of the others (GEMM rows accumulate per element in
+     * ascending k), the streamed interior preserves the per-element
+     * dot4/softmax/PV arithmetic, and everything order-sensitive
+     * (softmax, SEC, SIC, readout) runs per sample on its own rows.
      */
     std::vector<ForwardResult>
     forwardBatch(const VideoSample *const *samples, int64_t count,

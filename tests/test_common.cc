@@ -266,14 +266,6 @@ TEST(MathUtil, CeilDiv)
     EXPECT_EQ(ceilDiv<int64_t>(1, 1024), 1);
 }
 
-TEST(MathUtil, Pow2Helpers)
-{
-    EXPECT_TRUE(isPow2(64));
-    EXPECT_FALSE(isPow2(48));
-    EXPECT_FALSE(isPow2(0));
-    EXPECT_EQ(log2Exact(1024), 10);
-}
-
 // ---------------------------------------------------------------
 // parse
 // ---------------------------------------------------------------

@@ -206,6 +206,13 @@ struct ForwardCase
     const char *name;
     bool image;
     MethodConfig method;
+    /**
+     * Layers at which the reference pass must prune some of the three
+     * samples and keep every visual row of the others, each with its
+     * pattern: 'p' for a sample that prunes there, 'k' for one that
+     * keeps every row.
+     */
+    std::vector<std::pair<int, std::string>> pruning = {};
 };
 
 void
@@ -240,6 +247,8 @@ forwardCases()
     threshold.focus.sec.select = SecSelect::Threshold;
     MethodConfig single_frame = MethodConfig::focusFull();
     single_frame.focus.sic.block_f = 1;
+    MethodConfig mixed = top_p;
+    mixed.focus.sec.top_p = 0.9999;
     return {
         {"FocusVideo", false, MethodConfig::focusFull()},
         {"FocusInt8Video", false, focus_q},
@@ -249,6 +258,7 @@ forwardCases()
         {"ThresholdImage", true, threshold},
         {"SecOnlyImage", true, MethodConfig::focusSecOnly()},
         {"SicOnlyImage", true, MethodConfig::focusSicOnly()},
+        {"MixedPruningImage", true, mixed, {{1, "pkp"}, {5, "kpp"}}},
     };
 }
 
@@ -260,11 +270,13 @@ class ForwardBatch : public ::testing::TestWithParam<ForwardCase>
 // way of splitting the batch: every SEC selection rule, SEC and SIC on
 // their own, the INT8 variant, a token-merging baseline, and a
 // single-frame SIC window on an image profile, whose schedule keeps
-// more rows.  Both pool widths run inside the test, so the streamed
-// attention fan-out and the pool workers that help it run whatever
-// FOCUS_THREADS says.  forward() is the split into batches of one.
-// The image profile's 206-row samples keep the list cheap enough for
-// the sanitizer builds.
+// more rows, and a top-p cut that prunes some samples of a batch and
+// not others at the same layer, so a sample that keeps every row must
+// still move down behind one that pruned.  Both pool widths run
+// inside the test, so the streamed attention fan-out and the pool
+// workers that help it run whatever FOCUS_THREADS says.  forward() is
+// the split into batches of one.  The image profile's 206-row samples
+// keep the list cheap enough for the sanitizer builds.
 TEST_P(ForwardBatch, MatchesReferenceAtEverySplit)
 {
     const ForwardCase &c = GetParam();
@@ -277,6 +289,15 @@ TEST_P(ForwardBatch, MatchesReferenceAtEverySplit)
         samples.push_back(gen.sample(i));
         ref.push_back(reference::forward(ev.model(), samples.back(),
                                          c.method, gen.bank()));
+    }
+    for (const auto &[layer, pattern] : c.pruning) {
+        std::string got;
+        for (const ForwardResult &r : ref) {
+            const LayerRecord &rec =
+                r.layers[static_cast<std::size_t>(layer)];
+            got += rec.visual_out < rec.visual_in ? 'p' : 'k';
+        }
+        ASSERT_EQ(got, pattern) << "pruning at layer " << layer;
     }
     for (int threads : {1, 4}) {
         SCOPED_TRACE(std::to_string(threads) + " threads");

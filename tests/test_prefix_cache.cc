@@ -36,7 +36,6 @@ slab(int64_t rows, int64_t cols)
     SlabSpec s;
     s.rows = rows;
     s.cols = cols;
-    s.full_bytes = rows * cols * 64;
     s.seed = 7;
     return s;
 }
@@ -186,7 +185,6 @@ TEST(PrefixCache, DoorkeeperAdmitsOnSecondMiss)
     EXPECT_EQ(s.rejected, 1); // the doorkeeper absorption
     EXPECT_EQ(s.evictions, 0);
     EXPECT_EQ(s.bytes_resident, 64 * 64 * 2);
-    EXPECT_EQ(s.full_bytes_resident, slab(64, 64).full_bytes);
     EXPECT_EQ(s.err_slabs, 1);
     // fp16 round-trip of gaussian values: small but nonzero error.
     EXPECT_GT(s.meanRoundTripError(), 0.0);
