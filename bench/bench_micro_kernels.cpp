@@ -5,12 +5,14 @@
  * the forward pass's shapes), fp16 activation rounding, the causal
  * attention interior (QK^T, softmax, P*V, and the streamed two-head
  * interior the forward pass runs), cosine similarity
- * matching, similarity gather, streaming top-k, and the cycle model
+ * matching, the similarity gather over a prebuilt neighbour table and
+ * the table's build, streaming top-k, and the cycle model
  * (one GEMM, and whole dense and Focus traces).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -288,29 +290,61 @@ BM_CosineSimilarity(benchmark::State &state)
 }
 BENCHMARK(BM_CosineSimilarity)->Arg(8)->Arg(32)->Arg(128);
 
-void
-BM_SicGather(benchmark::State &state)
+/** Coordinates of an 8 x 10 x 10 token raster in stream order. */
+std::vector<TokenCoord>
+sicRaster()
 {
-    const int frames = 8, h = 10, w = 10;
-    Rng rng(4);
     std::vector<TokenCoord> coords;
-    for (int f = 0; f < frames; ++f) {
-        for (int r = 0; r < h; ++r) {
-            for (int c = 0; c < w; ++c) {
+    for (int f = 0; f < 8; ++f) {
+        for (int r = 0; r < 10; ++r) {
+            for (int c = 0; c < 10; ++c) {
                 coords.push_back(TokenCoord{f, r, c});
             }
         }
     }
-    const Tensor base = randomTensor(rng, frames * h * w, 64);
-    SicConfig cfg;
+    return coords;
+}
+
+/**
+ * The forward pass's SIC path: one gather of an 800 x 64 activation
+ * over a neighbour table built beforehand, as forwardBatch keeps one
+ * per layout (the copy restores the input the gather overwrites).
+ */
+void
+BM_SicGather(benchmark::State &state)
+{
+    Rng rng(4);
+    const std::vector<TokenCoord> coords = sicRaster();
+    const int64_t rows = static_cast<int64_t>(coords.size());
+    const Tensor base = randomTensor(rng, rows, 64);
+    const SicConfig cfg;
+    const SicNeighbours nb = sicNeighbours(coords, cfg);
+    Tensor x = base;
     for (auto _ : state) {
-        Tensor x = base;
-        const SicResult res = sicGather(x, coords, cfg);
+        std::copy(base.data(), base.data() + base.numel(), x.data());
+        const SicResult res = sicGather(x.data(), 64, 64, nb, cfg);
         benchmark::DoNotOptimize(res.unique_vectors);
+        benchmark::DoNotOptimize(x.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * frames * h * w * 2);
+    state.SetItemsProcessed(state.iterations() * rows * 2);
 }
 BENCHMARK(BM_SicGather);
+
+/** The neighbour table of the same 800-token layout: its build cost. */
+void
+BM_SicNeighbours(benchmark::State &state)
+{
+    const std::vector<TokenCoord> coords = sicRaster();
+    const SicConfig cfg;
+    for (auto _ : state) {
+        const SicNeighbours nb = sicNeighbours(coords, cfg);
+        benchmark::DoNotOptimize(nb.list.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(coords.size()));
+}
+BENCHMARK(BM_SicNeighbours);
 
 void
 BM_TimeGemmModel(benchmark::State &state)

@@ -2,85 +2,84 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cmath>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "obs/trace_span.h"
 #include "tensor/kernels.h"
-#include "tensor/ops.h"
 
 namespace focus
 {
 
-namespace
+SicNeighbours
+sicNeighbours(const std::vector<TokenCoord> &coords, const SicConfig &cfg)
 {
+    // Dense (f, r, c) -> row lookup; a coordinate seen twice maps to
+    // its last row.
+    int max_f = 0, max_r = 0, max_c = 0;
+    for (const TokenCoord &t : coords) {
+        if (t.f >= 0) {
+            max_f = std::max(max_f, t.f);
+            max_r = std::max(max_r, t.r);
+            max_c = std::max(max_c, t.c);
+        }
+    }
+    const int64_t stride_r = max_c + 1;
+    const int64_t stride_f = (max_r + 1) * stride_r;
+    std::vector<int64_t> at(static_cast<size_t>((max_f + 1) * stride_f),
+                            -1);
+    const auto key = [&](int f, int r, int c) {
+        return static_cast<size_t>(f * stride_f + r * stride_r + c);
+    };
+    const int64_t rows = static_cast<int64_t>(coords.size());
+    for (int64_t i = 0; i < rows; ++i) {
+        const TokenCoord &t = coords[static_cast<size_t>(i)];
+        if (t.f >= 0) {
+            at[key(t.f, t.r, t.c)] = i;
+        }
+    }
 
-/** Dense (f, r, c) -> row lookup built per gather call. */
-class CoordIndex
-{
-  public:
-    explicit CoordIndex(const std::vector<TokenCoord> &coords)
-    {
-        for (size_t i = 0; i < coords.size(); ++i) {
-            const TokenCoord &t = coords[i];
-            if (t.f < 0) {
+    // Block offsets in the matcher's order, excluding (0,0,0): the
+    // key is the highest-index member and looks backwards.
+    std::vector<TokenCoord> deltas;
+    for (int df = 0; df < cfg.block_f; ++df) {
+        for (int dr = 0; dr < cfg.block_h; ++dr) {
+            for (int dc = 0; dc < cfg.block_w; ++dc) {
+                if (df != 0 || dr != 0 || dc != 0) {
+                    deltas.push_back(TokenCoord{df, dr, dc});
+                }
+            }
+        }
+    }
+
+    const int64_t m_tile = std::max<int64_t>(1, cfg.m_tile);
+    SicNeighbours nb;
+    nb.begin.reserve(static_cast<size_t>(rows + 1));
+    for (int64_t i = 0; i < rows; ++i) {
+        const TokenCoord &t = coords[static_cast<size_t>(i)];
+        const int64_t tile0 = i - i % m_tile;
+        for (const TokenCoord &d : deltas) {
+            // A text row (f < 0) has no neighbour at any offset.
+            const int f = t.f - d.f, r = t.r - d.r, c = t.c - d.c;
+            if (f < 0 || r < 0 || c < 0) {
                 continue;
             }
-            max_f_ = std::max(max_f_, t.f);
-            max_r_ = std::max(max_r_, t.r);
-            max_c_ = std::max(max_c_, t.c);
-        }
-        stride_r_ = max_c_ + 1;
-        stride_f_ = (max_r_ + 1) * stride_r_;
-        table_.assign(static_cast<size_t>((max_f_ + 1) * stride_f_), -1);
-        for (size_t i = 0; i < coords.size(); ++i) {
-            const TokenCoord &t = coords[i];
-            if (t.f < 0) {
-                continue;
+            // The neighbour must exist, precede the row and share its
+            // m tile (the Fig. 10(a) boundary effect).
+            const int64_t j = at[key(f, r, c)];
+            if (j >= tile0 && j < i) {
+                nb.list.push_back(j - tile0);
             }
-            table_[key(t)] = static_cast<int64_t>(i);
         }
+        nb.begin.push_back(static_cast<int64_t>(nb.list.size()));
     }
-
-    /** Row of the token at coordinate @p t, or -1. */
-    int64_t
-    lookup(const TokenCoord &t) const
-    {
-        if (t.f < 0 || t.r < 0 || t.c < 0 || t.f > max_f_ ||
-            t.r > max_r_ || t.c > max_c_) {
-            return -1;
-        }
-        return table_[key(t)];
-    }
-
-  private:
-    size_t
-    key(const TokenCoord &t) const
-    {
-        return static_cast<size_t>(t.f * stride_f_ + t.r * stride_r_ +
-                                   t.c);
-    }
-
-    int max_f_ = 0;
-    int max_r_ = 0;
-    int max_c_ = 0;
-    int64_t stride_f_ = 1;
-    int64_t stride_r_ = 1;
-    std::vector<int64_t> table_;
-};
-
-} // namespace
+    return nb;
+}
 
 SicResult
-sicGather(float *x, int64_t rows, int64_t cols, int64_t ld,
-          const std::vector<TokenCoord> &coords, const SicConfig &cfg)
+sicGather(float *x, int64_t cols, int64_t ld, const SicNeighbours &nb,
+          const SicConfig &cfg)
 {
-    if (static_cast<int64_t>(coords.size()) != rows) {
-        panic("sicGather: coords size %zu != rows %" PRId64,
-              coords.size(), rows);
-    }
-
+    const int64_t rows = nb.rows();
     const int64_t vec = cfg.token_wise ? cols : cfg.vector_size;
     if (vec <= 0 || cols % vec != 0) {
         panic("sicGather: vector size %" PRId64 " does not divide "
@@ -97,32 +96,21 @@ sicGather(float *x, int64_t rows, int64_t cols, int64_t ld,
         tokens.add(static_cast<uint64_t>(rows));
     }
 
-    SicResult res;
-    CoordIndex index(coords);
-
-    // Neighbour offsets of the block, excluding (0,0,0): the key is
-    // the highest-index member and looks backwards.
-    std::vector<TokenCoord> deltas;
-    for (int df = 0; df < cfg.block_f; ++df) {
-        for (int dr = 0; dr < cfg.block_h; ++dr) {
-            for (int dc = 0; dc < cfg.block_w; ++dc) {
-                if (df == 0 && dr == 0 && dc == 0) {
-                    continue;
-                }
-                deltas.push_back(TokenCoord{df, dr, dc});
-            }
-        }
+    int64_t widest = 0;
+    for (size_t i = 1; i < nb.begin.size(); ++i) {
+        widest = std::max(widest, nb.begin[i] - nb.begin[i - 1]);
     }
 
-    std::vector<float> orig;    // original tile slice values
-    std::vector<float> norms;   // per-row L2 of the original slice
-    std::vector<int64_t> cand;  // candidate tile-local rows, delta order
-    std::vector<float> sims;    // their similarities vs the key row
-    cand.reserve(deltas.size());
-    sims.resize(deltas.size());
+    SicResult res;
+    std::vector<float> orig;  // original tile slice values
+    std::vector<float> norms; // per-row L2 of the original slice
+    std::vector<float> sims(static_cast<size_t>(widest));
+    // rep[i]: tile row whose original values represent row i.
+    std::vector<int64_t> rep;
 
     for (int64_t tile0 = 0; tile0 < rows; tile0 += m_tile) {
         const int64_t tile_rows = std::min(m_tile, rows - tile0);
+        rep.resize(static_cast<size_t>(tile_rows));
         for (int64_t s = 0; s < slices; ++s) {
             const int64_t c0 = s * vec;
 
@@ -134,82 +122,47 @@ sicGather(float *x, int64_t rows, int64_t cols, int64_t ld,
             norms.resize(static_cast<size_t>(tile_rows));
             for (int64_t i = 0; i < tile_rows; ++i) {
                 const float *src = x + (tile0 + i) * ld + c0;
-                std::copy(src, src + vec,
-                          orig.begin() + i * vec);
+                std::copy(src, src + vec, orig.begin() + i * vec);
             }
             kernels::l2NormRowsF32(orig.data(), vec, tile_rows, vec,
                                    norms.data());
 
-            SliceMap map;
-            map.tile_row0 = tile0;
-            map.rows = tile_rows;
-            map.slice = static_cast<int>(s);
-            map.compact_index.assign(static_cast<size_t>(tile_rows), -1);
-
-            // rep[i]: tile-local row whose original values represent
-            // row i (path-compressed root).
-            std::vector<int32_t> rep(static_cast<size_t>(tile_rows));
-
-            int32_t next_compact = 0;
+            int64_t unique = 0;
             for (int64_t i = 0; i < tile_rows; ++i) {
-                const int64_t gi = tile0 + i;
-                const TokenCoord &key = coords[static_cast<size_t>(gi)];
-                int64_t best_j = -1;
+                const size_t row = static_cast<size_t>(tile0 + i);
+                const int64_t *cand = nb.list.data() + nb.begin[row];
+                const int64_t count = nb.begin[row + 1] - nb.begin[row];
+                kernels::simGatherF32(
+                    orig.data() + i * vec, norms[static_cast<size_t>(i)],
+                    orig.data(), vec, norms.data(), cand, count, vec,
+                    sims.data());
+                int64_t best = -1;
                 float best_sim = cfg.threshold;
-
-                if (key.f >= 0) {
-                    cand.clear();
-                    for (const TokenCoord &d : deltas) {
-                        const TokenCoord nb{key.f - d.f, key.r - d.r,
-                                            key.c - d.c};
-                        const int64_t gj = index.lookup(nb);
-                        // Neighbour must exist, precede the key, and
-                        // live in the same tile.
-                        if (gj < 0 || gj >= gi || gj < tile0) {
-                            continue;
-                        }
-                        cand.push_back(gj - tile0);
-                    }
-                    // Batched similarity kernel over the packed tile
-                    // slice; the selection scan below keeps the
-                    // historical delta order and >= tie rule.
-                    kernels::simGatherF32(
-                        orig.data() + i * vec,
-                        norms[static_cast<size_t>(i)], orig.data(),
-                        vec, norms.data(), cand.data(),
-                        static_cast<int64_t>(cand.size()), vec,
-                        sims.data());
-                    for (size_t c = 0; c < cand.size(); ++c) {
-                        if (sims[c] >= best_sim) {
-                            best_sim = sims[c];
-                            best_j = cand[c];
-                        }
+                for (int64_t c = 0; c < count; ++c) {
+                    if (sims[static_cast<size_t>(c)] >= best_sim) {
+                        best_sim = sims[static_cast<size_t>(c)];
+                        best = cand[c];
                     }
                 }
 
-                if (best_j >= 0) {
+                if (best >= 0) {
                     // Match: reuse the representative of the matched
                     // neighbour; reconstruct the value in-stream.
-                    const int32_t root = rep[static_cast<size_t>(best_j)];
+                    const int64_t root = rep[static_cast<size_t>(best)];
                     rep[static_cast<size_t>(i)] = root;
-                    map.compact_index[static_cast<size_t>(i)] =
-                        map.compact_index[static_cast<size_t>(root)];
-                    const float *rv = orig.data() +
-                        static_cast<int64_t>(root) * vec;
-                    std::copy(rv, rv + vec, x + gi * ld + c0);
+                    const float *rv = orig.data() + root * vec;
+                    std::copy(rv, rv + vec, x + (tile0 + i) * ld + c0);
                 } else {
-                    rep[static_cast<size_t>(i)] =
-                        static_cast<int32_t>(i);
-                    map.compact_index[static_cast<size_t>(i)] =
-                        next_compact++;
+                    rep[static_cast<size_t>(i)] = i;
+                    ++unique;
                 }
             }
 
-            map.unique = next_compact;
             res.total_vectors += tile_rows;
-            res.unique_vectors += map.unique;
-            res.tile_slice_unique_frac.push_back(map.uniqueFrac());
-            res.maps.push_back(std::move(map));
+            res.unique_vectors += unique;
+            res.tile_slice_unique_frac.push_back(
+                static_cast<double>(unique) /
+                static_cast<double>(tile_rows));
         }
     }
     return res;
@@ -219,10 +172,13 @@ SicResult
 sicGather(Tensor &x, const std::vector<TokenCoord> &coords,
           const SicConfig &cfg)
 {
-    if (x.rank() != 2) {
-        panic("sicGather: rank-2 tensor required");
+    if (x.rank() != 2 ||
+        static_cast<int64_t>(coords.size()) != x.rows()) {
+        panic("sicGather: a rank-2 tensor with one coordinate per row "
+              "required (%zu coordinates)", coords.size());
     }
-    return sicGather(x.data(), x.rows(), x.cols(), x.cols(), coords, cfg);
+    return sicGather(x.data(), x.cols(), x.cols(),
+                     sicNeighbours(coords, cfg), cfg);
 }
 
 } // namespace focus

@@ -3,14 +3,18 @@
  * Similarity Concentrator (SIC): vector-level redundancy removal
  * within GEMM tiles (Sec. VI).
  *
- * Similarity Gather scans each m x n output tile of a GEMM (n = the
- * vector size, 32 by default), groups vectors into 2x2x2
- * spatiotemporal blocks via the convolution-style layout, and
- * replaces vectors whose cosine similarity to a block neighbour
- * exceeds the threshold with an index reference to that neighbour's
- * representative.  A per-tile similarity map permits exact layout
- * reconstruction (Similarity Scatter; the reference is
- * tests/reference/sic_scatter.h).
+ * The convolution-style layout fixes, once per token stream, which
+ * vectors each vector can match: the earlier members of its 2x2x2
+ * spatiotemporal block that share its m tile.  sicNeighbours() lists
+ * them once per layout; sicGather() then scans each m x n output tile
+ * of a GEMM (n = the vector size, 32 by default) and replaces every
+ * vector whose cosine similarity to a listed neighbour reaches the
+ * threshold with that neighbour's representative.  The forward pass
+ * builds the table when it sets a sample up and again after each SEC
+ * prune.  The per-tile similarity maps that make the gather lossless
+ * (Similarity Scatter) are kept by the test oracle
+ * tests/reference/sic_gather.h; tests/reference/sic_scatter.h
+ * rebuilds a tensor from them.
  */
 
 #ifndef FOCUS_FOCUS_SIC_H
@@ -26,36 +30,32 @@
 namespace focus
 {
 
-/** Similarity map for one (m-tile, vector-slice) pair. */
-struct SliceMap
+/**
+ * SIC neighbour table of one token layout.  Row i's candidates are
+ * list[begin[i] .. begin[i + 1]): the rows of its block that precede
+ * it and lie in its m tile, as rows of that tile, in the matcher's
+ * delta order.  Rows with f < 0 (text tokens) list none.
+ */
+struct SicNeighbours
 {
-    int64_t tile_row0 = 0;  ///< first global row of the tile
-    int64_t rows = 0;       ///< rows in the tile
-    int slice = 0;          ///< channel-slice index within the tensor
+    std::vector<int64_t> begin{0};
+    std::vector<int64_t> list;
 
-    /**
-     * Per tile-local row: index of its vector in the compact buffer.
-     * Unique rows get fresh ascending indices; matched rows reuse the
-     * index of their representative (Fig. 6(4)).
-     */
-    std::vector<int32_t> compact_index;
-
-    int64_t unique = 0;     ///< number of unique vectors (= compact size)
-
-    double
-    uniqueFrac() const
-    {
-        return rows == 0 ? 1.0
-                         : static_cast<double>(unique) /
-                               static_cast<double>(rows);
-    }
+    int64_t rows() const { return static_cast<int64_t>(begin.size()) - 1; }
 };
+
+/**
+ * The neighbour table of the rows whose token coordinates are
+ * @p coords, tiled by cfg.m_tile from row 0.  A block member is the
+ * token at (f - df, r - dr, c - dc) for df < block_f, dr < block_h,
+ * dc < block_w, not all zero, listed with dc fastest.
+ */
+SicNeighbours sicNeighbours(const std::vector<TokenCoord> &coords,
+                            const SicConfig &cfg);
 
 /** Result of gathering one tensor. */
 struct SicResult
 {
-    std::vector<SliceMap> maps;
-
     /** Unique fraction per (tile, slice), in scan order. */
     std::vector<double> tile_slice_unique_frac;
 
@@ -74,29 +74,27 @@ struct SicResult
 };
 
 /**
- * Similarity Gather over a row range of an activation matrix, in
- * place.
+ * Similarity Gather over the rows of a layout, in place.
  *
- * @param x       @p rows x @p cols activations, row stride @p ld;
+ * @param x       nb.rows() x @p cols activations, row stride @p ld;
  *                rows are tokens in FHW stream order.  Matched vectors
  *                are overwritten with their representative's values,
  *                which is numerically identical to computing the next
  *                GEMM on the compact buffer and scattering partial
  *                sums (the hardware path of Fig. 8).
- * @param coords  per-row token coordinate; rows with f < 0 (e.g.
- *                text tokens) are never matched and always unique.
- * @param cfg     SIC configuration (threshold, vector size, block
- *                extents, m tile size).
+ * @param nb      the layout's neighbour table, built with @p cfg.
+ * @param cfg     SIC configuration (threshold, vector size, m tile
+ *                size).
  *
  * Comparisons use the *original* streamed values (the layouter
- * buffer holds raw GEMM outputs), and never cross an m-tile boundary
- * (Fig. 10(a) boundary effect).  m tiles start at row 0 of the range.
+ * buffer holds raw GEMM outputs); a candidate matches when its
+ * similarity is at least the threshold and the best so far, so the
+ * last of equal candidates wins.
  */
-SicResult sicGather(float *x, int64_t rows, int64_t cols, int64_t ld,
-                    const std::vector<TokenCoord> &coords,
-                    const SicConfig &cfg);
+SicResult sicGather(float *x, int64_t cols, int64_t ld,
+                    const SicNeighbours &nb, const SicConfig &cfg);
 
-/** sicGather over every row of a rank-2 tensor. */
+/** sicGather over every row of a rank-2 tensor of tokens @p coords. */
 SicResult sicGather(Tensor &x, const std::vector<TokenCoord> &coords,
                     const SicConfig &cfg);
 

@@ -24,8 +24,9 @@
 // (qkScoresRows) are three target() versions of one function instead,
 // one per level, because only the v4 one takes the wide tile; the
 // loader's resolver picks among them by the same levels.  cloneName()
-// names the body the host runs by repeating the resolver's CPU-level
-// checks, so it must list the same levels as this attribute.  TSan
+// answers from a per-level set of the same kind (levelName), so it
+// names the body the loader picked; that set must list the same
+// levels as this attribute.  TSan
 // builds compile one body: its runtime is not up yet when the ifunc
 // resolvers run.
 #ifndef __has_attribute
@@ -60,22 +61,47 @@ namespace kernels
 
 using namespace detail;
 
+namespace
+{
+
+/**
+ * The level of the bodies this binary runs: one target() version per
+ * level of FOCUS_KERNEL_CLONES, as qkScoresRows has, so the loader's
+ * resolver picks this name as it picks the kernels' bodies.  A copy
+ * built with a level removed deletes that level's version here too.
+ */
+#if FOCUS_HAS_KERNEL_CLONES
+__attribute__((target("default"))) const char *
+levelName()
+{
+    return "baseline";
+}
+
+__attribute__((target("arch=x86-64-v3"))) const char *
+levelName()
+{
+    return "x86-64-v3";
+}
+
+__attribute__((target("arch=x86-64-v4"))) const char *
+levelName()
+{
+    return "x86-64-v4";
+}
+#else
+const char *
+levelName()
+{
+    return "single body";
+}
+#endif
+
+} // namespace
+
 const char *
 cloneName()
 {
-#if FOCUS_HAS_KERNEL_CLONES
-    // The levels the target_clones resolver tests, highest first.
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("x86-64-v4")) {
-        return "x86-64-v4";
-    }
-    if (__builtin_cpu_supports("x86-64-v3")) {
-        return "x86-64-v3";
-    }
-    return "baseline";
-#else
-    return "single body";
-#endif
+    return levelName();
 }
 
 namespace

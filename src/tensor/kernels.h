@@ -52,16 +52,15 @@ namespace kernels
 {
 
 /**
- * The body of the multi-versioned kernels this host runs:
- * "x86-64-v4", "x86-64-v3" or "baseline", by the same CPU-level checks
- * the loader's resolvers make — for the FOCUS_KERNEL_CLONES kernels
- * and for the per-level versions of the QK^T rows alike (only
- * "x86-64-v4" runs the 4-query QK^T tile) — or "single body" in a
- * build without clones (TSan, non-x86-64), whose QK^T rows take the
- * 4-query tile only when the build targets AVX-512.  Every body
- * computes the same bits; the name says which one a timing measured.
- * A copy built with a level removed from the clone lists still names
- * the host's level.
+ * The body of the multi-versioned kernels this binary runs:
+ * "x86-64-v4", "x86-64-v3" or "baseline", picked by the loader's
+ * resolver from per-level versions of its own, as it picks the
+ * FOCUS_KERNEL_CLONES kernels and the per-level versions of the QK^T
+ * rows (only "x86-64-v4" runs the 4-query QK^T tile) — or "single
+ * body" in a build without clones (TSan, non-x86-64), whose QK^T rows
+ * take the 4-query tile only when the build targets AVX-512.  Every
+ * body computes the same bits; the name says which one a timing
+ * measured.
  */
 const char *cloneName();
 

@@ -252,9 +252,13 @@ qkScoresRowsBody(const float *q, int64_t ldq, const float *keys,
                 j += 8;
             }
             if (j < full4) {
+                // Four keys: j steps by 8 and full4 by 4.  A copy of
+                // a variable length would be a call to memcpy.
                 float tile[8];
                 qkBlock<8>(qi, kt + j, ldt, k, scale, tile);
-                std::copy(tile, tile + (full4 - j), orow + j);
+                for (int64_t e = 0; e < 4; ++e) {
+                    orow[j + e] = tile[e];
+                }
             }
             for (j = full4; j < count; ++j) {
                 orow[j] = dot1(qi, keys + j * ldk, k) * scale;

@@ -10,43 +10,25 @@
  * level that matters for the concentration algorithms: the
  * quantization noise perturbs cosine similarities and attention
  * scores, which is what shifts sparsity/accuracy in the paper.  No
- * int8 product is computed.
+ * int8 product is computed, and no int8 matrix is kept: the test
+ * oracle tests/reference/quant.h quantizes and dequantizes in two
+ * steps.
  */
 
 #ifndef FOCUS_TENSOR_QUANT_H
 #define FOCUS_TENSOR_QUANT_H
-
-#include <cstdint>
-#include <vector>
 
 #include "tensor/tensor.h"
 
 namespace focus
 {
 
-/** A rank-2 tensor quantized row-wise to int8. */
-struct QuantizedMatrix
-{
-    int64_t rows = 0;
-    int64_t cols = 0;
-    std::vector<int8_t> data;   ///< row-major int8 values
-    std::vector<float> scales;  ///< one scale per row
-
-    const int8_t *row(int64_t i) const { return data.data() + i * cols; }
-};
-
-/** Quantize with per-row symmetric scales (absmax / 127). */
-QuantizedMatrix quantizeRows(const Tensor &t);
-
-/** Dequantize back to float. */
-Tensor dequantize(const QuantizedMatrix &q);
-
 /**
- * Round-trip a tensor through int8 (quantize + dequantize).  This is
- * how the INT8 experiments inject quantization error into the
- * functional pipeline.
+ * Round-trip every row of a rank-2 tensor through int8, in place: the
+ * row's scale is absmax / 127 (1 for an all-zero row), each element
+ * becomes round(x / scale) clamped to [-127, 127], times the scale.
  */
-Tensor int8RoundTrip(const Tensor &t);
+void roundRowsToInt8(Tensor &t);
 
 } // namespace focus
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -145,7 +146,9 @@ VlmModel::VlmModel(const ModelProfile &profile, uint64_t seed)
                                        kNumGroups)
                 : initWeight(r, w.rows, w.cols, w.ident, w.noise);
             // Per-row symmetric int8 (the MethodConfig::int8 variant).
-            layers_int8_[l].*w.member = int8RoundTrip(dst);
+            Tensor &q = layers_int8_[l].*w.member;
+            q = dst;
+            roundRowsToInt8(q);
         });
     for (size_t l = 0; l < layers_.size(); ++l) {
         LayerWeights &w = layers_[l];
@@ -174,10 +177,17 @@ struct BatchState
 {
     const VideoSample *sample = nullptr;
     ForwardResult res;
-    Tensor readout_emb; ///< input-space content of active tokens
-    std::vector<TokenCoord> coords;
-    std::vector<int64_t> active_orig;
-    int64_t s_cur = 0;
+    Tensor emb;               ///< preprocessed tokens' mean embeddings
+    std::vector<int64_t> ids; ///< preprocessed tokens' original ids
+
+    /**
+     * The concentration layout: visual row r is preprocessed token
+     * kept[r], then the text rows follow; `sic` is its SIC neighbour
+     * table.  SEC prunes `kept` in place and rebuilds `sic`, so `emb`
+     * and `ids` are never copied.
+     */
+    std::vector<int64_t> kept;
+    SicNeighbours sic;
     int64_t t_count = 0;
     int64_t m_orig = 0;
 
@@ -189,9 +199,10 @@ struct BatchState
     std::vector<int64_t> retained;
     std::vector<int64_t> pv_rows;
     bool pruned = false;
-    int64_t s_next = 0;
     int64_t rows_after = 0;
     LayerRecord rec; ///< record of the layer in flight
+
+    int64_t visual() const { return static_cast<int64_t>(kept.size()); }
 };
 
 /**
@@ -220,8 +231,9 @@ scoreTextRows(const kernels::CausalHeads &att, int64_t s,
 
 /**
  * xn = x, RMS-normed by @p gain, then rounded to the method's
- * activation storage (per-row int8 or fp16).  Each step works row by
- * row, so the bits do not depend on how the rows are packed.
+ * activation storage (per-row int8 or fp16), in place.  Each step
+ * works row by row, so the bits do not depend on how the rows are
+ * packed.
  */
 void
 normRound(const Tensor &x, const Tensor &gain, bool int8, Tensor &xn)
@@ -229,26 +241,38 @@ normRound(const Tensor &x, const Tensor &gain, bool int8, Tensor &xn)
     xn = x;
     rmsNormRows(xn, gain);
     if (int8) {
-        xn = int8RoundTrip(xn);
+        roundRowsToInt8(xn);
     } else {
         xn.roundToFp16();
     }
 }
 
 /**
- * SIC-gather one sample's active rows in place: @p x points at its
- * s_cur visual rows, then its t_count text rows (never matched), each
+ * The SIC neighbour table of @p st's layout: its kept visual rows at
+ * their tokens' coordinates, then its text rows.
+ */
+void
+buildSicTable(BatchState &st, const SicConfig &cfg)
+{
+    std::vector<TokenCoord> coords(
+        static_cast<size_t>(st.visual() + st.t_count), TokenCoord{-1, 0, 0});
+    for (size_t r = 0; r < st.kept.size(); ++r) {
+        coords[r] = st.sample->coords[static_cast<size_t>(
+            st.ids[static_cast<size_t>(st.kept[r])])];
+    }
+    st.sic = sicNeighbours(coords, cfg);
+}
+
+/**
+ * SIC-gather one sample's active rows in place over its layout's
+ * table: @p x points at its visual rows, then its text rows, each
  * @p cols wide and packed.  Appends the gather's tile fractions to the
  * layer record and returns the site's unique fraction (its psi).
  */
 double
 gatherSic(BatchState &st, float *x, int64_t cols, const SicConfig &cfg)
 {
-    std::vector<TokenCoord> coords = st.coords;
-    coords.resize(static_cast<size_t>(st.s_cur + st.t_count),
-                  TokenCoord{-1, 0, 0});
-    const SicResult g =
-        sicGather(x, st.s_cur + st.t_count, cols, cols, coords, cfg);
+    const SicResult g = sicGather(x, cols, cols, st.sic, cfg);
     st.rec.tile_fracs.insert(st.rec.tile_fracs.end(),
                              g.tile_slice_unique_frac.begin(),
                              g.tile_slice_unique_frac.end());
@@ -347,19 +371,13 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
         const int64_t s0 = static_cast<int64_t>(red.kept.size());
         st.res.visual_initial = s0;
 
-        Tensor &visual = st.readout_emb;
-        visual = Tensor(s0, d);
-        st.coords.assign(static_cast<size_t>(s0), TokenCoord{});
-        st.active_orig.assign(static_cast<size_t>(s0), 0);
+        st.emb = Tensor(s0, d);
         {
             std::vector<int64_t> kept_pos(
                 static_cast<size_t>(st.m_orig), -1);
             for (int64_t p = 0; p < s0; ++p) {
-                const int64_t orig = red.kept[static_cast<size_t>(p)];
-                kept_pos[static_cast<size_t>(orig)] = p;
-                st.coords[static_cast<size_t>(p)] =
-                    sample.coords[static_cast<size_t>(orig)];
-                st.active_orig[static_cast<size_t>(p)] = orig;
+                kept_pos[static_cast<size_t>(
+                    red.kept[static_cast<size_t>(p)])] = p;
             }
             std::vector<int64_t> counts(static_cast<size_t>(s0), 0);
             for (int64_t i = 0; i < st.m_orig; ++i) {
@@ -373,7 +391,7 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                           "non-kept representative %" PRId64, i, rep);
                 }
                 const float *src = sample.visual_tokens.row(i);
-                float *dst = visual.row(p);
+                float *dst = st.emb.row(p);
                 for (int64_t j = 0; j < d; ++j) {
                     dst[j] += src[j];
                 }
@@ -383,17 +401,22 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                 const float inv = 1.0f /
                     static_cast<float>(std::max<int64_t>(
                         counts[static_cast<size_t>(p)], 1));
-                float *dst = visual.row(p);
+                float *dst = st.emb.row(p);
                 for (int64_t j = 0; j < d; ++j) {
                     dst[j] *= inv;
                 }
             }
         }
+        st.ids = std::move(red.kept);
+        st.kept.resize(static_cast<size_t>(s0));
+        std::iota(st.kept.begin(), st.kept.end(), int64_t{0});
+        if (sic_on) {
+            buildSicTable(st, sic);
+        }
 
-        st.s_cur = s0;
         st.row0 = x.rows();
         x.resize(st.row0 + s0 + st.t_count, d);
-        std::copy(visual.data(), visual.data() + s0 * d, x.row(st.row0));
+        std::copy(st.emb.data(), st.emb.data() + s0 * d, x.row(st.row0));
         std::copy(sample.text_tokens.data(),
                   sample.text_tokens.data() + st.t_count * d,
                   x.row(st.row0 + s0));
@@ -414,7 +437,7 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
         normRound(x, w.n1, method.int8, xn);
         for (BatchState &st : states) {
             st.rec = LayerRecord();
-            st.rec.visual_in = st.s_cur;
+            st.rec.visual_in = st.visual();
             st.rec.text = st.t_count;
             if (sic_on && l > 0) {
                 st.rec.psi_qkv = gatherSic(st, xn.row(st.row0), d, sic);
@@ -438,7 +461,8 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
         int64_t rows_out = 0;
         for (BatchState &st : states) {
             const int64_t row_in = st.row0;
-            const int64_t rows = st.s_cur + st.t_count;
+            const int64_t s_cur = st.visual();
+            const int64_t rows = s_cur + st.t_count;
             st.res.ops += 3.0 * static_cast<double>(rows) * d * d *
                 st.rec.psi_qkv;
             st.res.ops += static_cast<double>(rows) * rows * d;
@@ -452,13 +476,13 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
             att.hd = hd;
             att.scale = inv_sqrt;
             const std::vector<float *> text_rows =
-                scoreTextRows(att, st.s_cur, panels, text_probs);
+                scoreTextRows(att, s_cur, panels, text_probs);
 
             st.retained.clear();
             st.pruned = false;
             if (sec_on && prof_.pruneAtLayer(l, prof_.layers)) {
                 const std::vector<float> importance = secImportance(
-                    text_probs, st.s_cur, st.t_count);
+                    text_probs, s_cur, st.t_count);
                 switch (method.focus.sec.select) {
                   case SecSelect::TopK: {
                     const double ratio = prof_.retentionAfterLayer(
@@ -467,7 +491,7 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                         1, static_cast<int64_t>(std::llround(
                                ratio *
                                static_cast<double>(st.m_orig))));
-                    if (want < st.s_cur) {
+                    if (want < s_cur) {
                         st.retained = secTopK(importance, want);
                         st.pruned = true;
                     }
@@ -477,20 +501,20 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                     st.retained =
                         secTopP(importance, method.focus.sec.top_p);
                     st.pruned = static_cast<int64_t>(
-                                    st.retained.size()) < st.s_cur;
+                                    st.retained.size()) < s_cur;
                     break;
                   case SecSelect::Threshold:
                     st.retained = secThreshold(
                         importance, method.focus.sec.threshold);
                     st.pruned = static_cast<int64_t>(
-                                    st.retained.size()) < st.s_cur;
+                                    st.retained.size()) < s_cur;
                     break;
                 }
             }
-            st.s_next = st.pruned
-                ? static_cast<int64_t>(st.retained.size()) : st.s_cur;
-            st.rows_after = st.s_next + st.t_count;
-            st.rec.visual_out = st.s_next;
+            const int64_t s_next = st.pruned
+                ? static_cast<int64_t>(st.retained.size()) : s_cur;
+            st.rows_after = s_next + st.t_count;
+            st.rec.visual_out = s_next;
             st.row0 = rows_out;
             rows_out += st.rows_after;
 
@@ -498,13 +522,13 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
             if (st.pruned) {
                 st.pv_rows.resize(static_cast<size_t>(st.rows_after));
                 for (int64_t r = 0; r < st.rows_after; ++r) {
-                    st.pv_rows[static_cast<size_t>(r)] = r < st.s_next
+                    st.pv_rows[static_cast<size_t>(r)] = r < s_next
                         ? st.retained[static_cast<size_t>(r)]
-                        : st.s_cur + (r - st.s_next);
+                        : s_cur + (r - s_next);
                 }
                 pv_map = st.pv_rows.data();
             }
-            kernels::causalAttentionF32(att, panels.data(), st.s_cur,
+            kernels::causalAttentionF32(att, panels.data(), s_cur,
                                         text_rows.data(), rows, pv_map,
                                         st.rows_after, ao.row(st.row0),
                                         d);
@@ -526,27 +550,17 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
                     }
                 }
             }
+            // SEC's list ascends, so the layout prunes in place too.
             if (st.pruned) {
-                Tensor ro2(st.s_next, d);
-                std::vector<TokenCoord> c2(
-                    static_cast<size_t>(st.s_next));
-                std::vector<int64_t> ao2(
-                    static_cast<size_t>(st.s_next));
-                for (int64_t r = 0; r < st.s_next; ++r) {
-                    const int64_t srcv =
-                        st.retained[static_cast<size_t>(r)];
-                    std::copy(st.readout_emb.row(srcv),
-                              st.readout_emb.row(srcv) + d,
-                              ro2.row(r));
-                    c2[static_cast<size_t>(r)] =
-                        st.coords[static_cast<size_t>(srcv)];
-                    ao2[static_cast<size_t>(r)] =
-                        st.active_orig[static_cast<size_t>(srcv)];
+                for (int64_t r = 0; r < s_next; ++r) {
+                    st.kept[static_cast<size_t>(r)] = st.kept[
+                        static_cast<size_t>(st.retained[
+                            static_cast<size_t>(r)])];
                 }
-                st.readout_emb = std::move(ro2);
-                st.coords = std::move(c2);
-                st.active_orig = std::move(ao2);
-                st.s_cur = st.s_next;
+                st.kept.resize(static_cast<size_t>(s_next));
+                if (sic_on) {
+                    buildSicTable(st, sic);
+                }
             }
 
             if (sic_on) {
@@ -597,16 +611,17 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
     std::vector<int64_t> offv(static_cast<size_t>(count));
     for (int64_t bi = 0; bi < count; ++bi) {
         offv[static_cast<size_t>(bi)] = total_vis;
-        total_vis += states[static_cast<size_t>(bi)].s_cur;
+        total_vis += states[static_cast<size_t>(bi)].visual();
     }
     Tensor qinp(count, d);
     Tensor visp(total_vis, d);
     for (int64_t bi = 0; bi < count; ++bi) {
         const BatchState &st = states[static_cast<size_t>(bi)];
         const float *rows = xn.row(st.row0);
-        const float *qrow = rows + (st.s_cur + st.sample->query_token) * d;
+        const float *qrow =
+            rows + (st.visual() + st.sample->query_token) * d;
         std::copy(qrow, qrow + d, qinp.row(bi));
-        std::copy(rows, rows + st.s_cur * d,
+        std::copy(rows, rows + st.visual() * d,
                   visp.row(offv[static_cast<size_t>(bi)]));
     }
     Tensor qvp, kvp;
@@ -616,22 +631,22 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
     out.reserve(static_cast<size_t>(count));
     for (int64_t bi = 0; bi < count; ++bi) {
         BatchState &st = states[static_cast<size_t>(bi)];
-        std::vector<float> weights_sum(static_cast<size_t>(st.s_cur),
-                                       0.0f);
-        std::vector<float> logits(static_cast<size_t>(st.s_cur));
+        const int64_t s_cur = st.visual();
+        std::vector<float> weights_sum(static_cast<size_t>(s_cur), 0.0f);
+        std::vector<float> logits(static_cast<size_t>(s_cur));
         for (int h = 0; h < prof_.heads; ++h) {
             const int64_t c0 = static_cast<int64_t>(h) * hd;
             kernels::dotRowsScaled(
                 qvp.row(bi) + c0,
                 kvp.row(offv[static_cast<size_t>(bi)]) + c0,
-                kvp.cols(), st.s_cur, hd, inv_sqrt, logits.data());
+                kvp.cols(), s_cur, hd, inv_sqrt, logits.data());
             float mx = -1e30f;
-            for (int64_t j = 0; j < st.s_cur; ++j) {
+            for (int64_t j = 0; j < s_cur; ++j) {
                 mx = std::max(mx, logits[static_cast<size_t>(j)]);
             }
             const float sum = kernels::expBiasedSumF32(
-                logits.data(), st.s_cur, mx);
-            for (int64_t j = 0; j < st.s_cur; ++j) {
+                logits.data(), s_cur, mx);
+            for (int64_t j = 0; j < s_cur; ++j) {
                 weights_sum[static_cast<size_t>(j)] +=
                     logits[static_cast<size_t>(j)] / sum /
                     static_cast<float>(prof_.heads);
@@ -640,12 +655,12 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
 
         std::vector<float> readout(static_cast<size_t>(kGroupDim),
                                    0.0f);
-        for (int64_t j = 0; j < st.s_cur; ++j) {
+        for (int64_t j = 0; j < s_cur; ++j) {
             const float wgt = weights_sum[static_cast<size_t>(j)];
             if (wgt <= 0.0f) {
                 continue;
             }
-            const float *emb = st.readout_emb.row(j);
+            const float *emb = st.emb.row(st.kept[static_cast<size_t>(j)]);
             for (int g = 0; g < kNumGroups; ++g) {
                 for (int e = 0; e < kGroupDim; ++e) {
                     readout[static_cast<size_t>(e)] +=
@@ -658,7 +673,10 @@ VlmModel::forwardBatch(const VideoSample *const *samples, int64_t count,
         st.res.correct =
             st.res.predicted_color == st.sample->answer_color;
         st.res.readout_attention = std::move(weights_sum);
-        st.res.active_original = st.active_orig;
+        for (const int64_t tok : st.kept) {
+            st.res.active_original.push_back(
+                st.ids[static_cast<size_t>(tok)]);
+        }
         out.push_back(std::move(st.res));
     }
     return out;

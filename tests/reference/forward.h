@@ -6,9 +6,13 @@
  * One sample at a time, every projection a plain tensor/ops.h gemm()
  * over that sample's rows, attention scores one dotRowsScaled() call
  * per query row, activations rounded to fp16 one `fp16Round` at a
- * time.  forwardBatch packs samples into taller GEMMs, tiles the
- * attention interior and rounds 8 lanes at a time with F16C; all of
- * it must reproduce this function bit for bit (tests/test_forward.cc).
+ * time or through int8 by quantizeRows + dequantize, SEC copying the
+ * kept rows and SIC indexing every gather's coordinates afresh
+ * (sic_gather.h).  forwardBatch packs samples into taller GEMMs, tiles
+ * the attention interior, rounds 8 lanes at a time with F16C or int8
+ * in place, and prunes a kept-row list with one SIC neighbour table
+ * per layout; all of it must reproduce this function bit for bit
+ * (tests/test_forward.cc).
  */
 
 #ifndef FOCUS_TESTS_REFERENCE_FORWARD_H
@@ -19,13 +23,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "quant.h"
 #include "sfu.h"
+#include "sic_gather.h"
 #include "common/half.h"
 #include "focus/sec.h"
-#include "focus/sic.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "vlm/model.h"
 
 namespace focus
@@ -78,14 +82,15 @@ attention(const ModelProfile &prof, const Tensor &xn,
 }
 
 /**
- * SIC-gather @p x in place; append the site's tile fractions to
- * @p rec and return its unique-vector fraction.
+ * SIC-gather @p x in place through the per-call oracle; append the
+ * site's tile fractions to @p rec and return its unique-vector
+ * fraction.
  */
 inline double
 gatherSite(Tensor &x, const std::vector<TokenCoord> &coords,
            const SicConfig &cfg, LayerRecord &rec)
 {
-    SicResult g = sicGather(x, coords, cfg);
+    const SicMaps g = sicGatherMaps(x, coords, cfg);
     rec.tile_fracs.insert(rec.tile_fracs.end(),
                           g.tile_slice_unique_frac.begin(),
                           g.tile_slice_unique_frac.end());

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "tensor/quant.h"
+#include "quant.h"
 #include "vlm/model.h"
 
 namespace focus

@@ -1,10 +1,11 @@
 /**
  * @file
  * Similarity Scatter reference (Sec. VI, Fig. 8): rebuild a full
- * tensor from the compact per-slice buffers that focus/sic.h
- * sicGather's maps describe.  tests/test_sic.cc uses it to prove
- * gather/scatter losslessness; the functional model never scatters
- * (sicGather overwrites matched rows in place).
+ * tensor from the compact per-slice buffers that the maps of the
+ * gather oracle (sic_gather.h sicGatherMaps) describe.
+ * tests/test_sic.cc uses it to prove gather/scatter losslessness; the
+ * functional model never scatters (focus/sic.h sicGather overwrites
+ * matched rows in place).
  */
 
 #ifndef FOCUS_TESTS_REFERENCE_SIC_SCATTER_H
@@ -15,7 +16,7 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "focus/sic.h"
+#include "sic_gather.h"
 #include "tensor/tensor.h"
 
 namespace focus
@@ -28,7 +29,7 @@ namespace reference
  * the maps of @p res: per map, its unique vectors in compact order.
  */
 inline std::vector<Tensor>
-sicCompactBuffers(const Tensor &gathered, const SicResult &res)
+sicCompactBuffers(const Tensor &gathered, const SicMaps &res)
 {
     std::vector<Tensor> out;
     out.reserve(res.maps.size());
@@ -71,7 +72,7 @@ sicCompactBuffers(const Tensor &gathered, const SicResult &res)
  *                 (unique x slice_width each).
  */
 inline Tensor
-sicScatter(const SicResult &res, const std::vector<Tensor> &compact,
+sicScatter(const SicMaps &res, const std::vector<Tensor> &compact,
            int64_t rows, int64_t cols)
 {
     if (compact.size() != res.maps.size()) {

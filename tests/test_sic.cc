@@ -1,16 +1,20 @@
 /**
  * @file
- * Tests for the Similarity Concentrator: gather semantics, map
- * correctness, scatter losslessness, tile-boundary behaviour, and
- * vector- vs token-granularity properties.
+ * Tests for the Similarity Concentrator: the neighbour table, gather
+ * semantics, the production gather against the per-call oracle
+ * (tests/reference/sic_gather.h), map correctness, scatter
+ * losslessness, tile-boundary behaviour, and vector- vs
+ * token-granularity properties.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "focus/sic.h"
+#include "reference/sic_gather.h"
 #include "reference/sic_scatter.h"
 #include "tensor/ops.h"
 
@@ -42,6 +46,175 @@ randomActivations(Rng &rng, int64_t rows, int64_t cols)
         t.data()[i] = static_cast<float>(rng.gaussian());
     }
     return t;
+}
+
+/**
+ * A random token layout: an f x h x w raster in stream order, whole or
+ * thinned to an ascending subset as SEC prunes it, then @p text text
+ * rows (f < 0).
+ */
+std::vector<TokenCoord>
+randomLayout(Rng &rng, bool pruned, int text)
+{
+    const int f = 1 + static_cast<int>(rng.uniformInt(3));
+    const int h = 1 + static_cast<int>(rng.uniformInt(5));
+    const int w = 1 + static_cast<int>(rng.uniformInt(5));
+    const double keep = rng.uniform(0.3, 0.9);
+    std::vector<TokenCoord> coords;
+    for (const TokenCoord &t : rasterCoords(f, h, w)) {
+        if (!pruned || rng.bernoulli(keep)) {
+            coords.push_back(t);
+        }
+    }
+    coords.resize(coords.size() + static_cast<size_t>(text),
+                  TokenCoord{-1, 0, 0});
+    return coords;
+}
+
+/**
+ * Activations with exact similarity ties: each @p vec-wide slice of a
+ * row is noise, zero, or the same slice of an earlier row times +-1,
+ * 2 or 1/2.  Power-of-two multiples scale every dot product and norm
+ * exactly, so candidates of equal similarity but different values
+ * meet, and the candidate order decides which one a row copies.
+ */
+Tensor
+tiedActivations(Rng &rng, int64_t rows, int64_t cols, int64_t vec)
+{
+    static const float kScales[] = {1.0f, -1.0f, 2.0f, 0.5f, -2.0f};
+    Tensor x = randomActivations(rng, rows, cols);
+    for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t c0 = 0; c0 < cols; c0 += vec) {
+            const double u = rng.uniform();
+            if (u < 0.1) {
+                std::fill(x.row(i) + c0, x.row(i) + c0 + vec, 0.0f);
+            } else if (u < 0.75 && i > 0) {
+                const int64_t j = i - 1 -
+                    static_cast<int64_t>(rng.uniformInt(
+                        static_cast<uint64_t>(std::min<int64_t>(i, 12))));
+                const float k = kScales[rng.uniformInt(5)];
+                for (int64_t e = c0; e < c0 + vec; ++e) {
+                    x(i, e) = k * x(j, e);
+                }
+            }
+        }
+    }
+    return x;
+}
+
+TEST(SicNeighbours, EarlierBlockRowsInDeltaOrderWithinTile)
+{
+    // A 2x2x2 raster and one text row.  The last token's block is the
+    // whole raster, listed with dc fastest: (1,1,0), (1,0,1), (1,0,0),
+    // (0,1,1), ... as rows 6, 5, 4, 3, ...
+    std::vector<TokenCoord> coords = rasterCoords(2, 2, 2);
+    coords.push_back(TokenCoord{-1, 0, 0});
+    SicConfig cfg;
+    const auto listOf = [](const SicNeighbours &nb, int64_t i) {
+        return std::vector<int64_t>(
+            nb.list.begin() + nb.begin[static_cast<size_t>(i)],
+            nb.list.begin() + nb.begin[static_cast<size_t>(i + 1)]);
+    };
+
+    const SicNeighbours whole = sicNeighbours(coords, cfg);
+    ASSERT_EQ(whole.rows(), 9);
+    EXPECT_EQ(listOf(whole, 0), std::vector<int64_t>{});
+    EXPECT_EQ(listOf(whole, 3), (std::vector<int64_t>{2, 1, 0}));
+    EXPECT_EQ(listOf(whole, 7),
+              (std::vector<int64_t>{6, 5, 4, 3, 2, 1, 0}));
+    EXPECT_EQ(listOf(whole, 8), std::vector<int64_t>{});
+
+    // Four-row m tiles: rows 4-7 see only each other, as tile rows.
+    cfg.m_tile = 4;
+    const SicNeighbours tiled = sicNeighbours(coords, cfg);
+    EXPECT_EQ(listOf(tiled, 4), std::vector<int64_t>{});
+    EXPECT_EQ(listOf(tiled, 7), (std::vector<int64_t>{2, 1, 0}));
+    EXPECT_EQ(listOf(tiled, 8), std::vector<int64_t>{});
+
+    // A pruned layout lists the rows its kept tokens landed on.
+    const std::vector<TokenCoord> kept = {coords[1], coords[2],
+                                          coords[7]};
+    const SicNeighbours pruned = sicNeighbours(kept, SicConfig{});
+    EXPECT_EQ(listOf(pruned, 2), (std::vector<int64_t>{1, 0}));
+}
+
+// The production gather over a prebuilt neighbour table must give the
+// per-call oracle's tensor bits, unique counts and tile fractions.
+// The layouts cover whole rasters and SEC-pruned subsets, m tiles
+// shorter than the layout, token-wise matching, text rows, other
+// block extents and thresholds 0 and 1; the rows sit inside a wider
+// packed buffer whose other columns must not change.  The activations
+// carry exact similarity ties, so a change of candidate order changes
+// the result.
+TEST(SicGather, MatchesOracleOnRandomLayouts)
+{
+    static const float kThresholds[] = {0.0f, 1.0f, 0.5f, 0.9f, 0.99f};
+    Rng rng(30);
+    int64_t matched = 0, short_tiles = 0;
+    for (int trial = 0; trial < 240; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const bool pruned = trial % 2 == 1;
+        const int text = static_cast<int>(rng.uniformInt(4));
+        const std::vector<TokenCoord> coords =
+            randomLayout(rng, pruned, text);
+        const int64_t rows = static_cast<int64_t>(coords.size());
+
+        SicConfig cfg;
+        cfg.threshold = kThresholds[trial % 5];
+        cfg.vector_size = 8 << rng.uniformInt(3);
+        cfg.token_wise = trial % 7 == 3;
+        if (trial % 4 == 2) {
+            cfg.block_f = 1 + static_cast<int>(rng.uniformInt(3));
+            cfg.block_h = 1 + static_cast<int>(rng.uniformInt(3));
+            cfg.block_w = 1 + static_cast<int>(rng.uniformInt(3));
+        }
+        cfg.m_tile = trial % 3 == 0
+            ? 1024 : 1 + static_cast<int64_t>(rng.uniformInt(
+                             static_cast<uint64_t>(std::max<int64_t>(
+                                 rows, 1))));
+        const int64_t cols = cfg.vector_size *
+            (1 + static_cast<int64_t>(rng.uniformInt(3)));
+        const int64_t vec = cfg.token_wise ? cols : cfg.vector_size;
+        const Tensor base = tiedActivations(rng, rows, cols, vec);
+
+        Tensor want = base;
+        const reference::SicMaps ref =
+            reference::sicGatherMaps(want, coords, cfg);
+
+        // The same rows at row 2 and column 0 of a wider buffer.
+        const int64_t ld = cols + 5;
+        Tensor packed = randomActivations(rng, rows + 3, ld);
+        for (int64_t i = 0; i < rows; ++i) {
+            std::copy(base.row(i), base.row(i) + cols, packed.row(2 + i));
+        }
+        const Tensor before = packed;
+        const SicResult got = sicGather(
+            packed.row(2), cols, ld, sicNeighbours(coords, cfg), cfg);
+
+        EXPECT_EQ(got.total_vectors, ref.total_vectors);
+        EXPECT_EQ(got.unique_vectors, ref.unique_vectors);
+        EXPECT_EQ(got.tile_slice_unique_frac, ref.tile_slice_unique_frac);
+        for (int64_t i = 0; i < rows + 3; ++i) {
+            for (int64_t j = 0; j < ld; ++j) {
+                const bool gathered = i >= 2 && i < 2 + rows && j < cols;
+                const float e = gathered ? want(i - 2, j) : before(i, j);
+                ASSERT_EQ(std::memcmp(&packed(i, j), &e, sizeof(float)),
+                          0)
+                    << "row " << i << " col " << j;
+            }
+        }
+
+        Tensor via_tensor = base;
+        const SicResult t = sicGather(via_tensor, coords, cfg);
+        EXPECT_EQ(t.unique_vectors, ref.unique_vectors);
+        EXPECT_EQ(maxAbsDiff(via_tensor, want), 0.0);
+
+        matched += ref.total_vectors - ref.unique_vectors;
+        short_tiles += cfg.m_tile < rows ? 1 : 0;
+    }
+    // The draws matched vectors and split layouts into m tiles.
+    EXPECT_GT(matched, 1000);
+    EXPECT_GT(short_tiles, 100);
 }
 
 TEST(SicGather, IdenticalNeighboursDeduplicate)
@@ -227,8 +400,9 @@ TEST(SicGather, MapsAreConsistent)
         }
     }
     SicConfig cfg;
-    const SicResult res = sicGather(x, coords, cfg);
-    for (const SliceMap &map : res.maps) {
+    const reference::SicMaps res =
+        reference::sicGatherMaps(x, coords, cfg);
+    for (const reference::SliceMap &map : res.maps) {
         ASSERT_EQ(static_cast<int64_t>(map.compact_index.size()),
                   map.rows);
         for (int64_t i = 0; i < map.rows; ++i) {
@@ -263,7 +437,8 @@ TEST(SicScatter, RoundTripIsLossless)
         }
     }
     SicConfig cfg;
-    const SicResult res = sicGather(x, coords, cfg);
+    const reference::SicMaps res =
+        reference::sicGatherMaps(x, coords, cfg);
     ASSERT_LT(res.unique_vectors, res.total_vectors);
 
     const std::vector<Tensor> compact =
@@ -304,9 +479,10 @@ TEST(SicGather, UniqueFracStatsMatchCounts)
     const auto coords = rasterCoords(2, 3, 3);
     Tensor x = randomActivations(rng, 18, 64);
     SicConfig cfg;
-    const SicResult res = sicGather(x, coords, cfg);
+    const reference::SicMaps res =
+        reference::sicGatherMaps(x, coords, cfg);
     double total = 0.0;
-    for (const SliceMap &m : res.maps) {
+    for (const reference::SliceMap &m : res.maps) {
         total += static_cast<double>(m.unique);
     }
     EXPECT_DOUBLE_EQ(total,

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/rng.h"
+#include "reference/quant.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/quant.h"
@@ -313,7 +315,8 @@ TEST(Quant, RoundTripErrorBounded)
 {
     Rng rng(9);
     const Tensor t = randomTensor(rng, 16, 64, 2.0);
-    const Tensor q = int8RoundTrip(t);
+    Tensor q = t;
+    roundRowsToInt8(q);
     // Max error per element is scale/2 = absmax/254.
     for (int64_t i = 0; i < 16; ++i) {
         float absmax = 0.0f;
@@ -327,6 +330,29 @@ TEST(Quant, RoundTripErrorBounded)
     }
 }
 
+// The model round-trips its weights and activations in place; every
+// bit, the sign of zero included, must be the two-step oracle's.
+TEST(Quant, RoundRowsInPlaceMatchesOracle)
+{
+    Rng rng(10);
+    Tensor t = randomTensor(rng, 8, 48, 3.0);
+    for (int64_t j = 0; j < 48; ++j) {
+        t(0, j) = 0.0f;                        // all-zero row
+        t(1, j) = j % 2 == 0 ? -0.0f : 1e-30f; // signed zeros, tiny scale
+        t(2, j) = static_cast<float>(j - 24);  // evenly spaced
+    }
+    t(3, 5) = -1e30f; // one huge element: the rest round to zero
+    const Tensor want = reference::int8RoundTrip(t);
+    Tensor got = t;
+    roundRowsToInt8(got);
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        EXPECT_EQ(std::memcmp(&got.data()[i], &want.data()[i],
+                              sizeof(float)),
+                  0)
+            << "element " << i;
+    }
+}
+
 TEST(Quant, ScalesArePerRow)
 {
     Tensor t(2, 2);
@@ -334,11 +360,11 @@ TEST(Quant, ScalesArePerRow)
     t(0, 1) = -50.0f;
     t(1, 0) = 0.01f;
     t(1, 1) = 0.005f;
-    const QuantizedMatrix q = quantizeRows(t);
+    const reference::QuantizedMatrix q = reference::quantizeRows(t);
     EXPECT_NEAR(q.scales[0], 100.0f / 127.0f, 1e-5);
     EXPECT_NEAR(q.scales[1], 0.01f / 127.0f, 1e-7);
     // Small-magnitude row keeps relative precision.
-    const Tensor d = dequantize(q);
+    const Tensor d = reference::dequantize(q);
     EXPECT_NEAR(d(1, 1), 0.005f, 1e-4);
 }
 
